@@ -5,7 +5,8 @@ output tensor, so the compute graph of one forward pass lives in the tensor
 parent links; ``Tensor.backward`` replays it once in reverse topological
 order. Batching is "a sequence of matrices" by construction: there are no
 rank-3 arrays and no broadcasting beyond the row-vector bias of ``add_row``
-and the per-row scalar of ``scale_rows``.
+and the per-row scalar of ``scale_rows``. Each loss reduction is one node,
+and the only module state is the ``no_grad`` switch.
 """
 from __future__ import annotations
 
@@ -20,14 +21,6 @@ logger = logging.getLogger(__name__)
 LOG_FLOOR = 1e-12
 
 _grad_enabled = True
-_default_attention_scale = False
-
-
-def set_attention_scaling(enabled: bool) -> None:
-    """Module-wide default for the optional 1/sqrt(D) attention-logit
-    scaling. Off by default: attention here is plain softmax(QK^T)V."""
-    global _default_attention_scale
-    _default_attention_scale = bool(enabled)
 
 
 @contextmanager
@@ -253,30 +246,25 @@ def tanh(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def log(x: Tensor) -> Tensor:
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g / x.data)
-
-    return _node(np.log(x.data), (x,), backward)
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    mask = x.data > floor
-
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g * mask)
-
-    return _node(np.maximum(x.data, floor), (x,), backward)
-
-
 def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x._accum(np.full_like(x.data, g[0, 0]))
 
     return _node(np.array([[x.data.sum()]]), (x,), backward)
+
+
+def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of the squared entries of every tensor, as one scalar node."""
+    tensors = tuple(tensors)
+
+    def backward(g):
+        for t in tensors:
+            if t.requires_grad:
+                t._accum(2.0 * g[0, 0] * t.data)
+
+    total = sum(float((t.data * t.data).sum()) for t in tensors)
+    return _node(np.array([[total]]), tensors, backward)
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -410,18 +398,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 def cross_attention(q_src: Tensor, kv_src: Tensor, w_q: Tensor, w_k: Tensor,
                     w_v: Tensor, mask: np.ndarray | None = None,
-                    scale: bool | None = None) -> tuple[Tensor, Tensor]:
+                    scale: bool = False) -> tuple[Tensor, Tensor]:
     """softmax((q_src w_q)(kv_src w_k)^T) (kv_src w_v).
 
     Returns (output, attention weights) so callers can inspect where each
     query row looked. ``mask`` is an additive constant (0 where allowed,
-    a large negative number where not) applied to the logits. Scaling by
-    1/sqrt(D) follows the module default (off) unless ``scale`` is given.
+    a large negative number where not) applied to the logits. ``scale``
+    divides the logits by sqrt(D); off, attention is plain softmax(QK^T)V.
     """
     if kv_src.shape[0] < 1:
         raise ValueError("cross_attention: needs at least one key/value row")
-    if scale is None:
-        scale = _default_attention_scale
     q = matmul(q_src, w_q)
     k = matmul(kv_src, w_k)
     v = matmul(kv_src, w_v)
@@ -444,30 +430,36 @@ def causal_mask(n: int) -> np.ndarray:
 def frobenius_distance_sq(a: Tensor, b: Tensor) -> Tensor:
     """Sum of squared elementwise differences, as a scalar graph node."""
     _check_same_shape(a, b, "frobenius_distance_sq")
-    d = sub(a, b)
-    return sum_all(mul(d, d))
+    return sum_squares([sub(a, b)])
 
 
-def cross_entropy_loss(probs: Sequence[Tensor], targets: Sequence[int]) -> Tensor:
-    """Mean negative log-probability of each target token.
+def cross_entropy_loss(probs: Tensor, targets: Sequence[int]) -> Tensor:
+    """Mean negative log-probability of each target token, as one node.
 
-    ``probs`` holds one 1 x V distribution per step. A zero probability at a
-    target is clamped at 1e-12 (with a warning) so the loss stays finite.
+    Row i of the n x V matrix ``probs`` is the distribution that predicts
+    ``targets[i]``. A target probability below 1e-12 is clamped there (with
+    a warning) so the loss stays finite; a clamped entry gets no gradient.
     """
-    probs = list(probs)
-    if len(probs) != len(targets) or not probs:
-        raise ValueError("cross_entropy_loss: need equal, nonzero counts")
-    terms = []
-    for step, (p, t) in enumerate(zip(probs, targets)):
-        if p.shape[0] != 1:
-            raise ValueError("cross_entropy_loss: each step is one 1 x V row")
-        if not (0 <= t < p.shape[1]):
+    n, v = probs.shape
+    if n != len(targets) or not n:
+        raise ValueError("cross_entropy_loss: need one nonzero row per target")
+    for step, t in enumerate(targets):
+        if not (0 <= t < v):
             raise ValueError(f"cross_entropy_loss: target {t} out of range "
-                             f"for V={p.shape[1]} at step {step}")
-        pt = slice_cols(p, t, t + 1)
-        if pt.data[0, 0] < LOG_FLOOR:
-            logger.warning("cross_entropy_loss: clamping zero probability at "
-                           "step %d (target %d)", step, t)
-        terms.append(log(clamp_min(pt, LOG_FLOOR)))
-    total = sum_all(concat_rows(terms))
-    return mul_scalar(total, -1.0 / len(targets))
+                             f"for V={v} at step {step}")
+    rows, cols = np.arange(n), np.asarray(targets, dtype=np.intp)
+    picked = probs.data[rows, cols]
+    for step in np.flatnonzero(picked < LOG_FLOOR):
+        logger.warning("cross_entropy_loss: clamping zero probability at "
+                       "step %d (target %d)", step, targets[step])
+    kept = picked > LOG_FLOOR
+    clamped = np.maximum(picked, LOG_FLOOR)
+
+    def backward(g):
+        if probs.requires_grad:
+            gp = np.zeros_like(probs.data)
+            gp[rows, cols] = g[0, 0] * (-1.0 / n) / clamped * kept
+            probs._accum(gp)
+
+    return _node(np.array([[np.log(clamped).sum() * (-1.0 / n)]]),
+                 (probs,), backward)

@@ -247,15 +247,16 @@ def project_image_features(features: np.ndarray,
                          proj.gain, proj.bias)
 
 
-def encode(E: Tensor, blocks: Sequence[EncoderBlockParams]) -> Tensor:
+def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
+           scale: bool = False) -> Tensor:
     """Shared encoder: per block, post-norm self-attention then post-norm
     MLP, both residual. Zero blocks (or an empty input) is the identity."""
     h = E
     if h.shape[0] == 0:
         return h
     for block in blocks:
-        attn_out, _ = ad.cross_attention(h, h, block.attn.w_q,
-                                         block.attn.w_k, block.attn.w_v)
+        attn_out, _ = ad.cross_attention(h, h, block.attn.w_q, block.attn.w_k,
+                                         block.attn.w_v, scale=scale)
         h = ad.layer_norm(ad.add(h, attn_out), block.ln1_gain, block.ln1_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.layer_norm(ad.add(h, m), block.ln2_gain, block.ln2_bias)
@@ -263,7 +264,8 @@ def encode(E: Tensor, blocks: Sequence[EncoderBlockParams]) -> Tensor:
 
 
 def compose_attributes(E_k: Tensor, E_t: Tensor, E_v: Tensor,
-                       blocks: Sequence[EncoderBlockParams]) -> Tensor:
+                       blocks: Sequence[EncoderBlockParams],
+                       scale: bool = False) -> Tensor:
     """T_t: encode the row-concatenation [E_k, E_t, E_v]."""
     for name, part in (("E_k", E_k), ("E_t", E_t), ("E_v", E_v)):
         if part.shape[1] != E_t.shape[1]:
@@ -272,25 +274,26 @@ def compose_attributes(E_k: Tensor, E_t: Tensor, E_v: Tensor,
     if not parts:
         raise ValueError("compose_attributes: all segments empty")
     stacked = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-    return encode(stacked, blocks)
+    return encode(stacked, blocks, scale)
 
 
 def encode_relation_tuples(tuples: Iterable[RelationTuple], vocab: Vocabulary,
                            table: EmbeddingTable,
-                           blocks: Sequence[EncoderBlockParams]) -> Tensor:
+                           blocks: Sequence[EncoderBlockParams],
+                           scale: bool = False) -> Tensor:
     """T_h: one mean-pooled encoded row per tuple, rows in the deterministic
     tuple order (shorter first, then lexicographic)."""
     rows = []
     for t in order_tuples(tuples):
         E = embed_tokens(linearize_tuple(t), vocab, table)
-        rows.append(ad.mean_rows(encode(E, blocks)))
+        rows.append(ad.mean_rows(encode(E, blocks, scale)))
     if not rows:
         return Tensor(np.zeros((0, table.dim)))
     return ad.concat_rows(rows) if len(rows) > 1 else rows[0]
 
 
-def reorganize_relations(T_t: Tensor, T_h: Tensor,
-                         attn: AttentionParams) -> tuple[Tensor, Tensor]:
+def reorganize_relations(T_t: Tensor, T_h: Tensor, attn: AttentionParams,
+                         scale: bool = False) -> tuple[Tensor, Tensor]:
     """Reorganize tuple rows against each composed position.
 
     Cross-attention with query T_t and key/value T_h; returns the
@@ -299,7 +302,8 @@ def reorganize_relations(T_t: Tensor, T_h: Tensor,
     """
     if T_h.shape[0] == 0:
         raise NoRelationKnowledge("no relation tuples to reorganize")
-    return ad.cross_attention(T_t, T_h, attn.w_q, attn.w_k, attn.w_v)
+    return ad.cross_attention(T_t, T_h, attn.w_q, attn.w_k, attn.w_v,
+                              scale=scale)
 
 
 def fuse(T_t: Tensor, T_h_bar: Tensor,
@@ -327,7 +331,8 @@ def fuse(T_t: Tensor, T_h_bar: Tensor,
 
 def compose(knowledge_tokens: Sequence[str], ctx_tokens: Sequence[str],
             image_features: np.ndarray, tuples: Iterable[RelationTuple],
-            vocab: Vocabulary, params: ComposerParams) -> ComposedRepresentation:
+            vocab: Vocabulary, params: ComposerParams,
+            scale: bool = False) -> ComposedRepresentation:
     """Run the full composition pipeline for one context."""
     table = params.table
     n_vis = int(np.asarray(image_features).shape[0]) if np.asarray(
@@ -349,15 +354,16 @@ def compose(knowledge_tokens: Sequence[str], ctx_tokens: Sequence[str],
         pos = ad.slice_rows(table.position, n_k + n_t, n_k + n_t + E_v.shape[0])
         E_v = ad.add(E_v, pos)
 
-    T_t = compose_attributes(E_k, E_t, E_v, params.encoder)
+    T_t = compose_attributes(E_k, E_t, E_v, params.encoder, scale)
     ordered = order_tuples(tuples)
-    T_h = encode_relation_tuples(ordered, vocab, table, params.encoder)
+    T_h = encode_relation_tuples(ordered, vocab, table, params.encoder, scale)
     if T_h.shape[0] == 0:
         return ComposedRepresentation(
             E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_t, tuples=[],
             relation_attention=None, r_t=None, r_h=None,
             n_knowledge=n_k, n_text=n_t, n_visual=E_v.shape[0])
-    T_h_bar, weights = reorganize_relations(T_t, T_h, params.relation_attn)
+    T_h_bar, weights = reorganize_relations(T_t, T_h, params.relation_attn,
+                                            scale)
     r_t, r_h, T_c = fuse(T_t, T_h_bar, params.fusion)
     return ComposedRepresentation(
         E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_c, tuples=ordered,

@@ -61,8 +61,8 @@ class TrainingConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_seq_len < 2:
             raise ValueError("max_seq_len must be >= 2")
-        if self.max_gen_len < 1:
-            raise ValueError("max_gen_len must be >= 1")
+        if not 1 <= self.max_gen_len <= self.max_seq_len:
+            raise ValueError("max_gen_len must lie in [1, max_seq_len]")
 
     @property
     def hidden(self) -> int:

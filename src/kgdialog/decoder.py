@@ -10,6 +10,7 @@ matrix at inference — before the output head predicts the token.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -82,7 +83,8 @@ class LossWeights:
 
 
 def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
-                  blocks: Sequence[DecoderBlockParams]) -> Tensor:
+                  blocks: Sequence[DecoderBlockParams],
+                  scale: bool = False) -> Tensor:
     """All prefix states at once (teacher forcing): row j is the state for
     predicting token j+1. Causal masking makes this bit-identical to
     feeding each prefix separately.
@@ -98,16 +100,16 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
     for block in blocks:
         sa, _ = ad.cross_attention(h, h, block.self_attn.w_q,
                                    block.self_attn.w_k, block.self_attn.w_v,
-                                   mask=mask)
+                                   mask=mask, scale=scale)
         h = ad.layer_norm(ad.add(h, sa), block.ln1_gain, block.ln1_bias)
         if E_k.shape[0] > 0:
             ka, _ = ad.cross_attention(h, E_k, block.knowledge_attn.w_q,
                                        block.knowledge_attn.w_k,
-                                       block.knowledge_attn.w_v)
+                                       block.knowledge_attn.w_v, scale=scale)
             h = ad.layer_norm(ad.add(h, ka), block.ln2_gain, block.ln2_bias)
         ea, _ = ad.cross_attention(h, T_c, block.encoder_attn.w_q,
                                    block.encoder_attn.w_k,
-                                   block.encoder_attn.w_v)
+                                   block.encoder_attn.w_v, scale=scale)
         h = ad.layer_norm(ad.add(h, ea), block.ln3_gain, block.ln3_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.layer_norm(ad.add(h, m), block.ln4_gain, block.ln4_bias)
@@ -115,21 +117,23 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
 
 
 def decode_step(T_c: Tensor, E_k: Tensor, E_y: Tensor,
-                blocks: Sequence[DecoderBlockParams]) -> Tensor:
+                blocks: Sequence[DecoderBlockParams],
+                scale: bool = False) -> Tensor:
     """The 1 x D latent state at the last prefix position."""
-    states = decode_states(T_c, E_k, E_y, blocks)
+    states = decode_states(T_c, E_k, E_y, blocks, scale)
     return ad.slice_rows(states, states.shape[0] - 1, states.shape[0])
 
 
 def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
-                     params: SemanticEnhanceParams) -> Tensor:
+                     params: SemanticEnhanceParams,
+                     scale: bool = False) -> Tensor:
     """Enhance decoder states with a read over the semantic matrix.
 
     z-hat = LN(z-bar + cross_attention(z-bar, T_sem)). Rows are independent
     queries, so one call covers a whole teacher-forced sequence.
     """
     t_hat, _ = ad.cross_attention(z_bar, T_sem, params.attn.w_q,
-                                  params.attn.w_k, params.attn.w_v)
+                                  params.attn.w_k, params.attn.w_v, scale=scale)
     return ad.layer_norm(ad.add(z_bar, t_hat), params.ln_gain, params.ln_bias)
 
 
@@ -145,52 +149,51 @@ def total_loss(l_ce: Tensor, l_r: Tensor, params: Sequence[Tensor],
     parameter tensor."""
     loss = ad.add(ad.mul_scalar(l_ce, w.lam), ad.mul_scalar(l_r, w.gamma))
     if w.beta > 0:
-        penalty = None
-        for p in params:
-            sq = ad.sum_all(ad.mul(p, p))
-            penalty = sq if penalty is None else ad.add(penalty, sq)
-        if penalty is not None:
-            loss = ad.add(loss, ad.mul_scalar(penalty, w.beta))
+        loss = ad.add(loss, ad.mul_scalar(ad.sum_squares(params), w.beta))
     return loss
 
 
 def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
              table: EmbeddingTable, vocab: Vocabulary, max_len: int = 32,
-             strategy: str = "greedy") -> list[str]:
+             strategy: str = "greedy", scale: bool = False) -> list[str]:
     """Decode a response starting from the begin token.
 
     Greedy picks the argmax at each step (ties resolved to the lowest
     index); "beam:k" keeps the k best unnormalized log-probability prefixes.
     Stops at the end token or after max_len tokens; the returned sequence
-    excludes begin/end markers.
+    excludes begin/end markers. The last step's prefix holds max_len
+    positions, so max_len may not exceed the position table.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+    if not 1 <= max_len <= table.max_len:
+        raise ValueError(f"max_len {max_len} outside [1, {table.max_len}]")
+    step = functools.partial(_step_probs, T_c=T_c, E_k=E_k, T_sem=T_sem,
+                             dec=dec, table=table, scale=scale)
     if strategy == "greedy":
-        ids = _generate_greedy(T_c, E_k, T_sem, dec, table, vocab, max_len)
+        ids = _generate_greedy(step, vocab, max_len)
     elif strategy.startswith("beam:"):
         width = int(strategy.split(":", 1)[1])
         if width < 1:
             raise ValueError(f"beam width must be >= 1, got {width}")
-        ids = _generate_beam(T_c, E_k, T_sem, dec, table, vocab, max_len, width)
+        ids = _generate_beam(step, vocab, max_len, width)
     else:
         raise ValueError(f"unknown decoding strategy {strategy!r}")
     return vocab.decode(ids)
 
 
-def _step_probs(prefix: list[int], T_c, E_k, T_sem, dec, table) -> np.ndarray:
+def _step_probs(prefix: list[int], T_c, E_k, T_sem, dec, table,
+                scale) -> np.ndarray:
     E_y = embed_indices(prefix, table)
-    z_bar = decode_step(T_c, E_k, E_y, dec.blocks)
-    z_hat = semantic_enhance(z_bar, T_sem, dec.enhance)
+    z_bar = decode_step(T_c, E_k, E_y, dec.blocks, scale)
+    z_hat = semantic_enhance(z_bar, T_sem, dec.enhance, scale)
     return predict_token(z_hat, dec.head).data[0]
 
 
-def _generate_greedy(T_c, E_k, T_sem, dec, table, vocab, max_len) -> list[int]:
+def _generate_greedy(step, vocab, max_len) -> list[int]:
     with ad.no_grad():
         prefix = [vocab.BOS]
         out: list[int] = []
         for _ in range(max_len):
-            probs = _step_probs(prefix, T_c, E_k, T_sem, dec, table)
+            probs = step(prefix)
             nxt = int(np.argmax(probs))  # first occurrence wins ties
             if nxt == vocab.EOS:
                 break
@@ -199,8 +202,7 @@ def _generate_greedy(T_c, E_k, T_sem, dec, table, vocab, max_len) -> list[int]:
         return out
 
 
-def _generate_beam(T_c, E_k, T_sem, dec, table, vocab, max_len,
-                   width) -> list[int]:
+def _generate_beam(step, vocab, max_len, width) -> list[int]:
     with ad.no_grad():
         # (cumulative log prob, prefix with BOS, finished)
         beams: list[tuple[float, list[int], bool]] = [(0.0, [vocab.BOS], False)]
@@ -212,7 +214,7 @@ def _generate_beam(T_c, E_k, T_sem, dec, table, vocab, max_len,
                 if done:
                     candidates.append((score, prefix, True))
                     continue
-                probs = _step_probs(prefix, T_c, E_k, T_sem, dec, table)
+                probs = step(prefix)
                 logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
                 top = np.argsort(-logp, kind="stable")[:width]
                 for idx in top:

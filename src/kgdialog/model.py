@@ -247,21 +247,14 @@ class DialogModel:
                                      max_hops=cfg.max_hops,
                                      max_tuples=cfg.max_tuples)
         self.weights = LossWeights(cfg.lam, cfg.gamma, cfg.beta)
-        ad.set_attention_scaling(cfg.attn_scale)
-        # acquisition depends only on the context, never on parameters, so
-        # repeated epochs over the same contexts reuse it
-        self._acq_cache: dict[int, tuple[DialogContext, AttributeKnowledge,
-                                         set[RelationTuple]]] = {}
 
     # ----------------------------------------------------------- acquisition
 
     def acquire(self, ctx: DialogContext) -> tuple[AttributeKnowledge,
                                                    set[RelationTuple]]:
         """Run both attribute routes, merge, and mine relation tuples from
-        the mentioned entities (none when relations are disabled)."""
-        cached = self._acq_cache.get(id(ctx))
-        if cached is not None and cached[0] is ctx:
-            return cached[1], cached[2]
+        the mentioned entities (none when relations are disabled). Nothing
+        is cached: a call costs well under a millisecond."""
         text_k = acquire_text_attributes(ctx, self.kb)
         if ctx.image_features.size and self.kb.feature_dim:
             visual_k = acquire_visual_attributes(ctx, self.kb, self.acq)
@@ -273,7 +266,6 @@ class DialogModel:
             tuples = walk_relations(self.graph, seeds, self.acq)
         else:
             tuples = set()
-        self._acq_cache[id(ctx)] = (ctx, knowledge, tuples)
         return knowledge, tuples
 
     # ----------------------------------------------------------- composition
@@ -282,17 +274,19 @@ class DialogModel:
         knowledge, tuples = self.acquire(ctx)
         return compose(linearize_attributes(knowledge), list(ctx.text_tokens),
                        ctx.image_features, tuples, self.vocab,
-                       self.params.composer())
+                       self.params.composer(), self.cfg.attn_scale)
 
     def semantic_composed(self, comp: ComposedRepresentation) -> Tensor:
         """T-tilde_c: the composed-side semantic projection."""
-        return project_semantic(self.latent, comp.T_c, self.params.sem_composed)
+        return project_semantic(self.latent, comp.T_c, self.params.sem_composed,
+                                self.cfg.attn_scale)
 
     def semantic_truth(self, response_tokens: Sequence[str]) -> Tensor:
         """T-tilde_r: the ground-truth-side semantic projection."""
-        T_r = encode_ground_truth(response_tokens, self.vocab,
-                                  self.params.table, self.params.encoder)
-        return project_semantic(self.latent, T_r, self.params.sem_truth)
+        T_r = encode_ground_truth(response_tokens, self.vocab, self.params.table,
+                                  self.params.encoder, self.cfg.attn_scale)
+        return project_semantic(self.latent, T_r, self.params.sem_truth,
+                                self.cfg.attn_scale)
 
     @property
     def latent(self) -> LatentQuerySet:
@@ -319,7 +313,8 @@ class DialogModel:
         targets = response_ids + [self.vocab.EOS]
         prefix = [self.vocab.BOS] + response_ids
         E_y = embed_indices(prefix, self.params.table)
-        z_bar = decode_states(comp.T_c, comp.E_k, E_y, self.params.decoder.blocks)
+        z_bar = decode_states(comp.T_c, comp.E_k, E_y, self.params.decoder.blocks,
+                              scale=self.cfg.attn_scale)
         if enhance_with == "truth":
             T_sem = self.semantic_truth(response_tokens)
         elif enhance_with == "composed":
@@ -327,7 +322,8 @@ class DialogModel:
         else:
             raise ValueError(f"enhance_with must be 'truth' or 'composed', "
                              f"got {enhance_with!r}")
-        z_hat = semantic_enhance(z_bar, T_sem, self.params.decoder.enhance)
+        z_hat = semantic_enhance(z_bar, T_sem, self.params.decoder.enhance,
+                                 self.cfg.attn_scale)
         probs = predict_token(z_hat, self.params.decoder.head)
         return probs, targets, T_sem
 
@@ -338,8 +334,7 @@ class DialogModel:
         T_c_sem = self.semantic_composed(comp)
         probs, targets, T_r_sem = self.teacher_predictions(
             ctx, response_tokens, enhance_with="truth", comp=comp)
-        rows = [ad.slice_rows(probs, i, i + 1) for i in range(probs.shape[0])]
-        l_ce = ad.cross_entropy_loss(rows, targets)
+        l_ce = ad.cross_entropy_loss(probs, targets)
         l_r = regularization_loss(T_r_sem, T_c_sem)
         loss = total_loss(l_ce, l_r, self.params.all_tensors(), self.weights)
         parts = {"ce": l_ce.item(), "reg": l_r.item(), "total": loss.item()}
@@ -351,13 +346,15 @@ class DialogModel:
                           strategy: str = "greedy") -> list[str]:
         """Decode a response for a context, enhancing with the composed-side
         semantic matrix (no ground truth available at inference)."""
+        if max_len is None:
+            max_len = self.cfg.max_gen_len
         with ad.no_grad():
             comp = self.compose_context(ctx)
             T_sem = self.semantic_composed(comp)
             return generate(comp.T_c, comp.E_k, T_sem, self.params.decoder,
                             self.params.table, self.vocab,
-                            max_len=max_len or self.cfg.max_gen_len,
-                            strategy=strategy)
+                            max_len=max_len,
+                            strategy=strategy, scale=self.cfg.attn_scale)
 
     def export_representations(self, ctx: DialogContext,
                                response_tokens: Sequence[str]) -> dict:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
+from kgdialog.decoder import LossWeights, total_loss
 
 from helpers import build_grad_cases, max_rel_error
 
@@ -31,6 +32,9 @@ def test_forward_values_match_numpy():
     np.testing.assert_array_equal(ad.transpose(a).data, a.data.T)
     np.testing.assert_array_equal(ad.tanh(a).data, np.tanh(a.data))
     assert ad.sum_all(a).item() == pytest.approx(a.data.sum())
+    assert ad.sum_squares([a, m]).item() == pytest.approx(
+        np.sum(a.data ** 2) + np.sum(m.data ** 2))
+    assert ad.sum_squares([]).item() == 0.0
     np.testing.assert_allclose(ad.mean_rows(a).data, a.data.mean(axis=0,
                                                                  keepdims=True))
 
@@ -92,11 +96,16 @@ def test_take_rows_gathers_and_accumulates_duplicates():
     np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0], [2, 2]])
 
 
-def test_cross_entropy_clamps_zero_probability():
-    p = ad.Tensor([[1.0, 0.0]])
-    loss = ad.cross_entropy_loss([p], [1])
+def test_cross_entropy_clamps_zero_probability(caplog):
+    p = ad.Tensor([[1.0, 0.0], [0.75, 0.25]], requires_grad=True)
+    loss = ad.cross_entropy_loss(p, [1, 0])
     assert np.isfinite(loss.item())
-    assert loss.item() == pytest.approx(-np.log(1e-12))
+    assert loss.item() == pytest.approx(-(np.log(1e-12) + np.log(0.75)) / 2)
+    assert "cross_entropy_loss: clamping zero probability at step 0" \
+        in caplog.text
+    loss.backward()
+    # the clamped entry gets no gradient; the other target gets -1/(n p)
+    np.testing.assert_array_equal(p.grad, [[0.0, 0.0], [-1 / 1.5, 0.0]])
 
 
 # ------------------------------------------------------------ graph mechanics
@@ -155,6 +164,25 @@ def test_topo_order_visits_each_node_once():
             assert pos[id(parent)] < pos[id(node)]
 
 
+def test_penalty_graph_size_does_not_grow_with_tensor_count():
+    """The L2 penalty is one node however many tensors it covers."""
+    rng = np.random.default_rng(8)
+    weights = LossWeights(1.0, 0.1, 1e-3)
+
+    def interior_nodes(n_penalized):
+        probs = ad.softmax_rows(ad.Tensor(rng.standard_normal((3, 4)),
+                                          requires_grad=True))
+        l_ce = ad.cross_entropy_loss(probs, [0, 1, 2])
+        a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        l_r = ad.frobenius_distance_sq(a, ad.Tensor(np.zeros((2, 2))))
+        params = [ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+                  for _ in range(n_penalized)]
+        loss = total_loss(l_ce, l_r, params, weights)
+        return sum(1 for node in ad.topo_order(loss) if node._parents)
+
+    assert interior_nodes(1) == interior_nodes(100)
+
+
 # ------------------------------------------------------------ error handling
 
 def test_shape_mismatch_raises():
@@ -186,7 +214,9 @@ def test_misc_validation():
     with pytest.raises(ValueError):
         ad.concat_rows([])
     with pytest.raises(ValueError):
-        ad.cross_entropy_loss([ad.Tensor([[0.5, 0.5]])], [2])
+        ad.cross_entropy_loss(ad.Tensor([[0.5, 0.5]]), [2])
+    with pytest.raises(ValueError):
+        ad.cross_entropy_loss(ad.Tensor([[0.5, 0.5]]), [0, 1])
 
 
 # ---------------------------------------------------------------- properties

@@ -260,6 +260,14 @@ def test_generate_beam_strategy_works(ws, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+def test_generate_max_len_beyond_position_table_exits_one(ws, capsys):
+    # the trained model's position table holds 64 rows (--max-seq-len 64)
+    assert run_cli(["generate", "--data", str(ws["trained"]),
+                    "--text", f"tell me about {ws['entity']}",
+                    "--max-len", "65"]) == 1
+    assert "max_len 65 outside [1, 64]" in capsys.readouterr().err
+
+
 def test_generate_unknown_strategy_exits_one(ws, capsys):
     assert run_cli(["generate", "--data", str(ws["trained"]),
                     "--text", "hi", "--strategy", "bogus"]) == 1

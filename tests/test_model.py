@@ -1,5 +1,7 @@
 """Tests for model assembly, checkpointing, and the end-to-end forward paths."""
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -153,10 +155,38 @@ class TestCheckpointDocs:
 
 
 class TestDialogModel:
-    def test_acquisition_cached(self, model):
-        k1, t1 = model.acquire(CTX)
-        k2, t2 = model.acquire(CTX)
-        assert k1 is k2 and t1 is t2
+    def test_acquisition_keeps_no_context_alive(self, model):
+        ctx = DialogContext(CTX.text_tokens)
+        model.acquire(ctx)
+        model.compose_context(ctx)
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
+    def test_models_do_not_share_attention_scaling(self, vocab, kb):
+        """Building a model with the other attention scaling must leave an
+        existing model's outputs bit-identical."""
+        scaled = build_model(vocab, kb, CFG.replace(attn_scale=True))
+        before = scaled.teacher_predictions(CTX, RESPONSE)[0].data.copy()
+        plain = build_model(vocab, kb, CFG.replace(attn_scale=False))
+        after = scaled.teacher_predictions(CTX, RESPONSE)[0].data
+        np.testing.assert_array_equal(after, before)
+        assert not np.array_equal(
+            plain.teacher_predictions(CTX, RESPONSE)[0].data, before)
+
+    def test_generation_may_not_outgrow_position_table(self, vocab, kb):
+        with pytest.raises(ValueError, match="max_gen_len"):
+            CFG.replace(max_seq_len=40, max_gen_len=41)
+        m = build_model(vocab, kb, CFG.replace(max_seq_len=40,
+                                               max_gen_len=40))
+        # forbid the end token so every decode runs to max_len
+        m.params.decoder.head.b_y.data[0, m.vocab.EOS] = -1e9
+        for strategy in ("greedy", "beam:2"):
+            assert len(m.generate_response(CTX, strategy=strategy)) == 40
+            for bad in (0, 41):
+                with pytest.raises(ValueError, match=f"max_len {bad} outside"):
+                    m.generate_response(CTX, max_len=bad, strategy=strategy)
 
     def test_acquire_matches_direct_route(self, model, kb):
         knowledge, tuples = model.acquire(CTX)
