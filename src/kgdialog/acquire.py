@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,8 +125,10 @@ class AcquisitionConfig:
 
     epsilon: strict lower bound on cosine similarity for the visual route.
     max_hops: walk budget n.
-    max_tuples: optional cap on returned tuples (shortest-then-lexicographic
-    priority); None means unlimited.
+    max_tuples: optional cap on returned tuples, keeping the first in
+    ``order_tuples`` order (shortest first, then lexicographic); the walk
+    stops once it has them, so a capped walk costs about d^(max_hops-1)
+    prefixes for out-degree d. None means unlimited.
     """
 
     epsilon: float = 0.8
@@ -233,36 +236,44 @@ def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
     emitted exactly when it has used its hop budget or its last node has no
     out-edge to a node not already on the path. Non-maximal prefixes are
     extended instead of emitted; seeds outside the graph are skipped with a
-    warning.
+    warning. With ``cfg.max_tuples`` set, only the first ``max_tuples``
+    paths in ``order_tuples`` order (shortest first, then lexicographic)
+    are kept, and the walk stops as soon as it has them: it visits about
+    d^(max_hops-1) prefixes for out-degree d, never the d^max_hops paths.
     """
-    results: set[RelationTuple] = set()
+    frontier = []
     for seed in sorted(set(seeds)):
         if seed not in graph.nodes:
             logger.warning("walk_relations: seed %r is not a graph node", seed)
             continue
-        _extend(graph, [seed], {seed}, cfg.max_hops, results)
-    if cfg.max_tuples is not None and len(results) > cfg.max_tuples:
-        kept = sorted(results, key=lambda t: (len(t.entries), t.entries))
-        results = set(kept[:cfg.max_tuples])
-    return results
+        frontier.append((seed,))
+    paths = _maximal_paths(graph, frontier, cfg.max_hops)
+    return {RelationTuple(p) for p in islice(paths, cfg.max_tuples)}
 
 
-def _extend(graph: KnowledgeGraph, entries: list[str], visited: set[str],
-            hops_left: int, out: set[RelationTuple]) -> None:
-    frontier = [(label, tail) for label, tail in graph.out_edges(entries[-1])
-                if tail not in visited]
-    if hops_left == 0 or not frontier:
-        if len(entries) >= 3:
-            out.add(RelationTuple(tuple(entries)))
-        return
-    for label, tail in frontier:
-        visited.add(tail)
-        entries.append(label)
-        entries.append(tail)
-        _extend(graph, entries, visited, hops_left - 1, out)
-        entries.pop()
-        entries.pop()
-        visited.remove(tail)
+def _maximal_paths(graph: KnowledgeGraph, frontier: list[tuple[str, ...]],
+                   max_hops: int) -> Iterator[tuple[str, ...]]:
+    # Walks one hop count at a time. The seed paths arrive sorted and
+    # out_edges is sorted, so every level is built in lexicographic order;
+    # each level's dead ends are yielded before any longer path, which is
+    # exactly order_tuples order.
+    def extensions(path):
+        visited = path[0::2]
+        return (path + edge for edge in graph.out_edges(path[-1])
+                if edge[1] not in visited)
+
+    for hops in range(max_hops - 1):  # frontier paths have `hops` edges
+        grown: list[tuple[str, ...]] = []
+        for path in frontier:
+            size = len(grown)
+            grown.extend(extensions(path))
+            if hops and len(grown) == size:
+                yield path
+        frontier = grown
+    if max_hops > 1:  # dead ends one hop short rank before full-length paths
+        yield from (p for p in frontier if next(extensions(p), None) is None)
+    for path in frontier:
+        yield from extensions(path)
 
 
 def order_tuples(tuples: Iterable[RelationTuple]) -> list[RelationTuple]:

@@ -254,7 +254,8 @@ class DialogModel:
                                                    set[RelationTuple]]:
         """Run both attribute routes, merge, and mine relation tuples from
         the mentioned entities (none when relations are disabled). Nothing
-        is cached: a call costs well under a millisecond."""
+        is cached: each call walks the graph again, visiting about
+        d^(max_hops-1) prefixes per seed for out-degree d."""
         text_k = acquire_text_attributes(ctx, self.kb)
         if ctx.image_features.size and self.kb.feature_dim:
             visual_k = acquire_visual_attributes(ctx, self.kb, self.acq)

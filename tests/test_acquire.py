@@ -344,6 +344,81 @@ def test_walk_cap_keeps_shortest_then_lexicographic():
                                     RelationTuple(("A", "r", "b1"))]
 
 
+def _capped_oracle(graph, seeds, hops, cap):
+    """Every seed's maximal paths, ranked as ``order_tuples`` ranks them."""
+    paths = set()
+    for s in seeds:
+        if s in graph.nodes:
+            paths |= enumerate_maximal_paths(graph, s, hops)
+    return sorted(paths, key=lambda p: (len(p), p))[:cap]
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 40),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_capped_walk_matches_ranked_oracle(seed, hops, cap, n_seeds):
+    g = random_graph(seed)
+    seeds = set(sorted(g.nodes)[:n_seeds]) | {"ghost"}
+    got = walk_relations(g, seeds, AcquisitionConfig(max_hops=hops,
+                                                     max_tuples=cap))
+    assert [t.entries for t in order_tuples(got)] == \
+        _capped_oracle(g, seeds, hops, cap)
+
+
+@pytest.mark.parametrize("cap", range(1, 6))
+def test_capped_walk_ranks_shallow_dead_ends_of_later_seeds_first(cap):
+    # Z's 1-hop dead end outranks every 2-hop path from A, and A's 2-hop
+    # dead end every 3-hop path, although a depth-first walk from A meets
+    # the 3-hop path first.
+    g = KnowledgeGraph((), [("A", "a", "B"), ("B", "b", "C"), ("C", "c", "D"),
+                            ("A", "b", "E"), ("E", "e", "F"),
+                            ("Z", "z", "Y")])
+    seeds = {"A", "Z", "ghost"}
+    got = walk_relations(g, seeds, AcquisitionConfig(max_hops=3,
+                                                     max_tuples=cap))
+    assert [t.entries for t in order_tuples(got)] == [
+        ("Z", "z", "Y"), ("A", "b", "E", "e", "F"),
+        ("A", "a", "B", "b", "C", "c", "D")][:cap]
+
+
+def test_walk_long_chain_does_not_recurse():
+    n = 1200
+    g = KnowledgeGraph((), [(f"n{i}", "r", f"n{i + 1}") for i in range(n - 1)])
+    out = walk_relations(g, {"n0"}, AcquisitionConfig(max_hops=n,
+                                                      max_tuples=1))
+    (t,) = out
+    assert t.n_hops == n - 1 and t.nodes[-1] == f"n{n - 1}"
+
+
+class _CountingGraph(KnowledgeGraph):
+    calls = 0
+
+    def out_edges(self, node):
+        self.calls += 1
+        return super().out_edges(node)
+
+
+def test_capped_walk_work_is_bounded_by_prefixes():
+    # A capped walk expands each prefix of at most max_hops - 1 edges at
+    # most twice; listing every 3-hop path would need ~d^3 expansions.
+    n, d, hops, cap = 60, 8, 3, 8
+    rng = np.random.default_rng(0)
+    edges = []
+    for i in range(n):
+        tails = rng.choice([j for j in range(n) if j != i], size=d,
+                           replace=False)
+        edges += [(f"n{i:02d}", f"r{int(rng.integers(3))}", f"n{j:02d}")
+                  for j in tails]
+    g = _CountingGraph((), edges)
+    assert all(g.out_degree(node) == d for node in g.nodes)
+    g.calls = 0
+    got = walk_relations(g, {"n00"}, AcquisitionConfig(max_hops=hops,
+                                                       max_tuples=cap))
+    assert g.calls <= 2 * (1 + d + d * (d - 1))
+    assert [t.entries for t in order_tuples(got)] == \
+        _capped_oracle(g, {"n00"}, hops, cap)
+
+
 # --------------------------------------------------------------- linearizing
 
 def test_linearize_single_word_entries():

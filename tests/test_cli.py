@@ -133,6 +133,32 @@ def test_walk_unknown_seed_warns_but_succeeds(ws, capsys, caplog):
     assert capsys.readouterr().out == ""
 
 
+# A -> shop is a 1-hop dead end, so it ranks before A's and B's 2-hop paths
+# even though "shop" sorts after both of A's other walks.
+RANKED_KB = [
+    {"name": "A", "attributes": [{"type": "near", "value": "B"},
+                                 {"type": "near", "value": "C"},
+                                 {"type": "zone", "value": "shop"}]},
+    {"name": "B", "attributes": [{"type": "domain", "value": "mall"},
+                                 {"type": "near", "value": "C"}]},
+    {"name": "C", "attributes": [{"type": "domain", "value": "cafe"}]},
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_walk_max_tuples_prints_first_lines_of_uncapped_output(ws, capsys, k):
+    kb = ws["root"] / "ranked.json"
+    kb.write_text(json.dumps(RANKED_KB))
+    walk = ["walk", "--kb", str(kb), "--seed", "A", "--seed", "B",
+            "--hops", "2"]
+    assert run_cli(walk) == 0
+    uncapped = capsys.readouterr().out.splitlines()
+    assert json.loads(uncapped[0]) == {"entries": ["A", "zone", "shop"]}
+    assert len(uncapped) > 5
+    assert run_cli([*walk, "--max-tuples", str(k)]) == 0
+    assert capsys.readouterr().out.splitlines() == uncapped[:k]
+
+
 # ---------------------------------------------------------------- retrieve
 
 def test_retrieve_lists_attributes_of_mentioned_entity(ws, capsys):
