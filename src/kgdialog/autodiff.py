@@ -3,10 +3,13 @@
 Every value is a rows x cols matrix. Operations record their inputs on the
 output tensor, so the compute graph of one forward pass lives in the tensor
 parent links; ``Tensor.backward`` replays it once in reverse topological
-order. Batching is "a sequence of matrices" by construction: there are no
-rank-3 arrays and no broadcasting beyond the row-vector bias of ``add_row``
-and the per-row scalar of ``scale_rows``. Each loss reduction is one node,
-and the only module state is the ``no_grad`` switch.
+order. A batch of sequences is one matrix whose rows run segment after
+segment, described by a list of segment lengths: ``segment_attention`` and
+``mean_rows`` work within each segment. Rank-3 arrays appear only inside
+``segment_attention``, which pads the segments to a common length for its
+batched matmuls; there is no broadcasting beyond the row-vector bias of
+``add_row`` and the per-row scalar of ``scale_rows``. Each loss reduction is
+one node, and the only module state is the ``no_grad`` switch.
 """
 from __future__ import annotations
 
@@ -267,17 +270,90 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     return _node(np.array([[total]]), tensors, backward)
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Average the n rows of x[n,d] into a 1 x d vector."""
+def _segments(lengths: Sequence[int], n: int, op: str) -> np.ndarray:
+    """Validate segment lengths covering n rows; return them as an array."""
+    lens = np.asarray(lengths, dtype=np.intp)
+    if lens.ndim != 1 or not lens.size or lens.min() < 1 or lens.sum() != n:
+        raise ValueError(f"{op}: segment lengths {list(lengths)} do not "
+                         f"split {n} rows into non-empty runs")
+    return lens
+
+
+def mean_rows(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Average each run of ``lengths`` contiguous rows of x[n,d] into one
+    row, giving len(lengths) x d; no lengths means one run of all n rows."""
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("mean_rows: empty tensor")
+    lens = _segments([n] if lengths is None else lengths, n, "mean_rows")
+    starts = np.cumsum(lens) - lens
+    counts = lens[:, None].astype(np.float64)
 
     def backward(g):
         if x.requires_grad:
-            x._accum(np.repeat(g / n, n, axis=0))
+            x._accum(np.repeat(g / counts, lens, axis=0))
 
-    return _node(x.data.mean(axis=0, keepdims=True), (x,), backward)
+    return _node(np.add.reduceat(x.data, starts, axis=0) / counts, (x,),
+                 backward)
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
+                      scale: bool = False) -> Tensor:
+    """softmax(q k^T) v computed separately inside each run of ``lengths``
+    contiguous rows, so a row attends only to the rows of its own segment.
+
+    One node. The G segments are padded to G x L x D with L the longest
+    segment, padded keys get zero weight, and the products are batched
+    matmuls, so the cost is G L^2 D rather than (sum of lengths)^2 D.
+    ``scale`` divides the logits by sqrt(D).
+    """
+    n, d = q.shape
+    if k.shape != (n, d) or v.shape != (n, d):
+        raise ValueError(f"segment_attention: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape} differ")
+    lens = _segments(lengths, n, "segment_attention")
+    g_count, width = lens.size, int(lens.max())
+    c = 1.0 / np.sqrt(d) if scale else 1.0
+    uniform = lens.min() == width
+    if uniform:
+        # equal lengths (one segment included): padding is a reshape
+        def pad(a):
+            return a.reshape(g_count, width, d)
+
+        def unpad(a):
+            return a.reshape(n, d)
+    else:
+        seg = np.repeat(np.arange(g_count), lens)
+        pos = np.arange(n) - np.repeat(np.cumsum(lens) - lens, lens)
+
+        def pad(a):
+            out = np.zeros((g_count, width, d))
+            out[seg, pos] = a
+            return out
+
+        def unpad(a):
+            return a[seg, pos]
+
+    qp, kp, vp = pad(q.data), pad(k.data), pad(v.data)
+    logits = np.matmul(qp, kp.transpose(0, 2, 1)) * c
+    if not uniform:
+        padded_key = np.arange(width)[None, None, :] >= lens[:, None, None]
+        logits[np.broadcast_to(padded_key, logits.shape)] = -np.inf
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+
+    def backward(g):
+        gp = pad(g)
+        if v.requires_grad:
+            v._accum(unpad(np.matmul(weights.transpose(0, 2, 1), gp)))
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(gp, vp.transpose(0, 2, 1))
+            gl = (gw - (gw * weights).sum(axis=2, keepdims=True)) \
+                * weights * c
+            if q.requires_grad:
+                q._accum(unpad(np.matmul(gl, kp)))
+            if k.requires_grad:
+                k._accum(unpad(np.matmul(gl.transpose(0, 2, 1), qp)))
+
+    return _node(unpad(np.matmul(weights, vp)), (q, k, v), backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

@@ -8,9 +8,11 @@ knowledge into the multi-level composed representation T_c:
      across the concatenation.
   2. Encode the concatenation with a small trainable transformer-style
      encoder to get the attribute-composed representation T_t.
-  3. Encode each relation tuple, mean-pool to one row each (T_h), reorganize
-     against T_t via cross-attention, and fuse the two views position-wise
-     into T_c with learned confidence weights r_t, r_h.
+  3. Encode all relation tuples in one encoder pass, each tuple a segment
+     with its own positions that attends only to itself, and mean-pool each
+     segment to one row (T_h); reorganize T_h against T_t via
+     cross-attention, and fuse the two views position-wise into T_c with
+     learned confidence weights r_t, r_h.
 
 With no relation tuples the relation stage is skipped and T_c = T_t.
 """
@@ -204,17 +206,24 @@ def linearize_attributes(knowledge: AttributeKnowledge) -> list[str]:
     return tokens
 
 
+def _fit_positions(tokens: Sequence[str], table: EmbeddingTable,
+                   offset: int = 0) -> Sequence[str]:
+    """Cut a token run that would pass the end of the position table."""
+    budget = table.max_len - offset
+    if len(tokens) > budget:
+        logger.warning("embed_tokens: truncating %d tokens to %d",
+                       len(tokens), budget)
+        return tokens[:budget]
+    return tokens
+
+
 def embed_tokens(tokens: Sequence[str], vocab: Vocabulary,
                  table: EmbeddingTable, offset: int = 0) -> Tensor:
     """Token embedding plus position embedding, positions offset..offset+n.
 
     Sequences running past the position table are truncated with a warning.
     """
-    budget = table.max_len - offset
-    if len(tokens) > budget:
-        logger.warning("embed_tokens: truncating %d tokens to %d",
-                       len(tokens), budget)
-        tokens = tokens[:budget]
+    tokens = _fit_positions(tokens, table, offset)
     if not tokens:
         return Tensor(np.zeros((0, table.dim)))
     rows = ad.take_rows(table.token, vocab.encode(tokens))
@@ -248,15 +257,25 @@ def project_image_features(features: np.ndarray,
 
 
 def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
-           scale: bool = False) -> Tensor:
+           scale: bool = False, lengths: Sequence[int] | None = None) -> Tensor:
     """Shared encoder: per block, post-norm self-attention then post-norm
-    MLP, both residual. Zero blocks (or an empty input) is the identity."""
+    MLP, both residual. Zero blocks (or an empty input) is the identity.
+
+    ``lengths`` splits the rows of E into contiguous segments encoded side
+    by side: self-attention stays inside each segment, and the row-wise
+    layer norms and MLP do not mix rows. None means one segment.
+    """
     h = E
     if h.shape[0] == 0:
         return h
+    if lengths is None:
+        lengths = [h.shape[0]]
     for block in blocks:
-        attn_out, _ = ad.cross_attention(h, h, block.attn.w_q, block.attn.w_k,
-                                         block.attn.w_v, scale=scale)
+        attn = block.attn
+        attn_out = ad.segment_attention(ad.matmul(h, attn.w_q),
+                                        ad.matmul(h, attn.w_k),
+                                        ad.matmul(h, attn.w_v), lengths,
+                                        scale=scale)
         h = ad.layer_norm(ad.add(h, attn_out), block.ln1_gain, block.ln1_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.layer_norm(ad.add(h, m), block.ln2_gain, block.ln2_bias)
@@ -282,14 +301,23 @@ def encode_relation_tuples(tuples: Iterable[RelationTuple], vocab: Vocabulary,
                            blocks: Sequence[EncoderBlockParams],
                            scale: bool = False) -> Tensor:
     """T_h: one mean-pooled encoded row per tuple, rows in the deterministic
-    tuple order (shorter first, then lexicographic)."""
-    rows = []
-    for t in order_tuples(tuples):
-        E = embed_tokens(linearize_tuple(t), vocab, table)
-        rows.append(ad.mean_rows(encode(E, blocks, scale)))
-    if not rows:
+    tuple order (shorter first, then lexicographic).
+
+    All tuples go through the encoder in one call: each linearized tuple is
+    a segment whose positions restart at 0 and whose rows attend only to
+    each other, so row i equals encoding tuple i alone. A tuple longer than
+    the position table is truncated with a warning, as in ``embed_tokens``.
+    """
+    runs = [_fit_positions(linearize_tuple(t), table)
+            for t in order_tuples(tuples)]
+    if not runs:
         return Tensor(np.zeros((0, table.dim)))
-    return ad.concat_rows(rows) if len(rows) > 1 else rows[0]
+    lengths = [len(run) for run in runs]
+    positions = [p for n in lengths for p in range(n)]
+    E = ad.add(ad.take_rows(table.token,
+                            vocab.encode([tok for run in runs for tok in run])),
+               ad.take_rows(table.position, positions))
+    return ad.mean_rows(encode(E, blocks, scale, lengths), lengths)
 
 
 def reorganize_relations(T_t: Tensor, T_h: Tensor, attn: AttentionParams,

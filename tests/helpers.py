@@ -10,9 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from kgdialog import autodiff as ad
-from kgdialog.composer import (AttentionParams, EncoderBlockParams,
-                               FusionParams, MlpParams, compose_attributes,
-                               fuse, reorganize_relations)
+from kgdialog.acquire import RelationTuple
+from kgdialog.composer import (AttentionParams, EmbeddingTable,
+                               EncoderBlockParams, FusionParams, MlpParams,
+                               Vocabulary, compose_attributes,
+                               encode_relation_tuples, fuse,
+                               reorganize_relations)
 from kgdialog.decoder import (DecoderBlockParams, LossWeights, OutputHead,
                               SemanticEnhanceParams, decode_step,
                               predict_token, semantic_enhance, total_loss)
@@ -174,6 +177,21 @@ def build_grad_cases(seed: int = 0):
         case(f"cross_entropy:{steps}steps V={v}",
              lambda z=logits, t=targets:
              ad.cross_entropy_loss(ad.softmax_rows(z), t), [logits])
+
+    for (lengths, d, scaled) in [([4], 3, False), ([2, 2, 2], 2, False),
+                                 ([3, 1, 2], 2, False),
+                                 ([2, 5, 1, 3], 4, True)]:
+        q, k, v = (_param(rng, sum(lengths), d) for _ in range(3))
+        case(f"segment_attention:{lengths} d={d} scale={scaled}",
+             lambda q=q, k=k, v=v, lengths=lengths, scaled=scaled:
+             _project(ad.segment_attention(q, k, v, lengths, scale=scaled),
+                      22), [q, k, v])
+
+    for (lengths, c) in [([1], 3), ([2, 1, 3], 2), ([1, 4, 1], 3)]:
+        x = _param(rng, sum(lengths), c)
+        case(f"mean_rows:segments {lengths} x{c}",
+             lambda x=x, lengths=lengths: _project(ad.mean_rows(x, lengths), 23),
+             [x])
 
     return cases
 
@@ -350,5 +368,19 @@ def build_composite_grad_cases(seed: int = 1):
 
         case(f"total_loss:{steps}steps V={v} {weights}", loss_fn,
              [logits, a, b] + extra)
+
+    # encode_relation_tuples: every tuple in one segmented encoder pass
+    vocab = Vocabulary(["a", "b", "c", "near", "in"])
+    tuples = [RelationTuple(("a", "near", "b c")),
+              RelationTuple(("b", "in", "c", "near", "a")),
+              RelationTuple(("c", "in", "a"))]
+    table = EmbeddingTable(_param(rng, len(vocab), 3), _param(rng, 6, 3))
+    blocks = tuple(make_encoder_block(rng, 3, 4) for _ in range(2))
+    case("encode_relation_tuples:lengths 3+4+5 d=3 blocks=2 scale=True",
+         lambda table=table, blocks=blocks:
+         _project(encode_relation_tuples(tuples, vocab, table, blocks,
+                                         scale=True), 35),
+         [table.token, table.position]
+         + [t for b in blocks for t in encoder_block_tensors(b)])
 
     return cases

@@ -37,6 +37,8 @@ def test_forward_values_match_numpy():
     assert ad.sum_squares([]).item() == 0.0
     np.testing.assert_allclose(ad.mean_rows(a).data, a.data.mean(axis=0,
                                                                  keepdims=True))
+    np.testing.assert_allclose(ad.mean_rows(a, [1, 2]).data,
+                               [a.data[0], a.data[1:].mean(axis=0)])
 
 
 def test_scalar_and_vector_inputs_become_rank_2():
@@ -207,6 +209,13 @@ def test_misc_validation():
         ad.Tensor(np.ones((2, 2))).item()
     with pytest.raises(ValueError):
         ad.mean_rows(ad.Tensor(np.zeros((0, 3))))
+    with pytest.raises(ValueError):
+        ad.mean_rows(ad.Tensor(np.zeros((3, 2))), [2])
+    x = ad.Tensor(np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        ad.segment_attention(x, x, x, [0, 3])
+    with pytest.raises(ValueError):
+        ad.segment_attention(x, x, ad.Tensor(np.zeros((3, 3))), [3])
     with pytest.raises(ValueError):
         ad.slice_rows(ad.Tensor(np.zeros((2, 2))), 0, 3)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
+from kgdialog import composer
 from kgdialog.acquire import (AcquiredPair, AttributeKnowledge, RelationTuple,
                               linearize_tuple, order_tuples)
 from kgdialog.autodiff import Tensor
@@ -179,11 +180,12 @@ def _np_layer_norm(x, gain, bias):
     return (x - mu) / np.sqrt(var + 1e-5) * gain + bias
 
 
-def _np_encoder_block(x, block):
+def _np_encoder_block(x, block, scale=False):
     q = x @ block.attn.w_q.data
     k = x @ block.attn.w_k.data
     v = x @ block.attn.w_v.data
-    attn = _np_softmax(q @ k.T) @ v
+    logits = q @ k.T / np.sqrt(x.shape[1]) if scale else q @ k.T
+    attn = _np_softmax(logits) @ v
     h = _np_layer_norm(x + attn, block.ln1_gain.data, block.ln1_bias.data)
     m = np.tanh(h @ block.mlp.w1.data + block.mlp.b1.data)
     m = m @ block.mlp.w2.data + block.mlp.b2.data
@@ -252,6 +254,42 @@ TUPLES = [
 ]
 
 
+# each linearizes past the 20-row position table of the ``table`` fixture
+LONG_TUPLES = [
+    RelationTuple(("the big mall", "near", "wisma atria domain", "near",
+                   "the big mall", "near", "wisma atria domain", "near",
+                   "the big mall", "near", "wisma atria")),
+    RelationTuple(("wisma atria domain", "near", "the big mall", "near",
+                   "wisma atria domain", "near", "the big mall", "near",
+                   "wisma atria domain", "near", "the mall")),
+]
+
+# nodes for random tuples; "zebra" is out of vocabulary
+ORACLE_NODES = ("mall", "wisma atria", "domain", "the big mall", "zebra")
+
+
+def _chain(nodes):
+    """A tuple linking ``nodes`` (two or more) by "near" edges."""
+    entries = [nodes[0]]
+    for node in nodes[1:]:
+        entries += ["near", node]
+    return RelationTuple(tuple(entries))
+
+
+def _np_tuple_rows(tuples, vocab, table, blocks, scale):
+    """Per-tuple oracle for T_h: embed each tuple alone, positions from 0
+    and cut at the position table, run the numpy encoder, mean the rows."""
+    rows = []
+    for t in order_tuples(tuples):
+        tokens = linearize_tuple(t)[:table.max_len]
+        x = (table.token.data[vocab.encode(tokens)]
+             + table.position.data[:len(tokens)])
+        for block in blocks:
+            x = _np_encoder_block(x, block, scale)
+        rows.append(x.mean(axis=0))
+    return np.array(rows)
+
+
 class TestEncodeRelationTuples:
     def test_row_per_tuple_in_order(self, vocab, table, rng):
         block = make_encoder_block(rng, D, 6)
@@ -272,6 +310,55 @@ class TestEncodeRelationTuples:
 
     def test_empty(self, vocab, table):
         assert encode_relation_tuples([], vocab, table, ()).shape == (0, D)
+
+    @pytest.mark.parametrize("tuples", [TUPLES[:1], TUPLES,
+                                        TUPLES + LONG_TUPLES])
+    def test_one_encoder_call_for_all_tuples(self, vocab, table, rng,
+                                             monkeypatch, tuples):
+        calls = []
+        real_encode = composer.encode
+
+        def counting_encode(*args, **kwargs):
+            calls.append(1)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(composer, "encode", counting_encode)
+        T_h = encode_relation_tuples(tuples, vocab, table,
+                                     (make_encoder_block(rng, D, 6),))
+        assert T_h.shape == (len(tuples), D)
+        assert len(calls) == 1
+
+    def test_packed_rows_match_per_tuple_oracle(self, vocab, table, rng,
+                                                caplog):
+        blocks = tuple(make_encoder_block(rng, D, 6) for _ in range(2))
+        tuples = TUPLES + LONG_TUPLES
+        with caplog.at_level("WARNING"):
+            T_h = encode_relation_tuples(tuples, vocab, table, blocks,
+                                         scale=True)
+        truncations = [r for r in caplog.records
+                       if r.getMessage().startswith("embed_tokens: truncating")]
+        assert len(truncations) == len(LONG_TUPLES)
+        np.testing.assert_allclose(
+            T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, True),
+            rtol=0, atol=1e-10)
+
+    @given(st.lists(st.lists(st.sampled_from(ORACLE_NODES), min_size=2,
+                             max_size=5).map(_chain), min_size=1, max_size=8),
+           st.integers(0, 2), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_packed_rows_match_oracle_for_any_tuple_set(self, tuples,
+                                                        n_blocks, scale,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary(["near", "mall", "wisma", "atria", "domain",
+                            "the", "big"])
+        table = EmbeddingTable(Tensor(rng.normal(size=(len(vocab), D))),
+                               Tensor(rng.normal(size=(12, D))))
+        blocks = tuple(make_encoder_block(rng, D, 5) for _ in range(n_blocks))
+        T_h = encode_relation_tuples(tuples, vocab, table, blocks, scale)
+        np.testing.assert_allclose(
+            T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, scale),
+            rtol=0, atol=1e-10)
 
 
 class TestReorganizeRelations:
@@ -418,7 +505,8 @@ class TestCompose:
 
 COMPOSER_GRAD_CASES = [c for c in build_composite_grad_cases()
                        if c[0].split(":")[0] in
-                       ("compose_attributes", "reorganize_relations", "fuse")]
+                       ("compose_attributes", "encode_relation_tuples",
+                        "reorganize_relations", "fuse")]
 
 
 @pytest.mark.parametrize("label,loss_fn,params", COMPOSER_GRAD_CASES,
