@@ -482,11 +482,17 @@ def cross_attention(q_src: Tensor, kv_src: Tensor, w_q: Tensor, w_k: Tensor,
     a large negative number where not) applied to the logits. ``scale``
     divides the logits by sqrt(D); off, attention is plain softmax(QK^T)V.
     """
-    if kv_src.shape[0] < 1:
-        raise ValueError("cross_attention: needs at least one key/value row")
-    q = matmul(q_src, w_q)
-    k = matmul(kv_src, w_k)
-    v = matmul(kv_src, w_v)
+    return attention(matmul(q_src, w_q), matmul(kv_src, w_k),
+                     matmul(kv_src, w_v), mask=mask, scale=scale)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
+              scale: bool = False) -> tuple[Tensor, Tensor]:
+    """softmax(q k^T) v over already projected queries, keys and values,
+    with ``mask`` and ``scale`` as in ``cross_attention``; returns
+    (output, attention weights)."""
+    if k.shape[0] < 1:
+        raise ValueError("attention: needs at least one key/value row")
     logits = matmul(q, transpose(k))
     if scale:
         logits = mul_scalar(logits, 1.0 / np.sqrt(q.shape[1]))

@@ -7,11 +7,29 @@ composed representation T_c, and an MLP. The final state for a position is
 then enhanced once by a cross-attention read over a projected semantic
 matrix — the ground-truth-side matrix during training, the composed-side
 matrix at inference — before the output head predicts the token.
+
+Training runs ``decode_states`` teacher-forced over the whole prefix, and
+that path is the reference. Generation runs the same block body one
+position at a time through a ``DecodeCache``:
+
+- each step feeds one new row per live hypothesis through the blocks;
+- each block keeps the self-attention keys and values of every position
+  fed so far as a G x L x D array (G hypotheses, L positions), so a
+  step's self-attention is a batched matmul costing G·L·D, with no
+  G x (G·L) mask;
+- the knowledge and encoder keys and values of E_k and T_c are projected
+  once per reply, by the first step;
+- beam search stacks its live hypotheses as the G rows, so one pass
+  scores all of them, and after each step the cache keeps the rows of the
+  surviving parents.
+
+A cached step's distributions equal the teacher-forced rows at the same
+positions up to float summation order.
 """
 from __future__ import annotations
 
-import functools
 import logging
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,10 +37,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .composer import (AttentionParams, EmbeddingTable, MlpParams,
-                       Vocabulary, embed_indices)
+from .composer import AttentionParams, EmbeddingTable, MlpParams, Vocabulary
 
 logger = logging.getLogger(__name__)
+
+_KeyValues = tuple[Tensor, Tensor]
 
 
 @dataclass
@@ -84,44 +103,116 @@ class LossWeights:
 
 def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
                   blocks: Sequence[DecoderBlockParams],
-                  scale: bool = False) -> Tensor:
-    """All prefix states at once (teacher forcing): row j is the state for
-    predicting token j+1. Causal masking makes this bit-identical to
-    feeding each prefix separately.
+                  scale: bool = False,
+                  cache: DecodeCache | None = None) -> Tensor:
+    """Decoder states for the rows of E_y: each row is the state that
+    predicts the token after it.
+
+    Without a cache E_y is a whole prefix (teacher forcing); causal masking
+    makes row j bit-identical to feeding the first j+1 rows alone. With a
+    cache E_y holds one new row per hypothesis, at the position after the
+    ones the cache holds: each row's self-attention reads its own
+    hypothesis' cached rows and itself, and the cache keeps the new keys
+    and values. Cached keys and values are plain arrays, so the cached path
+    is for inference; no gradient flows back into earlier positions.
 
     When the context produced no attribute knowledge (E_k has no rows) the
     knowledge sub-layer is skipped — there is nothing to attend over.
     """
-    n = E_y.shape[0]
-    if n == 0:
+    if E_y.shape[0] == 0:
         raise ValueError("decode_states: empty prefix")
-    mask = ad.causal_mask(n)
+    if cache is None:
+        memory, mask = _memory(T_c, E_k, blocks), ad.causal_mask(E_y.shape[0])
+    else:
+        if cache.memory is None:
+            cache.memory = _memory(T_c, E_k, blocks)
+        memory = cache.memory
     h = E_y
-    for block in blocks:
-        sa, _ = ad.cross_attention(h, h, block.self_attn.w_q,
-                                   block.self_attn.w_k, block.self_attn.w_v,
-                                   mask=mask, scale=scale)
-        h = ad.layer_norm(ad.add(h, sa), block.ln1_gain, block.ln1_bias)
-        if E_k.shape[0] > 0:
-            ka, _ = ad.cross_attention(h, E_k, block.knowledge_attn.w_q,
-                                       block.knowledge_attn.w_k,
-                                       block.knowledge_attn.w_v, scale=scale)
-            h = ad.layer_norm(ad.add(h, ka), block.ln2_gain, block.ln2_bias)
-        ea, _ = ad.cross_attention(h, T_c, block.encoder_attn.w_q,
-                                   block.encoder_attn.w_k,
-                                   block.encoder_attn.w_v, scale=scale)
-        h = ad.layer_norm(ad.add(h, ea), block.ln3_gain, block.ln3_bias)
+    for i, (block, (knowledge, encoder)) in enumerate(zip(blocks, memory)):
+        sa = block.self_attn
+        q, k, v = (ad.matmul(h, w) for w in (sa.w_q, sa.w_k, sa.w_v))
+        if cache is None:
+            a, _ = ad.attention(q, k, v, mask=mask, scale=scale)
+        else:
+            a = cache.attend(i, q, k, v, scale)
+        h = ad.layer_norm(ad.add(h, a), block.ln1_gain, block.ln1_bias)
+        if knowledge is not None:
+            h = _read(h, block.knowledge_attn, knowledge, block.ln2_gain,
+                      block.ln2_bias, scale)
+        h = _read(h, block.encoder_attn, encoder, block.ln3_gain,
+                  block.ln3_bias, scale)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.layer_norm(ad.add(h, m), block.ln4_gain, block.ln4_bias)
     return h
 
 
-def decode_step(T_c: Tensor, E_k: Tensor, E_y: Tensor,
-                blocks: Sequence[DecoderBlockParams],
-                scale: bool = False) -> Tensor:
-    """The 1 x D latent state at the last prefix position."""
-    states = decode_states(T_c, E_k, E_y, blocks, scale)
-    return ad.slice_rows(states, states.shape[0] - 1, states.shape[0])
+class DecodeCache:
+    """What one reply's decoding steps reuse, filled by ``decode_states``.
+
+    ``memory`` holds each block's (knowledge, encoder) keys and values of
+    E_k and T_c, projected by the first step. ``keys`` and ``values`` hold
+    each block's self-attention keys and values of every position fed so
+    far, one G x L x D array per block for G hypotheses of L positions.
+    """
+
+    def __init__(self):
+        self.memory: list[tuple[_KeyValues | None, _KeyValues]] | None = None
+        self.keys: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
+
+    @property
+    def length(self) -> int:
+        """Positions held per hypothesis: the position of the next row."""
+        return self.keys[0].shape[1] if self.keys else 0
+
+    def select(self, rows: Sequence[int]) -> None:
+        """Keep the hypotheses at ``rows``, in that order; a row may repeat
+        (one parent extended several ways)."""
+        self.keys = [k[rows] for k in self.keys]
+        self.values = [v[rows] for v in self.values]
+
+    def attend(self, block: int, q: Tensor, k: Tensor, v: Tensor,
+               scale: bool) -> Tensor:
+        """Append the new rows' keys and values to ``block``'s cache and
+        return softmax(q k^T) v of each row over its own hypothesis: one
+        batched matmul each way, G x L x D work for G hypotheses."""
+        new_k, new_v = k.data[:, None, :], v.data[:, None, :]
+        if block == len(self.keys):
+            self.keys.append(new_k)
+            self.values.append(new_v)
+        else:
+            if new_k.shape[0] != self.keys[block].shape[0]:
+                raise ValueError(f"decode_states: {new_k.shape[0]} new rows "
+                                 f"for {self.keys[block].shape[0]} cached "
+                                 f"hypotheses")
+            self.keys[block] = np.concatenate((self.keys[block], new_k), 1)
+            self.values[block] = np.concatenate((self.values[block], new_v),
+                                                1)
+        logits = np.matmul(self.keys[block], q.data[:, :, None])[:, :, 0]
+        if scale:
+            logits = logits * (1.0 / np.sqrt(q.shape[1]))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights = e / e.sum(axis=1, keepdims=True)
+        return Tensor(np.matmul(weights[:, None, :], self.values[block])[:, 0])
+
+
+def _key_values(src: Tensor, attn: AttentionParams) -> _KeyValues:
+    return ad.matmul(src, attn.w_k), ad.matmul(src, attn.w_v)
+
+
+def _memory(T_c: Tensor, E_k: Tensor, blocks: Sequence[DecoderBlockParams]
+            ) -> list[tuple[_KeyValues | None, _KeyValues]]:
+    """Each block's knowledge keys/values of E_k (None when E_k is empty)
+    and encoder keys/values of T_c."""
+    return [(_key_values(E_k, b.knowledge_attn) if E_k.shape[0] else None,
+             _key_values(T_c, b.encoder_attn)) for b in blocks]
+
+
+def _read(h: Tensor, attn: AttentionParams, kv: _KeyValues, gain: Tensor,
+          bias: Tensor, scale: bool) -> Tensor:
+    """A residual attention read over fixed keys and values, then LN."""
+    a, _ = ad.attention(ad.matmul(h, attn.w_q), *kv, scale=scale)
+    return ad.layer_norm(ad.add(h, a), gain, bias)
 
 
 def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
@@ -164,67 +255,77 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
     excludes begin/end markers. The last step's prefix holds max_len
     positions, so max_len may not exceed the position table.
     """
+    width = _beam_width(strategy)
     if not 1 <= max_len <= table.max_len:
         raise ValueError(f"max_len {max_len} outside [1, {table.max_len}]")
-    step = functools.partial(_step_probs, T_c=T_c, E_k=E_k, T_sem=T_sem,
-                             dec=dec, table=table, scale=scale)
-    if strategy == "greedy":
-        ids = _generate_greedy(step, vocab, max_len)
-    elif strategy.startswith("beam:"):
-        width = int(strategy.split(":", 1)[1])
-        if width < 1:
-            raise ValueError(f"beam width must be >= 1, got {width}")
-        ids = _generate_beam(step, vocab, max_len, width)
-    else:
-        raise ValueError(f"unknown decoding strategy {strategy!r}")
+
+    def step(cache: DecodeCache, tokens: list[int]) -> np.ndarray:
+        """Feed one token per hypothesis; return the G x V distributions
+        over each hypothesis' next token."""
+        pos = cache.length
+        E_y = ad.add_row(ad.take_rows(table.token, tokens),
+                         ad.slice_rows(table.position, pos, pos + 1))
+        z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
+        z_hat = semantic_enhance(z_bar, T_sem, dec.enhance, scale)
+        return predict_token(z_hat, dec.head).data
+
+    with ad.no_grad():
+        if width is None:
+            ids = _generate_greedy(step, vocab, max_len)
+        else:
+            ids = _generate_beam(step, vocab, max_len, width)
     return vocab.decode(ids)
 
 
-def _step_probs(prefix: list[int], T_c, E_k, T_sem, dec, table,
-                scale) -> np.ndarray:
-    E_y = embed_indices(prefix, table)
-    z_bar = decode_step(T_c, E_k, E_y, dec.blocks, scale)
-    z_hat = semantic_enhance(z_bar, T_sem, dec.enhance, scale)
-    return predict_token(z_hat, dec.head).data[0]
+def _beam_width(strategy: str) -> int | None:
+    """The width of "beam:K", or None for "greedy"."""
+    if strategy == "greedy":
+        return None
+    match = re.fullmatch(r"beam:([0-9]+)", strategy)
+    if match is None:
+        raise ValueError(f"unknown decoding strategy {strategy!r}; expected "
+                         f"'greedy' or 'beam:K'")
+    width = int(match[1])
+    if width < 1:
+        raise ValueError(f"beam width must be >= 1, got {width}")
+    return width
 
 
 def _generate_greedy(step, vocab, max_len) -> list[int]:
-    with ad.no_grad():
-        prefix = [vocab.BOS]
-        out: list[int] = []
-        for _ in range(max_len):
-            probs = step(prefix)
-            nxt = int(np.argmax(probs))  # first occurrence wins ties
-            if nxt == vocab.EOS:
-                break
-            prefix.append(nxt)
-            out.append(nxt)
-        return out
+    cache = DecodeCache()
+    out: list[int] = []
+    token = vocab.BOS
+    for _ in range(max_len):
+        token = int(np.argmax(step(cache, [token])[0]))  # first max wins ties
+        if token == vocab.EOS:
+            break
+        out.append(token)
+    return out
 
 
 def _generate_beam(step, vocab, max_len, width) -> list[int]:
-    with ad.no_grad():
-        # (cumulative log prob, prefix with BOS, finished)
-        beams: list[tuple[float, list[int], bool]] = [(0.0, [vocab.BOS], False)]
-        for _ in range(max_len):
-            if all(done for _, _, done in beams):
-                break
-            candidates: list[tuple[float, list[int], bool]] = []
-            for score, prefix, done in beams:
-                if done:
-                    candidates.append((score, prefix, True))
-                    continue
-                probs = step(prefix)
-                logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
-                top = np.argsort(-logp, kind="stable")[:width]
-                for idx in top:
-                    idx = int(idx)
-                    candidates.append((score + float(logp[idx]),
-                                       prefix + [idx], idx == vocab.EOS))
-            # highest score first; ties broken by prefix for determinism
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            beams = candidates[:width]
-        best = beams[0][1]
-        if best and best[-1] == vocab.EOS:
-            best = best[:-1]
-        return best[1:]  # drop BOS
+    cache = DecodeCache()
+    # (cumulative log prob, prefix with BOS, finished, parent's cache row)
+    beams: list[tuple[float, list[int], bool, int]] = [
+        (0.0, [vocab.BOS], False, 0)]
+    for _ in range(max_len):
+        live = [b for b in beams if not b[2]]
+        if not live:
+            break
+        cache.select([row for _, _, _, row in live])
+        probs = step(cache, [prefix[-1] for _, prefix, _, _ in live])
+        logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
+        top = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+        candidates = [b for b in beams if b[2]]
+        for row, (score, prefix, _, _) in enumerate(live):
+            for idx in top[row]:
+                idx = int(idx)
+                candidates.append((score + float(logp[row, idx]),
+                                   prefix + [idx], idx == vocab.EOS, row))
+        # highest score first; ties broken by prefix for determinism
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:width]
+    best = beams[0][1]
+    if best and best[-1] == vocab.EOS:
+        best = best[:-1]
+    return best[1:]  # drop BOS

@@ -17,7 +17,7 @@ from kgdialog.composer import (AttentionParams, EmbeddingTable,
                                encode_relation_tuples, fuse,
                                reorganize_relations)
 from kgdialog.decoder import (DecoderBlockParams, LossWeights, OutputHead,
-                              SemanticEnhanceParams, decode_step,
+                              SemanticEnhanceParams, decode_states,
                               predict_token, semantic_enhance, total_loss)
 from kgdialog.regularizer import (LatentQuerySet, SemanticProjectionParams,
                                   project_semantic)
@@ -315,7 +315,7 @@ def build_composite_grad_cases(seed: int = 1):
              [latent.P_g, T] + attention_tensors(proj.attn)
              + mlp_tensors(proj.mlp))
 
-    # decode_step: the full decoder stack at the last position
+    # decode_states: the full decoder stack at the last position
     for i, (nc, nk, ny, d, h, n_blocks) in enumerate(
             [(2, 1, 1, 2, 3, 1), (3, 0, 2, 3, 4, 1), (2, 2, 3, 3, 2, 2)]):
         T_c, E_k, E_y = (_param(rng, nc, d), _param(rng, nk, d),
@@ -323,9 +323,11 @@ def build_composite_grad_cases(seed: int = 1):
         blocks = tuple(make_decoder_block(rng, d, h) for _ in range(n_blocks))
         params = ([p for p, n in ((T_c, nc), (E_k, nk), (E_y, ny)) if n > 0]
                   + [t for b in blocks for t in decoder_block_tensors(b)])
-        case(f"decode_step:c={nc} k={nk} y={ny} d={d} blocks={n_blocks}",
-             lambda T_c=T_c, E_k=E_k, E_y=E_y, blocks=blocks:
-             _project(decode_step(T_c, E_k, E_y, blocks), 70 + i), params)
+        case(f"decode_states:last row c={nc} k={nk} y={ny} d={d} "
+             f"blocks={n_blocks}",
+             lambda T_c=T_c, E_k=E_k, E_y=E_y, blocks=blocks, ny=ny:
+             _project(ad.slice_rows(decode_states(T_c, E_k, E_y, blocks),
+                                    ny - 1, ny), 70 + i), params)
 
     # semantic_enhance: the final cross-attention read
     for i, (nz, ns, d) in enumerate([(1, 1, 2), (2, 3, 3), (4, 2, 4)]):

@@ -1,13 +1,18 @@
 """Tests for the knowledge-aware decoder, enhancement, and generation."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
+from kgdialog import decoder
 from kgdialog.autodiff import Tensor
 from kgdialog.composer import EmbeddingTable, Vocabulary, embed_indices
-from kgdialog.decoder import (DecoderParams, LossWeights, OutputHead,
-                              SemanticEnhanceParams, decode_states,
-                              decode_step, generate, predict_token,
+from kgdialog.decoder import (DecodeCache, DecoderParams, LossWeights,
+                              OutputHead, SemanticEnhanceParams,
+                              decode_states, generate, predict_token,
                               semantic_enhance, total_loss)
 
 from helpers import (build_composite_grad_cases, make_attention,
@@ -36,13 +41,69 @@ def setting(rng):
     }
 
 
-def _decoder_params(rng, blocks):
-    enhance = SemanticEnhanceParams(make_attention(rng, D),
-                                    Tensor(np.ones((1, D)), requires_grad=True),
-                                    Tensor(np.zeros((1, D)), requires_grad=True))
-    head = OutputHead(Tensor(rng.normal(size=(D, V)), requires_grad=True),
+def _decoder_params(rng, blocks, d=D):
+    enhance = SemanticEnhanceParams(make_attention(rng, d),
+                                    Tensor(np.ones((1, d)), requires_grad=True),
+                                    Tensor(np.zeros((1, d)), requires_grad=True))
+    head = OutputHead(Tensor(rng.normal(size=(d, V)), requires_grad=True),
                       Tensor(rng.normal(size=(1, V)), requires_grad=True))
     return DecoderParams(blocks=blocks, enhance=enhance, head=head)
+
+
+def _last_row_probs(setting, dec, table, prefix, scale=False):
+    """Full recompute: the teacher-forced distribution after ``prefix``,
+    read from the last row of decode_states over the whole prefix."""
+    n = len(prefix)
+    states = decode_states(setting["T_c"], setting["E_k"],
+                           embed_indices(prefix, table), dec.blocks, scale)
+    z = semantic_enhance(ad.slice_rows(states, n - 1, n), setting["T_sem"],
+                         dec.enhance, scale)
+    return predict_token(z, dec.head).data[0]
+
+
+def _reference_greedy(setting, dec, table, vocab, max_len, scale=False):
+    """Greedy decoding over full-recompute distributions."""
+    with ad.no_grad():
+        prefix = [vocab.BOS]
+        for _ in range(max_len):
+            nxt = int(np.argmax(_last_row_probs(setting, dec, table, prefix,
+                                                scale)))
+            if nxt == vocab.EOS:
+                break
+            prefix.append(nxt)
+    return prefix[1:]
+
+
+def _reference_beam(setting, dec, table, vocab, max_len, width, scale=False):
+    """Beam search over full-recompute distributions, one hypothesis at a
+    time. Returns (token ids without markers, steps run, steps run while
+    some kept hypotheses had ended and others had not)."""
+    with ad.no_grad():
+        beams = [(0.0, [vocab.BOS], False)]
+        steps = mixed = 0
+        for _ in range(max_len):
+            ended = sum(done for _, _, done in beams)
+            if ended == len(beams):
+                break
+            steps += 1
+            mixed += ended > 0
+            candidates = []
+            for score, prefix, done in beams:
+                if done:
+                    candidates.append((score, prefix, True))
+                    continue
+                probs = _last_row_probs(setting, dec, table, prefix, scale)
+                logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
+                for idx in np.argsort(-logp, kind="stable")[:width]:
+                    idx = int(idx)
+                    candidates.append((score + float(logp[idx]),
+                                       prefix + [idx], idx == vocab.EOS))
+            candidates.sort(key=lambda c: (-c[0], c[1]))
+            beams = candidates[:width]
+    best = beams[0][1]
+    if best[-1] == vocab.EOS:
+        best = best[:-1]
+    return best[1:], steps, mixed
 
 
 class TestDecodeStates:
@@ -104,11 +165,30 @@ class TestDecodeStates:
                                 E_y, blocks)
         assert not np.allclose(with_k.data, without.data)
 
-    def test_decode_step_is_last_row(self, rng, setting, blocks):
+    def test_cached_steps_are_teacher_forced_rows(self, rng, setting,
+                                                  blocks):
+        """Feeding the rows one at a time through a cache gives the
+        teacher-forced row at each position."""
         E_y = Tensor(rng.normal(size=(4, D)))
         states = decode_states(setting["T_c"], setting["E_k"], E_y, blocks)
-        step = decode_step(setting["T_c"], setting["E_k"], E_y, blocks)
-        np.testing.assert_array_equal(step.data, states.data[3:4])
+        cache = DecodeCache()
+        for j in range(4):
+            row = decode_states(setting["T_c"], setting["E_k"],
+                                Tensor(E_y.data[j:j + 1]), blocks,
+                                cache=cache)
+            np.testing.assert_allclose(row.data, states.data[j:j + 1],
+                                       rtol=0, atol=1e-12)
+        assert cache.length == 4
+
+    def test_cache_rejects_a_different_hypothesis_count(self, rng, setting,
+                                                        blocks):
+        cache = DecodeCache()
+        decode_states(setting["T_c"], setting["E_k"],
+                      Tensor(rng.normal(size=(2, D))), blocks, cache=cache)
+        with pytest.raises(ValueError, match="3 new rows for 2 cached"):
+            decode_states(setting["T_c"], setting["E_k"],
+                          Tensor(rng.normal(size=(3, D))), blocks,
+                          cache=cache)
 
 
 class TestSemanticEnhance:
@@ -205,19 +285,8 @@ class TestGenerate:
         vocab, table, dec = self._model(rng)
         got = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
                        dec, table, vocab, max_len=5)
-        prefix = [vocab.BOS]
-        expect = []
-        for _ in range(5):
-            E_y = embed_indices(prefix, table)
-            z = decode_step(setting["T_c"], setting["E_k"], E_y, dec.blocks)
-            z = semantic_enhance(z, setting["T_sem"], dec.enhance)
-            probs = predict_token(z, dec.head).data[0]
-            nxt = int(np.argmax(probs))
-            if nxt == vocab.EOS:
-                break
-            prefix.append(nxt)
-            expect.append(vocab.token(nxt))
-        assert got == expect
+        assert got == vocab.decode(_reference_greedy(setting, dec, table,
+                                                     vocab, 5))
 
     def test_beam_width_one_equals_greedy(self, rng, setting):
         vocab, table, dec = self._model(rng)
@@ -235,11 +304,7 @@ class TestGenerate:
             ids = [vocab.BOS] + vocab.encode(tokens) + [vocab.EOS]
             total = 0.0
             for j in range(1, len(ids)):
-                E_y = embed_indices(ids[:j], table)
-                z = decode_step(setting["T_c"], setting["E_k"], E_y,
-                                dec.blocks)
-                z = semantic_enhance(z, setting["T_sem"], dec.enhance)
-                probs = predict_token(z, dec.head).data[0]
+                probs = _last_row_probs(setting, dec, table, ids[:j])
                 total += float(np.log(max(probs[ids[j]], 1e-12)))
             return total
 
@@ -262,6 +327,84 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(setting["T_c"], setting["E_k"], setting["T_sem"],
                      dec, table, vocab, strategy="beam:0")
+
+    @pytest.mark.parametrize("strategy", ["beam:", "beam:x", "beam:2.0",
+                                          "sampled"])
+    def test_malformed_strategy_is_named_before_decoding(
+            self, rng, setting, monkeypatch, strategy):
+        vocab, table, dec = self._model(rng)
+        calls = []
+        monkeypatch.setattr(decoder, "decode_states",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(repr(strategy))):
+            generate(setting["T_c"], setting["E_k"], setting["T_sem"],
+                     dec, table, vocab, max_len=4, strategy=strategy)
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam:3"])
+    def test_each_step_feeds_one_row_per_live_hypothesis(
+            self, rng, setting, monkeypatch, strategy):
+        """No step re-runs the prefix: greedy passes one row per step, and
+        beam:K makes one call per step with at most K rows."""
+        vocab, table, dec = self._model(rng, n_blocks=2)
+        rows = []
+        real = decoder.decode_states
+
+        def counting(T_c, E_k, E_y, *args, **kwargs):
+            rows.append(E_y.shape[0])
+            return real(T_c, E_k, E_y, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "decode_states", counting)
+        max_len = 8
+        out = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
+                       dec, table, vocab, max_len=max_len, strategy=strategy)
+        if strategy == "greedy":
+            assert rows == [1] * min(len(out) + 1, max_len)
+            assert len(rows) >= 3
+        else:
+            _, steps, _ = _reference_beam(setting, dec, table, vocab,
+                                          max_len, 3)
+            assert len(rows) == steps >= 3
+            assert rows[0] == 1 and 1 < max(rows) <= 3
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam:1", "beam:2",
+                                          "beam:4", "beam:200"])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("eos_bias", [0.0, 2.0])
+    @pytest.mark.parametrize("scale,knowledge", [(False, True),
+                                                 (True, False)])
+    def test_replies_match_full_recompute(self, rng, setting, strategy,
+                                          n_blocks, eos_bias, scale,
+                                          knowledge):
+        """Cached decoding gives the replies of decoding that re-runs
+        every block over the whole prefix at each step. beam:200 keeps
+        more hypotheses than the V=9 vocabulary has tokens."""
+        vocab, table, dec = self._model(rng, n_blocks)
+        dec.head.b_y.data[0, vocab.EOS] += eos_bias
+        if not knowledge:
+            setting["E_k"] = Tensor(np.zeros((0, D)))
+        if strategy == "greedy":
+            expect = _reference_greedy(setting, dec, table, vocab, 8, scale)
+        else:
+            expect, _, _ = _reference_beam(setting, dec, table, vocab, 8,
+                                           int(strategy[5:]), scale)
+        got = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
+                       dec, table, vocab, max_len=8, strategy=strategy,
+                       scale=scale)
+        assert got == vocab.decode(expect)
+
+    def test_beam_with_hypotheses_ending_at_different_steps(self, rng,
+                                                            setting):
+        """Ended hypotheses stay in the beam while the rest are decoded:
+        the cache must follow the live ones."""
+        vocab, table, dec = self._model(rng, n_blocks=2)
+        dec.head.b_y.data[0, vocab.EOS] += 2.0
+        expect, steps, mixed = _reference_beam(setting, dec, table, vocab,
+                                               8, 4)
+        assert mixed >= 2 and steps > mixed
+        got = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
+                       dec, table, vocab, max_len=8, strategy="beam:4")
+        assert got == vocab.decode(expect)
 
     def test_max_len_respected(self, rng, setting):
         vocab, table, dec = self._model(rng)
@@ -289,9 +432,52 @@ class TestGenerate:
             assert out == []
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5),
+       n_blocks=st.integers(1, 2), n_knowledge=st.integers(0, 3),
+       scale=st.booleans(), table_len=st.integers(1, 8),
+       hypotheses=st.integers(1, 4), data=st.data())
+def test_cached_steps_match_teacher_forced_rows(seed, d, n_blocks,
+                                                n_knowledge, scale, table_len,
+                                                hypotheses, data):
+    """Stacked cached steps, with the cache re-gathered between steps as
+    a beam does, give each hypothesis the distribution that teacher-forced
+    decode_states gives at the last row of its whole prefix."""
+    rng = np.random.default_rng(seed)
+    blocks = tuple(make_decoder_block(rng, d, d + 2) for _ in range(n_blocks))
+    dec = _decoder_params(rng, blocks, d)
+    table = EmbeddingTable(Tensor(rng.normal(size=(V, d))),
+                           Tensor(rng.normal(size=(table_len, d))))
+    setting = {"T_c": Tensor(rng.normal(size=(int(rng.integers(1, 4)), d))),
+               "E_k": Tensor(rng.normal(size=(n_knowledge, d))),
+               "T_sem": Tensor(rng.normal(size=(int(rng.integers(1, 4)), d)))}
+    n = data.draw(st.integers(1, table_len))
+    cache = DecodeCache()
+    prefixes = [[] for _ in range(hypotheses)]
+    with ad.no_grad():
+        for j in range(n):
+            parents = [int(p) for p in rng.integers(0, hypotheses,
+                                                    size=hypotheses)]
+            cache.select(parents)
+            prefixes = [prefixes[p] + [int(rng.integers(0, V))]
+                        for p in parents]
+            E_y = ad.add_row(ad.take_rows(table.token,
+                                          [p[-1] for p in prefixes]),
+                             ad.slice_rows(table.position, j, j + 1))
+            z = decode_states(setting["T_c"], setting["E_k"], E_y, blocks,
+                              scale, cache)
+            got = predict_token(semantic_enhance(z, setting["T_sem"],
+                                                 dec.enhance, scale),
+                                dec.head).data
+            for row, prefix in enumerate(prefixes):
+                expect = _last_row_probs(setting, dec, table, prefix, scale)
+                np.testing.assert_allclose(got[row], expect, rtol=0,
+                                           atol=1e-9)
+
+
 DECODER_GRAD_CASES = [c for c in build_composite_grad_cases()
                       if c[0].split(":")[0] in
-                      ("decode_step", "semantic_enhance", "predict_token",
+                      ("decode_states", "semantic_enhance", "predict_token",
                        "total_loss")]
 
 
