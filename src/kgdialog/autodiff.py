@@ -8,8 +8,16 @@ segment, described by a list of segment lengths: ``segment_attention`` and
 ``mean_rows`` work within each segment. Rank-3 arrays appear only inside
 ``segment_attention``, which pads the segments to a common length for its
 batched matmuls; there is no broadcasting beyond the row-vector bias of
-``add_row`` and the per-row scalar of ``scale_rows``. Each loss reduction is
-one node, and the only module state is the ``no_grad`` switch.
+``add_row`` and the per-row scalar of ``scale_rows``.
+
+Python work per node dominates at this package's matrix sizes, so the
+heavy composites are single nodes with hand-written backwards:
+``attention`` (scaled, causal or plain softmax(q k^T) v),
+``segment_attention``, ``layer_norm``, ``softmax_rows``, ``mean_rows``,
+``cross_entropy_loss`` and ``sum_squares``. The attention weights that
+``attention`` returns are a data-only tensor: they carry no graph, and
+gradients flow through the attention output alone. The only module state
+is the ``no_grad`` switch.
 """
 from __future__ import annotations
 
@@ -72,9 +80,12 @@ class Tensor:
         return float(self.data[0, 0])
 
     def _accum(self, g: np.ndarray) -> None:
+        # the first contribution is copied, never aliased: backward closures
+        # hand the same array to several parents
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -270,6 +281,19 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     return _node(np.array([[total]]), tensors, backward)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Exp-normalize along the last axis, with max subtraction for overflow
+    safety; -inf logits get exactly zero weight."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of ``_softmax``, given the gradient g at its
+    output ``weights``."""
+    return (g - (g * weights).sum(axis=-1, keepdims=True)) * weights
+
+
 def _segments(lengths: Sequence[int], n: int, op: str) -> np.ndarray:
     """Validate segment lengths covering n rows; return them as an array."""
     lens = np.asarray(lengths, dtype=np.intp)
@@ -337,17 +361,15 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
     if not uniform:
         padded_key = np.arange(width)[None, None, :] >= lens[:, None, None]
         logits[np.broadcast_to(padded_key, logits.shape)] = -np.inf
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    weights = e / e.sum(axis=2, keepdims=True)
+    weights = _softmax(logits)
 
     def backward(g):
         gp = pad(g)
         if v.requires_grad:
             v._accum(unpad(np.matmul(weights.transpose(0, 2, 1), gp)))
         if q.requires_grad or k.requires_grad:
-            gw = np.matmul(gp, vp.transpose(0, 2, 1))
-            gl = (gw - (gw * weights).sum(axis=2, keepdims=True)) \
-                * weights * c
+            gl = _softmax_grad(np.matmul(gp, vp.transpose(0, 2, 1)),
+                               weights) * c
             if q.requires_grad:
                 q._accum(unpad(np.matmul(gl, kp)))
             if k.requires_grad:
@@ -420,30 +442,30 @@ def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Exp-normalize each row, with max subtraction for overflow safety."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = _softmax(x.data)
 
     def backward(g):
         if x.requires_grad:
-            inner = (g * out_data).sum(axis=1, keepdims=True)
-            x._accum((g - inner) * out_data)
+            x._accum(_softmax_grad(g, out_data))
 
     return _node(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization (variance + eps in the denominator), then
-    elementwise gain and bias (both 1 x d, broadcast over rows)."""
+    elementwise gain and bias (both 1 x d, broadcast over rows).
+
+    Row means are ``sum / d``, the very operations of ``np.mean`` and
+    ``np.var`` without their Python-level overhead, so the values are
+    bit-identical to those functions'."""
     n, d = x.shape
     if d < 2:
         raise ValueError("layer_norm: needs at least 2 columns")
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise ValueError("layer_norm: gain/bias must be 1 x d")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
+    xhat = xc * inv
 
     def backward(g):
         if gain.requires_grad:
@@ -452,8 +474,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias._accum(g.sum(axis=0, keepdims=True))
         if x.requires_grad:
             gh = g * gain.data
-            term = gh - gh.mean(axis=1, keepdims=True) \
-                - xhat * (gh * xhat).mean(axis=1, keepdims=True)
+            term = gh - gh.sum(axis=1, keepdims=True) / d \
+                - xhat * ((gh * xhat).sum(axis=1, keepdims=True) / d)
             x._accum(term * inv)
 
     return _node(xhat * gain.data + bias.data, (x, gain, bias), backward)
@@ -473,40 +495,55 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def cross_attention(q_src: Tensor, kv_src: Tensor, w_q: Tensor, w_k: Tensor,
-                    w_v: Tensor, mask: np.ndarray | None = None,
-                    scale: bool = False) -> tuple[Tensor, Tensor]:
-    """softmax((q_src w_q)(kv_src w_k)^T) (kv_src w_v).
+                    w_v: Tensor, scale: bool = False,
+                    causal: bool = False) -> tuple[Tensor, Tensor]:
+    """softmax((q_src w_q)(kv_src w_k)^T) (kv_src w_v): the three
+    projections, then one ``attention`` node.
 
     Returns (output, attention weights) so callers can inspect where each
-    query row looked. ``mask`` is an additive constant (0 where allowed,
-    a large negative number where not) applied to the logits. ``scale``
-    divides the logits by sqrt(D); off, attention is plain softmax(QK^T)V.
+    query row looked; ``scale`` and ``causal`` are as in ``attention``.
     """
     return attention(matmul(q_src, w_q), matmul(kv_src, w_k),
-                     matmul(kv_src, w_v), mask=mask, scale=scale)
+                     matmul(kv_src, w_v), scale=scale, causal=causal)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None,
-              scale: bool = False) -> tuple[Tensor, Tensor]:
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: bool = False,
+              causal: bool = False) -> tuple[Tensor, Tensor]:
     """softmax(q k^T) v over already projected queries, keys and values,
-    with ``mask`` and ``scale`` as in ``cross_attention``; returns
-    (output, attention weights)."""
-    if k.shape[0] < 1:
+    as one node; returns (output, attention weights).
+
+    ``scale`` divides the logits by sqrt(D); off, attention is plain
+    softmax(QK^T)V. ``causal`` needs as many queries as keys and gives
+    query i exactly zero weight on every key after i. The weights are a
+    data-only tensor, for inspection.
+    """
+    (n_q, d), n_k = q.shape, k.shape[0]
+    if n_k < 1:
         raise ValueError("attention: needs at least one key/value row")
-    logits = matmul(q, transpose(k))
-    if scale:
-        logits = mul_scalar(logits, 1.0 / np.sqrt(q.shape[1]))
-    if mask is not None:
-        logits = add(logits, Tensor(mask))
-    weights = softmax_rows(logits)
-    return matmul(weights, v), weights
+    if k.shape[1] != d or v.shape[0] != n_k:
+        raise ValueError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"do not fit")
+    if causal and n_q != n_k:
+        raise ValueError(f"attention: causal needs square logits, got "
+                         f"{n_q} queries over {n_k} keys")
+    c = 1.0 / np.sqrt(d) if scale else 1.0  # times 1.0 is exact
+    logits = (q.data @ k.data.T.copy()) * c
+    if causal:
+        rows = np.arange(n_q)
+        logits[rows[:, None] < rows] = -np.inf
+    weights = _softmax(logits)
 
+    def backward(g):
+        if v.requires_grad:
+            v._accum(weights.T @ g)
+        if q.requires_grad or k.requires_grad:
+            gl = _softmax_grad(g @ v.data.T, weights) * c
+            if q.requires_grad:
+                q._accum(gl @ k.data)
+            if k.requires_grad:
+                k._accum(gl.T @ q.data)
 
-def causal_mask(n: int) -> np.ndarray:
-    """Additive mask blocking attention to later positions. -1e9 underflows
-    to an exactly-zero attention weight after max-subtracted softmax, so
-    causality is bit-exact."""
-    return np.triu(np.full((n, n), -1e9), k=1)
+    return _node(weights @ v.data, (q, k, v), backward), Tensor(weights)
 
 
 def frobenius_distance_sq(a: Tensor, b: Tensor) -> Tensor:

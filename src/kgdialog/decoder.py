@@ -18,7 +18,8 @@ position at a time through a ``DecodeCache``:
   step's self-attention is a batched matmul costing G·L·D, with no
   G x (G·L) mask;
 - the knowledge and encoder keys and values of E_k and T_c are projected
-  once per reply, by the first step;
+  once per reply, by the first step, and so are the semantic keys and
+  values of T_sem that enhancement reads;
 - beam search stacks its live hypotheses as the G rows, so one pass
   scores all of them, and after each step the cache keeps the rows of the
   surviving parents.
@@ -122,7 +123,7 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
     if E_y.shape[0] == 0:
         raise ValueError("decode_states: empty prefix")
     if cache is None:
-        memory, mask = _memory(T_c, E_k, blocks), ad.causal_mask(E_y.shape[0])
+        memory = _memory(T_c, E_k, blocks)
     else:
         if cache.memory is None:
             cache.memory = _memory(T_c, E_k, blocks)
@@ -132,7 +133,7 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
         sa = block.self_attn
         q, k, v = (ad.matmul(h, w) for w in (sa.w_q, sa.w_k, sa.w_v))
         if cache is None:
-            a, _ = ad.attention(q, k, v, mask=mask, scale=scale)
+            a, _ = ad.attention(q, k, v, scale=scale, causal=True)
         else:
             a = cache.attend(i, q, k, v, scale)
         h = ad.layer_norm(ad.add(h, a), block.ln1_gain, block.ln1_bias)
@@ -191,8 +192,7 @@ class DecodeCache:
         logits = np.matmul(self.keys[block], q.data[:, :, None])[:, :, 0]
         if scale:
             logits = logits * (1.0 / np.sqrt(q.shape[1]))
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        weights = e / e.sum(axis=1, keepdims=True)
+        weights = ad._softmax(logits)
         return Tensor(np.matmul(weights[:, None, :], self.values[block])[:, 0])
 
 
@@ -221,11 +221,12 @@ def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
     """Enhance decoder states with a read over the semantic matrix.
 
     z-hat = LN(z-bar + cross_attention(z-bar, T_sem)). Rows are independent
-    queries, so one call covers a whole teacher-forced sequence.
+    queries, so one call covers a whole teacher-forced sequence. This is
+    the reference for ``generate``, which projects T_sem's keys and values
+    once per reply and runs the same read at each step.
     """
-    t_hat, _ = ad.cross_attention(z_bar, T_sem, params.attn.w_q,
-                                  params.attn.w_k, params.attn.w_v, scale=scale)
-    return ad.layer_norm(ad.add(z_bar, t_hat), params.ln_gain, params.ln_bias)
+    return _read(z_bar, params.attn, _key_values(T_sem, params.attn),
+                 params.ln_gain, params.ln_bias, scale)
 
 
 def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
@@ -259,17 +260,21 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
     if not 1 <= max_len <= table.max_len:
         raise ValueError(f"max_len {max_len} outside [1, {table.max_len}]")
 
-    def step(cache: DecodeCache, tokens: list[int]) -> np.ndarray:
-        """Feed one token per hypothesis; return the G x V distributions
-        over each hypothesis' next token."""
-        pos = cache.length
-        E_y = ad.add_row(ad.take_rows(table.token, tokens),
-                         ad.slice_rows(table.position, pos, pos + 1))
-        z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
-        z_hat = semantic_enhance(z_bar, T_sem, dec.enhance, scale)
-        return predict_token(z_hat, dec.head).data
-
+    enh = dec.enhance
     with ad.no_grad():
+        semantic = _key_values(T_sem, enh.attn)  # projected once per reply
+
+        def step(cache: DecodeCache, tokens: list[int]) -> np.ndarray:
+            """Feed one token per hypothesis; return the G x V
+            distributions over each hypothesis' next token."""
+            pos = cache.length
+            E_y = ad.add_row(ad.take_rows(table.token, tokens),
+                             ad.slice_rows(table.position, pos, pos + 1))
+            z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
+            z_hat = _read(z_bar, enh.attn, semantic, enh.ln_gain,
+                          enh.ln_bias, scale)  # = semantic_enhance
+            return predict_token(z_hat, dec.head).data
+
         if width is None:
             ids = _generate_greedy(step, vocab, max_len)
         else:

@@ -145,22 +145,25 @@ def build_grad_cases(seed: int = 0):
              lambda x=x, w1=w1, b1=b1, w2=w2, b2=b2:
              _project(ad.mlp(x, w1, b1, w2, b2), 20), [x, w1, b1, w2, b2])
 
+    def attention_case(label, nq, nk, d, causal, scaled):
+        """cross_attention of q over kv, or causal self-attention of q."""
+        q, kv = _param(rng, nq, d), _param(rng, nk, d)
+        wq, wk, wv = (_param(rng, d, d) for _ in range(3))
+
+        def attn_loss(q=q, kv=kv, wq=wq, wk=wk, wv=wv):
+            out, _ = ad.cross_attention(q, q if causal else kv, wq, wk, wv,
+                                        scale=scaled, causal=causal)
+            return _project(out, 21)
+
+        case(label, attn_loss, [q, wq, wk, wv] if causal
+             else [q, kv, wq, wk, wv])
+
     for (nq, nk, d, masked, scaled) in [(1, 1, 2, False, False),
                                         (3, 4, 3, False, False),
                                         (2, 5, 4, False, True),
                                         (4, 4, 3, True, False)]:
-        q, kv = _param(rng, nq, d), _param(rng, nk, d)
-        wq, wk, wv = (_param(rng, d, d) for _ in range(3))
-        mask = ad.causal_mask(nq) if masked else None
-
-        def attn_loss(q=q, kv=kv, wq=wq, wk=wk, wv=wv, mask=mask, scaled=scaled):
-            out, _ = ad.cross_attention(q, kv if mask is None else q,
-                                        wq, wk, wv, mask=mask, scale=scaled)
-            return _project(out, 21)
-
-        label = f"cross_attention:{nq}q{nk}k d={d} mask={masked} scale={scaled}"
-        case(label, attn_loss, [q, kv, wq, wk, wv] if mask is None
-             else [q, wq, wk, wv])
+        attention_case(f"cross_attention:{nq}q{nk}k d={d} mask={masked} "
+                       f"scale={scaled}", nq, nk, d, masked, scaled)
 
     for (r, c) in [(1, 2), (3, 3), (4, 2)]:
         a, b = _param(rng, r, c), _param(rng, r, c)
@@ -192,6 +195,11 @@ def build_grad_cases(seed: int = 0):
         case(f"mean_rows:segments {lengths} x{c}",
              lambda x=x, lengths=lengths: _project(ad.mean_rows(x, lengths), 23),
              [x])
+
+    # appended last, so the cases above keep their random draws
+    for (nq, nk, d, causal) in [(4, 4, 3, True), (1, 6, 4, False)]:
+        attention_case(f"cross_attention:{nq}q{nk}k d={d} causal={causal} "
+                       f"scale=True", nq, nk, d, causal, True)
 
     return cases
 

@@ -74,10 +74,64 @@ def test_causal_mask_zeroes_future_weights_exactly():
     n, d = 6, 4
     q = ad.Tensor(rng.standard_normal((n, d)))
     wq, wk, wv = (ad.Tensor(rng.standard_normal((d, d))) for _ in range(3))
-    _, weights = ad.cross_attention(q, q, wq, wk, wv, mask=ad.causal_mask(n))
+    _, weights = ad.cross_attention(q, q, wq, wk, wv, causal=True)
     upper = np.triu(weights.data, k=1)
     assert np.all(upper == 0.0)  # bit-exact, not approximately zero
     np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _chain_attention(q, k, v, scale=False, causal=False):
+    """The unfused attention chain's numpy operations, in its order:
+    q k^T, scale, additive -1e9 causal block, row softmax, times v."""
+    logits = q @ k.T.copy()
+    if scale:
+        logits = logits * (1.0 / np.sqrt(q.shape[1]))
+    if causal:
+        logits = logits + np.triu(np.full((len(q), len(q)), -1e9), k=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / e.sum(axis=1, keepdims=True)
+    return weights @ v, weights
+
+
+@pytest.mark.parametrize("n_q,n_k,d,scale,causal",
+                         [(3, 5, 4, False, False), (1, 6, 3, True, False),
+                          (6, 6, 4, False, True), (5, 5, 8, True, True)])
+def test_attention_equals_chain_formula_bit_for_bit(n_q, n_k, d, scale,
+                                                    causal):
+    rng = np.random.default_rng(n_q * 100 + n_k * 10 + d)
+    q, k, v = (rng.standard_normal((n, d)) * 2 for n in (n_q, n_k, n_k))
+    out, weights = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
+                                scale=scale, causal=causal)
+    want_out, want_weights = _chain_attention(q, k, v, scale, causal)
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(weights.data, want_weights)
+
+
+@pytest.mark.parametrize("scale,causal", [(False, False), (True, True)])
+def test_cross_attention_is_four_graph_nodes(scale, causal):
+    """Three projections and one attention node, whatever the options."""
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    ws = [ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+          for _ in range(3)]
+    out, weights = ad.cross_attention(x, x, *ws, scale=scale, causal=causal)
+    ops = [t for t in ad.topo_order(out) if t._backward is not None]
+    assert len(ops) == 4
+    assert weights._parents == () and not weights.requires_grad
+
+
+def test_attention_validates_shapes():
+    x = ad.Tensor(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="at least one key"):
+        ad.attention(x, ad.Tensor(np.zeros((0, 2))), ad.Tensor(np.zeros((0, 2))))
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.attention(x, ad.Tensor(np.zeros((3, 3))), x)
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.attention(x, x, ad.Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="causal"):
+        ad.attention(x, ad.Tensor(np.zeros((4, 2))),
+                     ad.Tensor(np.zeros((4, 2))), causal=True)
 
 
 def test_attention_scaling_flag_changes_logits():
@@ -119,6 +173,17 @@ def test_backward_accumulates_across_calls():
     first = x.grad.copy()
     ad.mul(x, x).backward()
     np.testing.assert_array_equal(x.grad, 2 * first)
+
+
+def test_gradients_reaching_two_parents_do_not_alias():
+    """add hands one upstream array to both parents; each must keep its
+    own copy, so changing one gradient leaves the other as it was."""
+    a = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+    b = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+    ad.sum_all(ad.add(a, b)).backward()
+    np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
+    a.grad += 5.0
+    np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
 
 
 def test_zero_grad_resets():
@@ -257,3 +322,27 @@ def test_layer_norm_is_shift_invariant(r, c, seed):
     a = ad.layer_norm(ad.Tensor(x), gain, bias).data
     b = ad.layer_norm(ad.Tensor(x + 3.7), gain, bias).data
     np.testing.assert_allclose(a, b, atol=1e-7)
+
+
+@given(st.integers(1, 6), st.integers(2, 9), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_layer_norm_equals_mean_var_formula_bit_for_bit(r, c, seed, spread,
+                                                        shift):
+    """Forward and input gradient equal the np.mean / np.var formulas."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((r, c)) * spread + shift
+    gain, bias = rng.uniform(0.5, 1.5, (1, c)), rng.standard_normal((1, c))
+    g = rng.standard_normal((r, c))
+    xt = ad.Tensor(x.copy(), requires_grad=True)
+    out = ad.layer_norm(xt, ad.Tensor(gain), ad.Tensor(bias))
+    ad.sum_all(ad.mul(out, ad.Tensor(g))).backward()
+
+    mu = x.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    gh = g * gain
+    gx = (gh - gh.mean(axis=1, keepdims=True)
+          - xhat * (gh * xhat).mean(axis=1, keepdims=True)) * inv
+    np.testing.assert_array_equal(out.data, xhat * gain + bias)
+    np.testing.assert_array_equal(xt.grad, gx)

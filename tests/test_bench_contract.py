@@ -1,0 +1,95 @@
+"""The calls that perfbench's tracer relies on.
+
+``perfbench/tracer.py`` reports per-layer metrics by wrapping named package
+functions; a traced run counts one operation per ``DialogModel.loss_pair``
+or ``generate_response`` call, graph nodes at each backward, and decoder
+prefix rows from ``decode_states``' positional argument 2. A refactor that
+renames one of these or stops calling it leaves the benchmark's metrics
+null. These tests load the tracer read-only and check each contract.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from kgdialog import decoder
+from kgdialog.autodiff import Tensor
+from kgdialog.config import TrainingConfig
+from kgdialog.corpus import make_synthetic_corpus
+from kgdialog.model import build_model, build_vocabulary
+from kgdialog.training import train_model
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+CFG = TrainingConfig(dim=8, enc_blocks=1, dec_blocks=1, n_latent=2,
+                     mlp_hidden=8, epochs=2, batch_size=2, seed=0,
+                     max_seq_len=64, max_gen_len=5)
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:  # leave no bytecode cache beside the benchmark's files
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    syn = make_synthetic_corpus(seed=0, n_entities=6, n_pairs=3)
+    vocab = build_vocabulary(
+        [list(p.context.text_tokens) + list(p.response) for p in syn.pairs],
+        syn.kb)
+    return syn, vocab
+
+
+def test_every_tracer_target_resolves(tracer_module):
+    for name, spec in tracer_module.TARGETS:
+        owner, attr, fn = tracer_module._resolve(spec)
+        assert callable(fn), name
+
+
+def test_train_model_calls_loss_pair_once_per_pair_and_epoch(tracer_module,
+                                                             corpus):
+    syn, vocab = corpus
+    model = build_model(vocab, syn.kb, CFG)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        train_model(model, syn.pairs, CFG, log_every=0)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    reduced = tracer.reduce(0)
+    expected = len(syn.pairs) * CFG.epochs
+    assert reduced["ops"] == reduced["calls"]["model.loss_pair"] == expected
+    assert tracer.counts["backward_calls"] == expected
+    assert tracer.counts["graph_nodes"] > 0
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "beam:2"])
+def test_generate_response_passes_prefix_rows_as_argument_2(
+        corpus, monkeypatch, strategy):
+    syn, vocab = corpus
+    model = build_model(vocab, syn.kb, CFG)
+    calls = []
+    real = decoder.decode_states
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "decode_states", recording)
+    model.generate_response(syn.pairs[0].context, strategy=strategy)
+    assert calls
+    for args, kwargs in calls:
+        assert len(args) > 2 and "E_y" not in kwargs
+        E_y = args[2]
+        assert isinstance(E_y, Tensor) and E_y.shape[0] >= 1
+        assert E_y.shape[1] == CFG.dim

@@ -141,12 +141,11 @@ class TestDecodeStates:
         E_y = Tensor(rng.normal(size=(3, D)))
         empty = Tensor(np.zeros((0, D)))
         got = decode_states(setting["T_c"], empty, E_y, blocks)
-        mask = ad.causal_mask(3)
         h = E_y
         for block in blocks:
             sa, _ = ad.cross_attention(h, h, block.self_attn.w_q,
                                        block.self_attn.w_k,
-                                       block.self_attn.w_v, mask=mask)
+                                       block.self_attn.w_v, causal=True)
             h = ad.layer_norm(ad.add(h, sa), block.ln1_gain, block.ln1_bias)
             ea, _ = ad.cross_attention(h, setting["T_c"],
                                        block.encoder_attn.w_q,
@@ -366,6 +365,28 @@ class TestGenerate:
                                           max_len, 3)
             assert len(rows) == steps >= 3
             assert rows[0] == 1 and 1 < max(rows) <= 3
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam:3"])
+    def test_semantic_keys_are_projected_once_per_reply(
+            self, rng, setting, monkeypatch, strategy):
+        """T_sem's enhancement keys and values are projected by one matmul
+        each per reply, however many steps the reply takes."""
+        vocab, table, dec = self._model(rng)
+        projected = []
+        real = ad.matmul
+
+        def counting(a, b):
+            if a is setting["T_sem"]:
+                projected.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(ad, "matmul", counting)
+        out = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
+                       dec, table, vocab, max_len=8, strategy=strategy)
+        assert len(out) >= 2  # several steps ran
+        attn = dec.enhance.attn
+        assert sorted(map(id, projected)) == sorted((id(attn.w_k),
+                                                     id(attn.w_v)))
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam:1", "beam:2",
                                           "beam:4", "beam:200"])
