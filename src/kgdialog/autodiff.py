@@ -7,17 +7,18 @@ order. A batch of sequences is one matrix whose rows run segment after
 segment, described by a list of segment lengths: ``segment_attention`` and
 ``mean_rows`` work within each segment. Rank-3 arrays appear only inside
 ``segment_attention``, which pads the segments to a common length for its
-batched matmuls; there is no broadcasting beyond the row-vector bias of
-``add_row`` and the per-row scalar of ``scale_rows``.
+batched matmuls; there is no broadcasting beyond ``linear``'s row-vector
+bias and ``gate``'s per-row weights.
 
 Python work per node dominates at this package's matrix sizes, so the
 heavy composites are single nodes with hand-written backwards:
-``attention`` (scaled, causal or plain softmax(q k^T) v),
-``segment_attention``, ``layer_norm``, ``softmax_rows``, ``mean_rows``,
-``cross_entropy_loss`` and ``sum_squares``. The attention weights that
-``attention`` returns are a data-only tensor: they carry no graph, and
-gradients flow through the attention output alone. The only module state
-is the ``no_grad`` switch.
+``linear``, ``attention`` (scaled, causal or plain softmax(q k^T) v),
+``segment_attention``, ``gate`` (the two-way softmax mix), ``layer_norm``,
+``softmax_rows``, ``mean_rows``, ``cross_entropy_loss`` and
+``sum_squares``. The attention weights that ``attention`` returns, and the
+row weights that ``gate`` returns, are data-only tensors: they carry no
+graph, and gradients flow through the op's main output alone. The only
+module state is the ``no_grad`` switch.
 """
 from __future__ import annotations
 
@@ -98,18 +99,6 @@ class Tensor:
         for node in reversed(topo_order(self)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -201,34 +190,6 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return _node(x.data * c, (x,), backward)
 
 
-def add_row(x: Tensor, b: Tensor) -> Tensor:
-    """x[n,d] + b[1,d], the one sanctioned row-vector broadcast."""
-    if b.shape != (1, x.shape[1]):
-        raise ValueError(f"add_row: bias {b.shape} does not fit {x.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0, keepdims=True))
-
-    return _node(x.data + b.data, (x, b), backward)
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of x[n,d] by the scalar s[i,0]."""
-    if s.shape != (x.shape[0], 1):
-        raise ValueError(f"scale_rows: scales {s.shape} do not fit {x.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g * s.data)
-        if s.requires_grad:
-            s._accum((g * x.data).sum(axis=1, keepdims=True))
-
-    return _node(x.data * s.data, (x, s), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} x {b.shape}")
@@ -242,12 +203,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), backward)
 
 
-def transpose(x: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[n,d_in] @ w[d_in,d_out] + b[1,d_out], the bias broadcast over
+    rows, as one node."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"linear: x {x.shape}, w {w.shape}, b {b.shape} "
+                         f"do not fit")
+
     def backward(g):
         if x.requires_grad:
-            x._accum(g.T)
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0, keepdims=True))
 
-    return _node(x.data.T.copy(), (x,), backward)
+    return _node(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -411,19 +382,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _node(x.data[start:stop].copy(), (x,), backward)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= x.shape[1]):
-        raise ValueError(f"slice_cols: [{start}:{stop}] outside {x.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
-            x._accum(gx)
-
-    return _node(x.data[:, start:stop].copy(), (x,), backward)
-
-
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows of x by index (embedding lookup); duplicates allowed."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -449,6 +407,40 @@ def softmax_rows(x: Tensor) -> Tensor:
             x._accum(_softmax_grad(g, out_data))
 
     return _node(out_data, (x,), backward)
+
+
+def gate(x: Tensor, y: Tensor, s_x: Tensor,
+         s_y: Tensor) -> tuple[Tensor, Tensor]:
+    """Row-wise convex mix of x[n,d] and y[n,d], as one node: the n x 1
+    scores s_x, s_y softmax-normalize per row to weights (r_x, r_y), and
+    row i of the output is r_x[i] x[i] + r_y[i] y[i].
+
+    Returns (mix, weights) with the n x 2 weights a data-only tensor.
+    """
+    if x.shape != y.shape or s_x.shape != (x.shape[0], 1) \
+            or s_y.shape != s_x.shape:
+        raise ValueError(f"gate: x {x.shape}, y {y.shape}, scores "
+                         f"{s_x.shape} and {s_y.shape} do not fit")
+    r = _softmax(np.concatenate((s_x.data, s_y.data), axis=1))
+    r_x, r_y = r[:, :1], r[:, 1:]
+
+    def backward(g):
+        if x.requires_grad:
+            x._accum(g * r_x)
+        if y.requires_grad:
+            y._accum(g * r_y)
+        if s_x.requires_grad or s_y.requires_grad:
+            gr = np.concatenate(((g * x.data).sum(axis=1, keepdims=True),
+                                 (g * y.data).sum(axis=1, keepdims=True)),
+                                axis=1)
+            gs = _softmax_grad(gr, r)
+            if s_x.requires_grad:
+                s_x._accum(gs[:, :1])
+            if s_y.requires_grad:
+                s_y._accum(gs[:, 1:])
+
+    return (_node(x.data * r_x + y.data * r_y, (x, y, s_x, s_y), backward),
+            Tensor(r))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -482,11 +474,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 # ---------------------------------------------------------------- composites
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[n,d_in] @ w[d_in,d_out] + b[1,d_out]."""
-    return add_row(matmul(x, w), b)
-
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer perceptron: linear, tanh, linear (shape-preserving when

@@ -207,9 +207,10 @@ def linearize_attributes(knowledge: AttributeKnowledge) -> list[str]:
 
 
 def _fit_positions(tokens: Sequence[str], table: EmbeddingTable,
-                   offset: int = 0) -> Sequence[str]:
-    """Cut a token run that would pass the end of the position table."""
-    budget = table.max_len - offset
+                   taken: int = 0) -> Sequence[str]:
+    """Cut a token run to the positions of the table that ``taken`` other
+    rows leave free."""
+    budget = table.max_len - taken
     if len(tokens) > budget:
         logger.warning("embed_tokens: truncating %d tokens to %d",
                        len(tokens), budget)
@@ -340,21 +341,16 @@ def fuse(T_t: Tensor, T_h_bar: Tensor,
 
     Each side is scored by a tanh-linear transform dotted with the query
     vector ``a``; the pair of scores at each position softmax-normalizes to
-    (r_t, r_h), and T_c = r_t * T_t + r_h * T_h_bar row-wise.
+    (r_t, r_h), and T_c = r_t * T_t + r_h * T_h_bar row-wise. r_t and r_h
+    are data-only N_b x 1 tensors, for inspection.
     """
     if T_t.shape != T_h_bar.shape:
         raise ValueError(f"fuse: {T_t.shape} vs {T_h_bar.shape}")
     h_t = ad.tanh(ad.linear(T_t, fusion.w_t, fusion.b_t))
     h_h = ad.tanh(ad.linear(T_h_bar, fusion.w_h, fusion.b_h))
-    s_t = ad.matmul(h_t, fusion.a)                      # N_b x 1
-    s_h = ad.matmul(h_h, fusion.a)                      # N_b x 1
-    scores = ad.transpose(ad.concat_rows([ad.transpose(s_t),
-                                          ad.transpose(s_h)]))  # N_b x 2
-    r = ad.softmax_rows(scores)
-    r_t = ad.slice_cols(r, 0, 1)
-    r_h = ad.slice_cols(r, 1, 2)
-    T_c = ad.add(ad.scale_rows(T_t, r_t), ad.scale_rows(T_h_bar, r_h))
-    return r_t, r_h, T_c
+    T_c, r = ad.gate(T_t, T_h_bar, ad.matmul(h_t, fusion.a),
+                     ad.matmul(h_h, fusion.a))
+    return Tensor(r.data[:, :1]), Tensor(r.data[:, 1:]), T_c
 
 
 def compose(knowledge_tokens: Sequence[str], ctx_tokens: Sequence[str],
@@ -363,15 +359,21 @@ def compose(knowledge_tokens: Sequence[str], ctx_tokens: Sequence[str],
             scale: bool = False) -> ComposedRepresentation:
     """Run the full composition pipeline for one context."""
     table = params.table
-    n_vis = int(np.asarray(image_features).shape[0]) if np.asarray(
-        image_features).size else 0
-    ctx_tokens = list(ctx_tokens)
-    # keep context and image rows; give knowledge tokens the leftover budget
+    image_features = np.asarray(image_features)
+    n_vis = image_features.shape[0] if image_features.size else 0
+    # image rows keep their positions first, then context tokens, and
+    # knowledge tokens get what is left
+    if n_vis > table.max_len:
+        logger.warning("compose: truncating image rows %d -> %d", n_vis,
+                       table.max_len)
+        n_vis = table.max_len
+        image_features = image_features[:n_vis]
+    ctx_tokens = _fit_positions(list(ctx_tokens), table, n_vis)
     knowledge_budget = table.max_len - len(ctx_tokens) - n_vis
     if len(knowledge_tokens) > knowledge_budget:
         logger.warning("compose: truncating knowledge tokens %d -> %d",
-                       len(knowledge_tokens), max(knowledge_budget, 0))
-        knowledge_tokens = list(knowledge_tokens)[:max(knowledge_budget, 0)]
+                       len(knowledge_tokens), knowledge_budget)
+        knowledge_tokens = list(knowledge_tokens)[:knowledge_budget]
 
     E_k = embed_tokens(knowledge_tokens, vocab, table, offset=0)
     n_k = E_k.shape[0]

@@ -268,8 +268,8 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
             """Feed one token per hypothesis; return the G x V
             distributions over each hypothesis' next token."""
             pos = cache.length
-            E_y = ad.add_row(ad.take_rows(table.token, tokens),
-                             ad.slice_rows(table.position, pos, pos + 1))
+            E_y = ad.add(ad.take_rows(table.token, tokens),
+                         ad.take_rows(table.position, [pos] * len(tokens)))
             z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
             z_hat = _read(z_bar, enh.attn, semantic, enh.ln_gain,
                           enh.ln_bias, scale)  # = semantic_enhance

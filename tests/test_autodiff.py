@@ -1,4 +1,6 @@
 """Autodiff engine: forward values, gradients, graph mechanics."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ def test_forward_values_match_numpy():
     np.testing.assert_array_equal(ad.sub(a, b).data, a.data - b.data)
     np.testing.assert_array_equal(ad.mul(a, b).data, a.data * b.data)
     np.testing.assert_array_equal(ad.matmul(a, m).data, a.data @ m.data)
-    np.testing.assert_array_equal(ad.transpose(a).data, a.data.T)
     np.testing.assert_array_equal(ad.tanh(a).data, np.tanh(a.data))
     assert ad.sum_all(a).item() == pytest.approx(a.data.sum())
     assert ad.sum_squares([a, m]).item() == pytest.approx(
@@ -119,6 +120,80 @@ def test_cross_attention_is_four_graph_nodes(scale, causal):
     ops = [t for t in ad.topo_order(out) if t._backward is not None]
     assert len(ops) == 4
     assert weights._parents == () and not weights.requires_grad
+
+
+def _grads_under(out, g, inputs):
+    """Backpropagate the upstream gradient g from ``out``; return the input
+    gradients. sum(out * g) hands out exactly g."""
+    ad.sum_all(ad.mul(out, ad.Tensor(g))).backward()
+    return [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("n,d_in,d_out", [(1, 1, 1), (3, 4, 2), (5, 3, 6)])
+def test_linear_equals_matmul_plus_bias_bit_for_bit(n, d_in, d_out):
+    rng = np.random.default_rng(n * 100 + d_in * 10 + d_out)
+    x, w, b = (rng.standard_normal(shape) for shape in
+               ((n, d_in), (d_in, d_out), (1, d_out)))
+    g = rng.standard_normal((n, d_out))
+    inputs = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+    out = ad.linear(*inputs)
+    np.testing.assert_array_equal(out.data, x @ w + b)
+    for got, want in zip(_grads_under(out, g, inputs),
+                         (g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True))):
+        np.testing.assert_array_equal(got, want)
+
+
+def _chain_gate(x, y, s_x, s_y, g):
+    """The old fusion chain's numpy operations, in its order: scores from
+    transposes and a row concat, row softmax, column slices, row scales and
+    their sum; backward through the same nodes with upstream gradient g."""
+    scores = np.concatenate([s_x.T.copy(), s_y.T.copy()], axis=0).T.copy()
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    r = e / e.sum(axis=1, keepdims=True)
+    r_x, r_y = r[:, 0:1].copy(), r[:, 1:2].copy()
+    out = x * r_x + y * r_y
+    g_r = np.zeros_like(r)
+    g_r[:, 0:1] = (g * x).sum(axis=1, keepdims=True)
+    g_r_y = np.zeros_like(r)
+    g_r_y[:, 1:2] = (g * y).sum(axis=1, keepdims=True)
+    g_r += g_r_y
+    g_s = (g_r - (g_r * r).sum(axis=1, keepdims=True)) * r
+    grads = (g * r_x, g * r_y, g_s.T[0:1].T, g_s.T[1:2].T)
+    return out, r, grads
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (4, 3), (6, 8)])
+def test_gate_equals_chain_formula_bit_for_bit(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    x, y = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    s_x, s_y = rng.standard_normal((n, 1)) * 3, rng.standard_normal((n, 1)) * 3
+    g = rng.standard_normal((n, d))
+    inputs = [ad.Tensor(a.copy(), requires_grad=True)
+              for a in (x, y, s_x, s_y)]
+    out, weights = ad.gate(*inputs)
+    want_out, want_weights, want_grads = _chain_gate(x, y, s_x, s_y, g)
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(weights.data, want_weights)
+    assert weights._parents == () and not weights.requires_grad
+    for got, want in zip(_grads_under(out, g, inputs), want_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_every_op_has_gradient_cases():
+    """Each public op of the engine appears in >= 3 gradient-case labels,
+    directly or through the named composite or label that exercises it."""
+    through = {"attention": "cross_attention",
+               "cross_entropy_loss": "cross_entropy"}
+    exempt = {"no_grad", "topo_order", "Tensor"}
+    ops = {name for name, f in vars(ad).items()
+           if callable(f) and getattr(f, "__module__", None) == ad.__name__
+           and not name.startswith("_")}
+    labels = Counter(label.split(":")[0] for label, _, _ in GRAD_CASES)
+    missing = {op: labels[through.get(op, op)] for op in sorted(ops - exempt)
+               if labels[through.get(op, op)] < 3}
+    assert not missing, f"ops with fewer than 3 gradient cases: {missing}"
+    assert "gate" in ops and "linear" in ops
 
 
 def test_attention_validates_shapes():
@@ -257,10 +332,18 @@ def test_shape_mismatch_raises():
         ad.add(ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros((2, 3))))
     with pytest.raises(ValueError):
         ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
-    with pytest.raises(ValueError):
-        ad.add_row(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((1, 2))))
-    with pytest.raises(ValueError):
-        ad.scale_rows(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 1))))
+    x, w = ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(x, w, ad.Tensor(np.zeros((1, 3))))
+    with pytest.raises(ValueError, match="linear"):
+        ad.linear(x, ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros((1, 4))))
+    s = ad.Tensor(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="gate"):
+        ad.gate(x, ad.Tensor(np.zeros((2, 2))), s, s)
+    with pytest.raises(ValueError, match="gate"):
+        ad.gate(x, x, ad.Tensor(np.zeros((3, 1))), ad.Tensor(np.zeros((3, 1))))
+    with pytest.raises(ValueError, match="gate"):
+        ad.gate(x, x, s, ad.Tensor(np.zeros((2, 2))))
 
 
 def test_backward_requires_scalar():
@@ -303,13 +386,6 @@ def test_softmax_rows_always_normalized(rows):
     out = ad.softmax_rows(ad.Tensor(np.array(rows)))
     assert np.all(np.abs(out.data.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(out.data >= 0.0)
-
-
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_transpose_is_involutive(r, c, seed):
-    x = ad.Tensor(np.random.default_rng(seed).standard_normal((r, c)))
-    np.testing.assert_array_equal(ad.transpose(ad.transpose(x)).data, x.data)
 
 
 @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))

@@ -424,6 +424,18 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse(Tensor(np.zeros((2, D))), Tensor(np.zeros((3, D))), fusion)
 
+    def test_seven_graph_nodes_and_data_only_gates(self, rng):
+        """Two tanh-linear scorers, two score matmuls and one gate node
+        (the slice-and-transpose chain built 18)."""
+        fusion = make_fusion(rng, D)
+        T_t, T_h = (Tensor(rng.normal(size=(3, D)), requires_grad=True)
+                    for _ in range(2))
+        r_t, r_h, T_c = fuse(T_t, T_h, fusion)
+        assert len([t for t in ad.topo_order(T_c) if t._backward]) == 7
+        for r in (r_t, r_h):
+            assert r.shape == (3, 1)
+            assert r._parents == () and not r.requires_grad
+
 
 # ------------------------------------------------------------- full composition
 
@@ -491,6 +503,37 @@ class TestCompose:
         assert comp.n_knowledge == 18  # 20 positions - 2 context tokens
         assert comp.n_text == 2
         assert "truncating" in caplog.text
+
+    def test_text_is_cut_so_image_rows_fit(self, vocab, rng, caplog):
+        params = _composer_params(rng, n_blocks=0)  # 20 positions
+        feats = np.random.default_rng(1).normal(size=(2, 3))
+        for n_text in (19, 20, 25):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                comp = compose([], ["the"] * n_text, feats, TUPLES, vocab,
+                               params)
+            assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (0, 18, 2)
+            # a single warning, and none about knowledge that was empty
+            assert [r.getMessage() for r in caplog.records] == [
+                f"embed_tokens: truncating {n_text} tokens to 18"]
+            expect = (project_image_features(feats, params.image_proj).data
+                      + params.table.position.data[18:])
+            np.testing.assert_array_equal(comp.T_t.data[18:], expect)
+
+    def test_image_rows_alone_past_the_table_are_cut(self, vocab, rng,
+                                                     caplog):
+        params = _composer_params(rng, n_blocks=0)
+        feats = np.random.default_rng(1).normal(size=(22, 3))
+        with caplog.at_level("WARNING"):
+            comp = compose(["domain"], ["the"], feats, [], vocab, params)
+        assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (0, 0, 20)
+        assert [r.getMessage() for r in caplog.records] == [
+            "compose: truncating image rows 22 -> 20",
+            "embed_tokens: truncating 1 tokens to 0",
+            "compose: truncating knowledge tokens 1 -> 0"]
+        expect = (project_image_features(feats[:20], params.image_proj).data
+                  + params.table.position.data)
+        np.testing.assert_array_equal(comp.T_t.data, expect)
 
     def test_deterministic(self, vocab, rng):
         params = _composer_params(rng)

@@ -482,9 +482,8 @@ def test_cached_steps_match_teacher_forced_rows(seed, d, n_blocks,
             cache.select(parents)
             prefixes = [prefixes[p] + [int(rng.integers(0, V))]
                         for p in parents]
-            E_y = ad.add_row(ad.take_rows(table.token,
-                                          [p[-1] for p in prefixes]),
-                             ad.slice_rows(table.position, j, j + 1))
+            E_y = ad.add(ad.take_rows(table.token, [p[-1] for p in prefixes]),
+                         ad.take_rows(table.position, [j] * hypotheses))
             z = decode_states(setting["T_c"], setting["E_k"], E_y, blocks,
                               scale, cache)
             got = predict_token(semantic_enhance(z, setting["T_sem"],

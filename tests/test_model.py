@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from kgdialog.acquire import DialogContext, acquire_text_attributes
-from kgdialog.composer import Vocabulary
+from kgdialog.composer import Vocabulary, linearize_attributes
 from kgdialog.config import TrainingConfig
-from kgdialog.corpus import make_synthetic_corpus
+from kgdialog.corpus import DialogPair, make_synthetic_corpus
 from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
 from kgdialog.model import (DialogModel, build_model, build_vocabulary,
                             checkpoint_doc, init_params, load_checkpoint,
                             model_from_doc, params_from_doc, params_to_doc,
                             save_checkpoint)
+from kgdialog.training import train_model
 
 CFG = TrainingConfig(dim=8, enc_blocks=1, dec_blocks=1, n_latent=2,
                      mlp_hidden=12, max_seq_len=64, seed=5)
@@ -291,3 +292,34 @@ class TestModelFromDoc:
         m = build_model(vocab, syn.kb, CFG)
         loss, parts = m.loss_pair(syn.pairs[0].context, syn.pairs[0].response)
         assert np.isfinite(parts["total"])
+
+
+def test_context_past_position_table_trains_and_generates(caplog):
+    """Text plus image rows longer than the position table: the text is cut
+    so the image rows keep their positions, each cut warns once, and the
+    knowledge warning fires only when knowledge tokens are dropped."""
+    cfg = TrainingConfig(dim=8, enc_blocks=1, dec_blocks=1, n_latent=2,
+                         max_seq_len=16, max_gen_len=4)
+    syn = make_synthetic_corpus(1)
+    vocab = build_vocabulary([list(p.context.text_tokens) + list(p.response)
+                              for p in syn.pairs], syn.kb)
+    model = build_model(vocab, syn.kb, cfg)
+    image = syn.pairs[7].context.image_features
+    mentions = syn.pairs[2].context.text_tokens  # 14 tokens naming an entity
+    for n_text in (15, 16, 20):
+        for words in (("the",) * n_text,
+                      mentions + ("the",) * (n_text - len(mentions))):
+            ctx = DialogContext(words, np.repeat(image, 2, axis=0))
+            knowledge = len(linearize_attributes(model.acquire(ctx)[0]))
+            want = [f"embed_tokens: truncating {n_text} tokens to 14"]
+            if knowledge:
+                want.append(f"compose: truncating knowledge tokens "
+                            f"{knowledge} -> 0")
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="kgdialog"):
+                reply = model.generate_response(ctx)
+                result = train_model(model, [DialogPair(ctx, ("a", "gym"))],
+                                     cfg.replace(epochs=1), log_every=0)
+            assert len(reply) <= cfg.max_gen_len
+            assert np.isfinite(result.epoch_losses).all()
+            assert [r.getMessage() for r in caplog.records] == want * 2
