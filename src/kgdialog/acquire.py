@@ -12,7 +12,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -150,25 +150,22 @@ def _ordered(pairs: Iterable[AcquiredPair]) -> AttributeKnowledge:
     return AttributeKnowledge(tuple(unique[k] for k in sorted(unique)))
 
 
-def _contains_run(haystack: Sequence[str], needle: Sequence[str]) -> bool:
-    n = len(needle)
-    if n == 0 or n > len(haystack):
-        return False
-    needle = list(needle)
-    return any(list(haystack[i:i + n]) == needle
-               for i in range(len(haystack) - n + 1))
-
-
 def acquire_text_attributes(ctx: DialogContext, kb: KnowledgeBase) -> AttributeKnowledge:
     """Attribute pairs of every entity mentioned in the context text.
 
     A mention is the entity's name appearing as a contiguous token run,
-    case-insensitive; both sides pass through the shared tokenizer.
+    case-insensitive; both sides pass through the shared tokenizer. Each
+    name is looked up among the context's token runs no longer than the
+    longest name; a name that tokenizes to nothing is never mentioned.
     """
+    names = [(ent, tuple(tokenize(ent.name))) for ent in kb]
+    longest = max((len(toks) for _, toks in names), default=0)
     ctx_tokens = [t.lower() for t in ctx.text_tokens]
+    runs = {tuple(ctx_tokens[i:i + n]) for n in range(1, longest + 1)
+            for i in range(len(ctx_tokens) - n + 1)}
     found = []
-    for ent in kb:
-        if _contains_run(ctx_tokens, tokenize(ent.name)):
+    for ent, toks in names:
+        if toks in runs:
             found.extend(AcquiredPair(ent.name, p, PROVENANCE_TEXTUAL)
                          for p in ent.attributes)
     return _ordered(found)
@@ -202,11 +199,7 @@ def acquire_visual_attributes(ctx: DialogContext, kb: KnowledgeBase,
     found = []
     for feature in ctx.image_features:
         for ent in kb:
-            try:
-                similarity = entity_similarity(feature, ent)
-            except NoImagesError:
-                continue
-            if similarity > cfg.epsilon:
+            if ent.has_images and entity_similarity(feature, ent) > cfg.epsilon:
                 found.extend(AcquiredPair(ent.name, p, PROVENANCE_VISUAL)
                              for p in ent.attributes)
     return _ordered(found)
@@ -226,6 +219,18 @@ def merge_attribute_knowledge(text_k: AttributeKnowledge,
             seen.add(ap.key())
             merged.append(ap)
     return AttributeKnowledge(tuple(merged))
+
+
+def acquire_attributes(ctx: DialogContext, kb: KnowledgeBase,
+                       cfg: AcquisitionConfig) -> AttributeKnowledge:
+    """The context's attribute knowledge: the textual route, then the
+    visual route when both the context and the KB carry image features,
+    merged so that the textual route wins on repeats."""
+    text_k = acquire_text_attributes(ctx, kb)
+    if not (ctx.image_features.size and kb.feature_dim):
+        return text_k
+    return merge_attribute_knowledge(
+        text_k, acquire_visual_attributes(ctx, kb, cfg))
 
 
 def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],

@@ -25,10 +25,9 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
-from .acquire import (AcquisitionConfig, AttributeKnowledge, DialogContext,
-                      NoImagesError, acquire_text_attributes,
-                      acquire_visual_attributes, merge_attribute_knowledge,
-                      order_tuples, tokenize, walk_relations)
+from .acquire import (AcquisitionConfig, DialogContext, NoImagesError,
+                      acquire_attributes, order_tuples, tokenize,
+                      walk_relations)
 from .config import TrainingConfig
 from .corpus import (CorpusFormatError, make_synthetic_corpus,
                      pair_from_record, save_corpus_records, save_kb_doc)
@@ -255,16 +254,12 @@ def _cmd_walk(args) -> int:
 def _cmd_retrieve(args) -> int:
     kb = _load_kb(args.kb)
     ctx = _context_from_args(args)
-    text_k = acquire_text_attributes(ctx, kb)
-    visual_k = AttributeKnowledge(())
-    if ctx.image_features.size and kb.feature_dim:
-        cfg = AcquisitionConfig(epsilon=args.epsilon)
-        visual_k = acquire_visual_attributes(ctx, kb, cfg)
-    merged = merge_attribute_knowledge(text_k, visual_k)
+    knowledge = acquire_attributes(ctx, kb,
+                                   AcquisitionConfig(epsilon=args.epsilon))
     lines = [json.dumps({"entity": ap.source_entity,
                          "type": ap.pair.attribute_type,
                          "value": ap.pair.value, "provenance": ap.provenance},
-                        sort_keys=True) for ap in merged]
+                        sort_keys=True) for ap in knowledge]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

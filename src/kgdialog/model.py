@@ -17,9 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .acquire import (AcquisitionConfig, AttributeKnowledge, DialogContext,
-                      RelationTuple, acquire_text_attributes,
-                      acquire_visual_attributes, merge_attribute_knowledge,
-                      tokenize, walk_relations)
+                      RelationTuple, acquire_attributes, tokenize,
+                      walk_relations)
 from .autodiff import Tensor
 from .composer import (AttentionParams, ComposedRepresentation,
                        ComposerParams, EmbeddingTable, EncoderBlockParams,
@@ -252,16 +251,11 @@ class DialogModel:
 
     def acquire(self, ctx: DialogContext) -> tuple[AttributeKnowledge,
                                                    set[RelationTuple]]:
-        """Run both attribute routes, merge, and mine relation tuples from
-        the mentioned entities (none when relations are disabled). Nothing
-        is cached: each call walks the graph again, visiting about
+        """Acquire attribute knowledge and mine relation tuples from the
+        mentioned entities (none when relations are disabled). Nothing is
+        cached: each call walks the graph again, visiting about
         d^(max_hops-1) prefixes per seed for out-degree d."""
-        text_k = acquire_text_attributes(ctx, self.kb)
-        if ctx.image_features.size and self.kb.feature_dim:
-            visual_k = acquire_visual_attributes(ctx, self.kb, self.acq)
-        else:
-            visual_k = AttributeKnowledge(())
-        knowledge = merge_attribute_knowledge(text_k, visual_k)
+        knowledge = acquire_attributes(ctx, self.kb, self.acq)
         if self.cfg.use_relations:
             seeds = {name.strip() for name in knowledge.source_entities()}
             tuples = walk_relations(self.graph, seeds, self.acq)
