@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .decoder import LossWeights
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -51,8 +53,7 @@ class TrainingConfig:
             raise ValueError("max_hops must be >= 1")
         if self.max_tuples < 1:
             raise ValueError("max_tuples must be >= 1")
-        if min(self.lam, self.gamma, self.beta) < 0:
-            raise ValueError("loss weights must be non-negative")
+        LossWeights(self.lam, self.gamma, self.beta)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
@@ -73,11 +74,30 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - names)
+        """Build from a decoded JSON object (a config file or checkpoint),
+        checking each value's JSON type against its field."""
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(d) - set(kinds))
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in d.items():
+            if not _JSON_TYPE_OK[kinds[name]](value):
+                raise ValueError(f"config field {name!r} must be "
+                                 f"{kinds[name]}, got {value!r}")
         return cls(**d)
 
     def replace(self, **overrides) -> "TrainingConfig":
         return dataclasses.replace(self, **overrides)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field annotation (a string under postponed evaluation) -> accepted values.
+_JSON_TYPE_OK = {
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+}

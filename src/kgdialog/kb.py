@@ -69,7 +69,8 @@ class KnowledgeBase:
     """Immutable collection of entities keyed by unique name.
 
     ``feature_dim`` is the shared dimensionality of all image feature
-    vectors, or 0 when no entity carries any.
+    vectors, or 0 when no entity carries any. Every image feature row must
+    have non-zero norm.
     """
 
     def __init__(self, entities: Iterable[Entity]):
@@ -87,6 +88,12 @@ class KnowledgeBase:
                     raise KBFormatError(
                         f"entity {ent.name!r} at position {position}: image "
                         f"feature dimension {d} != {feature_dim} seen earlier")
+                norms = np.linalg.norm(ent.image_features, axis=1)
+                zero = np.flatnonzero(norms == 0.0)
+                if zero.size:  # cosine similarity with it is undefined
+                    raise KBFormatError(
+                        f"entity {ent.name!r} at position {position}: image "
+                        f"feature row {zero[0]} has zero norm")
             store[ent.name] = ent
         self._entities = store
         self.feature_dim = feature_dim

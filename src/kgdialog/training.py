@@ -90,7 +90,18 @@ def train(pairs: list[DialogPair], kb: KnowledgeBase,
 
 def train_model(model: DialogModel, pairs: list[DialogPair],
                 cfg: TrainingConfig, log_every: int = 10) -> TrainResult:
-    """Optimization loop over an existing model (see :func:`train`)."""
+    """Optimization loop over an existing model (see :func:`train`).
+
+    Every pair's decoder prefix (the start marker plus the response) must
+    fit the position table; this is checked before the first update.
+    """
+    limit = model.params.table.max_len
+    for index, pair in enumerate(pairs):
+        if len(pair.response) + 1 > limit:
+            raise ValueError(
+                f"pair {index}: response needs {len(pair.response) + 1} "
+                f"decoder positions (start marker included), but "
+                f"max_seq_len is {limit}")
     tensors = model.params.all_tensors()
     optimizer = Adam(tensors, cfg.learning_rate)
     result = TrainResult(model=model)

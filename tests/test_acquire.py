@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdialog.acquire import (AcquisitionConfig, AttributeKnowledge,
-                              DialogContext, NoImagesError, RelationTuple,
-                              acquire_text_attributes,
+from kgdialog.acquire import (PROVENANCE_TEXTUAL, AcquisitionConfig,
+                              AttributeKnowledge, DialogContext,
+                              NoImagesError, RelationTuple,
+                              acquire_attributes, acquire_text_attributes,
                               acquire_visual_attributes, entity_similarity,
                               linearize_tuple, merge_attribute_knowledge,
                               order_tuples, tokenize, walk_relations)
+from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.kb import (AttributeValuePair, Entity, KnowledgeBase,
                          KnowledgeGraph, build_graph)
 
@@ -60,27 +62,51 @@ def test_text_route_empty_when_nothing_mentioned():
     assert acquire_text_attributes(ctx, kb) == AttributeKnowledge(())
 
 
-def test_text_route_matches_exhaustive_scan_oracle():
-    rng = np.random.default_rng(11)
-    names = [f"place {i}" for i in range(12)]
-    entities = [Entity(n, _pairs(*[(f"t{j}", f"v{rng.integers(0, 4)}")
-                                   for j in range(3)])) for n in names]
-    kb = KnowledgeBase(entities)
-    for trial in range(20):
-        words = [str(w) for w in rng.choice(
-            ["place", "0", "3", "visit", "the", "7", "nice"], size=10)]
-        ctx = DialogContext(tuple(words))
-        got = acquire_text_attributes(ctx, kb)
-        # oracle: scan every name over every start offset, collect the union
-        expected = set()
-        for ent in kb:
-            toks = tokenize(ent.name)
-            hits = [i for i in range(len(words) - len(toks) + 1)
-                    if [w.lower() for w in words[i:i + len(toks)]] == toks]
-            if hits:
-                expected |= {(ent.name, p.attribute_type, p.value)
-                             for p in ent.attributes}
-        assert {ap.key() for ap in got} == expected
+# Words for names and contexts: "site"/"1"/"12" make names that are prefixes
+# of other names, and the mixed case and punctuation go through tokenize.
+_NAME_WORDS = ["site", "1", "12", "Site", "SITE", "café", "o'neil", "st.",
+               "-", "the"]
+_FIXED_NAMES = ["site", "site 1", "site 12", "Mr. Kim's", "   "]  # "   ": no tokens
+
+
+@st.composite
+def _mention_cases(draw):
+    names = draw(st.lists(
+        st.sampled_from(_FIXED_NAMES)
+        | st.lists(st.sampled_from(_NAME_WORDS), min_size=1,
+                   max_size=3).map(" ".join),
+        min_size=1, max_size=6, unique=True))
+    # chunks of the context are whole names (so mentions repeat) or filler
+    chunks = draw(st.lists(
+        st.sampled_from(names).map(tokenize)
+        | st.lists(st.sampled_from(["site", "1", "12", "near", "!"]),
+                   max_size=2),
+        max_size=6))
+    words = [w for chunk in chunks for w in chunk]
+    upper = draw(st.lists(st.booleans(), min_size=len(words),
+                          max_size=len(words)))
+    return names, [w.upper() if up else w for w, up in zip(words, upper)]
+
+
+@given(_mention_cases())
+@settings(max_examples=200, deadline=None)
+def test_text_route_matches_exhaustive_scan_oracle(case):
+    names, words = case
+    kb = KnowledgeBase(Entity(n, _pairs(("t", f"v{i}"), ("u", "w")))
+                       for i, n in enumerate(names))
+    got = acquire_text_attributes(DialogContext(tuple(words)), kb)
+    # oracle: scan every name over every start offset, collect the union;
+    # a name without tokens is never mentioned
+    expected = set()
+    for ent in kb:
+        toks = tokenize(ent.name)
+        hits = [i for i in range(len(words) - len(toks) + 1)
+                if [w.lower() for w in words[i:i + len(toks)]] == toks]
+        if toks and hits:
+            expected |= {(ent.name, p.attribute_type, p.value)
+                         for p in ent.attributes}
+    assert [ap.key() for ap in got] == sorted(expected)
+    assert {ap.provenance for ap in got} <= {PROVENANCE_TEXTUAL}
 
 
 def test_attribute_knowledge_order_is_deterministic():
@@ -225,6 +251,23 @@ def test_merge_matches_set_union_oracle():
         union = {ap.key() for ap in a} | {ap.key() for ap in b}
         assert {ap.key() for ap in merged} == union
         assert len(merged) == len(union)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("with_images", [True, False])
+def test_acquire_attributes_equals_gated_route_sequence(seed, with_images):
+    syn = make_synthetic_corpus(seed, with_images=with_images)
+    cfg = AcquisitionConfig()
+    for pair in syn.pairs:
+        ctx = pair.context
+        # the sequence acquire_attributes replaced: text route, visual route
+        # gated on image features, then merge
+        text_k = acquire_text_attributes(ctx, syn.kb)
+        visual_k = AttributeKnowledge(())
+        if ctx.image_features.size and syn.kb.feature_dim:
+            visual_k = acquire_visual_attributes(ctx, syn.kb, cfg)
+        expected = merge_attribute_knowledge(text_k, visual_k)
+        assert acquire_attributes(ctx, syn.kb, cfg) == expected
 
 
 # --------------------------------------------------------------------- walks

@@ -117,6 +117,16 @@ def test_ingest_bad_schema_exits_one(tmp_path, capsys):
     assert "name" in capsys.readouterr().err
 
 
+def test_ingest_zero_norm_image_row_exits_one(tmp_path, capsys):
+    bad = tmp_path / "zero.json"
+    bad.write_text(json.dumps([
+        {"name": "a", "attributes": [{"type": "t", "value": "v"}],
+         "image_features": [[1.0, 0.0]]},
+        {"name": "b", "image_features": [[0.0, 0.0]]}]))
+    assert run_cli(["ingest", "--kb", str(bad)]) == 1
+    assert "'b'" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- walk
 
 def test_walk_toy_kb_yields_single_tuple_line(ws, capsys):
@@ -167,6 +177,26 @@ def test_retrieve_lists_attributes_of_mentioned_entity(ws, capsys):
     rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert {"entity": "A", "type": "near", "value": "B",
             "provenance": "textual"} in rows
+
+
+def test_retrieve_with_features_lists_textual_then_visual(tmp_path, capsys):
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps([
+        {"name": "A", "attributes": [{"type": "domain", "value": "mall"}],
+         "image_features": [[1.0, 0.0]]},
+        {"name": "B", "attributes": [{"type": "area", "value": "east"},
+                                     {"type": "domain", "value": "cafe"}],
+         "image_features": [[0.0, 1.0]]},
+        {"name": "C", "attributes": [{"type": "domain", "value": "zoo"}]}]))
+    feats = tmp_path / "feats.json"
+    feats.write_text(json.dumps([[0.1, 1.0], [1.0, 0.0]]))
+    assert run_cli(["retrieve", "--kb", str(kb), "--text", "is a open?",
+                    "--features", str(feats)]) == 0
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    # A is both mentioned and seen: its textual pair wins the repeat
+    assert [(r["entity"], r["value"], r["provenance"]) for r in rows] == [
+        ("A", "mall", "textual"),
+        ("B", "east", "visual"), ("B", "cafe", "visual")]
 
 
 def test_retrieve_without_context_exits_one(ws, capsys):
@@ -240,6 +270,21 @@ def test_train_unknown_config_field_exits_one(ws, tmp_path, capsys):
     assert run_cli(["train", "--data", str(ws["bundle"]),
                     "--config", str(cfg)]) == 1
     assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"max_tuples": None}, "'max_tuples' must be int"),
+    ({"dim": "8"}, "'dim' must be int"),
+    ({"epochs": 1.5}, "'epochs' must be int"),
+    ({"use_relations": "no"}, "'use_relations' must be bool"),
+])
+def test_train_config_value_of_wrong_type_exits_one(ws, tmp_path, capsys,
+                                                    fields, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    assert run_cli(["train", "--data", str(ws["bundle"]),
+                    "--config", str(cfg), *FAST_FLAGS[2:]]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_train_without_corpus_exits_one(ws, capsys):

@@ -55,6 +55,18 @@ def test_parse_kb_rejects_inconsistent_feature_dims():
         parse_kb(doc)
 
 
+def test_kb_rejects_zero_norm_image_row():
+    # one such row used to make every visual acquisition raise
+    doc = _doc([{"name": "a", "attributes": [{"type": "t", "value": "v"}],
+                 "image_features": [[1.0, 0.0]]},
+                {"name": "b", "image_features": [[1.0, 1.0], [0.0, 0.0]]}])
+    with pytest.raises(KBFormatError, match="'b' at position 1.*row 1 has "
+                                            "zero norm"):
+        parse_kb(doc)
+    with pytest.raises(KBFormatError, match="'b'"):
+        KnowledgeBase([Entity("b", (), np.zeros((1, 2)))])
+
+
 def test_parse_kb_infers_feature_dim_and_accepts_file_objects(tmp_path):
     doc = _doc([{"name": "A", "image_features": [[0.1, 0.2, 0.3]]},
                 {"name": "B"}])

@@ -4,7 +4,7 @@ import pytest
 
 from kgdialog.autodiff import Tensor
 from kgdialog.config import TrainingConfig
-from kgdialog.corpus import make_synthetic_corpus
+from kgdialog.corpus import DialogPair, make_synthetic_corpus
 from kgdialog.model import build_model, build_vocabulary, model_from_doc, \
     checkpoint_doc
 from kgdialog.training import (Adam, TrainingDiverged, evaluate,
@@ -133,6 +133,21 @@ class TestTrain:
         assert result.model is model
         after = checkpoint_doc(model)
         assert before["params"] != after["params"]
+
+    def test_response_past_position_table_rejected_before_any_update(
+            self, tiny):
+        cfg = FAST.replace(epochs=1, batch_size=1, max_seq_len=8,
+                           max_gen_len=8)
+        context = tiny.pairs[0].context
+        pairs = [DialogPair(context, ("a",) * 7),   # 8 prefix rows: fits
+                 DialogPair(context, ("a",) * 8)]   # 9 prefix rows: too long
+        model = build_model(_vocab(pairs, tiny.kb), tiny.kb, cfg)
+        before = {n: t.data.copy() for n, t in model.params.named().items()}
+        with pytest.raises(ValueError, match=r"pair 1: response needs 9 .*"
+                                             r"max_seq_len is 8"):
+            train_model(model, pairs, cfg, log_every=0)
+        for name, t in model.params.named().items():
+            np.testing.assert_array_equal(t.data, before[name])
 
 
 @pytest.fixture(scope="module")
