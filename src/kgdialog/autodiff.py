@@ -15,10 +15,14 @@ heavy composites are single nodes with hand-written backwards:
 ``linear``, ``attention`` (scaled, causal or plain softmax(q k^T) v),
 ``segment_attention``, ``gate`` (the two-way softmax mix), ``layer_norm``,
 ``softmax_rows``, ``mean_rows``, ``cross_entropy_loss`` and
-``sum_squares``. The attention weights that ``attention`` returns, and the
-row weights that ``gate`` returns, are data-only tensors: they carry no
-graph, and gradients flow through the op's main output alone. The only
-module state is the ``no_grad`` switch.
+``frobenius_distance_sq``. The attention weights that ``attention``
+returns, and the row weights that ``gate`` returns, are data-only tensors:
+they carry no graph, and gradients flow through the op's main output alone.
+
+Trainable leaves live in a ``ParamBuffer``: their values are views into one
+flat array and their gradients accumulate into views of a second, so the
+optimizer and the ``squared_norm`` penalty each work on the whole buffer in
+a few numpy calls. The only module state is the ``no_grad`` switch.
 """
 from __future__ import annotations
 
@@ -31,6 +35,10 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-12
+# Entries per pass of a whole-buffer update (256 KB per float64 array), so
+# that a block of every array it touches stays in cache across its numpy
+# calls; NVIDIA apex's multi-tensor apply chunks its flat lists likewise.
+BLOCK = 1 << 15
 
 _grad_enabled = True
 
@@ -55,7 +63,8 @@ class Tensor:
     the owner resets it; repeated ``backward`` runs therefore add up.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_gview")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -70,6 +79,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        # this tensor's view of its ParamBuffer's flat gradient, if any
+        self._gview: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -83,10 +94,13 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         # the first contribution is copied, never aliased: backward closures
         # hand the same array to several parents
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self._gview is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
-            self.grad += g
+            self._gview[...] = g
+            self.grad = self._gview
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -130,13 +144,94 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data)
+          backward: Callable[[np.ndarray], None] | None) -> Tensor:
+    """An op output over ``data``, which the op has already made a 2-D
+    float64 array, so the slots are filled without ``Tensor``'s checks."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out._gview = data, None, None
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out.requires_grad, out._parents, out._backward = True, parents, backward
+    else:
+        out.requires_grad, out._parents, out._backward = False, (), None
     return out
+
+
+class ParamBuffer:
+    """Trainable leaf tensors stored back to back in one flat array.
+
+    Joining copies each tensor's values into ``values`` and rebinds its
+    ``data`` to its view there, so code that writes parameters must write
+    into ``t.data[...]``. The flat gradient ``grads`` is made on first use
+    by ``collect_grads``, with ``scratch``, one ``BLOCK`` of work space for
+    whole-buffer updates, which run block by block over ``spans()``; from
+    then on each tensor's first gradient contribution of a backward pass is
+    copied into its view of ``grads``, and later ones add there.
+    ``release_grads`` drops both again. Two buffers never share memory.
+    """
+
+    __slots__ = ("tensors", "sizes", "values", "grads", "scratch")
+
+    def __init__(self, tensors: Sequence[Tensor]):
+        self.tensors = tuple(tensors)
+        for i, t in enumerate(self.tensors):
+            if not t.requires_grad:
+                raise ValueError(f"ParamBuffer: tensor {i} does not "
+                                 f"require gradients")
+            if t.data.base is not None:
+                raise ValueError(f"ParamBuffer: tensor {i}'s values are a "
+                                 f"view of another array (a ParamBuffer's, "
+                                 f"say); give it an array of its own")
+        self.sizes = [t.data.size for t in self.tensors]
+        self.values = np.zeros(sum(self.sizes))
+        self.grads: np.ndarray | None = None
+        self.scratch: np.ndarray | None = None
+        for t, view in zip(self.tensors, self._views(self.values)):
+            view[...] = t.data
+            t.data = view
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        bounds = np.cumsum([0] + self.sizes)
+        return [flat[lo:hi].reshape(t.data.shape)
+                for t, lo, hi in zip(self.tensors, bounds[:-1], bounds[1:])]
+
+    def collect_grads(self, fill: bool = False) -> list[bool]:
+        """Gather every tensor's gradient into its view of ``grads`` (made
+        here on first use; a gradient assigned directly is copied in) and
+        return which tensors had one. ``fill`` zeroes the views of the
+        others and makes those their gradients."""
+        if self.grads is None:
+            self.grads = np.zeros(self.values.size)
+            self.scratch = np.empty(min(BLOCK, self.values.size))
+            for t, view in zip(self.tensors, self._views(self.grads)):
+                t._gview = view
+        reached = []
+        for t in self.tensors:
+            g = t.grad
+            reached.append(g is not None)
+            if g is t._gview or (g is None and not fill):
+                continue
+            if g is None:
+                t._gview.fill(0.0)
+            else:
+                t._gview[...] = g
+            t.grad = t._gview
+        return reached
+
+    def spans(self) -> list[slice]:
+        """The runs of at most ``BLOCK`` entries that cover the buffer."""
+        n = self.values.size
+        return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
+
+    def zero_grad(self) -> None:
+        for t in self.tensors:
+            t.grad = None
+
+    def release_grads(self) -> None:
+        """Drop the flat gradient, the scratch array and every tensor's
+        gradient; the next ``collect_grads`` makes them afresh."""
+        self.grads = self.scratch = None
+        for t in self.tensors:
+            t.grad = t._gview = None
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -156,18 +251,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accum(g)
 
     return _node(a.data + b.data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(-g)
-
-    return _node(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -239,17 +322,30 @@ def sum_all(x: Tensor) -> Tensor:
     return _node(np.array([[x.data.sum()]]), (x,), backward)
 
 
-def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum of the squared entries of every tensor, as one scalar node."""
-    tensors = tuple(tensors)
+def squared_norm(params: ParamBuffer) -> Tensor:
+    """Sum of the squared entries of every tensor in ``params``, as one
+    scalar node: a dot product of the flat values with themselves.
+
+    Its backward adds 2 g p to the flat gradient, after giving every tensor
+    a gradient. The node links no parents, so it adds no leaves to the
+    graph; in reverse topological order it runs after every op that also
+    reaches the parameters, as the penalty always has."""
+    values = params.values
 
     def backward(g):
-        for t in tensors:
-            if t.requires_grad:
-                t._accum(2.0 * g[0, 0] * t.data)
+        params.collect_grads(fill=True)
+        c, grads = 2.0 * g[0, 0], params.grads
+        for run in params.spans():
+            s = params.scratch[:run.stop - run.start]
+            np.multiply(values[run], c, out=s)
+            grads[run] += s
 
-    total = sum(float((t.data * t.data).sum()) for t in tensors)
-    return _node(np.array([[total]]), tensors, backward)
+    # einsum's own loop rather than a BLAS dot, which OpenBLAS spreads over
+    # threads at this length and which then waits whenever a core is busy
+    out = _node(np.array([[np.einsum("i,i->", values, values)]]), (), None)
+    if _grad_enabled and params.tensors:
+        out.requires_grad, out._backward = True, backward
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -440,7 +536,7 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
                 s_y._accum(gs[:, 1:])
 
     return (_node(x.data * r_x + y.data * r_y, (x, y, s_x, s_y), backward),
-            Tensor(r))
+            _node(r, (), None))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -530,13 +626,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: bool = False,
             if k.requires_grad:
                 k._accum(gl.T @ q.data)
 
-    return _node(weights @ v.data, (q, k, v), backward), Tensor(weights)
+    return (_node(weights @ v.data, (q, k, v), backward),
+            _node(weights, (), None))
 
 
 def frobenius_distance_sq(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of squared elementwise differences, as a scalar graph node."""
+    """Sum of squared elementwise differences, as one scalar node."""
     _check_same_shape(a, b, "frobenius_distance_sq")
-    return sum_squares([sub(a, b)])
+    d = a.data - b.data
+
+    def backward(g):
+        gd = 2.0 * g[0, 0] * d
+        if a.requires_grad:
+            a._accum(gd)
+        if b.requires_grad:
+            b._accum(-gd)
+
+    return _node(np.array([[float((d * d).sum())]]), (a, b), backward)
 
 
 def cross_entropy_loss(probs: Tensor, targets: Sequence[int]) -> Tensor:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .decoder import LossWeights
@@ -54,8 +55,9 @@ class TrainingConfig:
         if self.max_tuples < 1:
             raise ValueError("max_tuples must be >= 1")
         LossWeights(self.lam, self.gamma, self.beta)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:

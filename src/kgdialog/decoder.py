@@ -30,6 +30,7 @@ positions up to float summation order.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,8 +97,12 @@ class LossWeights:
     beta: float = 1e-6
 
     def __post_init__(self):
-        if min(self.lam, self.gamma, self.beta) < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("lam", "gamma", "beta"):
+            value = getattr(self, name)
+            # written so that NaN fails too: every comparison with it is false
+            if not 0 <= value < math.inf:
+                raise ValueError(f"loss weight {name} must be finite and "
+                                 f"non-negative, got {value!r}")
         if self.lam == self.gamma == self.beta == 0:
             raise ValueError("at least one loss weight must be positive")
 
@@ -234,14 +239,14 @@ def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
     return ad.softmax_rows(ad.linear(z_hat, head.w_y, head.b_y))
 
 
-def total_loss(l_ce: Tensor, l_r: Tensor, params: Sequence[Tensor],
+def total_loss(l_ce: Tensor, l_r: Tensor, params: ad.ParamBuffer,
                w: LossWeights) -> Tensor:
     """The combined objective: lam * L_CE + gamma * L_r + beta * penalty,
-    where the penalty is the summed squared entries of every trainable
-    parameter tensor."""
+    where the penalty is the summed squared entries of every parameter in
+    the buffer (one ``squared_norm`` node)."""
     loss = ad.add(ad.mul_scalar(l_ce, w.lam), ad.mul_scalar(l_r, w.gamma))
     if w.beta > 0:
-        loss = ad.add(loss, ad.mul_scalar(ad.sum_squares(params), w.beta))
+        loss = ad.add(loss, ad.mul_scalar(ad.squared_norm(params), w.beta))
     return loss
 
 

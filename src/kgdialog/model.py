@@ -3,14 +3,16 @@
 ``ModelParams`` owns every trainable tensor and exposes a deterministic
 flat name -> Tensor map used for optimization and checkpointing; the
 construction (and therefore random-draw) order is fixed, which is what
-makes fixed-seed runs bit-identical. ``DialogModel`` couples the parameters
+makes fixed-seed runs bit-identical. The tensors' values are views into
+one ``ParamBuffer`` per model, in that name order, which the optimizer and
+the parameter penalty work on whole. ``DialogModel`` couples the parameters
 with a knowledge base to run acquisition, composition, regularization, and
 decoding for single dialog pairs.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +42,8 @@ CHECKPOINT_FORMAT = "kgdialog-checkpoint-v1"
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor, grouped by pipeline stage."""
+    """Every trainable tensor, grouped by pipeline stage, with their values
+    in one flat ``buffer`` in ``named()`` order."""
 
     table: EmbeddingTable
     image_proj: ImageProjectionParams
@@ -51,6 +54,10 @@ class ModelParams:
     sem_composed: SemanticProjectionParams
     sem_truth: SemanticProjectionParams
     decoder: DecoderParams
+    buffer: ad.ParamBuffer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.buffer = ad.ParamBuffer(self.named().values())
 
     def composer(self) -> ComposerParams:
         return ComposerParams(table=self.table, image_proj=self.image_proj,
@@ -100,7 +107,7 @@ class ModelParams:
         return out
 
     def all_tensors(self) -> list[Tensor]:
-        return list(self.named().values())
+        return list(self.buffer.tensors)
 
 
 def _add_attn(out: dict, prefix: str, attn: AttentionParams) -> None:
@@ -176,7 +183,8 @@ def params_to_doc(named: dict[str, Tensor]) -> dict:
 
 
 def params_from_doc(named: dict[str, Tensor], doc: dict) -> None:
-    """Load a parameter map into existing tensors, validating names/shapes."""
+    """Load a parameter map into existing tensors, validating names/shapes;
+    the values are copied into the tensors' arrays, never rebound."""
     missing = sorted(set(named) - set(doc))
     extra = sorted(set(doc) - set(named))
     if missing or extra:
@@ -186,7 +194,7 @@ def params_from_doc(named: dict[str, Tensor], doc: dict) -> None:
         shape = tuple(entry["shape"])
         if shape != t.shape:
             raise ValueError(f"checkpoint {name}: shape {shape} != {t.shape}")
-        t.data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        t.data[...] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
 
 
 def checkpoint_doc(model: "DialogModel") -> dict:
@@ -331,7 +339,7 @@ class DialogModel:
             ctx, response_tokens, enhance_with="truth", comp=comp)
         l_ce = ad.cross_entropy_loss(probs, targets)
         l_r = regularization_loss(T_r_sem, T_c_sem)
-        loss = total_loss(l_ce, l_r, self.params.all_tensors(), self.weights)
+        loss = total_loss(l_ce, l_r, self.params.buffer, self.weights)
         parts = {"ce": l_ce.item(), "reg": l_r.item(), "total": loss.item()}
         return loss, parts
 

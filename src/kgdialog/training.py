@@ -1,9 +1,17 @@
-"""Optimization loop and evaluation for the dialog model."""
+"""Optimization loop and evaluation for the dialog model.
+
+``Adam`` updates a whole ``autodiff.ParamBuffer`` at once: each step is a
+fixed sequence of in-place numpy calls over the flat values, gradients and
+moments (the multi-tensor "foreach" form of the update), doing the
+per-tensor formula's operations in the same order, so the trained weights
+are the same bits as a loop over the tensors would give.
+"""
 from __future__ import annotations
 
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -22,38 +30,64 @@ class TrainingDiverged(RuntimeError):
 
 
 class Adam:
-    """Adam optimizer over a fixed list of tensors."""
+    """Adam (Kingma & Ba) over one parameter buffer.
 
-    def __init__(self, tensors: list[ad.Tensor], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.tensors = list(tensors)
+    ``params`` is a model's ``ParamBuffer`` or a sequence of standalone
+    tensors, which then join a new buffer. The two moments are flat arrays
+    too, and live as long as the optimizer. A step runs the update's
+    numpy calls block by block over the buffer (see ``ParamBuffer``), in
+    the buffer's scratch block and the consumed gradient.
+    """
+
+    def __init__(self, params: ad.ParamBuffer | Sequence[ad.Tensor],
+                 learning_rate: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        if not isinstance(params, ad.ParamBuffer):
+            params = ad.ParamBuffer(params)
+        self.params = params
         self.learning_rate = float(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = [np.zeros_like(t.data) for t in self.tensors]
-        self._v = [np.zeros_like(t.data) for t in self.tensors]
+        self._m = np.zeros(params.values.size)
+        self._v = np.zeros(params.values.size)
 
     def step(self) -> None:
-        """Apply one bias-corrected update from accumulated gradients."""
+        """Apply one bias-corrected update from the accumulated gradients,
+        skipping tensors that have none, and consume the gradients: the
+        flat gradient serves as scratch, so every tensor's ``grad`` is None
+        afterwards."""
         self.step_count += 1
-        correct1 = 1 - self.beta1 ** self.step_count
-        correct2 = 1 - self.beta2 ** self.step_count
-        for i, tensor in enumerate(self.tensors):
-            g = tensor.grad
-            if g is None:
-                continue
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * g * g
-            m_hat = self._m[i] / correct1
-            v_hat = self._v[i] / correct2
-            tensor.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        correct1 = 1 - b1 ** self.step_count
+        correct2 = 1 - b2 ** self.step_count
+        params = self.params
+        reached = params.collect_grads()
+        mask = None if all(reached) else np.repeat(reached, params.sizes)
+        for run in params.spans():
+            w = True if mask is None else mask[run]
+            p, g, m, v = (params.values[run], params.grads[run],
+                          self._m[run], self._v[run])
+            s = params.scratch[:run.stop - run.start]
+            np.multiply(m, b1, out=m, where=w)      # m = b1 m + (1 - b1) g
+            np.multiply(g, 1 - b1, out=s, where=w)
+            np.add(m, s, out=m, where=w)
+            np.multiply(v, b2, out=v, where=w)      # v = b2 v + (1 - b2) g g
+            np.multiply(g, 1 - b2, out=s, where=w)
+            np.multiply(s, g, out=s, where=w)
+            np.add(v, s, out=v, where=w)
+            np.divide(m, correct1, out=g, where=w)  # lr m_hat
+            np.multiply(g, lr, out=g, where=w)
+            np.divide(v, correct2, out=s, where=w)  # sqrt(v_hat) + eps
+            np.sqrt(s, out=s, where=w)
+            np.add(s, eps, out=s, where=w)
+            np.divide(g, s, out=s, where=w)
+            np.subtract(p, s, out=p, where=w)
+        params.zero_grad()
 
     def zero_grad(self) -> None:
-        for tensor in self.tensors:
-            tensor.grad = None
+        self.params.zero_grad()
 
 
 @dataclass
@@ -102,31 +136,35 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
                 f"pair {index}: response needs {len(pair.response) + 1} "
                 f"decoder positions (start marker included), but "
                 f"max_seq_len is {limit}")
-    tensors = model.params.all_tensors()
-    optimizer = Adam(tensors, cfg.learning_rate)
+    optimizer = Adam(model.params.buffer, cfg.learning_rate)
     result = TrainResult(model=model)
     started = time.monotonic()
-    for epoch in range(cfg.epochs):
-        epoch_total = 0.0
-        optimizer.zero_grad()
-        pending = 0
-        for index, pair in enumerate(pairs):
-            loss, parts = model.loss_pair(pair.context, pair.response)
-            if not np.isfinite(parts["total"]):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} pair {index}: {parts}")
-            loss.backward()
-            epoch_total += parts["total"]
-            pending += 1
-            if pending == cfg.batch_size or index == len(pairs) - 1:
-                optimizer.step()
-                optimizer.zero_grad()
-                pending = 0
-        mean_loss = epoch_total / len(pairs)
-        result.epoch_losses.append(mean_loss)
-        if log_every and (epoch % log_every == 0 or epoch == cfg.epochs - 1):
-            logger.info("epoch %d mean loss %.6f (%.1fs)",
-                        epoch, mean_loss, time.monotonic() - started)
+    try:
+        for epoch in range(cfg.epochs):
+            epoch_total = 0.0
+            optimizer.zero_grad()
+            pending = 0
+            for index, pair in enumerate(pairs):
+                loss, parts = model.loss_pair(pair.context, pair.response)
+                if not np.isfinite(parts["total"]):
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch} "
+                                           f"pair {index}: {parts}")
+                loss.backward()
+                epoch_total += parts["total"]
+                pending += 1
+                if pending == cfg.batch_size or index == len(pairs) - 1:
+                    optimizer.step()
+                    pending = 0
+            mean_loss = epoch_total / len(pairs)
+            result.epoch_losses.append(mean_loss)
+            if log_every and (epoch % log_every == 0
+                              or epoch == cfg.epochs - 1):
+                logger.info("epoch %d mean loss %.6f (%.1fs)",
+                            epoch, mean_loss, time.monotonic() - started)
+    finally:
+        # only the values outlive the run: not the flat gradient, and not
+        # the optimizer's moments (nothing else refers to the optimizer)
+        model.params.buffer.release_grads()
     return result
 
 

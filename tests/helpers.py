@@ -78,8 +78,7 @@ def build_grad_cases(seed: int = 0):
     for r, c in elementwise_shapes:
         a, b = _param(rng, r, c), _param(rng, r, c)
         case(f"add:{r}x{c}", lambda a=a, b=b: _project(ad.add(a, b), 1), [a, b])
-        a2, b2 = _param(rng, r, c), _param(rng, r, c)
-        case(f"sub:{r}x{c}", lambda a=a2, b=b2: _project(ad.sub(a, b), 2), [a2, b2])
+        _param(rng, r, c), _param(rng, r, c)  # the deleted sub op's draws
         a3, b3 = _param(rng, r, c), _param(rng, r, c)
         case(f"mul:{r}x{c}", lambda a=a3, b=b3: _project(ad.mul(a, b), 3), [a3, b3])
         x = _param(rng, r, c)
@@ -163,9 +162,11 @@ def build_grad_cases(seed: int = 0):
         case(f"frobenius_distance_sq:{r}x{c}",
              lambda a=a, b=b: ad.frobenius_distance_sq(a, b), [a, b])
 
-    for shapes in [[(1, 1)], [(2, 3), (1, 3)], [(3, 2), (1, 4), (2, 2)]]:
-        xs = [_param(rng, r, c) for r, c in shapes]
-        case(f"sum_squares:{shapes}", lambda xs=xs: ad.sum_squares(xs), xs)
+    # drawn here, where the deleted sum_squares op drew them; their
+    # squared_norm cases are appended last
+    norm_inputs = [(shapes, [_param(rng, r, c) for r, c in shapes])
+                   for shapes in [[(1, 1)], [(2, 3), (1, 3)],
+                                  [(3, 2), (1, 4), (2, 2)]]]
 
     for (steps, v) in [(1, 3), (3, 5), (4, 2)]:
         logits = _param(rng, steps, v)
@@ -200,6 +201,11 @@ def build_grad_cases(seed: int = 0):
         case(f"gate:{n}x{d}",
              lambda x=x, y=y, s_x=s_x, s_y=s_y:
              _project(ad.gate(x, y, s_x, s_y)[0], 24), [x, y, s_x, s_y])
+
+    for shapes, xs in norm_inputs:
+        buf = ad.ParamBuffer(xs)
+        case(f"squared_norm:{shapes}", lambda buf=buf: ad.squared_norm(buf),
+             xs)
 
     return cases
 
@@ -368,7 +374,7 @@ def build_composite_grad_cases(seed: int = 1):
         a, b = _param(rng, d, d), _param(rng, d, d)
         # ``a`` is both regularized and penalized: its gradient sums both
         extra = [_param(rng, 2, d), _param(rng, 1, d)]
-        penalized = extra + [a]
+        penalized = ad.ParamBuffer(extra + [a])
 
         def loss_fn(logits=logits, targets=targets, a=a, b=b,
                     penalized=penalized, weights=weights):

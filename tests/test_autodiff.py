@@ -28,14 +28,17 @@ def test_forward_values_match_numpy():
     b = ad.Tensor(rng.standard_normal((3, 4)))
     m = ad.Tensor(rng.standard_normal((4, 2)))
     np.testing.assert_array_equal(ad.add(a, b).data, a.data + b.data)
-    np.testing.assert_array_equal(ad.sub(a, b).data, a.data - b.data)
     np.testing.assert_array_equal(ad.mul(a, b).data, a.data * b.data)
     np.testing.assert_array_equal(ad.matmul(a, m).data, a.data @ m.data)
     np.testing.assert_array_equal(ad.tanh(a).data, np.tanh(a.data))
     assert ad.sum_all(a).item() == pytest.approx(a.data.sum())
-    assert ad.sum_squares([a, m]).item() == pytest.approx(
+    d = a.data - b.data
+    assert ad.frobenius_distance_sq(a, b).item() == float((d * d).sum())
+    p = ad.Tensor(a.data.copy(), requires_grad=True)
+    q = ad.Tensor(m.data.copy(), requires_grad=True)
+    assert ad.squared_norm(ad.ParamBuffer([p, q])).item() == pytest.approx(
         np.sum(a.data ** 2) + np.sum(m.data ** 2))
-    assert ad.sum_squares([]).item() == 0.0
+    assert ad.squared_norm(ad.ParamBuffer([])).item() == 0.0
     np.testing.assert_allclose(ad.mean_rows(a).data, a.data.mean(axis=0,
                                                                  keepdims=True))
     np.testing.assert_allclose(ad.mean_rows(a, [1, 2]).data,
@@ -185,7 +188,7 @@ def test_every_op_has_gradient_cases():
     directly or through the named composite or label that exercises it."""
     through = {"attention": "cross_attention",
                "cross_entropy_loss": "cross_entropy"}
-    exempt = {"no_grad", "topo_order", "Tensor"}
+    exempt = {"no_grad", "topo_order", "Tensor", "ParamBuffer"}
     ops = {name for name, f in vars(ad).items()
            if callable(f) and getattr(f, "__module__", None) == ad.__name__
            and not name.startswith("_")}
@@ -317,12 +320,92 @@ def test_penalty_graph_size_does_not_grow_with_tensor_count():
         l_ce = ad.cross_entropy_loss(probs, [0, 1, 2])
         a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         l_r = ad.frobenius_distance_sq(a, ad.Tensor(np.zeros((2, 2))))
-        params = [ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-                  for _ in range(n_penalized)]
+        params = ad.ParamBuffer(
+            [ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+             for _ in range(n_penalized)])
         loss = total_loss(l_ce, l_r, params, weights)
         return sum(1 for node in ad.topo_order(loss) if node._parents)
 
     assert interior_nodes(1) == interior_nodes(100)
+
+
+@pytest.mark.parametrize("block", [3, ad.BLOCK])
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.37])
+def test_penalty_gradient_is_two_beta_p_added_last(beta, block, monkeypatch):
+    """Through ``total_loss``: a tensor reached only by the penalty gets
+    exactly 2 beta p; one also reached by L_r gets exactly its L_r gradient
+    plus 2 beta p, since the penalty's backward runs after every other.
+    A block of 3 entries splits both tensors across blocks."""
+    monkeypatch.setattr(ad, "BLOCK", block)
+    rng = np.random.default_rng(9)
+    a = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    only = ad.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    target = ad.Tensor(rng.standard_normal((3, 2)))
+    l_ce = ad.Tensor([[0.5]])
+    buf = ad.ParamBuffer([only, a])
+
+    def backward(w):
+        for t in (a, only):
+            t.zero_grad()
+        total_loss(l_ce, ad.frobenius_distance_sq(a, target), buf,
+                   w).backward()
+
+    backward(LossWeights(1.0, 0.3, 0.0))
+    assert only.grad is None
+    reg_grad = a.grad.copy()
+    for _ in range(2):  # the second pass reuses the flat gradient's views
+        backward(LossWeights(1.0, 0.3, beta))
+        np.testing.assert_array_equal(only.grad, 2.0 * beta * only.data)
+        np.testing.assert_array_equal(a.grad, reg_grad + 2.0 * beta * a.data)
+        assert only.grad.base is buf.grads and a.grad.base is buf.grads
+
+
+def test_param_buffer_views_and_gradients():
+    rng = np.random.default_rng(10)
+    start = [rng.standard_normal((2, 3)), rng.standard_normal((1, 3))]
+    p, q = (ad.Tensor(x.copy(), requires_grad=True) for x in start)
+    buf = ad.ParamBuffer([p, q])
+    np.testing.assert_array_equal(buf.values,
+                                  np.concatenate([x.ravel() for x in start]))
+    p.data[0, 0] = 7.0                   # writes reach the flat values
+    assert buf.values[0] == 7.0
+    q.grad = np.ones((1, 3))             # assigned directly: copied in
+    assert buf.collect_grads() == [False, True]
+    assert p.grad is None and q.grad.base is buf.grads
+    np.testing.assert_array_equal(buf.grads[6:], 1.0)
+    ad.sum_all(ad.mul(p, p)).backward()  # first contribution: a copy
+    assert p.grad.base is buf.grads
+    np.testing.assert_array_equal(p.grad, 2.0 * p.data)
+    buf.release_grads()
+    assert buf.grads is None and p.grad is None and q.grad is None
+    ad.sum_all(p).backward()             # without the flat gradient
+    assert p.grad.base is None
+
+
+def test_param_buffer_rejects_members_of_another_buffer():
+    p = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    ad.ParamBuffer([p])
+    with pytest.raises(ValueError, match="view of another array"):
+        ad.ParamBuffer([p])
+    with pytest.raises(ValueError, match="does not require gradients"):
+        ad.ParamBuffer([ad.Tensor(np.ones((2, 2)))])
+
+
+def test_frobenius_distance_equals_difference_chain_bit_for_bit():
+    """The one-node op against the subtract-then-square chain it replaced:
+    forward (d * d).sum() of d = a - b, backward 2 g d and -2 g d."""
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (3, 2), (4, 5)]:
+        a = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        c = float(rng.uniform(0.1, 3.0))
+        out = ad.mul_scalar(ad.frobenius_distance_sq(a, b), c)
+        out.backward()
+        d = a.data - b.data
+        assert out.item() == float((d * d).sum()) * c
+        g = 2.0 * (1.0 * c) * d
+        np.testing.assert_array_equal(a.grad, g)
+        np.testing.assert_array_equal(b.grad, -g)
 
 
 # ------------------------------------------------------------ error handling

@@ -287,6 +287,28 @@ def test_train_config_value_of_wrong_type_exits_one(ws, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"lam": float("nan")}, "loss weight lam must be finite"),
+    ({"gamma": float("inf")}, "loss weight gamma must be finite"),
+    ({"beta": float("nan")}, "loss weight beta must be finite"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite"),
+])
+def test_train_config_non_finite_value_exits_one(ws, tmp_path, capsys,
+                                                 fields, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))      # json writes NaN and Infinity
+    assert run_cli(["train", "--data", str(ws["bundle"]), "--epochs", "1",
+                    "--config", str(cfg), *FAST_FLAGS]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_learning_rate_flag_exits_one(ws, capsys, value):
+    assert run_cli(["train", "--data", str(ws["bundle"]), "--epochs", "1",
+                    "--learning-rate", value, *FAST_FLAGS]) == 1
+    assert "learning_rate must be finite" in capsys.readouterr().err
+
+
 def test_train_without_corpus_exits_one(ws, capsys):
     assert run_cli(["train", "--kb", str(ws["kb"])]) == 1
     assert "corpus" in capsys.readouterr().err

@@ -22,3 +22,19 @@ def test_from_dict_accepts_json_types_of_each_field():
                                     "epsilon": 0.5, "use_relations": False})
     assert (cfg.dim, cfg.mlp_hidden, cfg.lam, cfg.use_relations) == \
         (8, None, 1, False)
+
+
+@pytest.mark.parametrize("field", ["lam", "gamma", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_loss_weight_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"loss weight {field} must be "
+                                         f"finite"):
+        TrainingConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_learning_rate_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="learning_rate must be finite and "
+                                         "positive"):
+        TrainingConfig(learning_rate=value)

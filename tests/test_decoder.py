@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
 from kgdialog import decoder
-from kgdialog.autodiff import Tensor
+from kgdialog.autodiff import ParamBuffer, Tensor
 from kgdialog.composer import EmbeddingTable, Vocabulary, embed_indices
 from kgdialog.decoder import (DecodeCache, DecoderParams, LossWeights,
                               OutputHead, SemanticEnhanceParams,
@@ -242,7 +242,7 @@ class TestTotalLoss:
         l_r = Tensor(np.array([[3.0]]))
         p = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         w = LossWeights(lam=0.5, gamma=2.0, beta=0.1)
-        got = total_loss(l_ce, l_r, [p], w).item()
+        got = total_loss(l_ce, l_r, ParamBuffer([p]), w).item()
         expect = 0.5 * 2.0 + 2.0 * 3.0 + 0.1 * float(np.sum(p.data ** 2))
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -251,13 +251,13 @@ class TestTotalLoss:
         l_r = Tensor(np.array([[3.0]]))
         p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         w = LossWeights(lam=1.0, gamma=1.0, beta=0.0)
-        assert total_loss(l_ce, l_r, [p], w).item() == pytest.approx(5.0)
+        assert total_loss(l_ce, l_r, ParamBuffer([p]), w).item() == pytest.approx(5.0)
 
     def test_gamma_zero_detaches_regularizer(self):
         l_ce = Tensor(np.array([[2.0]]))
         l_r = Tensor(np.array([[3.0]]))
         w = LossWeights(lam=1.0, gamma=0.0, beta=0.0)
-        assert total_loss(l_ce, l_r, [], w).item() == pytest.approx(2.0)
+        assert total_loss(l_ce, l_r, ParamBuffer([]), w).item() == pytest.approx(2.0)
 
 
 class TestGenerate:

@@ -1,7 +1,12 @@
 """Tests for the optimizer, training loop, and evaluation helpers."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgdialog import autodiff as ad
 from kgdialog.autodiff import Tensor
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import DialogPair, make_synthetic_corpus
@@ -70,6 +75,58 @@ class TestAdam:
         Adam([p], 0.1).zero_grad()
         assert p.grad is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)),
+                           min_size=1, max_size=5),
+           steps=st.integers(1, 6),
+           lr=st.sampled_from([1e-3, 5e-3, 0.1]),
+           block=st.sampled_from([1, 3, 7, ad.BLOCK]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flat_step_equals_per_tensor_update_bit_for_bit(
+            self, shapes, steps, lr, block, seed):
+        """The whole-buffer step against the per-tensor formula, on
+        gradients given through backward (into the flat views) and by
+        assignment, with tensors that get no gradient at some steps, and
+        with blocks that split tensors."""
+        saved, ad.BLOCK = ad.BLOCK, block
+        try:
+            self._check_flat_step(shapes, steps, lr, seed)
+        finally:
+            ad.BLOCK = saved
+
+    @staticmethod
+    def _check_flat_step(shapes, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        start = [rng.uniform(-1, 1, shape) for shape in shapes]
+        params = [Tensor(x.copy(), requires_grad=True) for x in start]
+        opt = Adam(params, learning_rate=lr)
+        expect = [x.copy() for x in start]
+        m = [np.zeros_like(x) for x in start]
+        v = [np.zeros_like(x) for x in start]
+        for step in range(1, steps + 1):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 3)
+                     if rng.random() < 0.7 else None for shape in shapes]
+            for p, g in zip(params, grads):
+                if g is None:
+                    continue
+                if rng.random() < 0.5:
+                    p.grad = g.copy()
+                else:  # d/dp of sum(p * g) is exactly g
+                    ad.sum_all(ad.mul(p, Tensor(g))).backward()
+            opt.step()
+            assert all(p.grad is None for p in params)
+            c1, c2 = 1 - 0.9 ** step, 1 - 0.999 ** step
+            for i, g in enumerate(grads):
+                if g is None:
+                    continue
+                m[i] = 0.9 * m[i] + (1 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1 - 0.999) * g * g
+                m_hat = m[i] / c1
+                v_hat = v[i] / c2
+                expect[i] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for p, x in zip(params, expect):
+                np.testing.assert_array_equal(p.data, x)
+
 
 class TestTrain:
     def test_empty_corpus_rejected(self, tiny):
@@ -107,8 +164,7 @@ class TestTrain:
         trained = train(pairs, tiny.kb, cfg)
 
         manual = build_model(vocab, tiny.kb, cfg)
-        tensors = manual.params.all_tensors()
-        opt = Adam(tensors, cfg.learning_rate)
+        opt = Adam(manual.params.buffer, cfg.learning_rate)
         for pair in pairs:
             loss, _ = manual.loss_pair(pair.context, pair.response)
             loss.backward()
@@ -133,6 +189,50 @@ class TestTrain:
         assert result.model is model
         after = checkpoint_doc(model)
         assert before["params"] != after["params"]
+
+    def test_model_loaded_from_doc_trains_to_the_same_bytes(self, tiny):
+        cfg = FAST.replace(epochs=2, batch_size=2)
+        vocab = _vocab(tiny.pairs, tiny.kb)
+        saved = build_model(vocab, tiny.kb, cfg)
+        train_model(saved, tiny.pairs[:3], cfg.replace(epochs=1))
+        loaded = model_from_doc(json.loads(json.dumps(checkpoint_doc(saved))),
+                                tiny.kb)
+        for t in loaded.params.all_tensors():
+            assert t.data.base is loaded.params.buffer.values
+        a = train_model(saved, tiny.pairs, cfg)
+        b = train_model(loaded, tiny.pairs, cfg)
+        assert a.epoch_losses == b.epoch_losses
+        assert json.dumps(checkpoint_doc(saved)) == \
+            json.dumps(checkpoint_doc(loaded))
+
+    def test_two_models_share_no_values_or_gradients(self, tiny):
+        cfg = FAST.replace(epochs=1, batch_size=2)
+        vocab = _vocab(tiny.pairs, tiny.kb)
+        a, b = (build_model(vocab, tiny.kb, cfg) for _ in range(2))
+        fresh = b.params.buffer.values.copy()
+        train_model(a, tiny.pairs[:4], cfg)
+        np.testing.assert_array_equal(b.params.buffer.values, fresh)
+        assert not np.array_equal(a.params.buffer.values, fresh)
+        pair = tiny.pairs[0]
+        a.loss_pair(pair.context, pair.response)[0].backward()
+        grads_a = [t.grad.copy() for t in a.params.all_tensors()]
+        b.loss_pair(pair.context, pair.response)[0].backward()
+        for t, g in zip(a.params.all_tensors(), grads_a):
+            np.testing.assert_array_equal(t.grad, g)
+        assert not np.shares_memory(a.params.buffer.values,
+                                    b.params.buffer.values)
+        assert not np.shares_memory(a.params.buffer.grads,
+                                    b.params.buffer.grads)
+        train_model(b, tiny.pairs[:4], cfg)
+        np.testing.assert_array_equal(b.params.buffer.values,
+                                      a.params.buffer.values)
+
+    def test_only_the_values_outlive_training(self, tiny):
+        model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
+        train_model(model, tiny.pairs[:2], FAST.replace(epochs=1))
+        assert model.params.buffer.grads is None
+        assert all(t.grad is None and t._gview is None
+                   for t in model.params.all_tensors())
 
     def test_response_past_position_table_rejected_before_any_update(
             self, tiny):
