@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Compare this checkout with an earlier revision on one benchmark workload.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --workload train \\
+        --seeds 901 902 903 904 905 906 907 908 909 910 --seconds 30 \\
+        --out BENCH_13.json
+
+The parent revision's committed files are exported (``git archive``) into a
+temporary directory, which is removed on exit; the repository itself is not
+touched. Each seed is one pair of runs of
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+one in each tree, one after the other; the side that runs first alternates
+from pair to pair, so a slow or fast spell of the host does not always
+land on the same side. The output file holds both SHAs, every result line,
+and per end-to-end metric (names, units and directions from
+BENCHMARK.json): each side's median and quartiles, the pairs the change
+wins, and the verdict of a claimed gain. A gain holds when the change wins
+at least 9 of every 10 pairs and its median is better than the parent's by
+more than the parent's interquartile range.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WIN_SHARE = 0.9
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> None:
+    """Write the committed files of ``rev`` under ``into``."""
+    archive = into.parent / "tree.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                       stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(into, filter="data")
+    archive.unlink()
+
+
+def run(tree: Path, command: list[str], workload: str, seed: int,
+        seconds: float) -> dict:
+    """One benchmark run in ``tree``; its result line, parsed."""
+    cmd = command + ["--workload", workload, "--seed", str(seed),
+                     "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n"
+                           f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "iqr": q3 - q1, "values": values}
+
+
+def verdict(metric: dict, pairs: list[dict]) -> dict:
+    """Per-side spread, pair wins and the gain verdict of one metric."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+             for side in ("parent", "change")}
+    wins = sum((c < p) if lower else (c > p)
+               for p, c in zip(sides["parent"], sides["change"]))
+    parent, change = spread(sides["parent"]), spread(sides["change"])
+    gap = (parent["median"] - change["median"]) * (1 if lower else -1)
+    return {"unit": metric["unit"], "better": metric["better"],
+            "parent": parent, "change": change, "wins": wins,
+            "pairs": len(pairs),
+            "median_change_pct": 100.0 * (change["median"] / parent["median"]
+                                          - 1.0),
+            "gain": wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--parent", required=True, help="revision to compare with")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", nargs="+", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    args = ap.parse_args(argv)
+    if len(args.seeds) < 4:
+        ap.error("quartiles need at least 4 seeds")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    record = {
+        "workload": args.workload, "seconds": args.seconds,
+        "seeds": args.seeds,
+        "parent": {"rev": args.parent,
+                   "sha": git("rev-parse", args.parent + "^{commit}")},
+        "change": {"sha": git("rev-parse", "HEAD"),
+                   "uncommitted_changes": bool(git("status", "--porcelain",
+                                                   "--untracked-files=no"))},
+        "command": spec["command"], "pairs": [],
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp) / "tree"
+        export(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "order": list(order)}
+            for side in order:
+                pair[side] = run(trees[side], spec["command"], args.workload,
+                                 seed, args.seconds)
+            record["pairs"].append(pair)
+            print(json.dumps({"seed": seed, **{
+                side: {m: v["value"] for m, v in pair[side]["metrics"].items()}
+                for side in order}}), flush=True)
+    record["failed"] = {side: sum(p[side]["failed"] for p in record["pairs"])
+                        for side in ("parent", "change")}
+    record["metrics"] = {m["name"]: verdict(m, record["pairs"])
+                         for m in spec["end_to_end"]}
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    for name, m in record["metrics"].items():
+        print(f"{name}: parent median {m['parent']['median']:.4g} "
+              f"(IQR {m['parent']['iqr']:.3g}), change "
+              f"{m['change']['median']:.4g} ({m['median_change_pct']:+.1f}%), "
+              f"wins {m['wins']}/{m['pairs']}, gain: {m['gain']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,29 +9,19 @@ knowledge graph starting at the entities the attribute routes identified.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .kb import AttributeValuePair, Entity, KnowledgeBase, KnowledgeGraph
+from .kb import (AttributeValuePair, Entity, KnowledgeBase, KnowledgeGraph,
+                 tokenize)
 
 logger = logging.getLogger(__name__)
 
 PROVENANCE_TEXTUAL = "textual"
 PROVENANCE_VISUAL = "visual"
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split into alphanumeric runs and single punctuation
-    marks. The one tokenizer used everywhere — contexts, responses, entity
-    names, linearized knowledge — so mention matching stays consistent."""
-    return _TOKEN_RE.findall(text.lower())
-
 
 class NoImagesError(ValueError):
     """Signals an entity without visual knowledge; callers skip it."""
@@ -154,18 +144,18 @@ def acquire_text_attributes(ctx: DialogContext, kb: KnowledgeBase) -> AttributeK
     """Attribute pairs of every entity mentioned in the context text.
 
     A mention is the entity's name appearing as a contiguous token run,
-    case-insensitive; both sides pass through the shared tokenizer. Each
-    name is looked up among the context's token runs no longer than the
-    longest name; a name that tokenizes to nothing is never mentioned.
+    case-insensitive; both sides pass through the shared tokenizer. Each of
+    the context's token runs no longer than the longest name is looked up
+    in the knowledge base's name index (``KnowledgeBase.names``); a name
+    that tokenizes to nothing is never mentioned.
     """
-    names = [(ent, tuple(tokenize(ent.name))) for ent in kb]
-    longest = max((len(toks) for _, toks in names), default=0)
+    index = kb.names
     ctx_tokens = [t.lower() for t in ctx.text_tokens]
-    runs = {tuple(ctx_tokens[i:i + n]) for n in range(1, longest + 1)
+    runs = {tuple(ctx_tokens[i:i + n]) for n in range(1, index.longest + 1)
             for i in range(len(ctx_tokens) - n + 1)}
     found = []
-    for ent, toks in names:
-        if toks in runs:
+    for run in runs & index.entities.keys():
+        for ent in index.entities[run]:
             found.extend(AcquiredPair(ent.name, p, PROVENANCE_TEXTUAL)
                          for p in ent.attributes)
     return _ordered(found)

@@ -7,22 +7,38 @@ order. A batch of sequences is one matrix whose rows run segment after
 segment, described by a list of segment lengths: ``segment_attention`` and
 ``mean_rows`` work within each segment. Rank-3 arrays appear only inside
 ``segment_attention``, which pads the segments to a common length for its
-batched matmuls; there is no broadcasting beyond ``linear``'s row-vector
-bias and ``gate``'s per-row weights.
+batched matmuls; there is no broadcasting beyond the row-vector biases and
+gains and ``gate``'s per-row weights.
 
-Python work per node dominates at this package's matrix sizes, so the
-heavy composites are single nodes with hand-written backwards:
-``linear``, ``attention`` (scaled, causal or plain softmax(q k^T) v),
-``segment_attention``, ``gate`` (the two-way softmax mix), ``layer_norm``,
-``softmax_rows``, ``mean_rows``, ``cross_entropy_loss`` and
-``frobenius_distance_sq``. The attention weights that ``attention``
-returns, and the row weights that ``gate`` returns, are data-only tensors:
-they carry no graph, and gradients flow through the op's main output alone.
+Python work per node dominates at this package's matrix sizes, so each
+layer is a single node with a hand-written backward:
+
+- ``embed``: token rows plus position rows, gathered from two tables;
+- ``cross_attention``: softmax((x w_q)(y w_k)^T)(y w_v), the three
+  projections included, optionally scaled or causal;
+- ``attention``: the same read over keys and values projected beforehand
+  (projected once, read many times), the query projection included;
+- ``segment_attention``: segmented self-attention, projections included;
+- ``mlp``: linear, tanh, linear;
+- ``residual_layer_norm``: layer_norm(h + y), the post-norm residual;
+- ``linear``, ``gate`` (the two-way softmax mix), ``layer_norm``,
+  ``softmax_rows``, ``mean_rows``, ``cross_entropy_loss``,
+  ``frobenius_distance_sq``, ``squared_norm`` and ``weighted_sum`` (the
+  training objective's sum of weighted scalars).
+
+Each fused forward runs the numpy operations of the chain of smaller ops it
+replaced, in the same order, so its values are the same bits; its backward
+hands every input its contributions in the order the chain's nodes did.
+The attention weights that the attention ops return, and the row weights
+that ``gate`` returns, are data-only tensors: they carry no graph, and
+gradients flow through the op's main output alone.
 
 Trainable leaves live in a ``ParamBuffer``: their values are views into one
 flat array and their gradients accumulate into views of a second, so the
 optimizer and the ``squared_norm`` penalty each work on the whole buffer in
-a few numpy calls. The only module state is the ``no_grad`` switch.
+a few numpy calls. Table lookups (``embed``, ``take_rows``) add their row
+gradients into the table's gradient in place. The only module state is the
+``no_grad`` switch.
 """
 from __future__ import annotations
 
@@ -91,16 +107,40 @@ class Tensor:
             raise ValueError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data[0, 0])
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
         # the first contribution is copied, never aliased: backward closures
-        # hand the same array to several parents
+        # hand the same array to several parents. ``fresh`` marks an array
+        # the caller made for this tensor alone, which is kept as it is.
         if self.grad is not None:
             self.grad += g
-        elif self._gview is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
+        elif self._gview is not None:
             self._gview[...] = g
             self.grad = self._gview
+        elif fresh:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=np.float64)
+
+    def _add_rows(self, idx: np.ndarray, g: np.ndarray) -> None:
+        """Add row i of g into row idx[i] of the gradient, in place.
+
+        The rows that share an index are summed first, in order, and each
+        sum is added once: the same bits as accumulating a zero matrix
+        holding those sums, without building that matrix."""
+        if self.grad is None:
+            if self._gview is None:
+                self.grad = np.zeros_like(self.data)
+            else:
+                self._gview.fill(0.0)
+                self.grad = self._gview
+        first: dict[int, int] = {}
+        where = [first.setdefault(i, len(first)) for i in idx.tolist()]
+        if len(first) == len(where):
+            self.grad[idx] += g
+        else:
+            sums = np.zeros((len(first), g.shape[1]))
+            np.add.at(sums, where, g)
+            self.grad[list(first)] += sums
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -149,10 +189,13 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
     float64 array, so the slots are filled without ``Tensor``'s checks."""
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out._gview = data, None, None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad, out._parents, out._backward = True, parents, backward
-    else:
-        out.requires_grad, out._parents, out._backward = False, (), None
+    if _grad_enabled:
+        for p in parents:  # a loop: cheaper than any() over a generator
+            if p.requires_grad:
+                out.requires_grad, out._parents = True, parents
+                out._backward = backward
+                return out
+    out.requires_grad, out._parents, out._backward = False, (), None
     return out
 
 
@@ -161,7 +204,9 @@ class ParamBuffer:
 
     Joining copies each tensor's values into ``values`` and rebinds its
     ``data`` to its view there, so code that writes parameters must write
-    into ``t.data[...]``. The flat gradient ``grads`` is made on first use
+    into ``t.data[...]``. With ``copy=False`` the values start at zero and
+    the tensors' own arrays are never read, so a caller can draw initial
+    values straight into the views. The flat gradient ``grads`` is made on first use
     by ``collect_grads``, with ``scratch``, one ``BLOCK`` of work space for
     whole-buffer updates, which run block by block over ``spans()``; from
     then on each tensor's first gradient contribution of a backward pass is
@@ -171,7 +216,7 @@ class ParamBuffer:
 
     __slots__ = ("tensors", "sizes", "values", "grads", "scratch")
 
-    def __init__(self, tensors: Sequence[Tensor]):
+    def __init__(self, tensors: Sequence[Tensor], copy: bool = True):
         self.tensors = tuple(tensors)
         for i, t in enumerate(self.tensors):
             if not t.requires_grad:
@@ -186,7 +231,8 @@ class ParamBuffer:
         self.grads: np.ndarray | None = None
         self.scratch: np.ndarray | None = None
         for t, view in zip(self.tensors, self._views(self.values)):
-            view[...] = t.data
+            if copy:
+                view[...] = t.data
             t.data = view
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -222,6 +268,23 @@ class ParamBuffer:
         n = self.values.size
         return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
 
+    def norm_sq(self) -> float:
+        """The sum of the squared values: the L2 penalty before its weight."""
+        # einsum's own loop rather than a BLAS dot, which OpenBLAS spreads
+        # over threads at this length and which then waits whenever a core
+        # is busy
+        return float(np.einsum("i,i->", self.values, self.values))
+
+    def add_scaled_values(self, c: float) -> None:
+        """Add c times the values to the flat gradient, block by block,
+        after giving every tensor a gradient (``collect_grads(fill=True)``):
+        the backward of c / 2 times ``norm_sq``."""
+        self.collect_grads(fill=True)
+        for run in self.spans():
+            s = self.scratch[:run.stop - run.start]
+            np.multiply(self.values[run], c, out=s)
+            self.grads[run] += s
+
     def zero_grad(self) -> None:
         for t in self.tensors:
             t.grad = None
@@ -253,35 +316,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def mul_scalar(x: Tensor, c: float) -> Tensor:
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g * c)
-
-    return _node(x.data * c, (x,), backward)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims {a.shape} x {b.shape}")
 
     def backward(g):
         if a.requires_grad:
-            a._accum(g @ b.data.T)
+            a._accum(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accum(a.data.T @ g)
+            b._accum(a.data.T @ g, fresh=True)
 
     return _node(a.data @ b.data, (a, b), backward)
 
@@ -295,11 +338,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accum(g @ w.data.T)
+            x._accum(g @ w.data.T, fresh=True)
         if w.requires_grad:
-            w._accum(x.data.T @ g)
+            w._accum(x.data.T @ g, fresh=True)
         if b.requires_grad:
-            b._accum(g.sum(axis=0, keepdims=True))
+            b._accum(g.sum(axis=0, keepdims=True), fresh=True)
 
     return _node(x.data @ w.data + b.data, (x, w, b), backward)
 
@@ -309,17 +352,9 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accum(g * (1.0 - out_data * out_data))
+            x._accum(g * (1.0 - out_data * out_data), fresh=True)
 
     return _node(out_data, (x,), backward)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def backward(g):
-        if x.requires_grad:
-            x._accum(np.full_like(x.data, g[0, 0]))
-
-    return _node(np.array([[x.data.sum()]]), (x,), backward)
 
 
 def squared_norm(params: ParamBuffer) -> Tensor:
@@ -330,35 +365,29 @@ def squared_norm(params: ParamBuffer) -> Tensor:
     a gradient. The node links no parents, so it adds no leaves to the
     graph; in reverse topological order it runs after every op that also
     reaches the parameters, as the penalty always has."""
-    values = params.values
-
-    def backward(g):
-        params.collect_grads(fill=True)
-        c, grads = 2.0 * g[0, 0], params.grads
-        for run in params.spans():
-            s = params.scratch[:run.stop - run.start]
-            np.multiply(values[run], c, out=s)
-            grads[run] += s
-
-    # einsum's own loop rather than a BLAS dot, which OpenBLAS spreads over
-    # threads at this length and which then waits whenever a core is busy
-    out = _node(np.array([[np.einsum("i,i->", values, values)]]), (), None)
+    out = _node(np.array([[params.norm_sq()]]), (), None)
     if _grad_enabled and params.tensors:
-        out.requires_grad, out._backward = True, backward
+        out.requires_grad = True
+        out._backward = lambda g: params.add_scaled_values(2.0 * g[0, 0])
     return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Exp-normalize along the last axis, with max subtraction for overflow
     safety; -inf logits get exactly zero weight."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient at the logits of ``_softmax``, given the gradient g at its
     output ``weights``."""
-    return (g - (g * weights).sum(axis=-1, keepdims=True)) * weights
+    out = g * weights
+    np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
+    out *= weights
+    return out
 
 
 def _segments(lengths: Sequence[int], n: int, op: str) -> np.ndarray:
@@ -380,26 +409,45 @@ def mean_rows(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accum(np.repeat(g / counts, lens, axis=0))
+            x._accum(np.repeat(g / counts, lens, axis=0), fresh=True)
 
     return _node(np.add.reduceat(x.data, starts, axis=0) / counts, (x,),
                  backward)
 
 
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
-                      scale: bool = False) -> Tensor:
-    """softmax(q k^T) v computed separately inside each run of ``lengths``
-    contiguous rows, so a row attends only to the rows of its own segment.
+def _project_back(x: Tensor, w: Tensor, g: np.ndarray) -> None:
+    """The backward of the projection x @ w, given the gradient g at the
+    product: the input's share, then the weight's, as ``matmul`` does."""
+    if x.requires_grad:
+        x._accum(g @ w.data.T, fresh=True)
+    if w.requires_grad:
+        w._accum(x.data.T @ g, fresh=True)
 
-    One node. The G segments are padded to G x L x D with L the longest
-    segment, padded keys get zero weight, and the products are batched
-    matmuls, so the cost is G L^2 D rather than (sum of lengths)^2 D.
-    ``scale`` divides the logits by sqrt(D).
+
+def _check_projections(op: str, x: Tensor, *ws: Tensor) -> int:
+    """Check that x's rows can be projected by each D_in x D weight of ws,
+    which must share D; return D."""
+    d = ws[0].shape[1]
+    for w in ws:
+        if w.shape != (x.shape[1], d):
+            raise ValueError(f"{op}: input {x.shape} and projections "
+                             f"{[w.shape for w in ws]} do not fit")
+    return d
+
+
+def segment_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
+                      lengths: Sequence[int], scale: bool = False) -> Tensor:
+    """Self-attention softmax(q k^T) v of q, k, v = x w_q, x w_k, x w_v,
+    computed separately inside each run of ``lengths`` contiguous rows, so a
+    row attends only to the rows of its own segment.
+
+    One node, projections included. The G segments are padded to G x L x D
+    with L the longest segment, padded keys get zero weight, and the
+    products are batched matmuls, so the cost is G L^2 D rather than (sum
+    of lengths)^2 D. ``scale`` divides the logits by sqrt(D).
     """
-    n, d = q.shape
-    if k.shape != (n, d) or v.shape != (n, d):
-        raise ValueError(f"segment_attention: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape} differ")
+    d = _check_projections("segment_attention", x, w_q, w_k, w_v)
+    n = x.shape[0]
     lens = _segments(lengths, n, "segment_attention")
     g_count, width = lens.size, int(lens.max())
     c = 1.0 / np.sqrt(d) if scale else 1.0
@@ -423,7 +471,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
         def unpad(a):
             return a[seg, pos]
 
-    qp, kp, vp = pad(q.data), pad(k.data), pad(v.data)
+    qp, kp, vp = (pad(x.data @ w.data) for w in (w_q, w_k, w_v))
     logits = np.matmul(qp, kp.transpose(0, 2, 1)) * c
     if not uniform:
         padded_key = np.arange(width)[None, None, :] >= lens[:, None, None]
@@ -432,17 +480,13 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int],
 
     def backward(g):
         gp = pad(g)
-        if v.requires_grad:
-            v._accum(unpad(np.matmul(weights.transpose(0, 2, 1), gp)))
-        if q.requires_grad or k.requires_grad:
-            gl = _softmax_grad(np.matmul(gp, vp.transpose(0, 2, 1)),
-                               weights) * c
-            if q.requires_grad:
-                q._accum(unpad(np.matmul(gl, kp)))
-            if k.requires_grad:
-                k._accum(unpad(np.matmul(gl.transpose(0, 2, 1), qp)))
+        gv = unpad(np.matmul(weights.transpose(0, 2, 1), gp))
+        gl = _softmax_grad(np.matmul(gp, vp.transpose(0, 2, 1)), weights) * c
+        _project_back(x, w_q, unpad(np.matmul(gl, kp)))
+        _project_back(x, w_k, unpad(np.matmul(gl.transpose(0, 2, 1), qp)))
+        _project_back(x, w_v, gv)
 
-    return _node(unpad(np.matmul(weights, vp)), (q, k, v), backward)
+    return _node(unpad(np.matmul(weights, vp)), (x, w_q, w_k, w_v), backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -465,33 +509,41 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
                  tuple(parts), backward)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= x.shape[0]):
-        raise ValueError(f"slice_rows: [{start}:{stop}] outside {x.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = g
-            x._accum(gx)
-
-    return _node(x.data[start:stop].copy(), (x,), backward)
+def _row_indices(indices: Sequence[int], rows: int, op: str) -> np.ndarray:
+    if len(indices) and (min(indices) < 0 or max(indices) >= rows):
+        raise ValueError(f"{op}: index out of range")
+    return np.asarray(indices, dtype=np.intp)
 
 
 def take_rows(x: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of x by index (embedding lookup); duplicates allowed."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ValueError("take_rows: index out of range")
+    """Gather rows of x by index; duplicates allowed."""
+    idx = _row_indices(indices, x.shape[0], "take_rows")
 
     def backward(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accum(gx)
+            x._add_rows(idx, g)
 
-    return _node(x.data[idx].copy() if idx.size else
-                 np.zeros((0, x.shape[1])), (x,), backward)
+    return _node(x.data[idx], (x,), backward)
+
+
+def embed(token: Tensor, position: Tensor, ids: Sequence[int],
+          positions: Sequence[int]) -> Tensor:
+    """Row i is token row ids[i] plus position row positions[i], as one
+    node; both backwards add rows into the tables' gradients in place."""
+    if len(ids) != len(positions) or token.shape[1] != position.shape[1]:
+        raise ValueError(f"embed: {len(ids)} ids, {len(positions)} positions, "
+                         f"tables {token.shape} and {position.shape}")
+    tok = _row_indices(ids, token.shape[0], "embed")
+    pos = _row_indices(positions, position.shape[0], "embed")
+
+    def backward(g):
+        if token.requires_grad:
+            token._add_rows(tok, g)
+        if position.requires_grad:
+            position._add_rows(pos, g)
+
+    return _node(token.data[tok] + position.data[pos], (token, position),
+                 backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -500,7 +552,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x._accum(_softmax_grad(g, out_data))
+            x._accum(_softmax_grad(g, out_data), fresh=True)
 
     return _node(out_data, (x,), backward)
 
@@ -522,9 +574,9 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
 
     def backward(g):
         if x.requires_grad:
-            x._accum(g * r_x)
+            x._accum(g * r_x, fresh=True)
         if y.requires_grad:
-            y._accum(g * r_y)
+            y._accum(g * r_y, fresh=True)
         if s_x.requires_grad or s_y.requires_grad:
             gr = np.concatenate(((g * x.data).sum(axis=1, keepdims=True),
                                  (g * y.data).sum(axis=1, keepdims=True)),
@@ -539,6 +591,50 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
             _node(r, (), None))
 
 
+def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
+                gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer norm of the rows of x as one node whose x-gradient goes to each
+    of ``inputs`` (the tensors that summed to x)."""
+    n, d = x.shape
+    if d < 2:
+        raise ValueError(f"{op}: needs at least 2 columns")
+    if gain.shape != (1, d) or bias.shape != (1, d):
+        raise ValueError(f"{op}: gain/bias must be 1 x d")
+    # the n x 1 row statistics are updated in place: same operations, no
+    # new array per step
+    mean = x.sum(axis=1, keepdims=True)
+    mean /= d
+    xc = x - mean
+    inv = (xc * xc).sum(axis=1, keepdims=True)
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat = xc * inv
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accum((g * xhat).sum(axis=0, keepdims=True), fresh=True)
+        if bias.requires_grad:
+            bias._accum(g.sum(axis=0, keepdims=True), fresh=True)
+        if any(t.requires_grad for t in inputs):
+            gh = g * gain.data
+            mean_gh = gh.sum(axis=1, keepdims=True)
+            mean_gh /= d
+            proj = (gh * xhat).sum(axis=1, keepdims=True)
+            proj /= d
+            gx = gh - mean_gh
+            gx -= xhat * proj
+            gx *= inv
+            for i, t in enumerate(inputs):
+                if t.requires_grad:
+                    t._accum(gx, fresh=i == 0)
+
+    out = xhat * gain.data
+    out += bias.data
+    return _node(out, (*inputs, gain, bias), backward)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization (variance + eps in the denominator), then
     elementwise gain and bias (both 1 x d, broadcast over rows).
@@ -546,88 +642,155 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     Row means are ``sum / d``, the very operations of ``np.mean`` and
     ``np.var`` without their Python-level overhead, so the values are
     bit-identical to those functions'."""
-    n, d = x.shape
-    if d < 2:
-        raise ValueError("layer_norm: needs at least 2 columns")
-    if gain.shape != (1, d) or bias.shape != (1, d):
-        raise ValueError("layer_norm: gain/bias must be 1 x d")
-    xc = x.data - x.data.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
-    xhat = xc * inv
-
-    def backward(g):
-        if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=0, keepdims=True))
-        if bias.requires_grad:
-            bias._accum(g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            gh = g * gain.data
-            term = gh - gh.sum(axis=1, keepdims=True) / d \
-                - xhat * ((gh * xhat).sum(axis=1, keepdims=True) / d)
-            x._accum(term * inv)
-
-    return _node(xhat * gain.data + bias.data, (x, gain, bias), backward)
+    return _layer_norm("layer_norm", x.data, (x,), gain, bias, eps)
 
 
-# ---------------------------------------------------------------- composites
+def residual_layer_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """layer_norm(h + y): a post-norm residual connection as one node; h
+    and y both receive the gradient at the sum."""
+    _check_same_shape(h, y, "residual_layer_norm")
+    return _layer_norm("residual_layer_norm", h.data + y.data, (h, y), gain,
+                       bias, eps)
+
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer perceptron: linear, tanh, linear (shape-preserving when
-    w2 maps back to the input width)."""
-    return linear(tanh(linear(x, w1, b1)), w2, b2)
+    """Two-layer perceptron tanh(x w1 + b1) w2 + b2 as one node
+    (shape-preserving when w2 maps back to the input width)."""
+    h = w1.shape[1]
+    if (x.shape[1] != w1.shape[0] or b1.shape != (1, h) or w2.shape[0] != h
+            or b2.shape != (1, w2.shape[1])):
+        raise ValueError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape}, b2 {b2.shape} do not fit")
+    a = x.data @ w1.data
+    a += b1.data
+    np.tanh(a, out=a)
+
+    def backward(g):
+        ga = g @ w2.data.T
+        if w2.requires_grad:
+            w2._accum(a.T @ g, fresh=True)
+        if b2.requires_grad:
+            b2._accum(g.sum(axis=0, keepdims=True), fresh=True)
+        g1 = a * a
+        np.subtract(1.0, g1, out=g1)
+        g1 *= ga
+        if x.requires_grad:
+            x._accum(g1 @ w1.data.T, fresh=True)
+        if w1.requires_grad:
+            w1._accum(x.data.T @ g1, fresh=True)
+        if b1.requires_grad:
+            b1._accum(g1.sum(axis=0, keepdims=True), fresh=True)
+
+    out = a @ w2.data
+    out += b2.data
+    return _node(out, (x, w1, b1, w2, b2), backward)
 
 
-def cross_attention(q_src: Tensor, kv_src: Tensor, w_q: Tensor, w_k: Tensor,
-                    w_v: Tensor, scale: bool = False,
-                    causal: bool = False) -> tuple[Tensor, Tensor]:
-    """softmax((q_src w_q)(kv_src w_k)^T) (kv_src w_v): the three
-    projections, then one ``attention`` node.
+def _attend(op: str, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+            scale: bool, causal: bool):
+    """softmax(q k^T) v of projected arrays.
 
-    Returns (output, attention weights) so callers can inspect where each
-    query row looked; ``scale`` and ``causal`` are as in ``attention``.
-    """
-    return attention(matmul(q_src, w_q), matmul(kv_src, w_k),
-                     matmul(kv_src, w_v), scale=scale, causal=causal)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: bool = False,
-              causal: bool = False) -> tuple[Tensor, Tensor]:
-    """softmax(q k^T) v over already projected queries, keys and values,
-    as one node; returns (output, attention weights).
-
-    ``scale`` divides the logits by sqrt(D); off, attention is plain
-    softmax(QK^T)V. ``causal`` needs as many queries as keys and gives
-    query i exactly zero weight on every key after i. The weights are a
-    data-only tensor, for inspection.
+    Returns (output, weights, grads), where grads(g) gives the gradients at
+    q, k and v for the gradient g at the output. ``scale`` divides the
+    logits by sqrt(D); ``causal`` needs as many queries as keys and gives
+    query i exactly zero weight on every key after i.
     """
     (n_q, d), n_k = q.shape, k.shape[0]
     if n_k < 1:
-        raise ValueError("attention: needs at least one key/value row")
+        raise ValueError(f"{op}: needs at least one key/value row")
     if k.shape[1] != d or v.shape[0] != n_k:
-        raise ValueError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
+        raise ValueError(f"{op}: q {q.shape}, k {k.shape}, v {v.shape} "
                          f"do not fit")
     if causal and n_q != n_k:
-        raise ValueError(f"attention: causal needs square logits, got "
+        raise ValueError(f"{op}: causal needs square logits, got "
                          f"{n_q} queries over {n_k} keys")
     c = 1.0 / np.sqrt(d) if scale else 1.0  # times 1.0 is exact
-    logits = (q.data @ k.data.T.copy()) * c
+    logits = (q @ k.T.copy()) * c
     if causal:
         rows = np.arange(n_q)
         logits[rows[:, None] < rows] = -np.inf
     weights = _softmax(logits)
 
-    def backward(g):
-        if v.requires_grad:
-            v._accum(weights.T @ g)
-        if q.requires_grad or k.requires_grad:
-            gl = _softmax_grad(g @ v.data.T, weights) * c
-            if q.requires_grad:
-                q._accum(gl @ k.data)
-            if k.requires_grad:
-                k._accum(gl.T @ q.data)
+    def grads(g):
+        gv = weights.T @ g
+        gl = _softmax_grad(g @ v.T, weights) * c
+        return gl @ k, gl.T @ q, gv
 
-    return (_node(weights @ v.data, (q, k, v), backward),
+    return weights @ v, weights, grads
+
+
+def cross_attention(q_src: Tensor, kv_src: Tensor, w_q: Tensor, w_k: Tensor,
+                    w_v: Tensor, scale: bool = False,
+                    causal: bool = False) -> tuple[Tensor, Tensor]:
+    """softmax((q_src w_q)(kv_src w_k)^T) (kv_src w_v) as one node, the three
+    projections included; returns (output, attention weights).
+
+    ``scale`` divides the logits by sqrt(D); off, attention is plain
+    softmax(QK^T)V. ``causal`` needs as many queries as keys and gives
+    query i exactly zero weight on every key after i. The weights are a
+    data-only tensor, so callers can inspect where each query row looked.
+    """
+    _check_projections("cross_attention", q_src, w_q)
+    _check_projections("cross_attention", kv_src, w_k, w_v)
+    out, weights, grads = _attend(
+        "cross_attention", q_src.data @ w_q.data, kv_src.data @ w_k.data,
+        kv_src.data @ w_v.data, scale, causal)
+
+    def backward(g):
+        gq, gk, gv = grads(g)
+        _project_back(q_src, w_q, gq)
+        _project_back(kv_src, w_k, gk)
+        _project_back(kv_src, w_v, gv)
+
+    return (_node(out, (q_src, kv_src, w_q, w_k, w_v), backward),
             _node(weights, (), None))
+
+
+def attention(q_src: Tensor, w_q: Tensor, k: Tensor, v: Tensor,
+              scale: bool = False, causal: bool = False
+              ) -> tuple[Tensor, Tensor]:
+    """softmax((q_src w_q) k^T) v over keys and values projected beforehand,
+    as one node with the query projection included; returns (output,
+    attention weights). A read whose keys and values serve many queries
+    (every decoding step of a reply, say) projects them once.
+
+    ``scale`` and ``causal`` are as in ``cross_attention``.
+    """
+    _check_projections("attention", q_src, w_q)
+    out, weights, grads = _attend("attention", q_src.data @ w_q.data, k.data,
+                                  v.data, scale, causal)
+
+    def backward(g):
+        gq, gk, gv = grads(g)
+        if v.requires_grad:
+            v._accum(gv, fresh=True)
+        if k.requires_grad:
+            k._accum(gk, fresh=True)
+        _project_back(q_src, w_q, gq)
+
+    return (_node(out, (q_src, w_q, k, v), backward),
+            _node(weights, (), None))
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """terms[0] weights[0] + terms[1] weights[1] + ..., summed left to right,
+    as one node."""
+    if not terms or len(terms) != len(weights):
+        raise ValueError(f"weighted_sum: {len(terms)} terms, "
+                         f"{len(weights)} weights")
+    for t in terms[1:]:
+        _check_same_shape(terms[0], t, "weighted_sum")
+    out = terms[0].data * weights[0]
+    for t, c in zip(terms[1:], weights[1:]):
+        out = out + t.data * c
+
+    def backward(g):
+        for t, c in zip(terms, weights):
+            if t.requires_grad:
+                t._accum(g * c, fresh=True)
+
+    return _node(out, tuple(terms), backward)
 
 
 def frobenius_distance_sq(a: Tensor, b: Tensor) -> Tensor:
@@ -638,9 +801,9 @@ def frobenius_distance_sq(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         gd = 2.0 * g[0, 0] * d
         if a.requires_grad:
-            a._accum(gd)
+            a._accum(gd, fresh=True)
         if b.requires_grad:
-            b._accum(-gd)
+            b._accum(-gd, fresh=True)
 
     return _node(np.array([[float((d * d).sum())]]), (a, b), backward)
 
@@ -671,7 +834,7 @@ def cross_entropy_loss(probs: Tensor, targets: Sequence[int]) -> Tensor:
         if probs.requires_grad:
             gp = np.zeros_like(probs.data)
             gp[rows, cols] = g[0, 0] * (-1.0 / n) / clamped * kept
-            probs._accum(gp)
+            probs._accum(gp, fresh=True)
 
     return _node(np.array([[np.log(clamped).sum() * (-1.0 / n)]]),
                  (probs,), backward)

@@ -74,7 +74,8 @@ class Vocabulary:
         return self._tokens[idx]
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.index(t) for t in tokens]
+        index, unk = self._index, self.UNK
+        return [index.get(t.lower(), unk) for t in tokens]
 
     def decode(self, indices: Sequence[int]) -> list[str]:
         return [self.token(i) for i in indices]
@@ -227,9 +228,8 @@ def embed_tokens(tokens: Sequence[str], vocab: Vocabulary,
     tokens = _fit_positions(tokens, table, offset)
     if not tokens:
         return Tensor(np.zeros((0, table.dim)))
-    rows = ad.take_rows(table.token, vocab.encode(tokens))
-    pos = ad.slice_rows(table.position, offset, offset + len(tokens))
-    return ad.add(rows, pos)
+    return ad.embed(table.token, table.position, vocab.encode(tokens),
+                    range(offset, offset + len(tokens)))
 
 
 def embed_indices(indices: Sequence[int], table: EmbeddingTable,
@@ -239,9 +239,8 @@ def embed_indices(indices: Sequence[int], table: EmbeddingTable,
         return Tensor(np.zeros((0, table.dim)))
     if offset + len(indices) > table.max_len:
         raise ValueError("index sequence exceeds the position table")
-    rows = ad.take_rows(table.token, list(indices))
-    pos = ad.slice_rows(table.position, offset, offset + len(indices))
-    return ad.add(rows, pos)
+    return ad.embed(table.token, table.position, indices,
+                    range(offset, offset + len(indices)))
 
 
 def project_image_features(features: np.ndarray,
@@ -273,13 +272,11 @@ def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
         lengths = [h.shape[0]]
     for block in blocks:
         attn = block.attn
-        attn_out = ad.segment_attention(ad.matmul(h, attn.w_q),
-                                        ad.matmul(h, attn.w_k),
-                                        ad.matmul(h, attn.w_v), lengths,
-                                        scale=scale)
-        h = ad.layer_norm(ad.add(h, attn_out), block.ln1_gain, block.ln1_bias)
+        a = ad.segment_attention(h, attn.w_q, attn.w_k, attn.w_v, lengths,
+                                 scale=scale)
+        h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
-        h = ad.layer_norm(ad.add(h, m), block.ln2_gain, block.ln2_bias)
+        h = ad.residual_layer_norm(h, m, block.ln2_gain, block.ln2_bias)
     return h
 
 
@@ -315,9 +312,8 @@ def encode_relation_tuples(tuples: Iterable[RelationTuple], vocab: Vocabulary,
         return Tensor(np.zeros((0, table.dim)))
     lengths = [len(run) for run in runs]
     positions = [p for n in lengths for p in range(n)]
-    E = ad.add(ad.take_rows(table.token,
-                            vocab.encode([tok for run in runs for tok in run])),
-               ad.take_rows(table.position, positions))
+    E = ad.embed(table.token, table.position,
+                 vocab.encode([tok for run in runs for tok in run]), positions)
     return ad.mean_rows(encode(E, blocks, scale, lengths), lengths)
 
 
@@ -381,7 +377,8 @@ def compose(knowledge_tokens: Sequence[str], ctx_tokens: Sequence[str],
     n_t = E_t.shape[0]
     E_v = project_image_features(image_features, params.image_proj)
     if E_v.shape[0] > 0:
-        pos = ad.slice_rows(table.position, n_k + n_t, n_k + n_t + E_v.shape[0])
+        start = n_k + n_t
+        pos = ad.take_rows(table.position, range(start, start + E_v.shape[0]))
         E_v = ad.add(E_v, pos)
 
     T_t = compose_attributes(E_k, E_t, E_v, params.encoder, scale)

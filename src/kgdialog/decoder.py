@@ -136,19 +136,19 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
     h = E_y
     for i, (block, (knowledge, encoder)) in enumerate(zip(blocks, memory)):
         sa = block.self_attn
-        q, k, v = (ad.matmul(h, w) for w in (sa.w_q, sa.w_k, sa.w_v))
         if cache is None:
-            a, _ = ad.attention(q, k, v, scale=scale, causal=True)
+            a, _ = ad.cross_attention(h, h, sa.w_q, sa.w_k, sa.w_v,
+                                      scale=scale, causal=True)
         else:
-            a = cache.attend(i, q, k, v, scale)
-        h = ad.layer_norm(ad.add(h, a), block.ln1_gain, block.ln1_bias)
+            a = cache.attend(i, h, sa, scale)
+        h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
         if knowledge is not None:
             h = _read(h, block.knowledge_attn, knowledge, block.ln2_gain,
                       block.ln2_bias, scale)
         h = _read(h, block.encoder_attn, encoder, block.ln3_gain,
                   block.ln3_bias, scale)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
-        h = ad.layer_norm(ad.add(h, m), block.ln4_gain, block.ln4_bias)
+        h = ad.residual_layer_norm(h, m, block.ln4_gain, block.ln4_bias)
     return h
 
 
@@ -177,12 +177,15 @@ class DecodeCache:
         self.keys = [k[rows] for k in self.keys]
         self.values = [v[rows] for v in self.values]
 
-    def attend(self, block: int, q: Tensor, k: Tensor, v: Tensor,
+    def attend(self, block: int, h: Tensor, attn: AttentionParams,
                scale: bool) -> Tensor:
-        """Append the new rows' keys and values to ``block``'s cache and
-        return softmax(q k^T) v of each row over its own hypothesis: one
-        batched matmul each way, G x L x D work for G hypotheses."""
-        new_k, new_v = k.data[:, None, :], v.data[:, None, :]
+        """Project the new rows h, append their keys and values to
+        ``block``'s cache and return softmax(q k^T) v of each row over its
+        own hypothesis: one batched matmul each way, G x L x D work for G
+        hypotheses. Plain arrays throughout; no graph is built."""
+        q = h.data @ attn.w_q.data
+        new_k = (h.data @ attn.w_k.data)[:, None, :]
+        new_v = (h.data @ attn.w_v.data)[:, None, :]
         if block == len(self.keys):
             self.keys.append(new_k)
             self.values.append(new_v)
@@ -194,7 +197,7 @@ class DecodeCache:
             self.keys[block] = np.concatenate((self.keys[block], new_k), 1)
             self.values[block] = np.concatenate((self.values[block], new_v),
                                                 1)
-        logits = np.matmul(self.keys[block], q.data[:, :, None])[:, :, 0]
+        logits = np.matmul(self.keys[block], q[:, :, None])[:, :, 0]
         if scale:
             logits = logits * (1.0 / np.sqrt(q.shape[1]))
         weights = ad._softmax(logits)
@@ -216,8 +219,8 @@ def _memory(T_c: Tensor, E_k: Tensor, blocks: Sequence[DecoderBlockParams]
 def _read(h: Tensor, attn: AttentionParams, kv: _KeyValues, gain: Tensor,
           bias: Tensor, scale: bool) -> Tensor:
     """A residual attention read over fixed keys and values, then LN."""
-    a, _ = ad.attention(ad.matmul(h, attn.w_q), *kv, scale=scale)
-    return ad.layer_norm(ad.add(h, a), gain, bias)
+    a, _ = ad.attention(h, attn.w_q, *kv, scale=scale)
+    return ad.residual_layer_norm(h, a, gain, bias)
 
 
 def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
@@ -240,14 +243,22 @@ def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
 
 
 def total_loss(l_ce: Tensor, l_r: Tensor, params: ad.ParamBuffer,
-               w: LossWeights) -> Tensor:
+               w: LossWeights, penalty: float | None = None) -> Tensor:
     """The combined objective: lam * L_CE + gamma * L_r + beta * penalty,
     where the penalty is the summed squared entries of every parameter in
-    the buffer (one ``squared_norm`` node)."""
-    loss = ad.add(ad.mul_scalar(l_ce, w.lam), ad.mul_scalar(l_r, w.gamma))
-    if w.beta > 0:
-        loss = ad.add(loss, ad.mul_scalar(ad.squared_norm(params), w.beta))
-    return loss
+    the buffer, as one ``weighted_sum`` node over the two loss terms and
+    (when beta > 0) one ``squared_norm`` node. The penalty node has no
+    parents, so its backward runs after every other contribution to the
+    parameters.
+
+    ``penalty`` is ``params.norm_sq()`` when the caller holds it already
+    and adds the penalty's gradient itself (``train_model`` does both once
+    per optimizer step). The penalty is then a constant of the graph: the
+    objective's value is the same bits, and no gradient flows from it."""
+    if w.beta == 0:
+        return ad.weighted_sum((l_ce, l_r), (w.lam, w.gamma))
+    norm = ad.squared_norm(params) if penalty is None else Tensor([[penalty]])
+    return ad.weighted_sum((l_ce, l_r, norm), (w.lam, w.gamma, w.beta))
 
 
 def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
@@ -273,8 +284,8 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
             """Feed one token per hypothesis; return the G x V
             distributions over each hypothesis' next token."""
             pos = cache.length
-            E_y = ad.add(ad.take_rows(table.token, tokens),
-                         ad.take_rows(table.position, [pos] * len(tokens)))
+            E_y = ad.embed(table.token, table.position, tokens,
+                           [pos] * len(tokens))
             z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
             z_hat = _read(z_bar, enh.attn, semantic, enh.ln_gain,
                           enh.ln_bias, scale)  # = semantic_enhance

@@ -9,11 +9,22 @@ relation walks run over.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split into alphanumeric runs and single punctuation
+    marks. The one tokenizer used everywhere — contexts, responses, entity
+    names, linearized knowledge — so mention matching stays consistent."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 class KBFormatError(ValueError):
@@ -65,6 +76,15 @@ class Entity:
         return self.image_features.size > 0
 
 
+class NameIndex(NamedTuple):
+    """Entities by the tokens of their name, the token run a textual
+    mention must match, and the longest such run. A name that tokenizes to
+    nothing has no entry."""
+
+    entities: Mapping[tuple[str, ...], tuple[Entity, ...]]
+    longest: int
+
+
 class KnowledgeBase:
     """Immutable collection of entities keyed by unique name.
 
@@ -113,6 +133,19 @@ class KnowledgeBase:
 
     def __iter__(self):
         return iter(self._entities.values())
+
+    @cached_property
+    def names(self) -> NameIndex:
+        """The name index, built on first use: the entities never change,
+        so each name is tokenized once per knowledge base."""
+        by_tokens: dict[tuple[str, ...], list[Entity]] = {}
+        for ent in self:
+            toks = tuple(tokenize(ent.name))
+            if toks:
+                by_tokens.setdefault(toks, []).append(ent)
+        return NameIndex(
+            MappingProxyType({k: tuple(v) for k, v in by_tokens.items()}),
+            max(map(len, by_tokens), default=0))
 
 
 def parse_kb(source) -> KnowledgeBase:

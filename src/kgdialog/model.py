@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .acquire import (AcquisitionConfig, AttributeKnowledge, DialogContext,
-                      RelationTuple, acquire_attributes, tokenize,
-                      walk_relations)
+                      RelationTuple, acquire_attributes, order_tuples,
+                      tokenize, walk_relations)
 from .autodiff import Tensor
 from .composer import (AttentionParams, ComposedRepresentation,
                        ComposerParams, EmbeddingTable, EncoderBlockParams,
@@ -54,10 +54,8 @@ class ModelParams:
     sem_composed: SemanticProjectionParams
     sem_truth: SemanticProjectionParams
     decoder: DecoderParams
+    # set by init_params, which makes it first and draws the values into it
     buffer: ad.ParamBuffer = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.buffer = ad.ParamBuffer(self.named().values())
 
     def composer(self) -> ComposerParams:
         return ComposerParams(table=self.table, image_proj=self.image_proj,
@@ -124,19 +122,31 @@ def _add_mlp(out: dict, prefix: str, mlp: MlpParams) -> None:
 def init_params(vocab_size: int, feature_dim: int,
                 cfg: TrainingConfig) -> ModelParams:
     """Seeded initialization: uniform in [-INIT_SCALE, INIT_SCALE] for all
-    weights, except layer-norm gains start at 1 and biases at 0."""
+    weights, except layer-norm gains start at 1 and biases at 0.
+
+    Each tensor's values are drawn straight into its view of the flat
+    buffer, in ``named()`` order, which is also the order the tensors are
+    made in; ``rng.random`` scaled in place gives the bits of
+    ``rng.uniform``, whose formula it repeats."""
     rng = np.random.default_rng(cfg.seed)
     d, h = cfg.dim, cfg.hidden
+    drawn: list[Tensor] = []
+    gains: list[Tensor] = []
+
+    def placeholder(rows, cols):
+        # never read or written: joining the buffer rebinds the tensor
+        return Tensor(np.empty((rows, cols)), requires_grad=True)
 
     def u(rows, cols):
-        return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, (rows, cols)),
-                      requires_grad=True)
+        drawn.append(placeholder(rows, cols))
+        return drawn[-1]
 
     def gain():
-        return Tensor(np.ones((1, d)), requires_grad=True)
+        gains.append(placeholder(1, d))
+        return gains[-1]
 
     def bias():
-        return Tensor(np.zeros((1, d)), requires_grad=True)
+        return placeholder(1, d)
 
     def attn():
         return AttentionParams(u(d, d), u(d, d), u(d, d))
@@ -164,10 +174,18 @@ def init_params(vocab_size: int, feature_dim: int,
     dec = DecoderParams(blocks=tuple(dec_block() for _ in range(cfg.dec_blocks)),
                         enhance=SemanticEnhanceParams(attn(), gain(), bias()),
                         head=OutputHead(u(d, vocab_size), u(1, vocab_size)))
-    return ModelParams(table=table, image_proj=image_proj, encoder=encoder,
-                       relation_attn=relation_attn, fusion=fusion,
-                       latent=latent, sem_composed=sem_composed,
-                       sem_truth=sem_truth, decoder=dec)
+    params = ModelParams(table=table, image_proj=image_proj, encoder=encoder,
+                         relation_attn=relation_attn, fusion=fusion,
+                         latent=latent, sem_composed=sem_composed,
+                         sem_truth=sem_truth, decoder=dec)
+    params.buffer = ad.ParamBuffer(params.named().values(), copy=False)
+    for t in drawn:  # biases stay at the buffer's zeros
+        rng.random(out=t.data)
+        t.data *= INIT_SCALE - -INIT_SCALE
+        t.data += -INIT_SCALE
+    for t in gains:
+        t.data.fill(1.0)
+    return params
 
 
 # ------------------------------------------------------------- checkpointing
@@ -240,6 +258,14 @@ def load_checkpoint(path, kb: KnowledgeBase) -> "DialogModel":
 
 # --------------------------------------------------------------------- model
 
+class PreparedKnowledge(NamedTuple):
+    """What ``DialogModel.prepare`` gives: a context's linearized attribute
+    knowledge and its relation tuples in ``order_tuples`` order."""
+
+    knowledge_tokens: list[str]
+    tuples: list[RelationTuple]
+
+
 class DialogModel:
     """Parameters + knowledge base + config, with the full forward paths."""
 
@@ -271,12 +297,25 @@ class DialogModel:
             tuples = set()
         return knowledge, tuples
 
+    def prepare(self, ctx: DialogContext) -> PreparedKnowledge:
+        """The parameter-free half of composing ``ctx``: its acquired
+        attribute knowledge, linearized, and its relation tuples in order.
+        Training computes it once per pair and run."""
+        knowledge, tuples = self.acquire(ctx)
+        return PreparedKnowledge(linearize_attributes(knowledge),
+                                 order_tuples(tuples))
+
     # ----------------------------------------------------------- composition
 
-    def compose_context(self, ctx: DialogContext) -> ComposedRepresentation:
-        knowledge, tuples = self.acquire(ctx)
-        return compose(linearize_attributes(knowledge), list(ctx.text_tokens),
-                       ctx.image_features, tuples, self.vocab,
+    def compose_context(self, ctx: DialogContext,
+                        prepared: PreparedKnowledge | None = None
+                        ) -> ComposedRepresentation:
+        """Compose ``ctx`` from ``prepared`` knowledge, acquired here when
+        not given."""
+        if prepared is None:
+            prepared = self.prepare(ctx)
+        return compose(prepared.knowledge_tokens, list(ctx.text_tokens),
+                       ctx.image_features, prepared.tuples, self.vocab,
                        self.params.composer(), self.cfg.attn_scale)
 
     def semantic_composed(self, comp: ComposedRepresentation) -> Tensor:
@@ -330,16 +369,23 @@ class DialogModel:
         probs = predict_token(z_hat, self.params.decoder.head)
         return probs, targets, T_sem
 
-    def loss_pair(self, ctx: DialogContext,
-                  response_tokens: Sequence[str]) -> tuple[Tensor, dict]:
-        """The per-pair training objective and its component values."""
-        comp = self.compose_context(ctx)
+    def loss_pair(self, ctx: DialogContext, response_tokens: Sequence[str],
+                  prepared: PreparedKnowledge | None = None,
+                  penalty: float | None = None) -> tuple[Tensor, dict]:
+        """The per-pair training objective and its component values.
+
+        ``prepared`` is ``prepare(ctx)``, computed here when not given.
+        ``penalty`` is the parameters' ``norm_sq()`` for a caller that adds
+        the penalty's gradient itself (see ``total_loss``); the values are
+        the same either way."""
+        comp = self.compose_context(ctx, prepared)
         T_c_sem = self.semantic_composed(comp)
         probs, targets, T_r_sem = self.teacher_predictions(
             ctx, response_tokens, enhance_with="truth", comp=comp)
         l_ce = ad.cross_entropy_loss(probs, targets)
         l_r = regularization_loss(T_r_sem, T_c_sem)
-        loss = total_loss(l_ce, l_r, self.params.buffer, self.weights)
+        loss = total_loss(l_ce, l_r, self.params.buffer, self.weights,
+                          penalty)
         parts = {"ce": l_ce.item(), "reg": l_r.item(), "total": loss.item()}
         return loss, parts
 
@@ -380,13 +426,14 @@ def build_vocabulary(corpora_tokens: Iterable[Iterable[str]],
                      kb: KnowledgeBase) -> Vocabulary:
     """Vocabulary over corpus tokens plus every way KB strings surface:
     tokenizer output (attribute linearization) and whitespace splits
-    (tuple linearization)."""
+    (tuple linearization). Each distinct KB string is split once."""
     tokens: set[str] = set()
     for seq in corpora_tokens:
         tokens.update(seq)
-    for ent in kb:
-        for s in [ent.name] + [x for p in ent.attributes
-                               for x in (p.attribute_type, p.value)]:
-            tokens.update(tokenize(s))
-            tokens.update(w.lower() for w in s.split())
+    strings = {ent.name for ent in kb}
+    strings.update(x for ent in kb for p in ent.attributes
+                   for x in (p.attribute_type, p.value))
+    for s in strings:
+        tokens.update(tokenize(s))
+        tokens.update(w.lower() for w in s.split())
     return Vocabulary(tokens)

@@ -55,6 +55,29 @@ def max_rel_error(f, params, eps: float = EPS) -> float:
     return worst
 
 
+def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Elementwise product, for building scalar test losses."""
+    if a.shape != b.shape:
+        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum(g * b.data)
+        if b.requires_grad:
+            b._accum(g * a.data)
+
+    return ad._node(a.data * b.data, (a, b), backward)
+
+
+def sum_all(x: ad.Tensor) -> ad.Tensor:
+    """Sum of every entry as a 1 x 1 tensor, for building scalar losses."""
+    def backward(g):
+        if x.requires_grad:
+            x._accum(np.full_like(x.data, g[0, 0]))
+
+    return ad._node(np.array([[x.data.sum()]]), (x,), backward)
+
+
 def _param(rng, rows, cols, lo=-1.0, hi=1.0):
     return ad.Tensor(rng.uniform(lo, hi, size=(rows, cols)), requires_grad=True)
 
@@ -63,7 +86,7 @@ def _project(out: ad.Tensor, seed: int) -> ad.Tensor:
     """Collapse a matrix output to a scalar via a fixed random weighting so
     every output element influences the loss."""
     c = np.random.default_rng(seed).standard_normal(out.shape)
-    return ad.sum_all(ad.mul(out, ad.Tensor(c)))
+    return sum_all(mul(out, ad.Tensor(c)))
 
 
 def build_grad_cases(seed: int = 0):
@@ -80,13 +103,12 @@ def build_grad_cases(seed: int = 0):
         case(f"add:{r}x{c}", lambda a=a, b=b: _project(ad.add(a, b), 1), [a, b])
         _param(rng, r, c), _param(rng, r, c)  # the deleted sub op's draws
         a3, b3 = _param(rng, r, c), _param(rng, r, c)
-        case(f"mul:{r}x{c}", lambda a=a3, b=b3: _project(ad.mul(a, b), 3), [a3, b3])
-        x = _param(rng, r, c)
-        case(f"mul_scalar:{r}x{c}", lambda x=x: _project(ad.mul_scalar(x, -1.7), 4), [x])
+        case(f"mul:{r}x{c}", lambda a=a3, b=b3: _project(mul(a, b), 3), [a3, b3])
+        _param(rng, r, c)  # the deleted mul_scalar op's draw
         x2 = _param(rng, r, c)
         case(f"tanh:{r}x{c}", lambda x=x2: _project(ad.tanh(x), 5), [x2])
         x5 = _param(rng, r, c)
-        case(f"sum_all:{r}x{c}", lambda x=x5: ad.sum_all(x), [x5])
+        case(f"sum_all:{r}x{c}", lambda x=x5: sum_all(x), [x5])
         x6 = _param(rng, r, c)
         case(f"mean_rows:{r}x{c}", lambda x=x6: _project(ad.mean_rows(x), 8), [x6])
         # the draws of three deleted ops' cases, kept so that every later
@@ -113,11 +135,9 @@ def build_grad_cases(seed: int = 0):
         case(f"concat_rows:{sizes}",
              lambda ps=parts: _project(ad.concat_rows(ps), 15), parts)
 
-    for (r, c, lo, hi) in [(3, 2, 0, 2), (5, 3, 1, 4), (4, 4, 0, 4)]:
-        x = _param(rng, r, c)
-        case(f"slice_rows:{r}x{c}[{lo}:{hi}]",
-             lambda x=x, lo=lo, hi=hi: _project(ad.slice_rows(x, lo, hi), 16), [x])
-        _param(rng, c, r)  # a deleted op's draw, kept as above
+    for (r, c) in [(3, 2), (5, 3), (4, 4)]:
+        # the draws of the deleted slice_rows op and another deleted op
+        _param(rng, r, c), _param(rng, c, r)
 
     for (r, c, idx) in [(3, 2, [0, 2, 2]), (5, 4, [4, 1, 1, 0, 3]), (2, 3, [1])]:
         x = _param(rng, r, c)
@@ -175,14 +195,15 @@ def build_grad_cases(seed: int = 0):
              lambda z=logits, t=targets:
              ad.cross_entropy_loss(ad.softmax_rows(z), t), [logits])
 
+    # segment_attention once took projected q, k, v; x is the draw that
+    # was q, and the projections are drawn after every other case
+    segment_inputs = []
     for (lengths, d, scaled) in [([4], 3, False), ([2, 2, 2], 2, False),
                                  ([3, 1, 2], 2, False),
                                  ([2, 5, 1, 3], 4, True)]:
-        q, k, v = (_param(rng, sum(lengths), d) for _ in range(3))
-        case(f"segment_attention:{lengths} d={d} scale={scaled}",
-             lambda q=q, k=k, v=v, lengths=lengths, scaled=scaled:
-             _project(ad.segment_attention(q, k, v, lengths, scale=scaled),
-                      22), [q, k, v])
+        x = _param(rng, sum(lengths), d)
+        _param(rng, sum(lengths), d), _param(rng, sum(lengths), d)
+        segment_inputs.append((lengths, d, scaled, x))
 
     for (lengths, c) in [([1], 3), ([2, 1, 3], 2), ([1, 4, 1], 3)]:
         x = _param(rng, sum(lengths), c)
@@ -206,6 +227,44 @@ def build_grad_cases(seed: int = 0):
         buf = ad.ParamBuffer(xs)
         case(f"squared_norm:{shapes}", lambda buf=buf: ad.squared_norm(buf),
              xs)
+
+    for lengths, d, scaled, x in segment_inputs:
+        ws = [_param(rng, d, d) for _ in range(3)]
+        case(f"segment_attention:{lengths} d={d} scale={scaled}",
+             lambda x=x, ws=ws, lengths=lengths, scaled=scaled:
+             _project(ad.segment_attention(x, *ws, lengths, scale=scaled),
+                      22), [x] + ws)
+
+    for (v, p, ids, positions) in [(3, 2, [0], [1]),
+                                   (4, 5, [2, 0, 2], [0, 1, 2]),
+                                   (5, 3, [4, 1, 1, 0], [0, 1, 0, 2])]:
+        token, position = _param(rng, v, 3), _param(rng, p, 3)
+        case(f"embed:V={v} P={p} ids={ids} positions={positions}",
+             lambda t=token, p=position, ids=ids, pos=positions:
+             _project(ad.embed(t, p, ids, pos), 25), [token, position])
+
+    for (n, d) in [(1, 2), (3, 3), (4, 5)]:
+        h, y = _param(rng, n, d), _param(rng, n, d)
+        g, bta = _param(rng, 1, d, lo=0.5, hi=1.5), _param(rng, 1, d)
+        case(f"residual_layer_norm:{n}x{d}",
+             lambda h=h, y=y, g=g, b=bta:
+             _project(ad.residual_layer_norm(h, y, g, b), 26), [h, y, g, bta])
+
+    for (nq, nk, d, causal, scaled) in [(1, 1, 2, False, False),
+                                        (3, 5, 3, False, True),
+                                        (4, 4, 2, True, False)]:
+        q, w_q = _param(rng, nq, d), _param(rng, d, d)
+        k, v = _param(rng, nk, d), _param(rng, nk, d)
+        case(f"attention:{nq}q{nk}k d={d} causal={causal} scale={scaled}",
+             lambda q=q, w_q=w_q, k=k, v=v, causal=causal, scaled=scaled:
+             _project(ad.attention(q, w_q, k, v, scale=scaled,
+                                   causal=causal)[0], 27), [q, w_q, k, v])
+
+    for weights in [(0.7,), (1.0, -0.3), (2.0, 0.1, 1e-3)]:
+        terms = [_param(rng, 1, 1) for _ in weights]
+        case(f"weighted_sum:{weights}",
+             lambda terms=terms, weights=weights:
+             ad.weighted_sum(terms, weights), terms)
 
     return cases
 
@@ -340,8 +399,8 @@ def build_composite_grad_cases(seed: int = 1):
         case(f"decode_states:last row c={nc} k={nk} y={ny} d={d} "
              f"blocks={n_blocks}",
              lambda T_c=T_c, E_k=E_k, E_y=E_y, blocks=blocks, ny=ny:
-             _project(ad.slice_rows(decode_states(T_c, E_k, E_y, blocks),
-                                    ny - 1, ny), 70 + i), params)
+             _project(ad.take_rows(decode_states(T_c, E_k, E_y, blocks),
+                                   [ny - 1]), 70 + i), params)
 
     # semantic_enhance: the final cross-attention read
     for i, (nz, ns, d) in enumerate([(1, 1, 2), (2, 3, 3), (4, 2, 4)]):

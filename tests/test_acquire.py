@@ -11,6 +11,7 @@ from kgdialog.acquire import (PROVENANCE_TEXTUAL, AcquisitionConfig,
                               acquire_visual_attributes, entity_similarity,
                               linearize_tuple, merge_attribute_knowledge,
                               order_tuples, tokenize, walk_relations)
+from kgdialog import kb as kb_module
 from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.kb import (AttributeValuePair, Entity, KnowledgeBase,
                          KnowledgeGraph, build_graph)
@@ -115,6 +116,21 @@ def test_attribute_knowledge_order_is_deterministic():
     k = acquire_text_attributes(ctx, kb)
     keys = [ap.key() for ap in k]
     assert keys == sorted(keys)
+
+
+def test_entity_names_are_tokenized_once_per_knowledge_base(monkeypatch):
+    """The text route reads the knowledge base's name index, built on its
+    first use; later contexts tokenize no entity name again."""
+    kb = KnowledgeBase([INANIWA, WISMA])
+    calls = []
+    real = kb_module.tokenize
+    monkeypatch.setattr(kb_module, "tokenize",
+                        lambda text: calls.append(text) or real(text))
+    for text in ("is Wisma Atria near", "any food?", "Inaniwa Yosuke"):
+        acquire_text_attributes(DialogContext(tuple(tokenize(text))), kb)
+    assert sorted(calls) == ["Inaniwa Yosuke", "Wisma Atria"]
+    assert kb.names.entities[("wisma", "atria")] == (WISMA,)
+    assert kb.names.longest == 2
 
 
 # -------------------------------------------------------------- visual route

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kgdialog import autodiff as ad
 from kgdialog.decoder import LossWeights, total_loss
 
-from helpers import build_grad_cases, max_rel_error
+from helpers import build_grad_cases, max_rel_error, mul, sum_all
 
 GRAD_CASES = build_grad_cases(seed=0)
 
@@ -28,10 +28,10 @@ def test_forward_values_match_numpy():
     b = ad.Tensor(rng.standard_normal((3, 4)))
     m = ad.Tensor(rng.standard_normal((4, 2)))
     np.testing.assert_array_equal(ad.add(a, b).data, a.data + b.data)
-    np.testing.assert_array_equal(ad.mul(a, b).data, a.data * b.data)
+    np.testing.assert_array_equal(mul(a, b).data, a.data * b.data)
     np.testing.assert_array_equal(ad.matmul(a, m).data, a.data @ m.data)
     np.testing.assert_array_equal(ad.tanh(a).data, np.tanh(a.data))
-    assert ad.sum_all(a).item() == pytest.approx(a.data.sum())
+    assert sum_all(a).item() == pytest.approx(a.data.sum())
     d = a.data - b.data
     assert ad.frobenius_distance_sq(a, b).item() == float((d * d).sum())
     p = ad.Tensor(a.data.copy(), requires_grad=True)
@@ -103,32 +103,178 @@ def _chain_attention(q, k, v, scale=False, causal=False):
                           (6, 6, 4, False, True), (5, 5, 8, True, True)])
 def test_attention_equals_chain_formula_bit_for_bit(n_q, n_k, d, scale,
                                                     causal):
+    """The read over projected keys and values, query projection inside,
+    against a separate projection followed by the chain formula."""
     rng = np.random.default_rng(n_q * 100 + n_k * 10 + d)
-    q, k, v = (rng.standard_normal((n, d)) * 2 for n in (n_q, n_k, n_k))
-    out, weights = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
-                                scale=scale, causal=causal)
-    want_out, want_weights = _chain_attention(q, k, v, scale, causal)
+    x, k, v = (rng.standard_normal((n, d)) * 2 for n in (n_q, n_k, n_k))
+    w_q = rng.standard_normal((d, d))
+    out, weights = ad.attention(ad.Tensor(x), ad.Tensor(w_q), ad.Tensor(k),
+                                ad.Tensor(v), scale=scale, causal=causal)
+    want_out, want_weights = _chain_attention(x @ w_q, k, v, scale, causal)
     np.testing.assert_array_equal(out.data, want_out)
     np.testing.assert_array_equal(weights.data, want_weights)
 
 
+@pytest.mark.parametrize("n_q,n_k,d,scale,causal",
+                         [(1, 1, 64, False, False), (1, 7, 64, True, False),
+                          (3, 5, 4, False, False), (6, 6, 8, True, True),
+                          (1, 1, 3, False, True)])
+def test_cross_attention_equals_chain_formula_bit_for_bit(n_q, n_k, d, scale,
+                                                          causal):
+    """Projections inside the node against three separate projections
+    followed by the chain formula; 1-row inputs included."""
+    rng = np.random.default_rng(n_q * 1000 + n_k * 10 + d)
+    x = rng.standard_normal((n_q, d))
+    y = x if causal else rng.standard_normal((n_k, d))
+    w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
+    out, weights = ad.cross_attention(ad.Tensor(x), ad.Tensor(y),
+                                      ad.Tensor(w_q), ad.Tensor(w_k),
+                                      ad.Tensor(w_v), scale=scale,
+                                      causal=causal)
+    want_out, want_weights = _chain_attention(x @ w_q, y @ w_k, y @ w_v,
+                                              scale, causal)
+    np.testing.assert_array_equal(out.data, want_out)
+    np.testing.assert_array_equal(weights.data, want_weights)
+
+
+def _chain_segment_attention(q, k, v, lengths, scale):
+    """The segmented kernel over already projected rows: segments padded
+    to G x L x D, batched matmuls, padded keys at -inf, row softmax."""
+    g_count, width, d = len(lengths), max(lengths), q.shape[1]
+    starts = np.cumsum([0] + list(lengths))[:-1]
+    pads = []
+    for a in (q, k, v):
+        p = np.zeros((g_count, width, d))
+        for i, (lo, n) in enumerate(zip(starts, lengths)):
+            p[i, :n] = a[lo:lo + n]
+        pads.append(p)
+    qp, kp, vp = pads
+    logits = np.matmul(qp, kp.transpose(0, 2, 1))
+    if scale:
+        logits = logits * (1.0 / np.sqrt(d))
+    for i, n in enumerate(lengths):
+        logits[i, :, n:] = -np.inf
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = np.matmul(e / e.sum(axis=-1, keepdims=True), vp)
+    return np.concatenate([out[i, :n] for i, n in enumerate(lengths)])
+
+
+@pytest.mark.parametrize("lengths,d,scale", [([1], 64, False), ([5], 4, True),
+                                             ([3, 3], 3, False),
+                                             ([2, 5, 1, 3], 4, True),
+                                             ([1, 1, 2], 64, False)])
+def test_segment_attention_equals_chain_formula_bit_for_bit(lengths, d,
+                                                            scale):
+    """Projections inside the node against separate 2-D projections, then
+    the padded kernel; one segment, equal and mixed lengths, 1-row ones."""
+    rng = np.random.default_rng(sum(lengths) * 100 + d)
+    x = rng.standard_normal((sum(lengths), d))
+    w_q, w_k, w_v = (rng.standard_normal((d, d)) for _ in range(3))
+    out = ad.segment_attention(ad.Tensor(x), ad.Tensor(w_q), ad.Tensor(w_k),
+                               ad.Tensor(w_v), lengths, scale=scale)
+    np.testing.assert_array_equal(
+        out.data, _chain_segment_attention(x @ w_q, x @ w_k, x @ w_v,
+                                           lengths, scale))
+
+
+def _leaves(rng, *shapes):
+    return [ad.Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in shapes]
+
+
+def _same_forward_and_grads(fused, chain, inputs, rng):
+    """fused() and chain() give the same bits forward, and hand every input
+    the same gradient bits under one random upstream gradient."""
+    g, results = None, []
+    for make in (fused, chain):
+        for t in inputs:
+            t.zero_grad()
+        out = make()
+        if g is None:
+            g = rng.standard_normal(out.shape)
+        results.append((out.data, [x.copy() for x in
+                                   _grads_under(out, g, inputs)]))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_array_equal(got, want)
+    for a, b in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,d,h", [(1, 64, 128), (3, 4, 6), (7, 5, 2)])
+def test_mlp_equals_linear_tanh_linear_bit_for_bit(n, d, h):
+    rng = np.random.default_rng(n * 100 + d + h)
+    inputs = _leaves(rng, (n, d), (d, h), (1, h), (h, d), (1, d))
+    x, w1, b1, w2, b2 = inputs
+    _same_forward_and_grads(
+        lambda: ad.mlp(x, w1, b1, w2, b2),
+        lambda: ad.linear(ad.tanh(ad.linear(x, w1, b1)), w2, b2),
+        inputs, rng)
+
+
+@pytest.mark.parametrize("n,d", [(1, 64), (4, 3), (6, 8)])
+def test_residual_layer_norm_equals_add_then_layer_norm_bit_for_bit(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    inputs = _leaves(rng, (n, d), (n, d), (1, d), (1, d))
+    h, y, gain, bias = inputs
+    _same_forward_and_grads(
+        lambda: ad.residual_layer_norm(h, y, gain, bias),
+        lambda: ad.layer_norm(ad.add(h, y), gain, bias), inputs, rng)
+
+
+@pytest.mark.parametrize("ids,positions", [([3], [0]), ([1, 4, 1], [2, 3, 4]),
+                                           ([0, 2, 2, 0, 5], [0, 1, 0, 1, 2])])
+def test_embed_equals_two_gathers_and_add_bit_for_bit(ids, positions):
+    """Token rows plus position rows, repeated ids and positions included.
+    The in-place row gradients equal what the gathers' dense backward gave
+    (a zero matrix, np.add.at, then accumulation), also when the tables
+    already hold a gradient."""
+    rng = np.random.default_rng(len(ids))
+    token, position = _leaves(rng, (6, 4), (5, 4))
+    for start in (None, [rng.standard_normal(t.shape) for t in (token, position)]):
+        for i, t in enumerate((token, position)):
+            t.grad = None if start is None else start[i].copy()
+        out = ad.embed(token, position, ids, positions)
+        np.testing.assert_array_equal(
+            out.data, token.data[ids].copy() + position.data[positions].copy())
+        g = rng.standard_normal(out.shape)
+        got = _grads_under(out, g, [token, position])
+        for i, (t, idx) in enumerate(((token, ids), (position, positions))):
+            dense = np.zeros_like(t.data)
+            np.add.at(dense, idx, g)
+            want = dense if start is None else start[i] + dense
+            np.testing.assert_array_equal(got[i], want)
+
+
+def test_weighted_sum_equals_scaled_sum_bit_for_bit():
+    rng = np.random.default_rng(12)
+    terms = _leaves(rng, (1, 1), (1, 1), (1, 1))
+    weights = (1.0, 0.1, 1e-6)
+    out = ad.weighted_sum(terms, weights)
+    a, b, c = (t.data for t in terms)
+    np.testing.assert_array_equal(out.data, a * 1.0 + b * 0.1 + c * 1e-6)
+    out.backward()
+    for t, w in zip(terms, weights):
+        assert t.grad[0, 0] == w
+
+
 @pytest.mark.parametrize("scale,causal", [(False, False), (True, True)])
-def test_cross_attention_is_four_graph_nodes(scale, causal):
-    """Three projections and one attention node, whatever the options."""
+def test_cross_attention_is_one_graph_node(scale, causal):
+    """Projections and attention in one node, whatever the options."""
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     ws = [ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
           for _ in range(3)]
     out, weights = ad.cross_attention(x, x, *ws, scale=scale, causal=causal)
     ops = [t for t in ad.topo_order(out) if t._backward is not None]
-    assert len(ops) == 4
+    assert ops == [out]
     assert weights._parents == () and not weights.requires_grad
 
 
 def _grads_under(out, g, inputs):
     """Backpropagate the upstream gradient g from ``out``; return the input
     gradients. sum(out * g) hands out exactly g."""
-    ad.sum_all(ad.mul(out, ad.Tensor(g))).backward()
+    sum_all(mul(out, ad.Tensor(g))).backward()
     return [t.grad for t in inputs]
 
 
@@ -186,8 +332,7 @@ def test_gate_equals_chain_formula_bit_for_bit(n, d):
 def test_every_op_has_gradient_cases():
     """Each public op of the engine appears in >= 3 gradient-case labels,
     directly or through the named composite or label that exercises it."""
-    through = {"attention": "cross_attention",
-               "cross_entropy_loss": "cross_entropy"}
+    through = {"cross_entropy_loss": "cross_entropy"}
     exempt = {"no_grad", "topo_order", "Tensor", "ParamBuffer"}
     ops = {name for name, f in vars(ad).items()
            if callable(f) and getattr(f, "__module__", None) == ad.__name__
@@ -200,16 +345,21 @@ def test_every_op_has_gradient_cases():
 
 
 def test_attention_validates_shapes():
-    x = ad.Tensor(np.zeros((3, 2)))
+    x, w = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="at least one key"):
-        ad.attention(x, ad.Tensor(np.zeros((0, 2))), ad.Tensor(np.zeros((0, 2))))
+        ad.attention(x, w, ad.Tensor(np.zeros((0, 2))),
+                     ad.Tensor(np.zeros((0, 2))))
     with pytest.raises(ValueError, match="do not fit"):
-        ad.attention(x, ad.Tensor(np.zeros((3, 3))), x)
+        ad.attention(x, w, ad.Tensor(np.zeros((3, 3))), x)
     with pytest.raises(ValueError, match="do not fit"):
-        ad.attention(x, x, ad.Tensor(np.zeros((2, 2))))
+        ad.attention(x, w, x, ad.Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.attention(x, ad.Tensor(np.zeros((3, 2))), x, x)
     with pytest.raises(ValueError, match="causal"):
-        ad.attention(x, ad.Tensor(np.zeros((4, 2))),
+        ad.attention(x, w, ad.Tensor(np.zeros((4, 2))),
                      ad.Tensor(np.zeros((4, 2))), causal=True)
+    with pytest.raises(ValueError, match="do not fit"):
+        ad.cross_attention(x, x, w, w, ad.Tensor(np.zeros((3, 2))))
 
 
 def test_attention_scaling_flag_changes_logits():
@@ -226,7 +376,7 @@ def test_take_rows_gathers_and_accumulates_duplicates():
     x = ad.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     out = ad.take_rows(x, [2, 0, 2])
     np.testing.assert_array_equal(out.data, [[4, 5], [0, 1], [4, 5]])
-    ad.sum_all(out).backward()
+    sum_all(out).backward()
     np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0], [2, 2]])
 
 
@@ -246,10 +396,10 @@ def test_cross_entropy_clamps_zero_probability(caplog):
 
 def test_backward_accumulates_across_calls():
     x = ad.Tensor([[2.0]], requires_grad=True)
-    loss = ad.mul(x, x)
+    loss = mul(x, x)
     loss.backward()
     first = x.grad.copy()
-    ad.mul(x, x).backward()
+    mul(x, x).backward()
     np.testing.assert_array_equal(x.grad, 2 * first)
 
 
@@ -258,7 +408,7 @@ def test_gradients_reaching_two_parents_do_not_alias():
     own copy, so changing one gradient leaves the other as it was."""
     a = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
     b = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
-    ad.sum_all(ad.add(a, b)).backward()
+    sum_all(ad.add(a, b)).backward()
     np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
     a.grad += 5.0
     np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
@@ -266,7 +416,7 @@ def test_gradients_reaching_two_parents_do_not_alias():
 
 def test_zero_grad_resets():
     x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
-    ad.sum_all(x).backward()
+    sum_all(x).backward()
     assert x.grad is not None
     x.zero_grad()
     assert x.grad is None
@@ -282,7 +432,7 @@ def test_no_graph_when_nothing_requires_grad():
 def test_shared_node_gradient_sums_over_consumers():
     x = ad.Tensor([[3.0]], requires_grad=True)
     y = ad.add(x, x)           # dy/dx = 2
-    loss = ad.mul(y, y)        # d(y^2)/dx = 2y * 2 = 24
+    loss = mul(y, y)        # d(y^2)/dx = 2y * 2 = 24
     loss.backward()
     assert x.grad[0, 0] == pytest.approx(24.0)
 
@@ -301,7 +451,7 @@ def test_topo_order_visits_each_node_once():
     x = ad.Tensor([[1.0, 2.0]], requires_grad=True)
     y = ad.tanh(x)
     z = ad.add(y, y)
-    order = ad.topo_order(ad.sum_all(z))
+    order = ad.topo_order(sum_all(z))
     assert len(order) == len({id(n) for n in order})
     pos = {id(n): i for i, n in enumerate(order)}
     for node in order:
@@ -373,12 +523,12 @@ def test_param_buffer_views_and_gradients():
     assert buf.collect_grads() == [False, True]
     assert p.grad is None and q.grad.base is buf.grads
     np.testing.assert_array_equal(buf.grads[6:], 1.0)
-    ad.sum_all(ad.mul(p, p)).backward()  # first contribution: a copy
+    sum_all(mul(p, p)).backward()  # first contribution: a copy
     assert p.grad.base is buf.grads
     np.testing.assert_array_equal(p.grad, 2.0 * p.data)
     buf.release_grads()
     assert buf.grads is None and p.grad is None and q.grad is None
-    ad.sum_all(p).backward()             # without the flat gradient
+    sum_all(p).backward()             # without the flat gradient
     assert p.grad.base is None
 
 
@@ -399,7 +549,7 @@ def test_frobenius_distance_equals_difference_chain_bit_for_bit():
         a = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         c = float(rng.uniform(0.1, 3.0))
-        out = ad.mul_scalar(ad.frobenius_distance_sq(a, b), c)
+        out = mul(ad.frobenius_distance_sq(a, b), ad.Tensor([[c]]))
         out.backward()
         d = a.data - b.data
         assert out.item() == float((d * d).sum()) * c
@@ -442,15 +592,24 @@ def test_misc_validation():
         ad.mean_rows(ad.Tensor(np.zeros((0, 3))))
     with pytest.raises(ValueError):
         ad.mean_rows(ad.Tensor(np.zeros((3, 2))), [2])
-    x = ad.Tensor(np.zeros((3, 2)))
+    x, w = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        ad.segment_attention(x, x, x, [0, 3])
+        ad.segment_attention(x, w, w, w, [0, 3])
     with pytest.raises(ValueError):
-        ad.segment_attention(x, x, ad.Tensor(np.zeros((3, 3))), [3])
+        ad.segment_attention(x, w, w, ad.Tensor(np.zeros((3, 3))), [3])
     with pytest.raises(ValueError):
-        ad.slice_rows(ad.Tensor(np.zeros((2, 2))), 0, 3)
+        ad.embed(w, w, [0], [2])
+    with pytest.raises(ValueError):
+        ad.embed(w, w, [0, 1], [0])
     with pytest.raises(ValueError):
         ad.take_rows(ad.Tensor(np.zeros((2, 2))), [2])
+    with pytest.raises(ValueError, match="mlp"):
+        ad.mlp(x, w, ad.Tensor(np.zeros((1, 3))), w, ad.Tensor(np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="residual_layer_norm"):
+        ad.residual_layer_norm(x, w, ad.Tensor(np.ones((1, 2))),
+                               ad.Tensor(np.zeros((1, 2))))
+    with pytest.raises(ValueError):
+        ad.weighted_sum([ad.Tensor([[1.0]])], [1.0, 2.0])
     with pytest.raises(ValueError):
         ad.concat_rows([])
     with pytest.raises(ValueError):
@@ -495,7 +654,7 @@ def test_layer_norm_equals_mean_var_formula_bit_for_bit(r, c, seed, spread,
     g = rng.standard_normal((r, c))
     xt = ad.Tensor(x.copy(), requires_grad=True)
     out = ad.layer_norm(xt, ad.Tensor(gain), ad.Tensor(bias))
-    ad.sum_all(ad.mul(out, ad.Tensor(g))).backward()
+    sum_all(mul(out, ad.Tensor(g))).backward()
 
     mu = x.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)

@@ -56,7 +56,7 @@ def _last_row_probs(setting, dec, table, prefix, scale=False):
     n = len(prefix)
     states = decode_states(setting["T_c"], setting["E_k"],
                            embed_indices(prefix, table), dec.blocks, scale)
-    z = semantic_enhance(ad.slice_rows(states, n - 1, n), setting["T_sem"],
+    z = semantic_enhance(ad.take_rows(states, [n - 1]), setting["T_sem"],
                          dec.enhance, scale)
     return predict_token(z, dec.head).data[0]
 

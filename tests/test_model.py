@@ -5,8 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgdialog.acquire import DialogContext, acquire_text_attributes
+from kgdialog import autodiff as ad
+from kgdialog.acquire import DialogContext, acquire_text_attributes, tokenize
 from kgdialog.composer import Vocabulary, linearize_attributes
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import DialogPair, make_synthetic_corpus
@@ -69,6 +72,30 @@ class TestVocabularyBuild:
     def test_corpus_tokens_present(self, vocab):
         assert vocab.index("what") != vocab.UNK
 
+    @given(st.lists(st.tuples(
+        st.sampled_from(["Wisma Atria", "near", "Mall", "it's 5pm!",
+                         "a  b", "Road-7", "x"]),
+        st.lists(st.tuples(st.sampled_from(["near", "domain", "Mall"]),
+                           st.sampled_from(["Wisma Atria", "x", "ROAD 7",
+                                            "it's 5pm!", "mall"])),
+                 max_size=4)),
+        min_size=1, max_size=6, unique_by=lambda e: e[0]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_occurrence_formula(self, entities):
+        """Splitting each distinct KB string once gives the vocabulary of
+        splitting every occurrence, on KBs that repeat their strings."""
+        kb = KnowledgeBase(Entity(name, tuple(AttributeValuePair(t, v)
+                                              for t, v in attrs))
+                           for name, attrs in entities)
+        corpus = [["what", "is", "near"]]
+        tokens = {"what", "is", "near"}
+        for ent in kb:
+            for s in [ent.name] + [x for p in ent.attributes
+                                   for x in (p.attribute_type, p.value)]:
+                tokens.update(tokenize(s))
+                tokens.update(w.lower() for w in s.split())
+        assert build_vocabulary(corpus, kb).tokens == Vocabulary(tokens).tokens
+
 
 class TestInitParams:
     def test_seeded_and_deterministic(self, vocab, kb):
@@ -90,6 +117,23 @@ class TestInitParams:
         block = params.encoder[0]
         np.testing.assert_array_equal(block.ln1_gain.data, 1.0)
         np.testing.assert_array_equal(block.ln1_bias.data, 0.0)
+
+    def test_draws_equal_per_tensor_draws_straight_into_the_buffer(
+            self, vocab, kb):
+        """The same bits as drawing each tensor into an array of its own
+        (uniform weights, unit gains, zero biases, in ``named()`` order),
+        with every parameter a view of the buffer's values."""
+        params = build_model(vocab, kb, CFG).params
+        rng = np.random.default_rng(CFG.seed)
+        for name, t in params.named().items():
+            if name.endswith(".gain"):
+                want = np.ones(t.shape)
+            elif name.endswith(".bias"):
+                want = np.zeros(t.shape)
+            else:
+                want = rng.uniform(-0.08, 0.08, t.shape)
+            assert np.array_equal(t.data, want), name
+            assert t.data.base is params.buffer.values, name
 
     def test_named_map_stable_and_complete(self, vocab, kb):
         a = init_params(len(vocab), kb.feature_dim, CFG)
@@ -216,6 +260,22 @@ class TestDialogModel:
                   + CFG.beta * penalty)
         assert parts["total"] == pytest.approx(expect, rel=1e-9)
         assert loss.item() == parts["total"]
+
+    def test_loss_pair_graph_size(self, model):
+        """One node per layer: at this config a pair builds 55 op nodes
+        (116 when every projection, residual add and table lookup was a
+        node of its own)."""
+        loss, _ = model.loss_pair(CTX, RESPONSE)
+        ops = [n for n in ad.topo_order(loss) if n._backward is not None]
+        assert len(ops) <= 55
+
+    def test_prepared_knowledge_gives_the_same_loss(self, model):
+        prepared = model.prepare(CTX)
+        assert prepared.knowledge_tokens == linearize_attributes(
+            model.acquire(CTX)[0])
+        a, _ = model.loss_pair(CTX, RESPONSE)
+        b, _ = model.loss_pair(CTX, RESPONSE, prepared)
+        assert a.item() == b.item()
 
     def test_teacher_predictions_shapes(self, model):
         probs, targets, T_sem = model.teacher_predictions(CTX, RESPONSE)

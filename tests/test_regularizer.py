@@ -10,7 +10,7 @@ from kgdialog.regularizer import (LatentQuerySet, SemanticProjectionParams,
                                   regularization_loss)
 
 from helpers import (build_composite_grad_cases, make_attention,
-                     make_encoder_block, make_mlp, max_rel_error)
+                     make_encoder_block, make_mlp, max_rel_error, sum_all)
 
 D = 4
 N_P = 3
@@ -57,13 +57,13 @@ class TestProjectSemantic:
         """The latent queries are trainable: the loss must move them."""
         T = Tensor(rng.normal(size=(4, D)))
         out = project_semantic(latent, T, proj)
-        ad.sum_all(out).backward()
+        sum_all(out).backward()
         assert latent.P_g.grad is not None
         assert np.abs(latent.P_g.grad).max() > 0
 
     def test_gradient_reaches_input_representation(self, rng, latent, proj):
         T = Tensor(rng.normal(size=(4, D)), requires_grad=True)
-        ad.sum_all(project_semantic(latent, T, proj)).backward()
+        sum_all(project_semantic(latent, T, proj)).backward()
         assert T.grad is not None and np.abs(T.grad).max() > 0
 
 

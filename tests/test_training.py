@@ -10,11 +10,13 @@ from kgdialog import autodiff as ad
 from kgdialog.autodiff import Tensor
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import DialogPair, make_synthetic_corpus
-from kgdialog.model import build_model, build_vocabulary, model_from_doc, \
-    checkpoint_doc
+from kgdialog.model import DialogModel, build_model, build_vocabulary, \
+    checkpoint_doc, model_from_doc
 from kgdialog.training import (Adam, TrainingDiverged, evaluate,
                                mean_semantic_gap, token_accuracy, train,
                                train_model)
+
+from helpers import mul, sum_all
 
 FAST = TrainingConfig(dim=12, enc_blocks=1, dec_blocks=1, n_latent=3,
                       mlp_hidden=16, epochs=3, learning_rate=1e-3, seed=0,
@@ -112,7 +114,7 @@ class TestAdam:
                 if rng.random() < 0.5:
                     p.grad = g.copy()
                 else:  # d/dp of sum(p * g) is exactly g
-                    ad.sum_all(ad.mul(p, Tensor(g))).backward()
+                    sum_all(mul(p, Tensor(g))).backward()
             opt.step()
             assert all(p.grad is None for p in params)
             c1, c2 = 1 - 0.9 ** step, 1 - 0.999 ** step
@@ -164,14 +166,79 @@ class TestTrain:
         trained = train(pairs, tiny.kb, cfg)
 
         manual = build_model(vocab, tiny.kb, cfg)
-        opt = Adam(manual.params.buffer, cfg.learning_rate)
+        params = manual.params.buffer
+        opt = Adam(params, cfg.learning_rate)
+        penalty = params.norm_sq()
         for pair in pairs:
-            loss, _ = manual.loss_pair(pair.context, pair.response)
+            loss, _ = manual.loss_pair(pair.context, pair.response,
+                                       penalty=penalty)
             loss.backward()
+        # the penalty's gradient, once for both pairs
+        params.add_scaled_values(2.0 * cfg.beta * len(pairs))
         opt.step()
         for name, t in trained.model.params.named().items():
             np.testing.assert_array_equal(t.data,
                                           manual.params.named()[name].data)
+
+    def test_knowledge_is_prepared_once_per_pair(self, tiny, monkeypatch):
+        """train_model acquires each pair's knowledge once per call, and its
+        epoch losses and weights are the bits of a loop that acquires it
+        again for every pair of every epoch (and adds the penalty's
+        gradient once per step, as train_model does)."""
+        pairs = tiny.pairs[:4]
+        cfg = FAST.replace(epochs=4, batch_size=2)
+        vocab = _vocab(pairs, tiny.kb)
+        trained = build_model(vocab, tiny.kb, cfg)
+        calls = []
+        real = DialogModel.acquire
+
+        def counting(self, ctx):
+            calls.append(ctx)
+            return real(self, ctx)
+
+        monkeypatch.setattr(DialogModel, "acquire", counting)
+        result = train_model(trained, pairs, cfg, log_every=0)
+        assert calls == [p.context for p in pairs]
+
+        manual = build_model(vocab, tiny.kb, cfg)
+        params = manual.params.buffer
+        opt = Adam(params, cfg.learning_rate)
+        losses = []
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for index, pair in enumerate(pairs):
+                if index % cfg.batch_size == 0:
+                    penalty = params.norm_sq()
+                loss, parts = manual.loss_pair(pair.context, pair.response,
+                                               penalty=penalty)
+                loss.backward()
+                total += parts["total"]
+                if index % cfg.batch_size == cfg.batch_size - 1:
+                    params.add_scaled_values(2.0 * cfg.beta * cfg.batch_size)
+                    opt.step()
+            losses.append(total / len(pairs))
+        assert len(calls) == len(pairs) * (cfg.epochs + 1)
+        assert [x.hex() for x in result.epoch_losses] == \
+            [x.hex() for x in losses]
+        np.testing.assert_array_equal(trained.params.buffer.values,
+                                      manual.params.buffer.values)
+
+    def test_penalty_once_per_step_sums_the_per_pair_penalty(self, tiny):
+        """The objective of a pair is the same bits when the caller holds
+        the penalty, and the gradient without it plus 2 beta p is the full
+        gradient bit for bit (the penalty's backward runs last anyway)."""
+        model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
+        params, pair = model.params.buffer, tiny.pairs[1]
+        full, parts = model.loss_pair(pair.context, pair.response)
+        full.backward()
+        want = params.grads.copy()
+        params.zero_grad()
+        held, held_parts = model.loss_pair(pair.context, pair.response,
+                                           penalty=params.norm_sq())
+        assert held.item() == full.item() and held_parts == parts
+        held.backward()
+        params.add_scaled_values(2.0 * FAST.beta)
+        np.testing.assert_array_equal(params.grads, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, tiny):
