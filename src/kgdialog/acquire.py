@@ -15,6 +15,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+# tokenize lives in kb, which indexes entity names with it; it is imported
+# here too, as the package's one tokenizer
 from .kb import (AttributeValuePair, Entity, KnowledgeBase, KnowledgeGraph,
                  tokenize)
 

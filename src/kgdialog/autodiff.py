@@ -206,11 +206,12 @@ class ParamBuffer:
     ``data`` to its view there, so code that writes parameters must write
     into ``t.data[...]``. With ``copy=False`` the values start at zero and
     the tensors' own arrays are never read, so a caller can draw initial
-    values straight into the views. The flat gradient ``grads`` is made on first use
-    by ``collect_grads``, with ``scratch``, one ``BLOCK`` of work space for
-    whole-buffer updates, which run block by block over ``spans()``; from
-    then on each tensor's first gradient contribution of a backward pass is
-    copied into its view of ``grads``, and later ones add there.
+    values straight into the views. The flat gradient ``grads`` is made on
+    first use by ``collect_grads``, with ``scratch``, one ``BLOCK`` of work
+    space for whole-buffer updates, which run block by block over
+    ``spans()``; from then on each tensor's first gradient contribution of
+    a backward pass is copied into its view of ``grads``, and later ones
+    add there.
     ``release_grads`` drops both again. Two buffers never share memory.
     """
 
