@@ -54,7 +54,7 @@ class ModelParams:
     sem_composed: SemanticProjectionParams
     sem_truth: SemanticProjectionParams
     decoder: DecoderParams
-    # set by init_params, which makes it first and draws the values into it
+    # set by init_params, which joins the tensors and then draws their values
     buffer: ad.ParamBuffer = field(init=False, repr=False, compare=False)
 
     def composer(self) -> ComposerParams:
