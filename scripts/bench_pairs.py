@@ -13,12 +13,14 @@ touched. Each seed is one pair of runs of
 
 one in each tree, one after the other; the side that runs first alternates
 from pair to pair, so a slow or fast spell of the host does not always
-land on the same side. The output file holds both SHAs, every result line,
-and per end-to-end metric (names, units and directions from
-BENCHMARK.json): each side's median and quartiles, the pairs the change
-wins, and the verdict of a claimed gain. A gain holds when the change wins
-at least 9 of every 10 pairs and its median is better than the parent's by
-more than the parent's interquartile range.
+land on the same side. After the pairs, each side runs once more with
+``--trace 1`` at the first seed, for its per-layer metrics (graph nodes per
+pair among them). The output file holds both SHAs, every result line, each
+side's traced per-layer metrics, and per end-to-end metric (names, units
+and directions from BENCHMARK.json): each side's median and quartiles, the
+pairs the change wins, and the verdict of a claimed gain. A gain holds when
+the change wins at least 9 of every 10 pairs and its median is better than
+the parent's by more than the parent's interquartile range.
 """
 from __future__ import annotations
 
@@ -52,15 +54,17 @@ def export(rev: str, into: Path) -> None:
 
 
 def run(tree: Path, command: list[str], workload: str, seed: int,
-        seconds: float) -> dict:
-    """One benchmark run in ``tree``; its result line, parsed."""
+        seconds: float, trace: int = 0) -> tuple[dict, dict]:
+    """One benchmark run in ``tree``: its result line and the full run
+    record printed above it, both parsed."""
     cmd = command + ["--workload", workload, "--seed", str(seed),
-                     "--seconds", str(seconds), "--trace", "0"]
+                     "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n"
                            f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    record, _, result = proc.stdout.strip().rpartition("\n")
+    return json.loads(result), json.loads(record)
 
 
 def spread(values: list[float]) -> dict:
@@ -117,17 +121,28 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "order": list(order)}
             for side in order:
-                pair[side] = run(trees[side], spec["command"], args.workload,
-                                 seed, args.seconds)
+                pair[side], _ = run(trees[side], spec["command"],
+                                    args.workload, seed, args.seconds)
             record["pairs"].append(pair)
             print(json.dumps({"seed": seed, **{
                 side: {m: v["value"] for m, v in pair[side]["metrics"].items()}
                 for side in order}}), flush=True)
+        record["traced"] = {"seed": args.seeds[0]}
+        for side in ("parent", "change"):
+            result, run_record = run(trees[side], spec["command"],
+                                     args.workload, args.seeds[0],
+                                     args.seconds, trace=1)
+            record["traced"][side] = {"failed": result["failed"],
+                                      "per_layer": run_record["per_layer"]}
     record["failed"] = {side: sum(p[side]["failed"] for p in record["pairs"])
                         for side in ("parent", "change")}
     record["metrics"] = {m["name"]: verdict(m, record["pairs"])
                          for m in spec["end_to_end"]}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    for side in ("parent", "change"):
+        nodes = record["traced"][side]["per_layer"].get(
+            "autodiff.graph_nodes_per_pair")
+        print(f"traced {side}: graph nodes per pair {nodes}")
     for name, m in record["metrics"].items():
         print(f"{name}: parent median {m['parent']['median']:.4g} "
               f"(IQR {m['parent']['iqr']:.3g}), change "

@@ -168,13 +168,18 @@ def entity_similarity(feature: np.ndarray, entity: Entity) -> float:
     if not entity.has_images:
         raise NoImagesError(f"entity {entity.name!r} has no image features")
     f = np.asarray(feature, dtype=np.float64).reshape(-1)
+    return _max_cosine(f, np.linalg.norm(f), entity,
+                       np.linalg.norm(entity.image_features, axis=1))
+
+
+def _max_cosine(f: np.ndarray, f_norm: float, entity: Entity,
+                img_norms: np.ndarray) -> float:
+    """``entity_similarity`` given the norms of f and of the images."""
     images = entity.image_features
     if f.shape[0] != images.shape[1]:
         raise ValueError(
             f"feature dim {f.shape[0]} != entity {entity.name!r} "
             f"image dim {images.shape[1]}")
-    f_norm = np.linalg.norm(f)
-    img_norms = np.linalg.norm(images, axis=1)
     if f_norm == 0.0 or np.any(img_norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm vectors")
     return float(np.max(images @ f / (img_norms * f_norm)))
@@ -186,12 +191,16 @@ def acquire_visual_attributes(ctx: DialogContext, kb: KnowledgeBase,
 
     An entity is selected by a context image when its maximum per-image
     cosine similarity strictly exceeds ``cfg.epsilon``; entities without
-    images never match.
+    images never match. The entities' image norms come from the knowledge
+    base, and each context image's norm is taken once.
     """
     found = []
     for feature in ctx.image_features:
-        for ent in kb:
-            if ent.has_images and entity_similarity(feature, ent) > cfg.epsilon:
+        f = np.asarray(feature, dtype=np.float64).reshape(-1)
+        f_norm = np.linalg.norm(f)
+        for name, img_norms in kb.image_norms.items():
+            ent = kb[name]
+            if _max_cosine(f, f_norm, ent, img_norms) > cfg.epsilon:
                 found.extend(AcquiredPair(ent.name, p, PROVENANCE_VISUAL)
                              for p in ent.attributes)
     return _ordered(found)

@@ -16,8 +16,6 @@ layer is a single node with a hand-written backward:
 - ``embed``: token rows plus position rows, gathered from two tables;
 - ``cross_attention``: softmax((x w_q)(y w_k)^T)(y w_v), the three
   projections included, optionally scaled or causal;
-- ``attention``: the same read over keys and values projected beforehand
-  (projected once, read many times), the query projection included;
 - ``segment_attention``: segmented self-attention, projections included;
 - ``mlp``: linear, tanh, linear;
 - ``residual_layer_norm``: layer_norm(h + y), the post-norm residual;
@@ -29,9 +27,11 @@ layer is a single node with a hand-written backward:
 Each fused forward runs the numpy operations of the chain of smaller ops it
 replaced, in the same order, so its values are the same bits; its backward
 hands every input its contributions in the order the chain's nodes did.
-The attention weights that the attention ops return, and the row weights
-that ``gate`` returns, are data-only tensors: they carry no graph, and
-gradients flow through the op's main output alone.
+The attention weights that ``cross_attention`` returns, and the row
+weights that ``gate`` returns, are data-only tensors: they carry no graph,
+and gradients flow through the op's main output alone. ``_attend``, the
+softmax(q k^T) v kernel on plain arrays, also serves inference reads whose
+keys and values were projected once beforehand.
 
 Trainable leaves live in a ``ParamBuffer``: their values are views into one
 flat array and their gradients accumulate into views of a second, so the
@@ -317,19 +317,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dims {a.shape} x {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T, fresh=True)
-        if b.requires_grad:
-            b._accum(a.data.T @ g, fresh=True)
-
-    return _node(a.data @ b.data, (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[n,d_in] @ w[d_in,d_out] + b[1,d_out], the bias broadcast over
     rows, as one node."""
@@ -346,16 +333,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b._accum(g.sum(axis=0, keepdims=True), fresh=True)
 
     return _node(x.data @ w.data + b.data, (x, w, b), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accum(g * (1.0 - out_data * out_data), fresh=True)
-
-    return _node(out_data, (x,), backward)
 
 
 def squared_norm(params: ParamBuffer) -> Tensor:
@@ -418,7 +395,7 @@ def mean_rows(x: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
 
 def _project_back(x: Tensor, w: Tensor, g: np.ndarray) -> None:
     """The backward of the projection x @ w, given the gradient g at the
-    product: the input's share, then the weight's, as ``matmul`` does."""
+    product: the input's share, then the weight's."""
     if x.requires_grad:
         x._accum(g @ w.data.T, fresh=True)
     if w.requires_grad:
@@ -745,32 +722,6 @@ def cross_attention(q_src: Tensor, kv_src: Tensor, w_q: Tensor, w_k: Tensor,
         _project_back(kv_src, w_v, gv)
 
     return (_node(out, (q_src, kv_src, w_q, w_k, w_v), backward),
-            _node(weights, (), None))
-
-
-def attention(q_src: Tensor, w_q: Tensor, k: Tensor, v: Tensor,
-              scale: bool = False, causal: bool = False
-              ) -> tuple[Tensor, Tensor]:
-    """softmax((q_src w_q) k^T) v over keys and values projected beforehand,
-    as one node with the query projection included; returns (output,
-    attention weights). A read whose keys and values serve many queries
-    (every decoding step of a reply, say) projects them once.
-
-    ``scale`` and ``causal`` are as in ``cross_attention``.
-    """
-    _check_projections("attention", q_src, w_q)
-    out, weights, grads = _attend("attention", q_src.data @ w_q.data, k.data,
-                                  v.data, scale, causal)
-
-    def backward(g):
-        gq, gk, gv = grads(g)
-        if v.requires_grad:
-            v._accum(gv, fresh=True)
-        if k.requires_grad:
-            k._accum(gk, fresh=True)
-        _project_back(q_src, w_q, gq)
-
-    return (_node(out, (q_src, w_q, k, v), backward),
             _node(weights, (), None))
 
 

@@ -331,21 +331,25 @@ def reorganize_relations(T_t: Tensor, T_h: Tensor, attn: AttentionParams,
                               scale=scale)
 
 
+_ZERO_SCORE_BIAS = Tensor(np.zeros((1, 1)))  # a constant: never trained
+
+
 def fuse(T_t: Tensor, T_h_bar: Tensor,
          fusion: FusionParams) -> tuple[Tensor, Tensor, Tensor]:
     """Position-wise convex fusion of the two composed views.
 
     Each side is scored by a tanh-linear transform dotted with the query
-    vector ``a``; the pair of scores at each position softmax-normalizes to
-    (r_t, r_h), and T_c = r_t * T_t + r_h * T_h_bar row-wise. r_t and r_h
-    are data-only N_b x 1 tensors, for inspection.
+    vector ``a``, one ``mlp`` node whose second bias is a constant zero
+    (adding it is exact); the pair of scores at each position
+    softmax-normalizes to (r_t, r_h), and T_c = r_t * T_t + r_h * T_h_bar
+    row-wise, one ``gate`` node. r_t and r_h are data-only N_b x 1 tensors,
+    for inspection.
     """
     if T_t.shape != T_h_bar.shape:
         raise ValueError(f"fuse: {T_t.shape} vs {T_h_bar.shape}")
-    h_t = ad.tanh(ad.linear(T_t, fusion.w_t, fusion.b_t))
-    h_h = ad.tanh(ad.linear(T_h_bar, fusion.w_h, fusion.b_h))
-    T_c, r = ad.gate(T_t, T_h_bar, ad.matmul(h_t, fusion.a),
-                     ad.matmul(h_h, fusion.a))
+    s_t = ad.mlp(T_t, fusion.w_t, fusion.b_t, fusion.a, _ZERO_SCORE_BIAS)
+    s_h = ad.mlp(T_h_bar, fusion.w_h, fusion.b_h, fusion.a, _ZERO_SCORE_BIAS)
+    T_c, r = ad.gate(T_t, T_h_bar, s_t, s_h)
     return Tensor(r.data[:, :1]), Tensor(r.data[:, 1:]), T_c
 
 

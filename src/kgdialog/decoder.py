@@ -9,17 +9,20 @@ matrix — the ground-truth-side matrix during training, the composed-side
 matrix at inference — before the output head predicts the token.
 
 Training runs ``decode_states`` teacher-forced over the whole prefix, and
-that path is the reference. Generation runs the same block body one
-position at a time through a ``DecodeCache``:
+that path is the reference: every attention read there is one
+``cross_attention`` node, projections included. Generation runs the same
+block body one position at a time through a ``DecodeCache``, which holds
+every projection a reply reuses, as plain arrays:
 
-- each step feeds one new row per live hypothesis through the blocks;
+- each step feeds one new row per live hypothesis through the blocks, at
+  the position the cache counts;
 - each block keeps the self-attention keys and values of every position
   fed so far as a G x L x D array (G hypotheses, L positions), so a
   step's self-attention is a batched matmul costing G·L·D, with no
   G x (G·L) mask;
-- the knowledge and encoder keys and values of E_k and T_c are projected
-  once per reply, by the first step, and so are the semantic keys and
-  values of T_sem that enhancement reads;
+- the knowledge and encoder keys and values of E_k and T_c, and the
+  semantic keys and values of T_sem that enhancement reads, are projected
+  once per reply, by the first step;
 - beam search stacks its live hypotheses as the G rows, so one pass
   scores all of them, and after each step the cache keeps the rows of the
   surviving parents.
@@ -42,9 +45,6 @@ from .autodiff import Tensor
 from .composer import AttentionParams, EmbeddingTable, MlpParams, Vocabulary
 
 logger = logging.getLogger(__name__)
-
-_KeyValues = tuple[Tensor, Tensor]
-
 
 @dataclass
 class DecoderBlockParams:
@@ -115,26 +115,23 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
     predicts the token after it.
 
     Without a cache E_y is a whole prefix (teacher forcing); causal masking
-    makes row j bit-identical to feeding the first j+1 rows alone. With a
+    makes row j bit-identical to feeding the first j+1 rows alone, and each
+    knowledge and encoder read is one ``cross_attention`` node. With a
     cache E_y holds one new row per hypothesis, at the position after the
     ones the cache holds: each row's self-attention reads its own
-    hypothesis' cached rows and itself, and the cache keeps the new keys
-    and values. Cached keys and values are plain arrays, so the cached path
-    is for inference; no gradient flows back into earlier positions.
+    hypothesis' cached rows and itself, the cache keeps the new keys and
+    values, and the reads use the keys and values of E_k and T_c that the
+    cache projected at the reply's first step. Cached keys and values are
+    plain arrays, so the cached path is for inference; no gradient flows
+    back into earlier positions.
 
     When the context produced no attribute knowledge (E_k has no rows) the
     knowledge sub-layer is skipped — there is nothing to attend over.
     """
     if E_y.shape[0] == 0:
         raise ValueError("decode_states: empty prefix")
-    if cache is None:
-        memory = _memory(T_c, E_k, blocks)
-    else:
-        if cache.memory is None:
-            cache.memory = _memory(T_c, E_k, blocks)
-        memory = cache.memory
     h = E_y
-    for i, (block, (knowledge, encoder)) in enumerate(zip(blocks, memory)):
+    for i, block in enumerate(blocks):
         sa = block.self_attn
         if cache is None:
             a, _ = ad.cross_attention(h, h, sa.w_q, sa.w_k, sa.w_v,
@@ -142,40 +139,58 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
         else:
             a = cache.attend(i, h, sa, scale)
         h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
-        if knowledge is not None:
-            h = _read(h, block.knowledge_attn, knowledge, block.ln2_gain,
-                      block.ln2_bias, scale)
-        h = _read(h, block.encoder_attn, encoder, block.ln3_gain,
-                  block.ln3_bias, scale)
+        if E_k.shape[0]:
+            h = _read(h, E_k, block.knowledge_attn, block.ln2_gain,
+                      block.ln2_bias, scale, cache)
+        h = _read(h, T_c, block.encoder_attn, block.ln3_gain,
+                  block.ln3_bias, scale, cache)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.residual_layer_norm(h, m, block.ln4_gain, block.ln4_bias)
+    if cache is not None:
+        cache.length += 1
     return h
 
 
 class DecodeCache:
-    """What one reply's decoding steps reuse, filled by ``decode_states``.
+    """What one reply's decoding steps reuse, filled as they run.
 
-    ``memory`` holds each block's (knowledge, encoder) keys and values of
-    E_k and T_c, projected by the first step. ``keys`` and ``values`` hold
-    each block's self-attention keys and values of every position fed so
-    far, one G x L x D array per block for G hypotheses of L positions.
+    ``projected`` holds the keys and values of every fixed source a reply
+    reads (E_k and T_c in each block, T_sem in enhancement), projected at
+    the first read and keyed by the source and the read's projections.
+    ``keys`` and ``values`` hold each block's self-attention keys and values
+    of every position fed so far, one G x L x D array per block for G
+    hypotheses of L positions. ``length`` counts the positions fed, so that
+    a decoder without blocks still places each step's row.
     """
 
     def __init__(self):
-        self.memory: list[tuple[_KeyValues | None, _KeyValues]] | None = None
+        self.projected: dict[tuple[int, int],
+                             tuple[np.ndarray, np.ndarray]] = {}
         self.keys: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
-
-    @property
-    def length(self) -> int:
-        """Positions held per hypothesis: the position of the next row."""
-        return self.keys[0].shape[1] if self.keys else 0
+        self.length = 0
 
     def select(self, rows: Sequence[int]) -> None:
         """Keep the hypotheses at ``rows``, in that order; a row may repeat
         (one parent extended several ways)."""
         self.keys = [k[rows] for k in self.keys]
         self.values = [v[rows] for v in self.values]
+
+    def read(self, h: Tensor, src: Tensor, attn: AttentionParams,
+             scale: bool) -> Tensor:
+        """softmax((h w_q)(src w_k)^T)(src w_v) over plain arrays, with
+        src's keys and values projected by the first read of src through
+        ``attn`` and reused by every later one; no graph is built. One cache
+        serves one reply, whose sources and weights stay fixed and alive,
+        so their ids name the projection."""
+        key = (id(src), id(attn))
+        kv = self.projected.get(key)
+        if kv is None:
+            kv = self.projected[key] = (src.data @ attn.w_k.data,
+                                        src.data @ attn.w_v.data)
+        out, _, _ = ad._attend("DecodeCache.read", h.data @ attn.w_q.data,
+                               *kv, scale, False)
+        return Tensor(out)
 
     def attend(self, block: int, h: Tensor, attn: AttentionParams,
                scale: bool) -> Tensor:
@@ -204,37 +219,30 @@ class DecodeCache:
         return Tensor(np.matmul(weights[:, None, :], self.values[block])[:, 0])
 
 
-def _key_values(src: Tensor, attn: AttentionParams) -> _KeyValues:
-    return ad.matmul(src, attn.w_k), ad.matmul(src, attn.w_v)
-
-
-def _memory(T_c: Tensor, E_k: Tensor, blocks: Sequence[DecoderBlockParams]
-            ) -> list[tuple[_KeyValues | None, _KeyValues]]:
-    """Each block's knowledge keys/values of E_k (None when E_k is empty)
-    and encoder keys/values of T_c."""
-    return [(_key_values(E_k, b.knowledge_attn) if E_k.shape[0] else None,
-             _key_values(T_c, b.encoder_attn)) for b in blocks]
-
-
-def _read(h: Tensor, attn: AttentionParams, kv: _KeyValues, gain: Tensor,
-          bias: Tensor, scale: bool) -> Tensor:
-    """A residual attention read over fixed keys and values, then LN."""
-    a, _ = ad.attention(h, attn.w_q, *kv, scale=scale)
+def _read(h: Tensor, src: Tensor, attn: AttentionParams, gain: Tensor,
+          bias: Tensor, scale: bool, cache: DecodeCache | None) -> Tensor:
+    """A residual attention read of h over src, then LN: one
+    ``cross_attention`` node, or the cache's read of src projected once."""
+    if cache is None:
+        a, _ = ad.cross_attention(h, src, attn.w_q, attn.w_k, attn.w_v,
+                                  scale=scale)
+    else:
+        a = cache.read(h, src, attn, scale)
     return ad.residual_layer_norm(h, a, gain, bias)
 
 
 def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
-                     params: SemanticEnhanceParams,
-                     scale: bool = False) -> Tensor:
+                     params: SemanticEnhanceParams, scale: bool = False,
+                     cache: DecodeCache | None = None) -> Tensor:
     """Enhance decoder states with a read over the semantic matrix.
 
     z-hat = LN(z-bar + cross_attention(z-bar, T_sem)). Rows are independent
-    queries, so one call covers a whole teacher-forced sequence. This is
-    the reference for ``generate``, which projects T_sem's keys and values
-    once per reply and runs the same read at each step.
+    queries, so one call covers a whole teacher-forced sequence. With a
+    cache (``generate``), T_sem's keys and values are projected once per
+    reply and the read is the same on plain arrays.
     """
-    return _read(z_bar, params.attn, _key_values(T_sem, params.attn),
-                 params.ln_gain, params.ln_bias, scale)
+    return _read(z_bar, T_sem, params.attn, params.ln_gain, params.ln_bias,
+                 scale, cache)
 
 
 def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
@@ -276,19 +284,14 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
     if not 1 <= max_len <= table.max_len:
         raise ValueError(f"max_len {max_len} outside [1, {table.max_len}]")
 
-    enh = dec.enhance
     with ad.no_grad():
-        semantic = _key_values(T_sem, enh.attn)  # projected once per reply
-
         def step(cache: DecodeCache, tokens: list[int]) -> np.ndarray:
             """Feed one token per hypothesis; return the G x V
             distributions over each hypothesis' next token."""
-            pos = cache.length
             E_y = ad.embed(table.token, table.position, tokens,
-                           [pos] * len(tokens))
+                           [cache.length] * len(tokens))
             z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
-            z_hat = _read(z_bar, enh.attn, semantic, enh.ln_gain,
-                          enh.ln_bias, scale)  # = semantic_enhance
+            z_hat = semantic_enhance(z_bar, T_sem, dec.enhance, scale, cache)
             return predict_token(z_hat, dec.head).data
 
         if width is None:

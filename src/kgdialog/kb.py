@@ -90,11 +90,13 @@ class KnowledgeBase:
 
     ``feature_dim`` is the shared dimensionality of all image feature
     vectors, or 0 when no entity carries any. Every image feature row must
-    have non-zero norm.
+    have non-zero norm; ``image_norms`` holds those norms, per entity with
+    images, for the visual route.
     """
 
     def __init__(self, entities: Iterable[Entity]):
         store: dict[str, Entity] = {}
+        image_norms: dict[str, np.ndarray] = {}
         feature_dim = 0
         for position, ent in enumerate(entities):
             if ent.name in store:
@@ -114,8 +116,11 @@ class KnowledgeBase:
                     raise KBFormatError(
                         f"entity {ent.name!r} at position {position}: image "
                         f"feature row {zero[0]} has zero norm")
+                image_norms[ent.name] = norms
             store[ent.name] = ent
         self._entities = store
+        self.image_norms: Mapping[str, np.ndarray] = MappingProxyType(
+            image_norms)
         self.feature_dim = feature_dim
 
     @property

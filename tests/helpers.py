@@ -78,6 +78,21 @@ def sum_all(x: ad.Tensor) -> ad.Tensor:
     return ad._node(np.array([[x.data.sum()]]), (x,), backward)
 
 
+def attend(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, scale: bool = False,
+           causal: bool = False) -> ad.Tensor:
+    """The engine's attention kernel ``_attend`` over projected q, k and v
+    as a node, so that its gradients can be checked on their own."""
+    out, _, grads = ad._attend("attend", q.data, k.data, v.data, scale,
+                               causal)
+
+    def backward(g):
+        for t, gt in zip((q, k, v), grads(g)):
+            if t.requires_grad:
+                t._accum(gt, fresh=True)
+
+    return ad._node(out, (q, k, v), backward)
+
+
 def _param(rng, rows, cols, lo=-1.0, hi=1.0):
     return ad.Tensor(rng.uniform(lo, hi, size=(rows, cols)), requires_grad=True)
 
@@ -105,8 +120,7 @@ def build_grad_cases(seed: int = 0):
         a3, b3 = _param(rng, r, c), _param(rng, r, c)
         case(f"mul:{r}x{c}", lambda a=a3, b=b3: _project(mul(a, b), 3), [a3, b3])
         _param(rng, r, c)  # the deleted mul_scalar op's draw
-        x2 = _param(rng, r, c)
-        case(f"tanh:{r}x{c}", lambda x=x2: _project(ad.tanh(x), 5), [x2])
+        _param(rng, r, c)  # the deleted tanh op's draw
         x5 = _param(rng, r, c)
         case(f"sum_all:{r}x{c}", lambda x=x5: sum_all(x), [x5])
         x6 = _param(rng, r, c)
@@ -120,9 +134,7 @@ def build_grad_cases(seed: int = 0):
              lambda x=x10: _project(ad.softmax_rows(x), 12), [x10])
 
     for (m, k, n) in [(1, 1, 1), (2, 3, 4), (5, 2, 3)]:
-        a, b = _param(rng, m, k), _param(rng, k, n)
-        case(f"matmul:{m}x{k}x{n}", lambda a=a, b=b: _project(ad.matmul(a, b), 13),
-             [a, b])
+        _param(rng, m, k), _param(rng, k, n)  # the deleted matmul op's draws
 
     for (r, c) in [(2, 2), (3, 4), (1, 6)]:
         x = _param(rng, r, c)
@@ -250,15 +262,17 @@ def build_grad_cases(seed: int = 0):
              lambda h=h, y=y, g=g, b=bta:
              _project(ad.residual_layer_norm(h, y, g, b), 26), [h, y, g, bta])
 
+    # the kernel under cross_attention's backward, which inference also
+    # runs on keys and values projected once; w_q is the draw of the deleted
+    # attention op's query projection
     for (nq, nk, d, causal, scaled) in [(1, 1, 2, False, False),
                                         (3, 5, 3, False, True),
                                         (4, 4, 2, True, False)]:
-        q, w_q = _param(rng, nq, d), _param(rng, d, d)
+        q, _ = _param(rng, nq, d), _param(rng, d, d)
         k, v = _param(rng, nk, d), _param(rng, nk, d)
         case(f"attention:{nq}q{nk}k d={d} causal={causal} scale={scaled}",
-             lambda q=q, w_q=w_q, k=k, v=v, causal=causal, scaled=scaled:
-             _project(ad.attention(q, w_q, k, v, scale=scaled,
-                                   causal=causal)[0], 27), [q, w_q, k, v])
+             lambda q=q, k=k, v=v, causal=causal, scaled=scaled:
+             _project(attend(q, k, v, scaled, causal), 27), [q, k, v])
 
     for weights in [(0.7,), (1.0, -0.3), (2.0, 0.1, 1e-3)]:
         terms = [_param(rng, 1, 1) for _ in weights]

@@ -217,6 +217,53 @@ def test_visual_route_matches_double_loop_oracle():
     assert got == expected
 
 
+def _visual_test_kbs():
+    """Every kind of KB the visual tests use: random ones, and synthetic
+    corpora with their own image-bearing contexts."""
+    rng = np.random.default_rng(29)
+    for n in (1, 6, 8):
+        yield _random_visual_kb(rng, n), rng.standard_normal((4, 4))
+    for seed in (0, 3):
+        syn = make_synthetic_corpus(seed)
+        yield syn.kb, np.concatenate([p.context.image_features
+                                      for p in syn.pairs
+                                      if p.context.image_features.size])
+
+
+def test_visual_route_takes_each_norm_once_and_selects_the_same(
+        monkeypatch):
+    """The entities' image norms come from the knowledge base and each
+    context image's norm is taken once per call; the selections equal
+    ``entity_similarity``'s per entity, even with epsilon set to an exact
+    similarity, where only equal bits keep the strict threshold's answer."""
+    cases = []
+    for kb, feats in _visual_test_kbs():
+        for f in feats:
+            sims = {e.name: entity_similarity(f, e) for e in kb
+                    if e.has_images}
+            for eps in sorted(set(sims.values()) | {-1.0, 0.0, 0.8}):
+                if -1.0 <= eps <= 1.0:
+                    want = {(e.name, p.attribute_type, p.value)
+                            for e in kb if sims.get(e.name, -2.0) > eps
+                            for p in e.attributes}
+                    cases.append((kb, f, eps, want))
+    assert len(cases) > 100
+    calls = []
+    real = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    for kb, f, eps, want in cases:
+        calls.clear()
+        got = acquire_visual_attributes(DialogContext((), f[None]), kb,
+                                        AcquisitionConfig(epsilon=eps))
+        assert {ap.key() for ap in got} == want
+        assert len(calls) <= 1
+
+
 @given(st.integers(0, 500), st.floats(-0.99, 0.99))
 @settings(max_examples=25, deadline=None)
 def test_visual_route_selection_grows_as_epsilon_drops(seed, eps):

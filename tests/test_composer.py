@@ -424,17 +424,25 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse(Tensor(np.zeros((2, D))), Tensor(np.zeros((3, D))), fusion)
 
-    def test_seven_graph_nodes_and_data_only_gates(self, rng):
-        """Two tanh-linear scorers, two score matmuls and one gate node
-        (the slice-and-transpose chain built 18)."""
+    def test_three_graph_nodes_and_data_only_gates(self, rng):
+        """One mlp scorer per side and one gate node, with the forward bits
+        of tanh(linear) scores dotted with ``a``: the scorers' zero second
+        bias adds exactly."""
         fusion = make_fusion(rng, D)
         T_t, T_h = (Tensor(rng.normal(size=(3, D)), requires_grad=True)
                     for _ in range(2))
         r_t, r_h, T_c = fuse(T_t, T_h, fusion)
-        assert len([t for t in ad.topo_order(T_c) if t._backward]) == 7
+        assert len([t for t in ad.topo_order(T_c) if t._backward]) == 3
         for r in (r_t, r_h):
             assert r.shape == (3, 1)
             assert r._parents == () and not r.requires_grad
+        f = fusion
+        s_t = np.tanh(T_t.data @ f.w_t.data + f.b_t.data) @ f.a.data
+        s_h = np.tanh(T_h.data @ f.w_h.data + f.b_h.data) @ f.a.data
+        r = ad._softmax(np.concatenate((s_t, s_h), axis=1))
+        np.testing.assert_array_equal(r_t.data, r[:, :1])
+        np.testing.assert_array_equal(
+            T_c.data, T_t.data * r[:, :1] + T_h.data * r[:, 1:])
 
 
 # ------------------------------------------------------------- full composition

@@ -106,6 +106,15 @@ def _reference_beam(setting, dec, table, vocab, max_len, width, scale=False):
     return best[1:], steps, mixed
 
 
+class _CountingRows(np.ndarray):
+    """An array that records the right operand of every product it is the
+    left operand of: when it holds a source's rows, its projections."""
+
+    def __matmul__(self, other):
+        self.projections.append(other)
+        return np.asarray(self) @ other
+
+
 class TestDecodeStates:
     def test_empty_prefix_raises(self, setting, blocks):
         with pytest.raises(ValueError):
@@ -368,29 +377,30 @@ class TestGenerate:
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam:3"])
     def test_semantic_keys_are_projected_once_per_reply(
-            self, rng, setting, monkeypatch, strategy):
-        """T_sem's enhancement keys and values are projected by one matmul
-        each per reply, however many steps the reply takes."""
-        vocab, table, dec = self._model(rng)
-        projected = []
-        real = ad.matmul
-
-        def counting(a, b):
-            if a is setting["T_sem"]:
-                projected.append(b)
-            return real(a, b)
-
-        monkeypatch.setattr(ad, "matmul", counting)
+            self, rng, setting, strategy):
+        """The keys and values of T_sem (enhancement), and of E_k and T_c
+        (each block's knowledge and encoder reads), are projected by one
+        product each per reply, however many steps the reply takes."""
+        vocab, table, dec = self._model(rng, n_blocks=2)
+        dec.head.b_y.data[0, vocab.EOS] -= 5.0  # replies run several steps
+        for name in ("T_c", "E_k", "T_sem"):
+            setting[name].data = setting[name].data.view(_CountingRows)
+            setting[name].data.projections = []
         out = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
                        dec, table, vocab, max_len=8, strategy=strategy)
         assert len(out) >= 2  # several steps ran
-        attn = dec.enhance.attn
-        assert sorted(map(id, projected)) == sorted((id(attn.w_k),
-                                                     id(attn.w_v)))
+        reads = {"T_c": [b.encoder_attn for b in dec.blocks],
+                 "E_k": [b.knowledge_attn for b in dec.blocks],
+                 "T_sem": [dec.enhance.attn]}
+        for name, attns in reads.items():
+            got = [id(w) for w in setting[name].data.projections]
+            want = [id(a.w_k.data) for a in attns] + [id(a.w_v.data)
+                                                      for a in attns]
+            assert sorted(got) == sorted(want), name
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam:1", "beam:2",
                                           "beam:4", "beam:200"])
-    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
     @pytest.mark.parametrize("eos_bias", [0.0, 2.0])
     @pytest.mark.parametrize("scale,knowledge", [(False, True),
                                                  (True, False)])
@@ -399,7 +409,8 @@ class TestGenerate:
                                           knowledge):
         """Cached decoding gives the replies of decoding that re-runs
         every block over the whole prefix at each step. beam:200 keeps
-        more hypotheses than the V=9 vocabulary has tokens."""
+        more hypotheses than the V=9 vocabulary has tokens. With no blocks
+        the cache still counts the positions fed."""
         vocab, table, dec = self._model(rng, n_blocks)
         dec.head.b_y.data[0, vocab.EOS] += eos_bias
         if not knowledge:
@@ -455,7 +466,7 @@ class TestGenerate:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5),
-       n_blocks=st.integers(1, 2), n_knowledge=st.integers(0, 3),
+       n_blocks=st.integers(0, 2), n_knowledge=st.integers(0, 3),
        scale=st.booleans(), table_len=st.integers(1, 8),
        hypotheses=st.integers(1, 4), data=st.data())
 def test_cached_steps_match_teacher_forced_rows(seed, d, n_blocks,
