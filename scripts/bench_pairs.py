@@ -16,11 +16,16 @@ from pair to pair, so a slow or fast spell of the host does not always
 land on the same side. After the pairs, each side runs once more with
 ``--trace 1`` at the first seed, for its per-layer metrics (graph nodes per
 pair among them). The output file holds both SHAs, every result line, each
-side's traced per-layer metrics, and per end-to-end metric (names, units
-and directions from BENCHMARK.json): each side's median and quartiles, the
-pairs the change wins, and the verdict of a claimed gain. A gain holds when
-the change wins at least 9 of every 10 pairs and its median is better than
-the parent's by more than the parent's interquartile range.
+side's traced per-layer metrics, and per end-to-end metric (names, units,
+directions and bounds from BENCHMARK.json): each side's median and
+quartiles, the pairs the change wins, the verdict of a claimed gain and the
+bound check. A gain holds when the change wins at least 9 of every 10 pairs
+and its median is better than the parent's by more than the parent's
+interquartile range. A metric is within its bound when the change's median
+is no worse than the parent's median by more than the bound (a fraction of
+the parent's median). It is unresolved when the parent's interquartile
+range is wider than the bound and not every change run beats every parent
+run: the runs then spread too widely to tell.
 """
 from __future__ import annotations
 
@@ -74,20 +79,27 @@ def spread(values: list[float]) -> dict:
 
 
 def verdict(metric: dict, pairs: list[dict]) -> dict:
-    """Per-side spread, pair wins and the gain verdict of one metric."""
-    name, lower = metric["name"], metric["better"] == "lower"
+    """Per-side spread, pair wins, the gain verdict and the bound check of
+    one metric."""
+    name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
     sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
              for side in ("parent", "change")}
-    wins = sum((c < p) if lower else (c > p)
+    wins = sum(sign * (p - c) > 0
                for p, c in zip(sides["parent"], sides["change"]))
     parent, change = spread(sides["parent"]), spread(sides["change"])
-    gap = (parent["median"] - change["median"]) * (1 if lower else -1)
+    gap = sign * (parent["median"] - change["median"])
+    bound = metric["bound"] * abs(parent["median"])
+    beats_all = all(sign * (p - c) > 0
+                    for p in sides["parent"] for c in sides["change"])
     return {"unit": metric["unit"], "better": metric["better"],
+            "bound": metric["bound"],
             "parent": parent, "change": change, "wins": wins,
             "pairs": len(pairs),
             "median_change_pct": 100.0 * (change["median"] / parent["median"]
                                           - 1.0),
-            "gain": wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"]}
+            "gain": wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"],
+            "within_bound": gap >= -bound,
+            "unresolved": parent["iqr"] > bound and not beats_all}
 
 
 def main(argv=None) -> int:
@@ -147,7 +159,9 @@ def main(argv=None) -> int:
         print(f"{name}: parent median {m['parent']['median']:.4g} "
               f"(IQR {m['parent']['iqr']:.3g}), change "
               f"{m['change']['median']:.4g} ({m['median_change_pct']:+.1f}%), "
-              f"wins {m['wins']}/{m['pairs']}, gain: {m['gain']}")
+              f"wins {m['wins']}/{m['pairs']}, gain: {m['gain']}, "
+              f"within bound {m['bound']:.0%}: {m['within_bound']}, "
+              f"unresolved: {m['unresolved']}")
     return 0
 
 

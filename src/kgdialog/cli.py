@@ -16,6 +16,7 @@ Where it makes sense, commands also read/write a "bundle" document
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -161,13 +162,12 @@ def _resolve_kb_corpus(args, need_model: bool):
 
 # -------------------------------------------------------------------- flags
 
+# TrainingConfig's non-bool fields, in declaration order, with each flag's
+# type by field annotation; the bool fields get --[no-] flags below
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float}
 _CONFIG_FIELDS: dict[str, type] = {
-    "dim": int, "enc_blocks": int, "dec_blocks": int, "n_latent": int,
-    "mlp_hidden": int, "epsilon": float, "max_hops": int, "max_tuples": int,
-    "lam": float, "gamma": float, "beta": float, "learning_rate": float,
-    "epochs": int, "batch_size": int, "seed": int, "max_seq_len": int,
-    "max_gen_len": int,
-}
+    f.name: _FLAG_TYPES[f.type] for f in dataclasses.fields(TrainingConfig)
+    if f.type != "bool"}
 
 
 def _add_config_flags(sp: argparse.ArgumentParser) -> None:

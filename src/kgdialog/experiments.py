@@ -2,11 +2,12 @@
 acceptance gate: memorization, relation ablation, and regularization
 ablation.
 
-Each driver returns a JSON-serializable report so `scripts/` runners and
-`tests/test_acceptance.py` share one code path. Defaults are the pinned
-desk-scale settings; every knob is overridable. Multi-seed studies accept a
-single seed per call too, so runners can fan seeds out across processes and
-merge the reports with the ``summarize_*`` helpers.
+Each driver returns a JSON-serializable report so `scripts/run_study.py`
+and `tests/test_acceptance.py` share one code path. Defaults are the pinned
+desk-scale settings, and the runner reads its flags from these signatures;
+every knob is overridable. Multi-seed studies accept a single seed per call
+too, so the runner can fan seeds out across processes and merge the
+per-seed rows with ``summarize_runs``.
 """
 from __future__ import annotations
 
@@ -80,19 +81,9 @@ def relation_study(seeds=DEFAULT_SEEDS, n_train: int = 64, n_held: int = 32,
             "full": token_accuracy(full, held),
             "without_relations": token_accuracy(ablated, held),
         })
-    report = summarize_relation_runs(per_seed)
+    report = summarize_runs(per_seed)
     report["seconds"] = time.monotonic() - started
     return report
-
-
-def summarize_relation_runs(per_seed) -> dict:
-    runs = sorted(per_seed, key=lambda r: r["seed"])
-    return {
-        "per_seed": runs,
-        "median_full": statistics.median(r["full"] for r in runs),
-        "median_without_relations": statistics.median(
-            r["without_relations"] for r in runs),
-    }
 
 
 def regularization_study(seeds=DEFAULT_SEEDS, n_pairs: int = 48,
@@ -120,17 +111,17 @@ def regularization_study(seeds=DEFAULT_SEEDS, n_pairs: int = 48,
             "regularized": mean_semantic_gap(reg, held),
             "unregularized": mean_semantic_gap(unreg, held),
         })
-    report = summarize_regularization_runs(per_seed)
+    report = summarize_runs(per_seed)
     report["seconds"] = time.monotonic() - started
     return report
 
 
-def summarize_regularization_runs(per_seed) -> dict:
+def summarize_runs(per_seed) -> dict:
+    """Merge per-seed rows: the rows in seed order, and the median over
+    seeds of each measured key as ``median_<key>``."""
     runs = sorted(per_seed, key=lambda r: r["seed"])
-    return {
-        "per_seed": runs,
-        "median_regularized": statistics.median(
-            r["regularized"] for r in runs),
-        "median_unregularized": statistics.median(
-            r["unregularized"] for r in runs),
-    }
+    report = {"per_seed": runs}
+    for key in runs[0]:
+        if key != "seed":
+            report[f"median_{key}"] = statistics.median(r[key] for r in runs)
+    return report

@@ -25,6 +25,7 @@ from .corpus import DialogPair
 from .kb import KnowledgeBase
 from .metrics import bleu_n, nist
 from .model import DialogModel, build_model, build_vocabulary
+from .regularizer import regularization_loss
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +119,6 @@ def train(pairs: list[DialogPair], kb: KnowledgeBase,
     pairs are visited in a fixed order each epoch and gradients are
     accumulated over ``cfg.batch_size`` pairs before each update.
     """
-    if not pairs:
-        raise ValueError("no training pairs")
     vocab = build_vocabulary(
         [list(p.context.text_tokens) + list(p.response) for p in pairs], kb)
     model = build_model(vocab, kb, cfg)
@@ -144,6 +143,8 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
       the same bits; the summed gradient differs from adding 2 beta p after
       every pair only in float rounding.
     """
+    if not pairs:
+        raise ValueError("no training pairs")
     limit = model.params.table.max_len
     for index, pair in enumerate(pairs):
         if len(pair.response) + 1 > limit:
@@ -231,7 +232,8 @@ def token_accuracy(model: DialogModel, pairs: list[DialogPair]) -> float:
 
 
 def mean_semantic_gap(model: DialogModel, pairs: list[DialogPair]) -> float:
-    """Mean Frobenius distance between the two semantic projections.
+    """Mean L_r, the squared Frobenius distance between the two semantic
+    projections (``regularizer.regularization_loss``).
 
     Measures, on held-out pairs, how far the composed-side projection sits
     from the ground-truth-side projection the regularizer pulls it toward.
@@ -242,7 +244,6 @@ def mean_semantic_gap(model: DialogModel, pairs: list[DialogPair]) -> float:
     with ad.no_grad():
         for pair in pairs:
             comp = model.compose_context(pair.context)
-            composed = model.semantic_composed(comp)
-            truth = model.semantic_truth(pair.response)
-            total += float(np.sum((composed.data - truth.data) ** 2))
+            total += regularization_loss(model.semantic_truth(pair.response),
+                                         model.semantic_composed(comp)).item()
     return total / len(pairs)

@@ -1,12 +1,15 @@
 """Command-line interface tests: exit codes, flag precedence, output
 formats, and in-process pipe composition of synth -> train -> evaluate."""
+import argparse
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from kgdialog.cli import run_cli
+from kgdialog.cli import build_parser, run_cli
+from kgdialog.config import TrainingConfig
 from kgdialog.corpus import load_corpus
 from kgdialog.kb import parse_kb
 from kgdialog.model import load_checkpoint
@@ -262,6 +265,21 @@ def test_train_flag_beats_config_file_beats_default(ws, tmp_path, capsys):
     conf = doc["checkpoint"]["config"]
     assert conf["dim"] == 8                 # file's 8 beat the default 64
     assert conf["max_tuples"] == 64         # untouched field keeps default
+
+
+def test_every_config_field_has_exactly_one_train_flag():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    names = [f.name for f in dataclasses.fields(TrainingConfig)]
+    flags = [(a.dest, a.option_strings[0])
+             for a in sub.choices["train"]._actions if a.dest in names]
+    assert sorted(dest for dest, _ in flags) == sorted(names)
+    assert [flag for _, flag in flags] == [      # in --help order
+        "--dim", "--enc-blocks", "--dec-blocks", "--n-latent",
+        "--mlp-hidden", "--epsilon", "--max-hops", "--max-tuples", "--lam",
+        "--gamma", "--beta", "--learning-rate", "--epochs", "--batch-size",
+        "--seed", "--max-seq-len", "--max-gen-len", "--relations",
+        "--attention-scaling"]
 
 
 def test_train_unknown_config_field_exits_one(ws, tmp_path, capsys):

@@ -257,6 +257,12 @@ class TestTrain:
         after = checkpoint_doc(model)
         assert before["params"] != after["params"]
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_train_model_rejects_no_pairs(self, tiny, epochs):
+        model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
+        with pytest.raises(ValueError, match="no training pairs"):
+            train_model(model, [], FAST.replace(epochs=epochs))
+
     def test_model_loaded_from_doc_trains_to_the_same_bytes(self, tiny):
         cfg = FAST.replace(epochs=2, batch_size=2)
         vocab = _vocab(tiny.pairs, tiny.kb)
