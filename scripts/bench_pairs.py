@@ -16,7 +16,8 @@ from pair to pair, so a slow or fast spell of the host does not always
 land on the same side. After the pairs, each side runs once more with
 ``--trace 1`` at the first seed, for its per-layer metrics (graph nodes per
 pair among them). The output file holds both SHAs, every result line, each
-side's traced per-layer metrics, and per end-to-end metric (names, units,
+side's traced per-layer metrics, both sides' values of the traced counts
+in ``COUNTS`` and whether they differ, and per end-to-end metric (names, units,
 directions and bounds from BENCHMARK.json): each side's median and
 quartiles, the pairs the change wins, the verdict of a claimed gain and the
 bound check. A gain holds when the change wins at least 9 of every 10 pairs
@@ -40,6 +41,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+# Traced per-layer counts of the work done per operation. They do not
+# depend on the host's speed, so a change in the work shows in them even
+# when the times are noise.
+COUNTS = ("autodiff.graph_nodes_per_pair", "composer.encode_calls_per_op",
+          "acquire.tuples_per_op", "decoder.prefix_rows_per_token")
+# A timed run ends after a number of requests that depends on its speed,
+# and the per-op averages over the request mix move with it (by up to
+# 0.04% between two sides doing the same work); a count differs when it
+# moves by more than this share.
+COUNT_RTOL = 1e-3
 
 
 def git(*args: str) -> str:
@@ -102,6 +113,22 @@ def verdict(metric: dict, pairs: list[dict]) -> dict:
             "unresolved": parent["iqr"] > bound and not beats_all}
 
 
+def count_deltas(traced: dict) -> dict:
+    """Both sides' values of each count in ``COUNTS``, from the traced
+    per-layer metrics, and whether they differ (a count missing on one side
+    only differs; one missing on both does not)."""
+    out = {}
+    for name in COUNTS:
+        parent, change = (traced[side]["per_layer"].get(name)
+                          for side in ("parent", "change"))
+        if parent is None or change is None:
+            differ = parent is not change
+        else:
+            differ = abs(change - parent) > COUNT_RTOL * abs(parent)
+        out[name] = {"parent": parent, "change": change, "differ": differ}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
@@ -148,13 +175,13 @@ def main(argv=None) -> int:
                                       "per_layer": run_record["per_layer"]}
     record["failed"] = {side: sum(p[side]["failed"] for p in record["pairs"])
                         for side in ("parent", "change")}
+    record["counts"] = count_deltas(record["traced"])
     record["metrics"] = {m["name"]: verdict(m, record["pairs"])
                          for m in spec["end_to_end"]}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    for side in ("parent", "change"):
-        nodes = record["traced"][side]["per_layer"].get(
-            "autodiff.graph_nodes_per_pair")
-        print(f"traced {side}: graph nodes per pair {nodes}")
+    for name, c in record["counts"].items():
+        print(f"traced {name}: parent {c['parent']}, change {c['change']}, "
+              f"differ: {c['differ']}")
     for name, m in record["metrics"].items():
         print(f"{name}: parent median {m['parent']['median']:.4g} "
               f"(IQR {m['parent']['iqr']:.3g}), change "

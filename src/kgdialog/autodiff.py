@@ -29,9 +29,12 @@ replaced, in the same order, so its values are the same bits; its backward
 hands every input its contributions in the order the chain's nodes did.
 The attention weights that ``cross_attention`` returns, and the row
 weights that ``gate`` returns, are data-only tensors: they carry no graph,
-and gradients flow through the op's main output alone. ``_attend``, the
-softmax(q k^T) v kernel on plain arrays, also serves inference reads whose
-keys and values were projected once beforehand.
+and gradients flow through the op's main output alone.
+
+The forward arithmetic of the softmax, layer-norm and MLP ops lives in
+kernels on plain arrays (``_softmax``, ``_layer_norm_rows``, ``_mlp``),
+which the decoder's cached inference steps call directly, so a step builds
+no node and computes the same bits as the graph ops.
 
 Trainable leaves live in a ``ParamBuffer``: their values are views into one
 flat array and their gradients accumulate into views of a second, so the
@@ -43,6 +46,7 @@ gradients into the table's gradient in place. The only module state is the
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -55,6 +59,8 @@ LOG_FLOOR = 1e-12
 # that a block of every array it touches stays in cache across its numpy
 # calls; NVIDIA apex's multi-tensor apply chunks its flat lists likewise.
 BLOCK = 1 << 15
+# The variance offset of every layer norm.
+LN_EPS = 1e-5
 
 _grad_enabled = True
 
@@ -353,9 +359,10 @@ def squared_norm(params: ParamBuffer) -> Tensor:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Exp-normalize along the last axis, with max subtraction for overflow
     safety; -inf logits get exactly zero weight."""
-    e = logits - logits.max(axis=-1, keepdims=True)
+    # the reductions of ndarray.max and .sum, without their Python wrappers
+    e = logits - np.maximum.reduce(logits, -1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, -1, keepdims=True)
     return e
 
 
@@ -569,6 +576,37 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
             _node(r, (), None))
 
 
+def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float) -> tuple[np.ndarray, np.ndarray, object]:
+    """Layer norm of the rows of x: returns (output, standardized rows,
+    1 / sqrt(variance + eps)), the last an n x 1 array, or a float for one
+    row.
+
+    One row's statistics are Python floats, which spares the ufunc calls on
+    1 x 1 arrays: the same operations in the same order, so the same bits.
+    """
+    n, d = x.shape
+    if n == 1:
+        mean = float(np.add.reduce(x, None)) / d
+        xc = x - mean
+        inv = 1.0 / math.sqrt(float(np.add.reduce(xc * xc, None)) / d + eps)
+    else:
+        # the n x 1 row statistics are updated in place: same operations,
+        # no new array per step
+        mean = np.add.reduce(x, 1, keepdims=True)
+        mean /= d
+        xc = x - mean
+        inv = np.add.reduce(xc * xc, 1, keepdims=True)
+        inv /= d
+        inv += eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+    xc *= inv
+    out = xc * gain
+    out += bias
+    return out, xc, inv
+
+
 def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
                 gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     """Layer norm of the rows of x as one node whose x-gradient goes to each
@@ -578,17 +616,7 @@ def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
         raise ValueError(f"{op}: needs at least 2 columns")
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise ValueError(f"{op}: gain/bias must be 1 x d")
-    # the n x 1 row statistics are updated in place: same operations, no
-    # new array per step
-    mean = x.sum(axis=1, keepdims=True)
-    mean /= d
-    xc = x - mean
-    inv = (xc * xc).sum(axis=1, keepdims=True)
-    inv /= d
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat = xc * inv
+    out, xhat, inv = _layer_norm_rows(x, gain.data, bias.data, eps)
 
     def backward(g):
         if gain.requires_grad:
@@ -608,12 +636,11 @@ def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
                 if t.requires_grad:
                     t._accum(gx, fresh=i == 0)
 
-    out = xhat * gain.data
-    out += bias.data
     return _node(out, (*inputs, gain, bias), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               eps: float = LN_EPS) -> Tensor:
     """Per-row standardization (variance + eps in the denominator), then
     elementwise gain and bias (both 1 x d, broadcast over rows).
 
@@ -624,12 +651,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def residual_layer_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
-                        eps: float = 1e-5) -> Tensor:
+                        eps: float = LN_EPS) -> Tensor:
     """layer_norm(h + y): a post-norm residual connection as one node; h
     and y both receive the gradient at the sum."""
     _check_same_shape(h, y, "residual_layer_norm")
     return _layer_norm("residual_layer_norm", h.data + y.data, (h, y), gain,
                        bias, eps)
+
+
+def _mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+         b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh(x w1 + b1) w2 + b2 on arrays: returns (output, hidden)."""
+    a = x @ w1
+    a += b1
+    np.tanh(a, out=a)
+    out = a @ w2
+    out += b2
+    return out, a
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -640,9 +678,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
             or b2.shape != (1, w2.shape[1])):
         raise ValueError(f"mlp: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
                          f"w2 {w2.shape}, b2 {b2.shape} do not fit")
-    a = x.data @ w1.data
-    a += b1.data
-    np.tanh(a, out=a)
+    out, a = _mlp(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def backward(g):
         ga = g @ w2.data.T
@@ -660,8 +696,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         if b1.requires_grad:
             b1._accum(g1.sum(axis=0, keepdims=True), fresh=True)
 
-    out = a @ w2.data
-    out += b2.data
     return _node(out, (x, w1, b1, w2, b2), backward)
 
 

@@ -11,8 +11,10 @@ matrix at inference — before the output head predicts the token.
 Training runs ``decode_states`` teacher-forced over the whole prefix, and
 that path is the reference: every attention read there is one
 ``cross_attention`` node, projections included. Generation runs the same
-block body one position at a time through a ``DecodeCache``, which holds
-every projection a reply reuses, as plain arrays:
+blocks one position at a time through a ``DecodeCache``, on plain float64
+arrays from the embedding to the output head, through the kernels the
+graph ops share (``autodiff._softmax``, ``_layer_norm_rows`` and
+``_mlp``), so a step builds no graph node:
 
 - each step feeds one new row per live hypothesis through the blocks, at
   the position the cache counts;
@@ -22,7 +24,7 @@ every projection a reply reuses, as plain arrays:
   G x (G·L) mask;
 - the knowledge and encoder keys and values of E_k and T_c, and the
   semantic keys and values of T_sem that enhancement reads, are projected
-  once per reply, by the first step;
+  once per reply, by the first step, with the keys stored transposed;
 - beam search stacks its live hypotheses as the G rows, so one pass
   scores all of them, and after each step the cache keeps the rows of the
   surviving parents.
@@ -36,7 +38,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,56 +118,109 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
 
     Without a cache E_y is a whole prefix (teacher forcing); causal masking
     makes row j bit-identical to feeding the first j+1 rows alone, and each
-    knowledge and encoder read is one ``cross_attention`` node. With a
-    cache E_y holds one new row per hypothesis, at the position after the
-    ones the cache holds: each row's self-attention reads its own
-    hypothesis' cached rows and itself, the cache keeps the new keys and
-    values, and the reads use the keys and values of E_k and T_c that the
-    cache projected at the reply's first step. Cached keys and values are
-    plain arrays, so the cached path is for inference; no gradient flows
-    back into earlier positions.
+    attention read is one ``cross_attention`` node. With a cache E_y holds
+    one new row per hypothesis, at the position after the ones the cache
+    holds, and ``DecodeCache.step`` runs the blocks on plain arrays: the
+    result carries no graph, so the cached path is for inference.
 
     When the context produced no attribute knowledge (E_k has no rows) the
     knowledge sub-layer is skipped — there is nothing to attend over.
     """
     if E_y.shape[0] == 0:
         raise ValueError("decode_states: empty prefix")
+    if cache is not None:
+        return Tensor(cache.step(T_c, E_k, E_y.data, blocks, scale))
     h = E_y
-    for i, block in enumerate(blocks):
+    for block in blocks:
         sa = block.self_attn
-        if cache is None:
-            a, _ = ad.cross_attention(h, h, sa.w_q, sa.w_k, sa.w_v,
-                                      scale=scale, causal=True)
-        else:
-            a = cache.attend(i, h, sa, scale)
+        a, _ = ad.cross_attention(h, h, sa.w_q, sa.w_k, sa.w_v, scale=scale,
+                                  causal=True)
         h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
         if E_k.shape[0]:
             h = _read(h, E_k, block.knowledge_attn, block.ln2_gain,
-                      block.ln2_bias, scale, cache)
-        h = _read(h, T_c, block.encoder_attn, block.ln3_gain,
-                  block.ln3_bias, scale, cache)
+                      block.ln2_bias, scale)
+        h = _read(h, T_c, block.encoder_attn, block.ln3_gain, block.ln3_bias,
+                  scale)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.residual_layer_norm(h, m, block.ln4_gain, block.ln4_bias)
-    if cache is not None:
-        cache.length += 1
     return h
 
 
-class DecodeCache:
-    """What one reply's decoding steps reuse, filled as they run.
+def _read(h: Tensor, src: Tensor, attn: AttentionParams, gain: Tensor,
+          bias: Tensor, scale: bool) -> Tensor:
+    """A residual attention read of h over src, then LN: one
+    ``cross_attention`` node and one ``residual_layer_norm`` node."""
+    a, _ = ad.cross_attention(h, src, attn.w_q, attn.w_k, attn.w_v,
+                              scale=scale)
+    return ad.residual_layer_norm(h, a, gain, bias)
 
-    ``projected`` holds the keys and values of every fixed source a reply
-    reads (E_k and T_c in each block, T_sem in enhancement), projected at
-    the first read and keyed by the source and the read's projections.
-    ``keys`` and ``values`` hold each block's self-attention keys and values
-    of every position fed so far, one G x L x D array per block for G
-    hypotheses of L positions. ``length`` counts the positions fed, so that
-    a decoder without blocks still places each step's row.
+
+def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
+                     params: SemanticEnhanceParams,
+                     scale: bool = False) -> Tensor:
+    """Enhance decoder states with a read over the semantic matrix.
+
+    z-hat = LN(z-bar + cross_attention(z-bar, T_sem)). Rows are independent
+    queries, so one call covers a whole teacher-forced sequence.
+    """
+    return _read(z_bar, T_sem, params.attn, params.ln_gain, params.ln_bias,
+                 scale)
+
+
+class _Source(NamedTuple):
+    """A fixed source's keys, transposed (D x N), and values (N x D) under
+    one read's projections, with the read's logit factor."""
+
+    keys_t: np.ndarray
+    values: np.ndarray
+    c: float
+
+
+def _project(src: Tensor, attn: AttentionParams, scale: bool) -> _Source:
+    """src's keys and values under ``attn``'s projections."""
+    k = src.data @ attn.w_k.data
+    v = src.data @ attn.w_v.data
+    return _Source(k.T.copy(), v, _logit_factor(k, scale))
+
+
+def _logit_factor(x: np.ndarray, scale: bool) -> float:
+    """1 / sqrt(D) for queries or keys of width D when scaling, else 1."""
+    return 1.0 / math.sqrt(x.shape[-1]) if scale else 1.0
+
+
+def _attend_source(h: np.ndarray, w_q: Tensor, src: _Source) -> np.ndarray:
+    """softmax((h w_q) keys^T) values over a projected source: the
+    arithmetic of ``autodiff._attend`` on keys transposed beforehand."""
+    logits = h @ w_q.data @ src.keys_t
+    if src.c != 1.0:  # times 1.0 is exact
+        logits *= src.c
+    return ad._softmax(logits) @ src.values
+
+
+def _add_norm(h: np.ndarray, y: np.ndarray, gain: Tensor,
+              bias: Tensor) -> np.ndarray:
+    """layer_norm(h + y): ``residual_layer_norm``'s forward."""
+    return ad._layer_norm_rows(h + y, gain.data, bias.data, ad.LN_EPS)[0]
+
+
+class DecodeCache:
+    """One reply's decoding state, filled as its steps run; every step is
+    computed on plain arrays, through the kernels the graph ops share, so
+    a cached row equals the teacher-forced row up to float summation order.
+
+    ``step`` runs the blocks over each hypothesis' new row and ``predict``
+    the enhancement read and the output head. ``reads`` holds the
+    knowledge and encoder sources of each block (E_k's is None when there
+    is no knowledge) and ``semantic`` T_sem, each projected at the reply's
+    first step. ``keys`` and ``values`` hold each block's self-attention
+    keys and values of every position fed so far, one G x L x D array per
+    block for G hypotheses of L positions. ``length`` counts the positions
+    fed, so that a decoder without blocks still places each step's row.
     """
 
     def __init__(self):
-        self.projected: dict[tuple[int, int],
-                             tuple[np.ndarray, np.ndarray]] = {}
+        self.reads: list[tuple[_Source | None, _Source]] | None = None
+        self.semantic: _Source | None = None
         self.keys: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
         self.length = 0
@@ -176,31 +231,39 @@ class DecodeCache:
         self.keys = [k[rows] for k in self.keys]
         self.values = [v[rows] for v in self.values]
 
-    def read(self, h: Tensor, src: Tensor, attn: AttentionParams,
-             scale: bool) -> Tensor:
-        """softmax((h w_q)(src w_k)^T)(src w_v) over plain arrays, with
-        src's keys and values projected by the first read of src through
-        ``attn`` and reused by every later one; no graph is built. One cache
-        serves one reply, whose sources and weights stay fixed and alive,
-        so their ids name the projection."""
-        key = (id(src), id(attn))
-        kv = self.projected.get(key)
-        if kv is None:
-            kv = self.projected[key] = (src.data @ attn.w_k.data,
-                                        src.data @ attn.w_v.data)
-        out, _, _ = ad._attend("DecodeCache.read", h.data @ attn.w_q.data,
-                               *kv, scale, False)
-        return Tensor(out)
+    def step(self, T_c: Tensor, E_k: Tensor, h: np.ndarray,
+             blocks: Sequence[DecoderBlockParams], scale: bool) -> np.ndarray:
+        """The states of the G new rows h, one per hypothesis, at position
+        ``length``, which then advances."""
+        if self.reads is None:
+            self.reads = [(_project(E_k, b.knowledge_attn, scale)
+                           if E_k.shape[0] else None,
+                           _project(T_c, b.encoder_attn, scale))
+                          for b in blocks]
+        for i, (block, (knowledge, encoder)) in enumerate(zip(blocks,
+                                                              self.reads)):
+            a = self._attend_self(i, h, block.self_attn, scale)
+            h = _add_norm(h, a, block.ln1_gain, block.ln1_bias)
+            if knowledge is not None:
+                a = _attend_source(h, block.knowledge_attn.w_q, knowledge)
+                h = _add_norm(h, a, block.ln2_gain, block.ln2_bias)
+            a = _attend_source(h, block.encoder_attn.w_q, encoder)
+            h = _add_norm(h, a, block.ln3_gain, block.ln3_bias)
+            m = block.mlp
+            a, _ = ad._mlp(h, m.w1.data, m.b1.data, m.w2.data, m.b2.data)
+            h = _add_norm(h, a, block.ln4_gain, block.ln4_bias)
+        self.length += 1
+        return h
 
-    def attend(self, block: int, h: Tensor, attn: AttentionParams,
-               scale: bool) -> Tensor:
+    def _attend_self(self, block: int, h: np.ndarray, attn: AttentionParams,
+                     scale: bool) -> np.ndarray:
         """Project the new rows h, append their keys and values to
         ``block``'s cache and return softmax(q k^T) v of each row over its
         own hypothesis: one batched matmul each way, G x L x D work for G
-        hypotheses. Plain arrays throughout; no graph is built."""
-        q = h.data @ attn.w_q.data
-        new_k = (h.data @ attn.w_k.data)[:, None, :]
-        new_v = (h.data @ attn.w_v.data)[:, None, :]
+        hypotheses."""
+        q = h @ attn.w_q.data
+        new_k = (h @ attn.w_k.data)[:, None, :]
+        new_v = (h @ attn.w_v.data)[:, None, :]
         if block == len(self.keys):
             self.keys.append(new_k)
             self.values.append(new_v)
@@ -213,36 +276,23 @@ class DecodeCache:
             self.values[block] = np.concatenate((self.values[block], new_v),
                                                 1)
         logits = np.matmul(self.keys[block], q[:, :, None])[:, :, 0]
-        if scale:
-            logits = logits * (1.0 / np.sqrt(q.shape[1]))
+        c = _logit_factor(q, scale)
+        if c != 1.0:  # times 1.0 is exact
+            logits *= c
         weights = ad._softmax(logits)
-        return Tensor(np.matmul(weights[:, None, :], self.values[block])[:, 0])
+        return np.matmul(weights[:, None, :], self.values[block])[:, 0]
 
-
-def _read(h: Tensor, src: Tensor, attn: AttentionParams, gain: Tensor,
-          bias: Tensor, scale: bool, cache: DecodeCache | None) -> Tensor:
-    """A residual attention read of h over src, then LN: one
-    ``cross_attention`` node, or the cache's read of src projected once."""
-    if cache is None:
-        a, _ = ad.cross_attention(h, src, attn.w_q, attn.w_k, attn.w_v,
-                                  scale=scale)
-    else:
-        a = cache.read(h, src, attn, scale)
-    return ad.residual_layer_norm(h, a, gain, bias)
-
-
-def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
-                     params: SemanticEnhanceParams, scale: bool = False,
-                     cache: DecodeCache | None = None) -> Tensor:
-    """Enhance decoder states with a read over the semantic matrix.
-
-    z-hat = LN(z-bar + cross_attention(z-bar, T_sem)). Rows are independent
-    queries, so one call covers a whole teacher-forced sequence. With a
-    cache (``generate``), T_sem's keys and values are projected once per
-    reply and the read is the same on plain arrays.
-    """
-    return _read(z_bar, T_sem, params.attn, params.ln_gain, params.ln_bias,
-                 scale, cache)
+    def predict(self, z: np.ndarray, T_sem: Tensor,
+                enhance: SemanticEnhanceParams,
+                head: OutputHead, scale: bool) -> np.ndarray:
+        """The G x V next-token distributions of the G states z: the
+        enhancement read over T_sem, then the output head, as
+        ``semantic_enhance`` and ``predict_token`` compute them."""
+        if self.semantic is None:
+            self.semantic = _project(T_sem, enhance.attn, scale)
+        z = _add_norm(z, _attend_source(z, enhance.attn.w_q, self.semantic),
+                      enhance.ln_gain, enhance.ln_bias)
+        return ad._softmax(z @ head.w_y.data + head.b_y.data)
 
 
 def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
@@ -284,20 +334,18 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
     if not 1 <= max_len <= table.max_len:
         raise ValueError(f"max_len {max_len} outside [1, {table.max_len}]")
 
-    with ad.no_grad():
-        def step(cache: DecodeCache, tokens: list[int]) -> np.ndarray:
-            """Feed one token per hypothesis; return the G x V
-            distributions over each hypothesis' next token."""
-            E_y = ad.embed(table.token, table.position, tokens,
-                           [cache.length] * len(tokens))
-            z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
-            z_hat = semantic_enhance(z_bar, T_sem, dec.enhance, scale, cache)
-            return predict_token(z_hat, dec.head).data
+    def step(cache: DecodeCache, tokens: list[int]) -> np.ndarray:
+        """Feed one token per hypothesis; return the G x V distributions
+        over each hypothesis' next token. No step builds a graph node."""
+        E_y = Tensor(table.token.data[tokens]
+                     + table.position.data[[cache.length] * len(tokens)])
+        z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
+        return cache.predict(z_bar.data, T_sem, dec.enhance, dec.head, scale)
 
-        if width is None:
-            ids = _generate_greedy(step, vocab, max_len)
-        else:
-            ids = _generate_beam(step, vocab, max_len, width)
+    if width is None:
+        ids = _generate_greedy(step, vocab, max_len)
+    else:
+        ids = _generate_beam(step, vocab, max_len, width)
     return vocab.decode(ids)
 
 

@@ -2,7 +2,7 @@
 
 ``ModelParams`` owns every trainable tensor and exposes a deterministic
 flat name -> Tensor map used for optimization and checkpointing; the
-construction (and therefore random-draw) order is fixed, which is what
+name order, which is also the random-draw order, is fixed, which is what
 makes fixed-seed runs bit-identical. The tensors' values are views into
 one ``ParamBuffer`` per model, in that name order, which the optimizer and
 the parameter penalty work on whole. ``DialogModel`` couples the parameters
@@ -54,7 +54,7 @@ class ModelParams:
     sem_composed: SemanticProjectionParams
     sem_truth: SemanticProjectionParams
     decoder: DecoderParams
-    # set by init_params, which joins the tensors and then draws their values
+    # set by param_tree, which joins the tensors at zero values
     buffer: ad.ParamBuffer = field(init=False, repr=False, compare=False)
 
     def composer(self) -> ComposerParams:
@@ -119,72 +119,70 @@ def _add_mlp(out: dict, prefix: str, mlp: MlpParams) -> None:
     out[f"{prefix}.w2"], out[f"{prefix}.b2"] = mlp.w2, mlp.b2
 
 
-def init_params(vocab_size: int, feature_dim: int,
-                cfg: TrainingConfig) -> ModelParams:
-    """Seeded initialization: uniform in [-INIT_SCALE, INIT_SCALE] for all
-    weights, except layer-norm gains start at 1 and biases at 0.
-
-    Each tensor's values are drawn straight into its view of the flat
-    buffer, in ``named()`` order, which is also the order the tensors are
-    made in; ``rng.random`` scaled in place gives the bits of
-    ``rng.uniform``, whose formula it repeats."""
-    rng = np.random.default_rng(cfg.seed)
+def param_tree(vocab_size: int, feature_dim: int,
+               cfg: TrainingConfig) -> ModelParams:
+    """The parameters of a model of this shape, joined into their buffer
+    with every value zero; nothing is drawn. ``init_params`` fills them
+    with a seeded initialization, a checkpoint load with its values."""
     d, h = cfg.dim, cfg.hidden
-    drawn: list[Tensor] = []
-    gains: list[Tensor] = []
 
-    def placeholder(rows, cols):
+    def p(rows, cols):
         # never read or written: joining the buffer rebinds the tensor
         return Tensor(np.empty((rows, cols)), requires_grad=True)
 
-    def u(rows, cols):
-        drawn.append(placeholder(rows, cols))
-        return drawn[-1]
-
-    def gain():
-        gains.append(placeholder(1, d))
-        return gains[-1]
-
-    def bias():
-        return placeholder(1, d)
-
     def attn():
-        return AttentionParams(u(d, d), u(d, d), u(d, d))
+        return AttentionParams(p(d, d), p(d, d), p(d, d))
 
     def mlp():
-        return MlpParams(u(d, h), u(1, h), u(h, d), u(1, d))
+        return MlpParams(p(d, h), p(1, h), p(h, d), p(1, d))
 
     def enc_block():
-        return EncoderBlockParams(attn(), gain(), bias(), mlp(), gain(), bias())
+        return EncoderBlockParams(attn(), p(1, d), p(1, d), mlp(), p(1, d),
+                                  p(1, d))
 
     def dec_block():
-        return DecoderBlockParams(attn(), gain(), bias(), attn(), gain(),
-                                  bias(), attn(), gain(), bias(), mlp(),
-                                  gain(), bias())
+        return DecoderBlockParams(attn(), p(1, d), p(1, d), attn(), p(1, d),
+                                  p(1, d), attn(), p(1, d), p(1, d), mlp(),
+                                  p(1, d), p(1, d))
 
-    table = EmbeddingTable(token=u(vocab_size, d), position=u(cfg.max_seq_len, d))
-    image_proj = ImageProjectionParams(u(max(feature_dim, 1), d), u(1, d),
-                                       gain(), bias())
+    table = EmbeddingTable(token=p(vocab_size, d), position=p(cfg.max_seq_len, d))
+    image_proj = ImageProjectionParams(p(max(feature_dim, 1), d), p(1, d),
+                                       p(1, d), p(1, d))
     encoder = tuple(enc_block() for _ in range(cfg.enc_blocks))
     relation_attn = attn()
-    fusion = FusionParams(u(d, d), u(1, d), u(d, d), u(1, d), u(d, 1))
-    latent = LatentQuerySet(u(cfg.n_latent, d))
+    fusion = FusionParams(p(d, d), p(1, d), p(d, d), p(1, d), p(d, 1))
+    latent = LatentQuerySet(p(cfg.n_latent, d))
     sem_composed = SemanticProjectionParams(attn(), mlp())
     sem_truth = SemanticProjectionParams(attn(), mlp())
     dec = DecoderParams(blocks=tuple(dec_block() for _ in range(cfg.dec_blocks)),
-                        enhance=SemanticEnhanceParams(attn(), gain(), bias()),
-                        head=OutputHead(u(d, vocab_size), u(1, vocab_size)))
+                        enhance=SemanticEnhanceParams(attn(), p(1, d), p(1, d)),
+                        head=OutputHead(p(d, vocab_size), p(1, vocab_size)))
     params = ModelParams(table=table, image_proj=image_proj, encoder=encoder,
                          relation_attn=relation_attn, fusion=fusion,
                          latent=latent, sem_composed=sem_composed,
                          sem_truth=sem_truth, decoder=dec)
     params.buffer = ad.ParamBuffer(params.named().values(), copy=False)
-    for t in drawn:  # biases stay at the buffer's zeros
-        rng.random(out=t.data)
-        t.data *= INIT_SCALE - -INIT_SCALE
-        t.data += -INIT_SCALE
-    for t in gains:
-        t.data.fill(1.0)
+    return params
+
+
+def init_params(vocab_size: int, feature_dim: int,
+                cfg: TrainingConfig) -> ModelParams:
+    """Seeded initialization: uniform in [-INIT_SCALE, INIT_SCALE] for all
+    weights, except layer-norm gains (``*.gain``) start at 1 and biases
+    (``*.bias``) at 0.
+
+    Each weight's values are drawn straight into its view of the flat
+    buffer, in ``named()`` order; ``rng.random`` scaled in place gives the
+    bits of ``rng.uniform``, whose formula it repeats."""
+    params = param_tree(vocab_size, feature_dim, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for name, t in params.named().items():
+        if name.endswith(".gain"):
+            t.data.fill(1.0)
+        elif not name.endswith(".bias"):  # biases stay at the buffer's zeros
+            rng.random(out=t.data)
+            t.data *= INIT_SCALE - -INIT_SCALE
+            t.data += -INIT_SCALE
     return params
 
 
@@ -232,7 +230,7 @@ def model_from_doc(doc: dict, kb: KnowledgeBase) -> "DialogModel":
         raise ValueError("not a recognized checkpoint document")
     cfg = TrainingConfig.from_dict(doc["config"])
     vocab = Vocabulary(doc["vocab"])
-    params = init_params(len(vocab), doc["feature_dim"], cfg)
+    params = param_tree(len(vocab), doc["feature_dim"], cfg)
     params_from_doc(params.named(), doc["params"])
     model = DialogModel(params, vocab, kb, cfg)
     if kb.feature_dim and doc["feature_dim"] != kb.feature_dim:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
@@ -647,12 +647,16 @@ def test_layer_norm_is_shift_invariant(r, c, seed):
     np.testing.assert_allclose(a, b, atol=1e-7)
 
 
-@given(st.integers(1, 6), st.integers(2, 9), st.integers(0, 2 ** 32 - 1),
+@given(st.integers(1, 6), st.integers(2, 128), st.integers(0, 2 ** 32 - 1),
        st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+@example(1, 8, 0, 1.0, 0.0)
+@example(1, 64, 0, 1.0, 0.0)
 @settings(max_examples=60, deadline=None)
 def test_layer_norm_equals_mean_var_formula_bit_for_bit(r, c, seed, spread,
                                                         shift):
-    """Forward and input gradient equal the np.mean / np.var formulas."""
+    """Forward and input gradient equal the np.mean / np.var formulas, one
+    row (Python-float statistics) and several alike, at widths up to those
+    the model runs at."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((r, c)) * spread + shift
     gain, bias = rng.uniform(0.5, 1.5, (1, c)), rng.standard_normal((1, c))

@@ -1,5 +1,6 @@
-"""The per-metric verdict of ``scripts/bench_pairs.py`` on made-up pairs:
-pair wins, the gain verdict, the bound check and the unresolved flag."""
+"""The per-metric verdict of ``scripts/bench_pairs.py`` on made-up pairs
+(pair wins, the gain verdict, the bound check and the unresolved flag), and
+its comparison of the traced counts."""
 import sys
 from pathlib import Path
 
@@ -36,3 +37,24 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_beats_it():
     v = bench_pairs.verdict(LOWER, _pairs(parent, [2, 3, 2, 3, 2]))
     assert v["gain"] and not v["unresolved"]
     assert bench_pairs.verdict(HIGHER, _pairs(parent, [20] * 5))["gain"]
+
+
+def test_counts_differ_beyond_the_request_mix_band_or_when_one_is_missing():
+    parent = {"autodiff.graph_nodes_per_pair": None,
+              "composer.encode_calls_per_op": 1.8748,
+              "acquire.tuples_per_op": 4.3108,
+              "decoder.prefix_rows_per_token": 1.8692}
+    change = {"autodiff.graph_nodes_per_pair": None,
+              "composer.encode_calls_per_op": 1.8747,  # request mix only
+              "acquire.tuples_per_op": None,
+              "decoder.prefix_rows_per_token": 2.8692}
+    counts = bench_pairs.count_deltas({"parent": {"per_layer": parent},
+                                       "change": {"per_layer": change}})
+    assert list(counts) == list(bench_pairs.COUNTS)
+    assert {name: c["differ"] for name, c in counts.items()} == {
+        "autodiff.graph_nodes_per_pair": False,
+        "composer.encode_calls_per_op": False,
+        "acquire.tuples_per_op": True,
+        "decoder.prefix_rows_per_token": True}
+    assert counts["decoder.prefix_rows_per_token"]["parent"] == 1.8692
+    assert counts["decoder.prefix_rows_per_token"]["change"] == 2.8692

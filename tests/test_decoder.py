@@ -425,6 +425,38 @@ class TestGenerate:
                        scale=scale)
         assert got == vocab.decode(expect)
 
+    @pytest.mark.parametrize("strategy", ["greedy", "beam:3"])
+    def test_steps_build_no_graph_with_grad_mode_on(self, rng, setting,
+                                                    monkeypatch, strategy):
+        """With grad mode on and trainable parameters, a reply never
+        switches grad mode off and makes no graph node, and its tokens
+        equal those decoded under no_grad."""
+        vocab, table, dec = self._model(rng, n_blocks=2)
+        dec.head.b_y.data[0, vocab.EOS] -= 5.0  # replies run several steps
+        args = (setting["T_c"], setting["E_k"], setting["T_sem"], dec, table,
+                vocab)
+        with ad.no_grad():
+            expect = generate(*args, max_len=8, strategy=strategy)
+        switched, nodes = [], []
+        real_no_grad, real_node = ad.no_grad, ad._node
+
+        def recording_no_grad():
+            switched.append(True)
+            return real_no_grad()
+
+        def recording_node(data, parents, backward):
+            out = real_node(data, parents, backward)
+            nodes.append((len(parents), len(out._parents)))
+            return out
+
+        monkeypatch.setattr(ad, "no_grad", recording_no_grad)
+        monkeypatch.setattr(ad, "_node", recording_node)
+        assert ad._grad_enabled
+        got = generate(*args, max_len=8, strategy=strategy)
+        assert ad._grad_enabled
+        assert switched == [] and nodes == []
+        assert got == expect and len(got) >= 2
+
     def test_beam_with_hypotheses_ending_at_different_steps(self, rng,
                                                             setting):
         """Ended hypotheses stay in the beam while the rest are decoded:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
+from kgdialog import model as model_module
 from kgdialog.acquire import DialogContext, acquire_text_attributes, tokenize
 from kgdialog.composer import Vocabulary, linearize_attributes
 from kgdialog.config import TrainingConfig
@@ -182,6 +183,22 @@ class TestCheckpointDocs:
         save_checkpoint(loaded, tmp_path / "ckpt2.json")
         assert (tmp_path / "ckpt.json").read_bytes() == \
             (tmp_path / "ckpt2.json").read_bytes()
+
+    def test_loading_draws_no_initialization(self, model, kb, tmp_path,
+                                             monkeypatch):
+        """A load fills the parameter tree from the file without drawing
+        a random initialization first."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("init_params called by a checkpoint load")
+
+        monkeypatch.setattr(model_module, "init_params", refuse)
+        loaded = load_checkpoint(path, kb)
+        assert _named_equal(model.params, loaded.params)
+        assert all(t.data.base is loaded.params.buffer.values
+                   for t in loaded.params.all_tensors())
 
     def test_unrecognized_format_rejected(self, kb, tmp_path):
         path = tmp_path / "bad.json"
