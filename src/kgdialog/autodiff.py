@@ -577,7 +577,8 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
 
 
 def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float) -> tuple[np.ndarray, np.ndarray, object]:
+                     eps: float) -> tuple[np.ndarray, np.ndarray,
+                                       np.ndarray | float]:
     """Layer norm of the rows of x: returns (output, standardized rows,
     1 / sqrt(variance + eps)), the last an n x 1 array, or a float for one
     row.
