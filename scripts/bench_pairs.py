@@ -15,8 +15,9 @@ one in each tree, one after the other; the side that runs first alternates
 from pair to pair, so a slow or fast spell of the host does not always
 land on the same side. After the pairs, each side runs once more with
 ``--trace 1`` at the first seed, for its per-layer metrics (graph nodes per
-pair among them). The output file holds both SHAs, every result line, each
-side's traced per-layer metrics, both sides' values of the traced counts
+pair among them). The output file holds both SHAs, whether the checkout
+differs from its HEAD in a tracked file the benchmark runs (and which),
+every result line, each side's traced per-layer metrics, both sides' values of the traced counts
 in ``COUNTS`` and whether they differ, and per end-to-end metric (names, units,
 directions and bounds from BENCHMARK.json): each side's median and
 quartiles, the pairs the change wins, the verdict of a claimed gain and the
@@ -51,11 +52,26 @@ COUNTS = ("autodiff.graph_nodes_per_pair", "composer.encode_calls_per_op",
 # 0.04% between two sides doing the same work); a count differs when it
 # moves by more than this share.
 COUNT_RTOL = 1e-3
+# The tracked paths a benchmark run executes or reads: a checkout that
+# differs from HEAD elsewhere (a text file, say) measures HEAD's code.
+BENCH_PATHS = ("src/", "perfbench/", "scripts/", "BENCHMARK.json")
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def benchmarked_changes(porcelain: str) -> list[str]:
+    """The paths under ``BENCH_PATHS`` in ``git status --porcelain`` output
+    (both sides of a rename)."""
+    paths = []
+    for line in porcelain.splitlines():
+        for path in line[3:].split(" -> "):
+            path = path.strip('"')
+            if path.startswith(BENCH_PATHS):
+                paths.append(path)
+    return paths
 
 
 def export(rev: str, into: Path) -> None:
@@ -142,14 +158,18 @@ def main(argv=None) -> int:
         ap.error("quartiles need at least 4 seeds")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # not git(): stripping the output would cut the first line's status
+    changed = benchmarked_changes(subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
+        capture_output=True, text=True, check=True).stdout)
     record = {
         "workload": args.workload, "seconds": args.seconds,
         "seeds": args.seeds,
         "parent": {"rev": args.parent,
                    "sha": git("rev-parse", args.parent + "^{commit}")},
         "change": {"sha": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain",
-                                                   "--untracked-files=no"))},
+                   "uncommitted_changes": bool(changed),
+                   "uncommitted_paths": changed},
         "command": spec["command"], "pairs": [],
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:

@@ -41,12 +41,13 @@ flat array and their gradients accumulate into views of a second, so the
 optimizer and the ``squared_norm`` penalty each work on the whole buffer in
 a few numpy calls. Table lookups (``embed``, ``take_rows``) add their row
 gradients into the table's gradient in place. The only module state is the
-``no_grad`` switch.
+``no_grad`` switch, which is per thread.
 """
 from __future__ import annotations
 
 import logging
 import math
+import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -62,20 +63,23 @@ BLOCK = 1 << 15
 # The variance offset of every layer norm.
 LN_EPS = 1e-5
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True  # the class default: every new thread records graphs
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Suspend graph construction (inference paths); forward values are
+    """Suspend graph construction in this thread; forward values are
     unchanged, but outputs carry no parents and backward is impossible."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 class Tensor:
@@ -195,7 +199,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
     float64 array, so the slots are filled without ``Tensor``'s checks."""
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out._gview = data, None, None
-    if _grad_enabled:
+    if _grad_mode.enabled:
         for p in parents:  # a loop: cheaper than any() over a generator
             if p.requires_grad:
                 out.requires_grad, out._parents = True, parents
@@ -350,7 +354,7 @@ def squared_norm(params: ParamBuffer) -> Tensor:
     graph; in reverse topological order it runs after every op that also
     reaches the parameters, as the penalty always has."""
     out = _node(np.array([[params.norm_sq()]]), (), None)
-    if _grad_enabled and params.tensors:
+    if _grad_mode.enabled and params.tensors:
         out.requires_grad = True
         out._backward = lambda g: params.add_scaled_values(2.0 * g[0, 0])
     return out

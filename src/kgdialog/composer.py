@@ -1,7 +1,9 @@
 """Embedding, the desk-scale context encoder, and knowledge composition.
 
 The composition pipeline turns one dialog context plus its acquired
-knowledge into the multi-level composed representation T_c:
+knowledge into the multi-level composed representation T_c.
+``prepare_context`` decides its parameter-free part once (tuple order,
+token ids, positions, cuts to the position table); ``compose`` runs:
 
   1. Embed attribute-knowledge tokens (E_k), context tokens (E_t), and
      projected context image features (E_v), positions running contiguously
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,11 +31,14 @@ from .acquire import (AttributeKnowledge, RelationTuple, linearize_tuple,
                       order_tuples, tokenize)
 from .autodiff import Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelParams
+
 __all__ = [
     "Vocabulary", "EmbeddingTable", "AttentionParams", "MlpParams",
     "EncoderBlockParams", "ImageProjectionParams", "FusionParams",
-    "ComposerParams", "ComposedRepresentation", "tokenize",
-    "linearize_attributes", "embed_tokens", "embed_indices",
+    "PreparedContext", "ComposedRepresentation", "tokenize",
+    "linearize_attributes", "prepare_context", "embed_tokens",
     "project_image_features", "encode", "compose_attributes",
     "encode_relation_tuples", "reorganize_relations", "fuse", "compose",
     "NoRelationKnowledge",
@@ -159,14 +164,18 @@ class FusionParams:
 
 
 @dataclass
-class ComposerParams:
-    """Everything the composition pipeline trains."""
+class PreparedContext:
+    """Everything but parameters that ``compose`` reads for one context
+    (see ``prepare_context``). The tuples' token ids and positions run
+    tuple after tuple; ``tuple_lengths`` splits them."""
 
-    table: EmbeddingTable
-    image_proj: ImageProjectionParams
-    encoder: tuple[EncoderBlockParams, ...]
-    relation_attn: AttentionParams
-    fusion: FusionParams
+    knowledge_ids: list[int]
+    context_ids: list[int]
+    image_features: np.ndarray
+    tuples: list[RelationTuple]
+    tuple_ids: list[int]
+    tuple_positions: list[int]
+    tuple_lengths: list[int]
 
 
 @dataclass
@@ -207,11 +216,8 @@ def linearize_attributes(knowledge: AttributeKnowledge) -> list[str]:
     return tokens
 
 
-def _fit_positions(tokens: Sequence[str], table: EmbeddingTable,
-                   taken: int = 0) -> Sequence[str]:
-    """Cut a token run to the positions of the table that ``taken`` other
-    rows leave free."""
-    budget = table.max_len - taken
+def _fit_positions(tokens: Sequence[str], budget: int) -> Sequence[str]:
+    """Cut a token run to the ``budget`` positions left free for it."""
     if len(tokens) > budget:
         logger.warning("embed_tokens: truncating %d tokens to %d",
                        len(tokens), budget)
@@ -219,28 +225,54 @@ def _fit_positions(tokens: Sequence[str], table: EmbeddingTable,
     return tokens
 
 
+def prepare_context(knowledge_tokens: Sequence[str],
+                    ctx_tokens: Sequence[str], image_features: np.ndarray,
+                    tuples: Iterable[RelationTuple], vocab: Vocabulary,
+                    max_len: int) -> PreparedContext:
+    """Token ids, positions and cuts for one context and a position table
+    of ``max_len`` rows, tuples in ``order_tuples`` order. Image rows keep
+    their positions first, then context tokens, and knowledge tokens get
+    what is left; each tuple's positions restart at 0. Every cut warns."""
+    n_vis = len(image_features) if image_features.size else 0
+    if n_vis > max_len:
+        logger.warning("compose: truncating image rows %d -> %d", n_vis,
+                       max_len)
+        n_vis, image_features = max_len, image_features[:max_len]
+    ctx_tokens = _fit_positions(ctx_tokens, max_len - n_vis)
+    knowledge_budget = max_len - len(ctx_tokens) - n_vis
+    if len(knowledge_tokens) > knowledge_budget:
+        logger.warning("compose: truncating knowledge tokens %d -> %d",
+                       len(knowledge_tokens), knowledge_budget)
+        knowledge_tokens = knowledge_tokens[:knowledge_budget]
+    ordered = order_tuples(tuples)
+    runs = [_fit_positions(linearize_tuple(t), max_len) for t in ordered]
+    return PreparedContext(
+        knowledge_ids=vocab.encode(knowledge_tokens),
+        context_ids=vocab.encode(ctx_tokens), image_features=image_features,
+        tuples=ordered,
+        tuple_ids=vocab.encode([tok for run in runs for tok in run]),
+        tuple_positions=[p for run in runs for p in range(len(run))],
+        tuple_lengths=[len(run) for run in runs])
+
+
+def _embed_ids(ids: Sequence[int], table: EmbeddingTable,
+               offset: int = 0) -> Tensor:
+    """Token plus position rows of ids at positions offset..offset+n; no
+    ids give a 0-row leaf, not a graph node."""
+    if not ids:
+        return Tensor(np.zeros((0, table.dim)))
+    return ad.embed(table.token, table.position, ids,
+                    range(offset, offset + len(ids)))
+
+
 def embed_tokens(tokens: Sequence[str], vocab: Vocabulary,
-                 table: EmbeddingTable, offset: int = 0) -> Tensor:
-    """Token embedding plus position embedding, positions offset..offset+n.
+                 table: EmbeddingTable) -> Tensor:
+    """Token embedding plus position embedding, positions from 0.
 
     Sequences running past the position table are truncated with a warning.
     """
-    tokens = _fit_positions(tokens, table, offset)
-    if not tokens:
-        return Tensor(np.zeros((0, table.dim)))
-    return ad.embed(table.token, table.position, vocab.encode(tokens),
-                    range(offset, offset + len(tokens)))
-
-
-def embed_indices(indices: Sequence[int], table: EmbeddingTable,
-                  offset: int = 0) -> Tensor:
-    """As embed_tokens but for already-indexed tokens (decoder prefixes)."""
-    if not indices:
-        return Tensor(np.zeros((0, table.dim)))
-    if offset + len(indices) > table.max_len:
-        raise ValueError("index sequence exceeds the position table")
-    return ad.embed(table.token, table.position, indices,
-                    range(offset, offset + len(indices)))
+    return _embed_ids(vocab.encode(_fit_positions(tokens, table.max_len)),
+                      table)
 
 
 def project_image_features(features: np.ndarray,
@@ -294,26 +326,21 @@ def compose_attributes(E_k: Tensor, E_t: Tensor, E_v: Tensor,
     return encode(stacked, blocks, scale)
 
 
-def encode_relation_tuples(tuples: Iterable[RelationTuple], vocab: Vocabulary,
-                           table: EmbeddingTable,
+def encode_relation_tuples(prepared: PreparedContext, table: EmbeddingTable,
                            blocks: Sequence[EncoderBlockParams],
                            scale: bool = False) -> Tensor:
-    """T_h: one mean-pooled encoded row per tuple, rows in the deterministic
-    tuple order (shorter first, then lexicographic).
+    """T_h: one mean-pooled encoded row per prepared tuple, rows in the
+    prepared (``order_tuples``) order.
 
-    All tuples go through the encoder in one call: each linearized tuple is
-    a segment whose positions restart at 0 and whose rows attend only to
-    each other, so row i equals encoding tuple i alone. A tuple longer than
-    the position table is truncated with a warning, as in ``embed_tokens``.
+    All tuples go through the encoder in one call: each tuple is a segment
+    whose positions restart at 0 and whose rows attend only to each other,
+    so row i equals encoding tuple i alone.
     """
-    runs = [_fit_positions(linearize_tuple(t), table)
-            for t in order_tuples(tuples)]
-    if not runs:
+    lengths = prepared.tuple_lengths
+    if not lengths:
         return Tensor(np.zeros((0, table.dim)))
-    lengths = [len(run) for run in runs]
-    positions = [p for n in lengths for p in range(n)]
-    E = ad.embed(table.token, table.position,
-                 vocab.encode([tok for run in runs for tok in run]), positions)
+    E = ad.embed(table.token, table.position, prepared.tuple_ids,
+                 prepared.tuple_positions)
     return ad.mean_rows(encode(E, blocks, scale, lengths), lengths)
 
 
@@ -353,50 +380,30 @@ def fuse(T_t: Tensor, T_h_bar: Tensor,
     return Tensor(r.data[:, :1]), Tensor(r.data[:, 1:]), T_c
 
 
-def compose(knowledge_tokens: Sequence[str], ctx_tokens: Sequence[str],
-            image_features: np.ndarray, tuples: Iterable[RelationTuple],
-            vocab: Vocabulary, params: ComposerParams,
+def compose(prepared: PreparedContext, params: ModelParams,
             scale: bool = False) -> ComposedRepresentation:
-    """Run the full composition pipeline for one context."""
+    """Run the full composition pipeline for one prepared context, on the
+    ``table``, ``image_proj``, ``encoder``, ``relation_attn`` and ``fusion``
+    of the model's parameters."""
     table = params.table
-    image_features = np.asarray(image_features)
-    n_vis = image_features.shape[0] if image_features.size else 0
-    # image rows keep their positions first, then context tokens, and
-    # knowledge tokens get what is left
-    if n_vis > table.max_len:
-        logger.warning("compose: truncating image rows %d -> %d", n_vis,
-                       table.max_len)
-        n_vis = table.max_len
-        image_features = image_features[:n_vis]
-    ctx_tokens = _fit_positions(list(ctx_tokens), table, n_vis)
-    knowledge_budget = table.max_len - len(ctx_tokens) - n_vis
-    if len(knowledge_tokens) > knowledge_budget:
-        logger.warning("compose: truncating knowledge tokens %d -> %d",
-                       len(knowledge_tokens), knowledge_budget)
-        knowledge_tokens = list(knowledge_tokens)[:knowledge_budget]
-
-    E_k = embed_tokens(knowledge_tokens, vocab, table, offset=0)
+    E_k = _embed_ids(prepared.knowledge_ids, table)
     n_k = E_k.shape[0]
-    E_t = embed_tokens(ctx_tokens, vocab, table, offset=n_k)
+    E_t = _embed_ids(prepared.context_ids, table, offset=n_k)
     n_t = E_t.shape[0]
-    E_v = project_image_features(image_features, params.image_proj)
+    E_v = project_image_features(prepared.image_features, params.image_proj)
     if E_v.shape[0] > 0:
         start = n_k + n_t
         pos = ad.take_rows(table.position, range(start, start + E_v.shape[0]))
         E_v = ad.add(E_v, pos)
 
     T_t = compose_attributes(E_k, E_t, E_v, params.encoder, scale)
-    ordered = order_tuples(tuples)
-    T_h = encode_relation_tuples(ordered, vocab, table, params.encoder, scale)
-    if T_h.shape[0] == 0:
-        return ComposedRepresentation(
-            E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_t, tuples=[],
-            relation_attention=None, r_t=None, r_h=None,
-            n_knowledge=n_k, n_text=n_t, n_visual=E_v.shape[0])
-    T_h_bar, weights = reorganize_relations(T_t, T_h, params.relation_attn,
-                                            scale)
-    r_t, r_h, T_c = fuse(T_t, T_h_bar, params.fusion)
+    T_h = encode_relation_tuples(prepared, table, params.encoder, scale)
+    T_c, weights, r_t, r_h = T_t, None, None, None
+    if T_h.shape[0] > 0:
+        T_h_bar, weights = reorganize_relations(T_t, T_h,
+                                                params.relation_attn, scale)
+        r_t, r_h, T_c = fuse(T_t, T_h_bar, params.fusion)
     return ComposedRepresentation(
-        E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_c, tuples=ordered,
+        E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_c, tuples=prepared.tuples,
         relation_attention=weights, r_t=r_t, r_h=r_h,
         n_knowledge=n_k, n_text=n_t, n_visual=E_v.shape[0])

@@ -7,26 +7,27 @@ makes fixed-seed runs bit-identical. The tensors' values are views into
 one ``ParamBuffer`` per model, in that name order, which the optimizer and
 the parameter penalty work on whole. ``DialogModel`` couples the parameters
 with a knowledge base to run acquisition, composition, regularization, and
-decoding for single dialog pairs.
+decoding for single dialog pairs; ``DialogModel.prepare`` does the
+parameter-free half of composing a context, which training does once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .acquire import (AcquisitionConfig, AttributeKnowledge, DialogContext,
-                      RelationTuple, acquire_attributes, order_tuples,
-                      tokenize, walk_relations)
+                      RelationTuple, acquire_attributes, tokenize,
+                      walk_relations)
 from .autodiff import Tensor
 from .composer import (AttentionParams, ComposedRepresentation,
-                       ComposerParams, EmbeddingTable, EncoderBlockParams,
-                       FusionParams, ImageProjectionParams, MlpParams,
-                       Vocabulary, compose, embed_indices,
-                       linearize_attributes)
+                       EmbeddingTable, EncoderBlockParams, FusionParams,
+                       ImageProjectionParams, MlpParams, PreparedContext,
+                       Vocabulary, compose, linearize_attributes,
+                       prepare_context)
 from .config import TrainingConfig
 from .decoder import (DecoderBlockParams, DecoderParams, LossWeights,
                       OutputHead, SemanticEnhanceParams, decode_states,
@@ -56,12 +57,6 @@ class ModelParams:
     decoder: DecoderParams
     # set by param_tree, which joins the tensors at zero values
     buffer: ad.ParamBuffer = field(init=False, repr=False, compare=False)
-
-    def composer(self) -> ComposerParams:
-        return ComposerParams(table=self.table, image_proj=self.image_proj,
-                              encoder=self.encoder,
-                              relation_attn=self.relation_attn,
-                              fusion=self.fusion)
 
     def named(self) -> dict[str, Tensor]:
         """Flat name -> tensor map in a fixed, documented order."""
@@ -256,14 +251,6 @@ def load_checkpoint(path, kb: KnowledgeBase) -> "DialogModel":
 
 # --------------------------------------------------------------------- model
 
-class PreparedKnowledge(NamedTuple):
-    """What ``DialogModel.prepare`` gives: a context's linearized attribute
-    knowledge and its relation tuples in ``order_tuples`` order."""
-
-    knowledge_tokens: list[str]
-    tuples: list[RelationTuple]
-
-
 class DialogModel:
     """Parameters + knowledge base + config, with the full forward paths."""
 
@@ -295,26 +282,23 @@ class DialogModel:
             tuples = set()
         return knowledge, tuples
 
-    def prepare(self, ctx: DialogContext) -> PreparedKnowledge:
+    def prepare(self, ctx: DialogContext) -> PreparedContext:
         """The parameter-free half of composing ``ctx``: its acquired
-        attribute knowledge, linearized, and its relation tuples in order.
-        Training computes it once per pair and run."""
+        knowledge and tuples as token ids, positions and cuts."""
         knowledge, tuples = self.acquire(ctx)
-        return PreparedKnowledge(linearize_attributes(knowledge),
-                                 order_tuples(tuples))
+        return prepare_context(linearize_attributes(knowledge),
+                               ctx.text_tokens, ctx.image_features, tuples,
+                               self.vocab, self.params.table.max_len)
 
     # ----------------------------------------------------------- composition
 
     def compose_context(self, ctx: DialogContext,
-                        prepared: PreparedKnowledge | None = None
+                        prepared: PreparedContext | None = None
                         ) -> ComposedRepresentation:
-        """Compose ``ctx`` from ``prepared`` knowledge, acquired here when
-        not given."""
+        """Compose ``ctx`` from ``prepare(ctx)``, made here when not given."""
         if prepared is None:
             prepared = self.prepare(ctx)
-        return compose(prepared.knowledge_tokens, list(ctx.text_tokens),
-                       ctx.image_features, prepared.tuples, self.vocab,
-                       self.params.composer(), self.cfg.attn_scale)
+        return compose(prepared, self.params, self.cfg.attn_scale)
 
     def semantic_composed(self, comp: ComposedRepresentation) -> Tensor:
         """T-tilde_c: the composed-side semantic projection."""
@@ -352,7 +336,8 @@ class DialogModel:
         response_ids = self.vocab.encode(response_tokens)
         targets = response_ids + [self.vocab.EOS]
         prefix = [self.vocab.BOS] + response_ids
-        E_y = embed_indices(prefix, self.params.table)
+        E_y = ad.embed(self.params.table.token, self.params.table.position,
+                       prefix, range(len(prefix)))
         z_bar = decode_states(comp.T_c, comp.E_k, E_y, self.params.decoder.blocks,
                               scale=self.cfg.attn_scale)
         if enhance_with == "truth":
@@ -368,7 +353,7 @@ class DialogModel:
         return probs, targets, T_sem
 
     def loss_pair(self, ctx: DialogContext, response_tokens: Sequence[str],
-                  prepared: PreparedKnowledge | None = None,
+                  prepared: PreparedContext | None = None,
                   penalty: float | None = None) -> tuple[Tensor, dict]:
         """The per-pair training objective and its component values.
 

@@ -7,7 +7,7 @@ per-tensor formula's operations in the same order, so the trained weights
 are the same bits as a loop over the tensors would give.
 
 ``train_model`` does once what does not change between updates: each
-pair's knowledge is prepared once per run, and the L2 penalty once per
+pair's context is prepared once per run, and the L2 penalty once per
 optimizer step.
 """
 from __future__ import annotations
@@ -134,7 +134,7 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
 
     Work that does not change between updates is done once:
 
-    - each pair's knowledge is acquired and linearized once per call
+    - each pair's context is prepared once per call
       (``DialogModel.prepare``), since it does not depend on the
       parameters; the prepared list lives only as long as the call;
     - the L2 penalty's value is computed once per optimizer step and its

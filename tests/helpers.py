@@ -16,7 +16,7 @@ from kgdialog.acquire import RelationTuple
 from kgdialog.composer import (AttentionParams, EmbeddingTable,
                                EncoderBlockParams, FusionParams, MlpParams,
                                Vocabulary, compose_attributes,
-                               encode_relation_tuples, fuse,
+                               encode_relation_tuples, fuse, prepare_context,
                                reorganize_relations)
 from kgdialog.decoder import (DecoderBlockParams, LossWeights, OutputHead,
                               SemanticEnhanceParams, decode_states,
@@ -465,9 +465,11 @@ def build_composite_grad_cases(seed: int = 1):
               RelationTuple(("c", "in", "a"))]
     table = EmbeddingTable(_param(rng, len(vocab), 3), _param(rng, 6, 3))
     blocks = tuple(make_encoder_block(rng, 3, 4) for _ in range(2))
+    prepared = prepare_context([], [], np.zeros((0, 0)), tuples, vocab,
+                               table.max_len)
     case("encode_relation_tuples:lengths 3+4+5 d=3 blocks=2 scale=True",
          lambda table=table, blocks=blocks:
-         _project(encode_relation_tuples(tuples, vocab, table, blocks,
+         _project(encode_relation_tuples(prepared, table, blocks,
                                          scale=True), 35),
          [table.token, table.position]
          + [t for b in blocks for t in encoder_block_tensors(b)])

@@ -73,6 +73,42 @@ def test_train_model_calls_loss_pair_once_per_pair_and_epoch(tracer_module,
     assert tracer.counts["graph_nodes"] > 0
 
 
+def _traced(tracer_module, run):
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.reduce(0)["calls"]
+
+
+def test_traced_training_spans_compose_and_encodes_once_per_pair(
+        tracer_module, corpus):
+    """The composer and regularizer metrics divide these spans by the
+    pairs: each ``loss_pair`` composes once, encodes its tuples once and
+    encodes its response once."""
+    syn, vocab = corpus
+    model = build_model(vocab, syn.kb, CFG)
+    calls = _traced(tracer_module,
+                    lambda: train_model(model, syn.pairs, CFG, log_every=0))
+    assert calls["model.loss_pair"] == len(syn.pairs) * CFG.epochs
+    for name in ("composer.compose", "composer.tuple_encode",
+                 "regularizer.truth_encode"):
+        assert calls[name] == calls["model.loss_pair"], name
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "beam:2"])
+def test_traced_reply_spans_compose_and_tuple_encode_once(
+        tracer_module, corpus, strategy):
+    syn, vocab = corpus
+    model = build_model(vocab, syn.kb, CFG)
+    calls = _traced(tracer_module, lambda: model.generate_response(
+        syn.pairs[0].context, strategy=strategy))
+    assert calls["model.generate_response"] == 1
+    assert calls["composer.compose"] == calls["composer.tuple_encode"] == 1
+
+
 @pytest.mark.parametrize("strategy", ["greedy", "beam:2"])
 def test_generate_response_passes_prefix_rows_as_argument_2(
         corpus, monkeypatch, strategy):

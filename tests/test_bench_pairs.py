@@ -1,6 +1,7 @@
 """The per-metric verdict of ``scripts/bench_pairs.py`` on made-up pairs
-(pair wins, the gain verdict, the bound check and the unresolved flag), and
-its comparison of the traced counts."""
+(pair wins, the gain verdict, the bound check and the unresolved flag), its
+comparison of the traced counts, and its dirty-tree filter on made-up
+``git status --porcelain`` text."""
 import sys
 from pathlib import Path
 
@@ -58,3 +59,23 @@ def test_counts_differ_beyond_the_request_mix_band_or_when_one_is_missing():
         "decoder.prefix_rows_per_token": True}
     assert counts["decoder.prefix_rows_per_token"]["parent"] == 1.8692
     assert counts["decoder.prefix_rows_per_token"]["change"] == 2.8692
+
+
+def test_only_changes_to_benchmarked_files_mark_the_tree():
+    porcelain = "\n".join([
+        " M src/kgdialog/model.py",
+        "M  ISSUE.md",
+        " M ROADMAP.md",
+        "R  scripts/old.py -> scripts/new.py",
+        "MM perfbench/run.py",
+        " M BENCHMARK.json",
+        " M tests/test_model.py",
+        " D BENCH_16.json",
+        ' M "src/kgdialog/a b.py"',
+    ])
+    assert bench_pairs.benchmarked_changes(porcelain) == [
+        "src/kgdialog/model.py", "scripts/old.py", "scripts/new.py",
+        "perfbench/run.py", "BENCHMARK.json", "src/kgdialog/a b.py"]
+    assert bench_pairs.benchmarked_changes(
+        " M ISSUE.md\n M CHANGES.md\n M tests/helpers.py\n") == []
+    assert bench_pairs.benchmarked_changes("") == []

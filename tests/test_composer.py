@@ -1,4 +1,5 @@
-"""Tests for embedding, encoding, and knowledge composition."""
+"""Tests for embedding, encoding, context preparation, and knowledge
+composition."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,15 @@ from kgdialog import composer
 from kgdialog.acquire import (AcquiredPair, AttributeKnowledge, RelationTuple,
                               linearize_tuple, order_tuples)
 from kgdialog.autodiff import Tensor
-from kgdialog.composer import (ComposerParams, EmbeddingTable,
-                               ImageProjectionParams, NoRelationKnowledge,
-                               Vocabulary, compose, compose_attributes,
-                               embed_indices, embed_tokens, encode,
+from kgdialog.composer import (EmbeddingTable, ImageProjectionParams,
+                               NoRelationKnowledge, Vocabulary, compose,
+                               compose_attributes, embed_tokens, encode,
                                encode_relation_tuples, fuse,
-                               linearize_attributes, project_image_features,
-                               reorganize_relations)
+                               linearize_attributes, prepare_context,
+                               project_image_features, reorganize_relations)
+from kgdialog.config import TrainingConfig
 from kgdialog.kb import AttributeValuePair
+from kgdialog.model import init_params
 
 from helpers import (build_composite_grad_cases, make_attention,
                      make_encoder_block, make_fusion, max_rel_error)
@@ -111,12 +113,22 @@ class TestEmbedding:
         expect = table.token.data[ids] + table.position.data[:2]
         np.testing.assert_allclose(E.data, expect)
 
-    def test_offset_shifts_positions(self, vocab, table):
-        E0 = embed_tokens(["mall"], vocab, table, offset=0)
-        E5 = embed_tokens(["mall"], vocab, table, offset=5)
-        np.testing.assert_allclose(
-            E5.data - E0.data,
-            table.position.data[5:6] - table.position.data[0:1])
+    def test_offset_shifts_positions(self, vocab, rng):
+        """Context rows take the positions after the knowledge rows, image
+        rows the ones after both: with no encoder block, T_t is each
+        segment's token (or projected image) rows plus those positions."""
+        params = _composer_params(rng, n_blocks=0)
+        feats = np.random.default_rng(1).normal(size=(2, 3))
+        comp = _compose(params, vocab, ["domain", ":", "mall"],
+                        ["the", "big"], feats, [])
+        token, position = params.table.token.data, params.table.position.data
+        ids = vocab.encode(["domain", ":", "mall", "the", "big"])
+        np.testing.assert_array_equal(comp.T_t.data[:5],
+                                      token[ids] + position[:5])
+        np.testing.assert_array_equal(
+            comp.T_t.data[5:],
+            project_image_features(feats, params.image_proj).data
+            + position[5:7])
 
     def test_empty_tokens(self, vocab, table):
         assert embed_tokens([], vocab, table).shape == (0, D)
@@ -128,15 +140,6 @@ class TestEmbedding:
         assert E.shape == (20, D)
         assert "truncating" in caplog.text
 
-    def test_embed_indices_matches_embed_tokens(self, vocab, table):
-        tokens = ["near", "the", "mall"]
-        a = embed_tokens(tokens, vocab, table, offset=2)
-        b = embed_indices(vocab.encode(tokens), table, offset=2)
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_embed_indices_overflow_raises(self, table):
-        with pytest.raises(ValueError):
-            embed_indices([0] * 21, table)
 
 
 class TestImageProjection:
@@ -290,10 +293,39 @@ def _np_tuple_rows(tuples, vocab, table, blocks, scale):
     return np.array(rows)
 
 
+def _prepared_tuples(tuples, vocab, max_len=20):
+    """A prepared context holding only ``tuples``."""
+    return prepare_context([], [], np.zeros((0, 0)), tuples, vocab, max_len)
+
+
+class TestPrepareContext:
+    def test_ids_positions_and_lengths(self, vocab):
+        prepared = prepare_context(["domain", ":", "mall"], ("the", "mall"),
+                                   np.zeros((0, 0)), TUPLES, vocab, 20)
+        assert prepared.knowledge_ids == vocab.encode(["domain", ":", "mall"])
+        assert prepared.context_ids == vocab.encode(["the", "mall"])
+        assert prepared.tuples == order_tuples(TUPLES)
+        runs = [linearize_tuple(t) for t in order_tuples(TUPLES)]
+        assert prepared.tuple_lengths == [len(run) for run in runs]
+        assert prepared.tuple_ids == vocab.encode(
+            [tok for run in runs for tok in run])
+        assert prepared.tuple_positions == [p for run in runs
+                                            for p in range(len(run))]
+
+    def test_tuple_order_decided_once(self, vocab, monkeypatch):
+        calls = []
+        real = composer.order_tuples
+        monkeypatch.setattr(composer, "order_tuples",
+                            lambda ts: calls.append(1) or real(ts))
+        prepared = _prepared_tuples(list(reversed(TUPLES)), vocab)
+        assert prepared.tuples == order_tuples(TUPLES) and len(calls) == 1
+
+
 class TestEncodeRelationTuples:
     def test_row_per_tuple_in_order(self, vocab, table, rng):
         block = make_encoder_block(rng, D, 6)
-        T_h = encode_relation_tuples(TUPLES, vocab, table, (block,))
+        T_h = encode_relation_tuples(_prepared_tuples(TUPLES, vocab), table,
+                                     (block,))
         assert T_h.shape == (3, D)
         # row i is the mean-pooled encoding of the i-th ordered tuple
         for i, t in enumerate(order_tuples(TUPLES)):
@@ -303,13 +335,15 @@ class TestEncodeRelationTuples:
 
     def test_input_order_irrelevant(self, vocab, table, rng):
         block = make_encoder_block(rng, D, 6)
-        a = encode_relation_tuples(TUPLES, vocab, table, (block,))
-        b = encode_relation_tuples(list(reversed(TUPLES)), vocab, table,
+        a = encode_relation_tuples(_prepared_tuples(TUPLES, vocab), table,
                                    (block,))
+        b = encode_relation_tuples(
+            _prepared_tuples(list(reversed(TUPLES)), vocab), table, (block,))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_empty(self, vocab, table):
-        assert encode_relation_tuples([], vocab, table, ()).shape == (0, D)
+        T_h = encode_relation_tuples(_prepared_tuples([], vocab), table, ())
+        assert T_h.shape == (0, D)
 
     @pytest.mark.parametrize("tuples", [TUPLES[:1], TUPLES,
                                         TUPLES + LONG_TUPLES])
@@ -322,8 +356,9 @@ class TestEncodeRelationTuples:
             calls.append(1)
             return real_encode(*args, **kwargs)
 
+        prepared = _prepared_tuples(tuples, vocab)
         monkeypatch.setattr(composer, "encode", counting_encode)
-        T_h = encode_relation_tuples(tuples, vocab, table,
+        T_h = encode_relation_tuples(prepared, table,
                                      (make_encoder_block(rng, D, 6),))
         assert T_h.shape == (len(tuples), D)
         assert len(calls) == 1
@@ -333,11 +368,11 @@ class TestEncodeRelationTuples:
         blocks = tuple(make_encoder_block(rng, D, 6) for _ in range(2))
         tuples = TUPLES + LONG_TUPLES
         with caplog.at_level("WARNING"):
-            T_h = encode_relation_tuples(tuples, vocab, table, blocks,
-                                         scale=True)
+            prepared = _prepared_tuples(tuples, vocab, table.max_len)
         truncations = [r for r in caplog.records
                        if r.getMessage().startswith("embed_tokens: truncating")]
         assert len(truncations) == len(LONG_TUPLES)
+        T_h = encode_relation_tuples(prepared, table, blocks, scale=True)
         np.testing.assert_allclose(
             T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, True),
             rtol=0, atol=1e-10)
@@ -355,7 +390,8 @@ class TestEncodeRelationTuples:
         table = EmbeddingTable(Tensor(rng.normal(size=(len(vocab), D))),
                                Tensor(rng.normal(size=(12, D))))
         blocks = tuple(make_encoder_block(rng, D, 5) for _ in range(n_blocks))
-        T_h = encode_relation_tuples(tuples, vocab, table, blocks, scale)
+        T_h = encode_relation_tuples(_prepared_tuples(tuples, vocab, 12),
+                                     table, blocks, scale)
         np.testing.assert_allclose(
             T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, scale),
             rtol=0, atol=1e-10)
@@ -448,27 +484,24 @@ class TestFuse:
 # ------------------------------------------------------------- full composition
 
 def _composer_params(rng, vocab_size=13, fdim=3, n_blocks=1):
-    table = EmbeddingTable(
-        token=Tensor(rng.normal(size=(vocab_size, D)) * 0.1,
-                     requires_grad=True),
-        position=Tensor(rng.normal(size=(20, D)) * 0.1, requires_grad=True))
-    image_proj = ImageProjectionParams(
-        w=Tensor(rng.normal(size=(fdim, D)) * 0.1, requires_grad=True),
-        b=Tensor(np.zeros((1, D)), requires_grad=True),
-        gain=Tensor(np.ones((1, D)), requires_grad=True),
-        bias=Tensor(np.zeros((1, D)), requires_grad=True))
-    return ComposerParams(
-        table=table, image_proj=image_proj,
-        encoder=tuple(make_encoder_block(rng, D, 6) for _ in range(n_blocks)),
-        relation_attn=make_attention(rng, D),
-        fusion=make_fusion(rng, D))
+    """A model's parameters at width D with a 20-row position table."""
+    cfg = TrainingConfig(dim=D, enc_blocks=n_blocks, mlp_hidden=6,
+                         max_seq_len=20, max_gen_len=4,
+                         seed=int(rng.integers(2 ** 31)))
+    return init_params(vocab_size, fdim, cfg)
+
+
+def _compose(params, vocab, knowledge_tokens, ctx_tokens, feats, tuples):
+    return compose(prepare_context(knowledge_tokens, ctx_tokens, feats,
+                                   tuples, vocab, params.table.max_len),
+                   params)
 
 
 class TestCompose:
     def test_no_tuples_means_attribute_view_only(self, vocab, rng):
         params = _composer_params(rng)
-        comp = compose(["domain", ":", "mall", ";"], ["the", "mall"],
-                       np.zeros((0, 0)), [], vocab, params)
+        comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
+                        ["the", "mall"], np.zeros((0, 0)), [])
         assert comp.T_c is comp.T_t
         assert comp.tuples == []
         assert comp.relation_attention is None
@@ -477,8 +510,8 @@ class TestCompose:
     def test_position_accounting(self, vocab, rng):
         params = _composer_params(rng)
         feats = np.random.default_rng(1).normal(size=(2, 3))
-        comp = compose(["domain", ":", "mall", ";"], ["the", "mall"],
-                       feats, TUPLES, vocab, params)
+        comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
+                        ["the", "mall"], feats, TUPLES)
         assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (4, 2, 2)
         assert comp.n_positions == 8
         assert comp.T_t.shape == (8, D)
@@ -487,8 +520,8 @@ class TestCompose:
 
     def test_with_tuples_all_fields(self, vocab, rng):
         params = _composer_params(rng)
-        comp = compose(["domain", ":", "mall", ";"], ["the", "mall"],
-                       np.zeros((0, 0)), TUPLES, vocab, params)
+        comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
+                        ["the", "mall"], np.zeros((0, 0)), TUPLES)
         assert comp.tuples == order_tuples(TUPLES)
         assert comp.relation_attention.shape == (6, 3)
         np.testing.assert_allclose(comp.r_t.data + comp.r_h.data, 1.0,
@@ -498,7 +531,7 @@ class TestCompose:
         """Visual rows get position rows following the text block."""
         params = _composer_params(rng, n_blocks=0)
         feats = np.random.default_rng(1).normal(size=(1, 3))
-        comp = compose([], ["the"], feats, [], vocab, params)
+        comp = _compose(params, vocab, [], ["the"], feats, [])
         projected = project_image_features(feats, params.image_proj).data
         expect = projected + params.table.position.data[1:2]
         np.testing.assert_allclose(comp.T_t.data[1:2], expect, atol=1e-12)
@@ -506,8 +539,8 @@ class TestCompose:
     def test_knowledge_budget_truncation(self, vocab, rng, caplog):
         params = _composer_params(rng)
         with caplog.at_level("WARNING"):
-            comp = compose(["mall"] * 30, ["the", "big"], np.zeros((0, 0)),
-                           [], vocab, params)
+            comp = _compose(params, vocab, ["mall"] * 30, ["the", "big"],
+                            np.zeros((0, 0)), [])
         assert comp.n_knowledge == 18  # 20 positions - 2 context tokens
         assert comp.n_text == 2
         assert "truncating" in caplog.text
@@ -518,8 +551,8 @@ class TestCompose:
         for n_text in (19, 20, 25):
             caplog.clear()
             with caplog.at_level("WARNING"):
-                comp = compose([], ["the"] * n_text, feats, TUPLES, vocab,
-                               params)
+                comp = _compose(params, vocab, [], ["the"] * n_text, feats,
+                                TUPLES)
             assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (0, 18, 2)
             # a single warning, and none about knowledge that was empty
             assert [r.getMessage() for r in caplog.records] == [
@@ -533,7 +566,7 @@ class TestCompose:
         params = _composer_params(rng, n_blocks=0)
         feats = np.random.default_rng(1).normal(size=(22, 3))
         with caplog.at_level("WARNING"):
-            comp = compose(["domain"], ["the"], feats, [], vocab, params)
+            comp = _compose(params, vocab, ["domain"], ["the"], feats, [])
         assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (0, 0, 20)
         assert [r.getMessage() for r in caplog.records] == [
             "compose: truncating image rows 22 -> 20",
@@ -545,10 +578,10 @@ class TestCompose:
 
     def test_deterministic(self, vocab, rng):
         params = _composer_params(rng)
-        a = compose(["domain"], ["the", "mall"], np.zeros((0, 0)), TUPLES,
-                    vocab, params)
-        b = compose(["domain"], ["the", "mall"], np.zeros((0, 0)),
-                    list(reversed(TUPLES)), vocab, params)
+        a = _compose(params, vocab, ["domain"], ["the", "mall"],
+                     np.zeros((0, 0)), TUPLES)
+        b = _compose(params, vocab, ["domain"], ["the", "mall"],
+                     np.zeros((0, 0)), list(reversed(TUPLES)))
         np.testing.assert_array_equal(a.T_c.data, b.T_c.data)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kgdialog import autodiff as ad
 from kgdialog import decoder
 from kgdialog.autodiff import ParamBuffer, Tensor
-from kgdialog.composer import EmbeddingTable, Vocabulary, embed_indices
+from kgdialog.composer import EmbeddingTable, Vocabulary
 from kgdialog.decoder import (DecodeCache, DecoderParams, LossWeights,
                               OutputHead, SemanticEnhanceParams,
                               decode_states, generate, predict_token,
@@ -54,8 +54,9 @@ def _last_row_probs(setting, dec, table, prefix, scale=False):
     """Full recompute: the teacher-forced distribution after ``prefix``,
     read from the last row of decode_states over the whole prefix."""
     n = len(prefix)
-    states = decode_states(setting["T_c"], setting["E_k"],
-                           embed_indices(prefix, table), dec.blocks, scale)
+    E_y = ad.embed(table.token, table.position, prefix, range(n))
+    states = decode_states(setting["T_c"], setting["E_k"], E_y, dec.blocks,
+                           scale)
     z = semantic_enhance(ad.take_rows(states, [n - 1]), setting["T_sem"],
                          dec.enhance, scale)
     return predict_token(z, dec.head).data[0]
@@ -451,9 +452,9 @@ class TestGenerate:
 
         monkeypatch.setattr(ad, "no_grad", recording_no_grad)
         monkeypatch.setattr(ad, "_node", recording_node)
-        assert ad._grad_enabled
+        assert ad._grad_mode.enabled is True
         got = generate(*args, max_len=8, strategy=strategy)
-        assert ad._grad_enabled
+        assert ad._grad_mode.enabled is True
         assert switched == [] and nodes == []
         assert got == expect and len(got) >= 2
 

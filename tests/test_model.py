@@ -1,6 +1,7 @@
 """Tests for model assembly, checkpointing, and the end-to-end forward paths."""
 import gc
 import json
+import threading
 import weakref
 
 import numpy as np
@@ -311,8 +312,9 @@ class TestDialogModel:
 
     def test_prepared_knowledge_gives_the_same_loss(self, model):
         prepared = model.prepare(CTX)
-        assert prepared.knowledge_tokens == linearize_attributes(
-            model.acquire(CTX)[0])
+        assert prepared.knowledge_ids == model.vocab.encode(
+            linearize_attributes(model.acquire(CTX)[0]))
+        assert prepared.context_ids == model.vocab.encode(CTX.text_tokens)
         a, _ = model.loss_pair(CTX, RESPONSE)
         b, _ = model.loss_pair(CTX, RESPONSE, prepared)
         assert a.item() == b.item()
@@ -353,6 +355,15 @@ class TestDialogModel:
     def test_empty_response_rejected(self, model):
         with pytest.raises(ValueError):
             model.teacher_predictions(CTX, ())
+
+    def test_teacher_forcing_past_position_table_raises(self, model):
+        """The start marker plus the response needs one decoder position
+        per token: one more than the table holds raises."""
+        fits = ("the",) * (CFG.max_seq_len - 1)
+        assert model.teacher_predictions(CTX, fits)[0].shape[0] == \
+            CFG.max_seq_len
+        with pytest.raises(ValueError):
+            model.teacher_predictions(CTX, fits + ("the",))
 
     def test_generate_deterministic(self, model):
         a = model.generate_response(CTX, max_len=6)
@@ -423,3 +434,52 @@ def test_context_past_position_table_trains_and_generates(caplog):
             assert len(reply) <= cfg.max_gen_len
             assert np.isfinite(result.epoch_losses).all()
             assert [r.getMessage() for r in caplog.records] == want * 2
+
+
+def test_no_grad_in_another_thread_leaves_this_one_recording(model):
+    """Grad mode is per thread: while a worker sits inside ``no_grad``, a
+    loss built in this thread still records its graph."""
+    inside, release = threading.Event(), threading.Event()
+
+    def worker():
+        with ad.no_grad():
+            inside.set()
+            release.wait(10)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert inside.wait(10)
+        loss, _ = model.loss_pair(CTX, RESPONSE)
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert loss.requires_grad
+
+
+def test_interleaved_no_grad_in_two_threads_restores_grad_mode(model):
+    """Two threads enter ``no_grad`` and leave it in the order enter,
+    enter, exit, exit; afterwards this thread still records graphs. (With
+    one process-wide flag the second thread saved the first one's False
+    and restored it last.)"""
+    step = threading.Barrier(2, timeout=10)
+
+    def worker():
+        step.wait()  # this thread is inside
+        with ad.no_grad():
+            step.wait()  # both are inside
+            step.wait()  # this thread has left
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        with ad.no_grad():
+            step.wait()
+            step.wait()
+        step.wait()
+    finally:
+        thread.join(10)
+    assert not thread.is_alive()
+    loss, _ = model.loss_pair(CTX, RESPONSE)
+    assert loss.requires_grad

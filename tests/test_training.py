@@ -1,5 +1,7 @@
 """Tests for the optimizer, training loop, and evaluation helpers."""
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
 from kgdialog.autodiff import Tensor
+from kgdialog.composer import Vocabulary
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import DialogPair, make_synthetic_corpus
 from kgdialog.model import DialogModel, build_model, build_vocabulary, \
@@ -222,6 +225,48 @@ class TestTrain:
             [x.hex() for x in losses]
         np.testing.assert_array_equal(trained.params.buffer.values,
                                       manual.params.buffer.values)
+
+    def test_epochs_do_not_tokenize_linearize_or_sort(self, tiny,
+                                                      monkeypatch):
+        """train_model prepares each context once per call, so one epoch
+        and three make the same context-side ``Vocabulary.encode`` calls
+        and the same ``linearize_tuple`` and ``order_tuples`` calls. (The
+        response side encodes its tokens for every pair of every epoch.)"""
+        pairs = tiny.pairs[:4]
+        vocab = _vocab(pairs, tiny.kb)
+        responses = {tuple(p.response) for p in pairs}
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        real_encode = Vocabulary.encode
+
+        def encode(self, tokens):
+            if tuple(tokens) not in responses:
+                calls["encode"] += 1
+            return real_encode(self, tokens)
+
+        monkeypatch.setattr(Vocabulary, "encode", encode)
+        modules = [m for key, m in list(sys.modules.items())
+                   if key.split(".")[0] == "kgdialog"]
+        for name in ("linearize_tuple", "order_tuples"):
+            real = getattr(sys.modules["kgdialog.acquire"], name)
+            wrapper = counted(name, real)
+            for module in modules:
+                if vars(module).get(name) is real:
+                    monkeypatch.setattr(module, name, wrapper)
+        counts = []
+        for epochs in (1, 3):
+            calls.clear()
+            train_model(build_model(vocab, tiny.kb, FAST), pairs,
+                        FAST.replace(epochs=epochs), log_every=0)
+            counts.append(dict(calls))
+        assert counts[0]["linearize_tuple"] > 0
+        assert counts[0] == counts[1]
 
     def test_penalty_once_per_step_sums_the_per_pair_penalty(self, tiny):
         """The objective of a pair is the same bits when the caller holds
