@@ -17,17 +17,18 @@ land on the same side. After the pairs, each side runs once more with
 ``--trace 1`` at the first seed, for its per-layer metrics (graph nodes per
 pair among them). The output file holds both SHAs, whether the checkout
 differs from its HEAD in a tracked file the benchmark runs (and which),
-every result line, each side's traced per-layer metrics, both sides' values of the traced counts
-in ``COUNTS`` and whether they differ, and per end-to-end metric (names, units,
-directions and bounds from BENCHMARK.json): each side's median and
-quartiles, the pairs the change wins, the verdict of a claimed gain and the
-bound check. A gain holds when the change wins at least 9 of every 10 pairs
-and its median is better than the parent's by more than the parent's
-interquartile range. A metric is within its bound when the change's median
-is no worse than the parent's median by more than the bound (a fraction of
-the parent's median). It is unresolved when the parent's interquartile
-range is wider than the bound and not every change run beats every parent
-run: the runs then spread too widely to tell.
+every result line, each side's traced per-layer metrics, both sides' values
+of the traced counts in ``COUNTS`` and whether they differ, and per
+end-to-end metric (names, units, directions and bounds from
+BENCHMARK.json): each side's median and quartiles, the pairs the change
+wins, the verdict of a claimed gain and the bound check. A gain holds when
+the change wins at least 9 of every 10 pairs and its median is better than
+the parent's by more than the parent's interquartile range. A metric is
+within its bound when the change's median is no worse than the parent's
+median by more than the bound (a fraction of the parent's median). It is
+unresolved when the parent's interquartile range is wider than the bound
+and not every change run beats every parent run: the runs then spread too
+widely to tell.
 """
 from __future__ import annotations
 

@@ -63,6 +63,7 @@ BLOCK = 1 << 15
 # The variance offset of every layer norm.
 LN_EPS = 1e-5
 
+
 class _GradMode(threading.local):
     enabled = True  # the class default: every new thread records graphs
 
