@@ -64,7 +64,7 @@ def test_counts_differ_beyond_the_request_mix_band_or_when_one_is_missing():
 def test_only_changes_to_benchmarked_files_mark_the_tree():
     porcelain = "\n".join([
         " M src/kgdialog/model.py",
-        "M  ISSUE.md",
+        "M  README.md",
         " M ROADMAP.md",
         "R  scripts/old.py -> scripts/new.py",
         "MM perfbench/run.py",
@@ -77,5 +77,5 @@ def test_only_changes_to_benchmarked_files_mark_the_tree():
         "src/kgdialog/model.py", "scripts/old.py", "scripts/new.py",
         "perfbench/run.py", "BENCHMARK.json", "src/kgdialog/a b.py"]
     assert bench_pairs.benchmarked_changes(
-        " M ISSUE.md\n M CHANGES.md\n M tests/helpers.py\n") == []
+        " M README.md\n M CHANGES.md\n M tests/helpers.py\n") == []
     assert bench_pairs.benchmarked_changes("") == []
