@@ -21,9 +21,12 @@ every result line, each side's traced per-layer metrics, both sides' values
 of the traced counts in ``COUNTS`` and whether they differ, and per
 end-to-end metric (names, units, directions and bounds from
 BENCHMARK.json): each side's median and quartiles, the pairs the change
-wins, the verdict of a claimed gain and the bound check. A gain holds when
-the change wins at least 9 of every 10 pairs and its median is better than
-the parent's by more than the parent's interquartile range. A metric is
+wins, the verdict of a claimed gain and the bound check. It also holds
+each side's failed share of the attempted operations and its count of
+runs the benchmark marked incorrect. A gain holds when the change wins at
+least 9 of every 10 pairs, its median is better than the parent's by more
+than the parent's interquartile range, no change run is incorrect, and
+the change's failed share is no higher than the parent's. A metric is
 within its bound when the change's median is no worse than the parent's
 median by more than the bound (a fraction of the parent's median). It is
 unresolved when the parent's interquartile range is wider than the bound
@@ -106,6 +109,20 @@ def spread(values: list[float]) -> dict:
             "iqr": q3 - q1, "values": values}
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Each side's failed and attempted operations summed over its paired
+    runs, the failed share, and the count of its runs marked incorrect."""
+    out = {}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        failed = sum(r["failed"] for r in runs)
+        attempted = sum(r["attempted"] for r in runs)
+        out[side] = {"failed": failed, "attempted": attempted,
+                     "failed_share": failed / max(attempted, 1),
+                     "incorrect_runs": sum(not r["correct"] for r in runs)}
+    return out
+
+
 def verdict(metric: dict, pairs: list[dict]) -> dict:
     """Per-side spread, pair wins, the gain verdict and the bound check of
     one metric."""
@@ -119,13 +136,18 @@ def verdict(metric: dict, pairs: list[dict]) -> dict:
     bound = metric["bound"] * abs(parent["median"])
     beats_all = all(sign * (p - c) > 0
                     for p in sides["parent"] for c in sides["change"])
+    fails = failures(pairs)
+    clean = (fails["change"]["incorrect_runs"] == 0
+             and fails["change"]["failed_share"]
+             <= fails["parent"]["failed_share"])
     return {"unit": metric["unit"], "better": metric["better"],
             "bound": metric["bound"],
             "parent": parent, "change": change, "wins": wins,
             "pairs": len(pairs),
             "median_change_pct": 100.0 * (change["median"] / parent["median"]
                                           - 1.0),
-            "gain": wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"],
+            "gain": (wins >= WIN_SHARE * len(pairs) and gap > parent["iqr"]
+                     and clean),
             "within_bound": gap >= -bound,
             "unresolved": parent["iqr"] > bound and not beats_all}
 
@@ -194,12 +216,14 @@ def main(argv=None) -> int:
                                      args.seconds, trace=1)
             record["traced"][side] = {"failed": result["failed"],
                                       "per_layer": run_record["per_layer"]}
-    record["failed"] = {side: sum(p[side]["failed"] for p in record["pairs"])
-                        for side in ("parent", "change")}
+    record["failures"] = failures(record["pairs"])
     record["counts"] = count_deltas(record["traced"])
     record["metrics"] = {m["name"]: verdict(m, record["pairs"])
                          for m in spec["end_to_end"]}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    for side, f in record["failures"].items():
+        print(f"{side}: {f['failed']} of {f['attempted']} operations failed, "
+              f"{f['incorrect_runs']} runs incorrect")
     for name, c in record["counts"].items():
         print(f"traced {name}: parent {c['parent']}, change {c['change']}, "
               f"differ: {c['differ']}")

@@ -18,7 +18,7 @@ import numpy as np
 # tokenize lives in kb, which indexes entity names with it; it is imported
 # here too, as the package's one tokenizer
 from .kb import (AttributeValuePair, Entity, KnowledgeBase, KnowledgeGraph,
-                 tokenize)
+                 feature_table, tokenize)
 
 logger = logging.getLogger(__name__)
 
@@ -33,8 +33,8 @@ class NoImagesError(ValueError):
 class DialogContext:
     """A dialog context: concatenated utterance tokens plus image features.
 
-    ``image_features`` is (N_V, feature_dim); contexts without images carry
-    a 0 x 0 array.
+    ``image_features`` is (N_V, feature_dim), any other shape a ValueError;
+    contexts without images carry a 0 x 0 array.
     """
 
     text_tokens: tuple[str, ...]
@@ -42,12 +42,17 @@ class DialogContext:
 
     def __post_init__(self):
         object.__setattr__(self, "text_tokens", tuple(self.text_tokens))
-        feats = np.asarray(self.image_features, dtype=np.float64)
-        if feats.size == 0:
-            feats = feats.reshape(0, 0)
-        elif feats.ndim == 1:
-            feats = feats.reshape(1, -1)
-        object.__setattr__(self, "image_features", feats)
+        object.__setattr__(self, "image_features",
+                           feature_table(self.image_features))
+
+    @classmethod
+    def from_utterances(cls, utterances, image_features=()) -> "DialogContext":
+        """The context of ``utterances``, strings in dialog order, tokenized
+        and concatenated, with ``image_features`` rows."""
+        if not all(isinstance(u, str) for u in utterances):
+            raise ValueError("dialog utterances must be strings")
+        return cls([t for u in utterances for t in tokenize(u)],
+                   image_features)
 
 
 @dataclass(frozen=True)

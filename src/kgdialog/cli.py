@@ -7,8 +7,12 @@ decodes a response, ``evaluate`` scores a corpus, ``dump-attention``
 inspects the relation-attention and fusion gates, and ``export-reps``
 dumps both semantic matrices per pair.
 
-Exit codes: 0 on success, 1 on input errors (bad flags or files), 2 on
-internal errors. Diagnostics go to stderr; data goes to stdout or --out.
+Exit codes: 0 on success, 1 on bad input, 2 on internal errors. Bad input
+is a bad flag, an unreadable file, or a document its one reader rejects
+(``kb_from_doc``, ``read_corpus``, ``DialogContext.from_utterances``,
+``model_from_doc``, ``TrainingConfig.from_dict``): malformed JSON, a
+wrong JSON type or a value out of range. Diagnostics go to stderr; data
+goes to stdout or --out.
 Where it makes sense, commands also read/write a "bundle" document
 ``{"kb": ..., "corpus": ..., "checkpoint": ...}`` so that
 ``synth | train | evaluate`` composes over pipes.
@@ -22,24 +26,21 @@ import logging
 import sys
 import traceback
 
-import numpy as np
-
 from . import __version__
 from . import autodiff as ad
-from .acquire import (AcquisitionConfig, DialogContext, NoImagesError,
-                      acquire_attributes, order_tuples, tokenize,
-                      walk_relations)
+from .acquire import (AcquisitionConfig, DialogContext, acquire_attributes,
+                      order_tuples, walk_relations)
 from .config import TrainingConfig
-from .corpus import (CorpusFormatError, make_synthetic_corpus,
-                     pair_from_record, save_corpus_records, save_kb_doc)
-from .kb import KBFormatError, build_graph, parse_kb
+from .corpus import (make_synthetic_corpus, pair_from_record, read_corpus,
+                     save_corpus_records, save_kb_doc)
+from .kb import build_graph, kb_from_doc, parse_kb
 from .model import checkpoint_doc, model_from_doc, save_checkpoint
 from .training import TrainingDiverged, evaluate, train
 
 logger = logging.getLogger(__name__)
 
-_INPUT_ERRORS = (KBFormatError, CorpusFormatError, NoImagesError, ValueError,
-                 KeyError, OSError, json.JSONDecodeError)
+# the package's format errors (KB, corpus, JSON, no images) are ValueErrors
+_INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 class _UsageError(Exception):
@@ -79,10 +80,6 @@ def _load_json(path: str):
     return json.loads(_read_text(path))
 
 
-def _load_kb(path: str):
-    return parse_kb(_read_text(path))
-
-
 def _context_from_args(args) -> DialogContext:
     """Build the dialog context from --context and/or --text/--features.
 
@@ -90,41 +87,30 @@ def _context_from_args(args) -> DialogContext:
     features inline ("image_features": [[...], ...]) or by reference
     ("feature_files": [path, ...], each a JSON array of rows).
     """
-    utterances: list[str] = []
-    feature_rows: list[list[float]] = []
+    utterances, tables = [], []
     if getattr(args, "context", None):
         doc = _load_json(args.context)
         if not isinstance(doc, dict) or not isinstance(
                 doc.get("utterances"), list):
             raise ValueError(
                 "--context file must be an object with an 'utterances' list")
+        files = doc.get("feature_files") or []
+        if not (isinstance(files, list)
+                and all(isinstance(path, str) for path in files)):
+            raise ValueError("--context 'feature_files' must be a list of "
+                             "paths")
         utterances.extend(doc["utterances"])
-        feature_rows.extend(doc.get("image_features") or [])
-        for path in doc.get("feature_files") or []:
-            feature_rows.extend(_load_json(path))
+        tables.append(doc.get("image_features") or [])
+        tables.extend(map(_load_json, files))
     utterances.extend(getattr(args, "text", []) or [])
     if getattr(args, "features", None):
-        feature_rows.extend(_load_json(args.features))
+        tables.append(_load_json(args.features))
     if not utterances:
         raise ValueError("no context given: pass --context or --text")
-    tokens = [t for utterance in utterances for t in tokenize(utterance)]
-    features = (np.asarray(feature_rows, dtype=np.float64)
-                if feature_rows else np.zeros((0, 0)))
-    if features.size and features.ndim != 2:
-        raise ValueError("image features must form a list of equal-length rows")
-    return DialogContext(tuple(tokens), features)
-
-
-def _corpus_records(text: str) -> list[dict]:
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"corpus line {lineno}: {exc}") from exc
-    return records
+    if not all(isinstance(table, list) for table in tables):
+        raise ValueError("image features must be a list of rows")
+    return DialogContext.from_utterances(
+        utterances, [row for table in tables for row in table])
 
 
 def _resolve_kb_corpus(args, need_model: bool):
@@ -139,18 +125,20 @@ def _resolve_kb_corpus(args, need_model: bool):
             raise ValueError(
                 "bundle document must be an object with a 'kb' key")
         kb_doc = bundle["kb"]
-        records = bundle.get("corpus") or []
+        records = bundle.get("corpus", [])
+        if not isinstance(records, list):
+            raise ValueError("bundle 'corpus' must be a list of records")
+        pairs = [pair_from_record(r) for r in records]
         checkpoint = bundle.get("checkpoint")
     else:
         if not args.kb:
             raise ValueError("either --data or --kb is required")
         kb_doc = _load_json(args.kb)
-        records = (_corpus_records(_read_text(args.corpus))
-                   if getattr(args, "corpus", None) else [])
+        records, pairs = (read_corpus(_read_text(args.corpus))
+                          if getattr(args, "corpus", None) else ([], []))
         if getattr(args, "checkpoint", None):
             checkpoint = _load_json(args.checkpoint)
-    kb = parse_kb(json.dumps(kb_doc))
-    pairs = [pair_from_record(r) for r in records]
+    kb = kb_from_doc(kb_doc)
     model = None
     if need_model:
         if checkpoint is None:
@@ -228,7 +216,7 @@ def _add_io_flags(sp: argparse.ArgumentParser, model: bool = False,
 # ----------------------------------------------------------------- commands
 
 def _cmd_ingest(args) -> int:
-    kb = _load_kb(args.kb)
+    kb = parse_kb(_read_text(args.kb))
     graph = build_graph(kb)
     _emit_json({
         "entities": len(kb),
@@ -241,7 +229,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    kb = _load_kb(args.kb)
+    kb = parse_kb(_read_text(args.kb))
     graph = build_graph(kb)
     cfg = AcquisitionConfig(max_hops=args.hops, max_tuples=args.max_tuples)
     tuples = walk_relations(graph, args.seed, cfg)
@@ -252,7 +240,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    kb = _load_kb(args.kb)
+    kb = parse_kb(_read_text(args.kb))
     ctx = _context_from_args(args)
     knowledge = acquire_attributes(ctx, kb,
                                    AcquisitionConfig(epsilon=args.epsilon))

@@ -5,6 +5,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .acquire import AcquisitionConfig
 from .decoder import LossWeights
 
 
@@ -40,6 +41,11 @@ class TrainingConfig:
     attn_scale: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _JSON_TYPE_OK[f.type](value):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, "
+                                 f"got {value!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.enc_blocks < 0 or self.dec_blocks < 0:
@@ -48,12 +54,7 @@ class TrainingConfig:
             raise ValueError("n_latent must be >= 1")
         if self.mlp_hidden is not None and self.mlp_hidden < 1:
             raise ValueError("mlp_hidden must be >= 1 or None")
-        if not -1.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [-1, 1]")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
-        if self.max_tuples < 1:
-            raise ValueError("max_tuples must be >= 1")
+        AcquisitionConfig(self.epsilon, self.max_hops, self.max_tuples)
         LossWeights(self.lam, self.gamma, self.beta)
         if not 0 < self.learning_rate < math.inf:  # false for NaN too
             raise ValueError(f"learning_rate must be finite and positive, "
@@ -76,16 +77,12 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        """Build from a decoded JSON object (a config file or checkpoint),
-        checking each value's JSON type against its field."""
-        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - set(kinds))
+        """Build from a decoded JSON object (a config file or checkpoint)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        for name, value in d.items():
-            if not _JSON_TYPE_OK[kinds[name]](value):
-                raise ValueError(f"config field {name!r} must be "
-                                 f"{kinds[name]}, got {value!r}")
         return cls(**d)
 
     def replace(self, **overrides) -> "TrainingConfig":

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .acquire import DialogContext, tokenize
-from .kb import AttributeValuePair, Entity, KnowledgeBase
+from .kb import KnowledgeBase, kb_from_doc
 
 CONTEXT_WINDOW = 2  # dialog history: the former two turns
 
@@ -61,35 +61,43 @@ class DialogPair:
 def pair_from_record(record: dict, window: int = CONTEXT_WINDOW) -> DialogPair:
     """Build a DialogPair from one corpus record, keeping the former
     ``window`` utterances as context."""
+    if not isinstance(record, dict):
+        raise CorpusFormatError("record must be a JSON object")
     utterances = record.get("context_utterances")
     if not isinstance(utterances, list) or not utterances:
         raise CorpusFormatError("record needs non-empty context_utterances")
     response = record.get("response")
     if not isinstance(response, str) or not response.strip():
         raise CorpusFormatError("record needs a non-empty response string")
-    tokens = [t for u in utterances[-window:] for t in tokenize(u)]
-    feats = np.asarray(record.get("context_image_features") or [], float)
-    ctx = DialogContext(tuple(tokens),
-                        feats if feats.size else np.zeros((0, 0)))
+    ctx = DialogContext.from_utterances(
+        utterances[-window:], record.get("context_image_features") or ())
     return DialogPair(ctx, tuple(tokenize(response)))
 
 
-def load_corpus(source, window: int = CONTEXT_WINDOW) -> list[DialogPair]:
-    """Read the corpus file format: one JSON object per line."""
+def read_corpus(source, window: int = CONTEXT_WINDOW
+                ) -> tuple[list[dict], list[DialogPair]]:
+    """Read the corpus file format, one JSON object per line (blank lines
+    are skipped), from bytes, text, or a readable file object. Returns the
+    records and their pairs; every error names its line."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
         source = source.decode("utf-8")
-    pairs = []
+    records, pairs = [], []
     for lineno, line in enumerate(source.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            pairs.append(pair_from_record(record, window))
-        except (json.JSONDecodeError, CorpusFormatError) as exc:
+            records.append(json.loads(line))
+            pairs.append(pair_from_record(records[-1], window))
+        except ValueError as exc:  # JSON, record and context errors alike
             raise CorpusFormatError(f"corpus line {lineno}: {exc}") from exc
-    return pairs
+    return records, pairs
+
+
+def load_corpus(source, window: int = CONTEXT_WINDOW) -> list[DialogPair]:
+    """The pairs of ``read_corpus``."""
+    return read_corpus(source, window)[1]
 
 
 def save_corpus_records(records: Sequence[dict], path) -> None:
@@ -224,7 +232,7 @@ def make_synthetic_corpus(seed: int, n_entities: int = 24, n_pairs: int = 32,
             ent = raw_entities[int(rng.integers(len(raw_entities)))]
             records.append(_attribute_record(rng, ent))
 
-    kb = _kb_from_raw(raw_entities)
+    kb = kb_from_doc(raw_entities)
     pairs = [pair_from_record(r) for r in records]
     return SyntheticCorpus(kb=kb, pairs=pairs, kb_doc=raw_entities,
                            records=records)
@@ -247,14 +255,4 @@ def make_relation_ablation(seed: int, n_train: int = 64,
     order = rng.permutation(n_questions)
     train = [pair_from_record(records[int(i)]) for i in order[:n_train]]
     held = [pair_from_record(records[int(i)]) for i in order[n_train:]]
-    return _kb_from_raw(raw_entities), train, held
-
-
-def _kb_from_raw(raw_entities: list[dict]) -> KnowledgeBase:
-    return KnowledgeBase([
-        Entity(r["name"],
-               tuple(AttributeValuePair(a["type"], a["value"])
-                     for a in r["attributes"]),
-               np.asarray(r["image_features"], float)
-               if r["image_features"] else np.zeros((0, 0)))
-        for r in raw_entities])
+    return kb_from_doc(raw_entities), train, held

@@ -31,6 +31,20 @@ class KBFormatError(ValueError):
     """Raised for malformed, duplicated, or inconsistent KB input."""
 
 
+def feature_table(features) -> np.ndarray:
+    """Image features as an (n_images, feature_dim) float64 array, or a
+    0 x 0 array when there are none; anything but a list of equal-length
+    vectors of numbers raises ValueError."""
+    try:
+        feats = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or holding a non-number
+        feats = None
+    if feats is None or (feats.size and feats.ndim != 2):
+        raise ValueError("image features must be a list of equal-length "
+                         "vectors of numbers")
+    return feats if feats.size else feats.reshape(0, 0)
+
+
 @dataclass(frozen=True)
 class AttributeValuePair:
     """One attribute of an entity, e.g. (location, Orchard Road)."""
@@ -49,8 +63,8 @@ class AttributeValuePair:
 class Entity:
     """A named entity with its attributes and image feature vectors.
 
-    ``image_features`` is an (n_images, feature_dim) float64 array; entities
-    without images carry a 0 x 0 array.
+    ``image_features`` is an (n_images, feature_dim) float64 array, any
+    other shape a ValueError; entities without images carry a 0 x 0 array.
     """
 
     name: str
@@ -61,13 +75,7 @@ class Entity:
         if not self.name:
             raise KBFormatError("entity name must be non-empty")
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        feats = np.asarray(self.image_features, dtype=np.float64)
-        if feats.size == 0:
-            feats = feats.reshape(0, 0)
-        elif feats.ndim != 2:
-            raise KBFormatError(
-                f"entity {self.name!r}: image features must be a list of "
-                f"equal-length vectors")
+        feats = feature_table(self.image_features)
         feats.flags.writeable = False
         object.__setattr__(self, "image_features", feats)
 
@@ -154,31 +162,35 @@ class KnowledgeBase:
 
 
 def parse_kb(source) -> KnowledgeBase:
-    """Parse the KB file format: a JSON array of entity objects.
-
-    Each object is {"name": str, "attributes": [{"type","value"},...],
-    "image_features": [[float,...],...]}; the latter two keys may be absent
-    or empty. ``source`` may be bytes, text, or a readable file object.
-    """
+    """Parse the KB file format (see ``kb_from_doc``); ``source`` may be
+    bytes, text, or a readable file object."""
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise KBFormatError(f"malformed KB document: {exc}") from exc
+    return kb_from_doc(doc)
+
+
+def kb_from_doc(doc) -> KnowledgeBase:
+    """Build a knowledge base from a decoded KB document, checking every
+    JSON type: an array of {"name": str, "attributes": [{"type","value"},
+    ...], "image_features": [[float,...],...]}, the last two optional."""
     if not isinstance(doc, list):
         raise KBFormatError("KB document must be a top-level JSON array")
-
     entities = []
     for position, raw in enumerate(doc):
         if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
             raise KBFormatError(
                 f"entity at position {position} needs a string \"name\"")
         name = raw["name"]
+        attributes = raw.get("attributes") or []
+        if not isinstance(attributes, list):
+            raise KBFormatError(f"entity {name!r} (position {position}): "
+                                f"\"attributes\" must be a list")
         pairs = []
-        for i, p in enumerate(raw.get("attributes", []) or []):
+        for i, p in enumerate(attributes):
             if (not isinstance(p, dict)
                     or not isinstance(p.get("type"), str)
                     or not isinstance(p.get("value"), str)):
@@ -186,15 +198,10 @@ def parse_kb(source) -> KnowledgeBase:
                     f"entity {name!r} (position {position}): attribute {i} "
                     f"needs string \"type\" and \"value\"")
             pairs.append(AttributeValuePair(p["type"], p["value"]))
-        feats = raw.get("image_features", []) or []
-        widths = {len(v) for v in feats}
-        if len(widths) > 1:
-            raise KBFormatError(
-                f"entity {name!r} (position {position}): image features "
-                f"have inconsistent dimensions {sorted(widths)}")
         try:
-            entities.append(Entity(name, tuple(pairs), np.asarray(feats, float)))
-        except (KBFormatError, ValueError) as exc:
+            entities.append(Entity(name, tuple(pairs),
+                                   raw.get("image_features") or ()))
+        except ValueError as exc:
             raise KBFormatError(
                 f"entity {name!r} (position {position}): {exc}") from exc
     return KnowledgeBase(entities)

@@ -196,12 +196,19 @@ def params_to_doc(named: dict[str, Tensor]) -> dict:
 def params_from_doc(named: dict[str, Tensor], doc: dict) -> None:
     """Load a parameter map into existing tensors, validating names/shapes;
     the values are copied into the tensors' arrays, never rebound."""
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint params must be an object")
     missing = sorted(set(named) - set(doc))
     extra = sorted(set(doc) - set(named))
     if missing or extra:
         raise ValueError(f"checkpoint mismatch: missing={missing} extra={extra}")
     for name, t in named.items():
         entry = doc[name]
+        if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
+                and isinstance(entry.get("data"), list)
+                and all(type(x) in (int, float) for x in entry["data"])):
+            raise ValueError(f"checkpoint {name}: entry must be an object with "
+                             f"a list \"shape\" and a list of numbers \"data\"")
         shape = tuple(entry["shape"])
         if shape != t.shape:
             raise ValueError(f"checkpoint {name}: shape {shape} != {t.shape}")
@@ -220,17 +227,23 @@ def checkpoint_doc(model: "DialogModel") -> dict:
 
 
 def model_from_doc(doc: dict, kb: KnowledgeBase) -> "DialogModel":
-    """Rebuild a model from a checkpoint document against ``kb``."""
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    """Rebuild a model from a decoded checkpoint document against ``kb``."""
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a recognized checkpoint document")
     cfg = TrainingConfig.from_dict(doc["config"])
-    vocab = Vocabulary(doc["vocab"])
-    params = param_tree(len(vocab), doc["feature_dim"], cfg)
+    tokens, feature_dim = doc["vocab"], doc["feature_dim"]
+    if not (isinstance(tokens, list)
+            and all(isinstance(t, str) for t in tokens)):
+        raise ValueError("checkpoint vocab must be a list of strings")
+    if type(feature_dim) is not int or feature_dim < 0:
+        raise ValueError("checkpoint feature_dim must be an int >= 0")
+    vocab = Vocabulary(tokens)
+    params = param_tree(len(vocab), feature_dim, cfg)
     params_from_doc(params.named(), doc["params"])
     model = DialogModel(params, vocab, kb, cfg)
-    if kb.feature_dim and doc["feature_dim"] != kb.feature_dim:
+    if kb.feature_dim and feature_dim != kb.feature_dim:
         raise ValueError(
-            f"checkpoint feature_dim {doc['feature_dim']} does not match "
+            f"checkpoint feature_dim {feature_dim} does not match "
             f"knowledge base feature_dim {kb.feature_dim}")
     return model
 
@@ -244,8 +257,6 @@ def save_checkpoint(model: "DialogModel", path) -> None:
 def load_checkpoint(path, kb: KnowledgeBase) -> "DialogModel":
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"not a recognized checkpoint: {path}")
     return model_from_doc(doc, kb)
 
 
@@ -302,19 +313,15 @@ class DialogModel:
 
     def semantic_composed(self, comp: ComposedRepresentation) -> Tensor:
         """T-tilde_c: the composed-side semantic projection."""
-        return project_semantic(self.latent, comp.T_c, self.params.sem_composed,
-                                self.cfg.attn_scale)
+        return project_semantic(self.params.latent, comp.T_c,
+                                self.params.sem_composed, self.cfg.attn_scale)
 
     def semantic_truth(self, response_tokens: Sequence[str]) -> Tensor:
         """T-tilde_r: the ground-truth-side semantic projection."""
         T_r = encode_ground_truth(response_tokens, self.vocab, self.params.table,
                                   self.params.encoder, self.cfg.attn_scale)
-        return project_semantic(self.latent, T_r, self.params.sem_truth,
-                                self.cfg.attn_scale)
-
-    @property
-    def latent(self) -> LatentQuerySet:
-        return self.params.latent
+        return project_semantic(self.params.latent, T_r,
+                                self.params.sem_truth, self.cfg.attn_scale)
 
     # -------------------------------------------------------------- training
 

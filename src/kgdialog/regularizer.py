@@ -22,10 +22,6 @@ class LatentQuerySet:
 
     P_g: Tensor
 
-    @property
-    def n_queries(self) -> int:
-        return self.P_g.shape[0]
-
 
 @dataclass
 class SemanticProjectionParams:

@@ -36,6 +36,12 @@ def test_tokenize_lowercases_and_splits_punctuation():
 
 # ------------------------------------------------------------- textual route
 
+@pytest.mark.parametrize("features", [np.zeros((1, 2, 2)), [[[1.0, 2.0]]]])
+def test_context_rejects_features_that_are_not_a_table(features):
+    with pytest.raises(ValueError, match="equal-length vectors"):
+        DialogContext(("hi",), features)
+
+
 def test_text_route_finds_multi_token_mention():
     kb = KnowledgeBase([WISMA, INANIWA])
     ctx = DialogContext(tuple(tokenize("Is Wisma Atria open late?")))

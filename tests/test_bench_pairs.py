@@ -1,7 +1,7 @@
 """The per-metric verdict of ``scripts/bench_pairs.py`` on made-up pairs
 (pair wins, the gain verdict, the bound check and the unresolved flag), its
-comparison of the traced counts, and its dirty-tree filter on made-up
-``git status --porcelain`` text."""
+failure tally, its comparison of the traced counts, and its dirty-tree
+filter on made-up ``git status --porcelain`` text."""
 import sys
 from pathlib import Path
 
@@ -13,7 +13,8 @@ HIGHER = {"name": "ms", "unit": "ms", "better": "higher", "bound": 0.25}
 
 
 def _pairs(parent, change):
-    return [{side: {"metrics": {"ms": {"value": v}}}
+    return [{side: {"correct": True, "attempted": 100, "failed": 0,
+                    "metrics": {"ms": {"value": v}}}
              for side, v in (("parent", p), ("change", c))}
             for p, c in zip(parent, change)]
 
@@ -38,6 +39,26 @@ def test_wide_parent_spread_is_unresolved_unless_every_run_beats_it():
     v = bench_pairs.verdict(LOWER, _pairs(parent, [2, 3, 2, 3, 2]))
     assert v["gain"] and not v["unresolved"]
     assert bench_pairs.verdict(HIGHER, _pairs(parent, [20] * 5))["gain"]
+
+
+def test_gain_needs_every_change_run_correct_and_no_more_failures():
+    pairs = _pairs([10, 10.1, 9.9, 10, 10.2], [5, 5.1, 4.9, 5, 5.2])
+    assert bench_pairs.verdict(LOWER, pairs)["gain"]
+    pairs[3]["change"]["correct"] = False
+    v = bench_pairs.verdict(LOWER, pairs)
+    assert v["wins"] == 5 and not v["gain"] and v["within_bound"]
+    pairs[3]["change"]["correct"] = True
+    pairs[0]["change"]["failed"] = 1
+    assert not bench_pairs.verdict(LOWER, pairs)["gain"]
+    pairs[4]["parent"]["failed"] = 1  # the same share on both sides
+    assert bench_pairs.verdict(LOWER, pairs)["gain"]
+    pairs[2]["parent"]["correct"] = False  # a parent fault is no bar
+    assert bench_pairs.verdict(LOWER, pairs)["gain"]
+    assert bench_pairs.failures(pairs) == {
+        "parent": {"failed": 1, "attempted": 500, "failed_share": 0.002,
+                   "incorrect_runs": 1},
+        "change": {"failed": 1, "attempted": 500, "failed_share": 0.002,
+                   "incorrect_runs": 0}}
 
 
 def test_counts_differ_beyond_the_request_mix_band_or_when_one_is_missing():

@@ -470,3 +470,112 @@ def test_synth_train_evaluate_compose_over_pipes(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(train_out))
     assert run_cli(["evaluate", "--data", "-"]) == 0
     assert set(json.loads(capsys.readouterr().out)) == METRIC_KEYS
+
+
+# ------------------------------------------------------ malformed documents
+
+def _checkpoint(ws, **fields):
+    doc = json.loads(ws["model"].read_text())
+    doc.update(fields)
+    return doc
+
+
+def _param_entry(ws, entry):
+    doc = json.loads(ws["model"].read_text())
+    doc["params"]["fusion.a"] = entry
+    return doc
+
+
+def _generate(ws, checkpoint_path):
+    return ["generate", "--kb", str(ws["kb"]), "--checkpoint", checkpoint_path,
+            "--text", "hi"]
+
+
+def _with_context(ws, context_path):
+    return ["generate", "--kb", str(ws["kb"]), "--checkpoint",
+            str(ws["model"]), "--context", context_path]
+
+
+def _train_on(ws, corpus_path):
+    return ["train", "--kb", str(ws["kb"]), "--corpus", corpus_path,
+            "--epochs", "1", *FAST_FLAGS]
+
+
+# Each builds the argv of one command given a document of the wrong JSON
+# type; ``w(name, doc)`` writes the document and returns its path.
+MALFORMED = {
+    "corpus line not an object":
+        lambda ws, w: _train_on(ws, w("c.jsonl", "[1, 2]\n")),
+    "bundle corpus an object":
+        lambda ws, w: ["train", "--data", w("b.json", {
+            "kb": json.loads(ws["kb"].read_text()), "corpus": {"a": 1}}),
+            "--epochs", "1", *FAST_FLAGS],
+    "bundle checkpoint a list":
+        lambda ws, w: ["generate", "--data", w("b.json", {
+            "kb": json.loads(ws["kb"].read_text()), "checkpoint": [1, 2]}),
+            "--text", "hi"],
+    "checkpoint file a list":
+        lambda ws, w: _generate(ws, w("k.json", [1])),
+    "checkpoint config a list":
+        lambda ws, w: _generate(ws, w("k.json", _checkpoint(ws, config=[1]))),
+    "checkpoint vocab a number":
+        lambda ws, w: _generate(ws, w("k.json", _checkpoint(ws, vocab=5))),
+    "checkpoint params entry a list":
+        lambda ws, w: _generate(ws, w("k.json", _param_entry(ws, [1]))),
+    "checkpoint params shape a number":
+        lambda ws, w: _generate(ws, w("k.json", _param_entry(
+            ws, {"shape": 3, "data": [0.0]}))),
+    "context utterance a number":
+        lambda ws, w: _with_context(ws, w("x.json", {"utterances": [1]})),
+    "corpus utterance a number":
+        lambda ws, w: _train_on(ws, w("c.jsonl", json.dumps(
+            {"context_utterances": [1], "response": "ok"}))),
+    "kb image features a number":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "image_features": 5}])],
+    "kb image features flat":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "image_features": [1, 2]}])],
+    # the same rules, on the other fields the readers take
+    "kb attributes a number":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "attributes": 5}])],
+    "kb image feature an object":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "image_features": [[{}]]}])],
+    "corpus image features an object":
+        lambda ws, w: _train_on(ws, w("c.jsonl", json.dumps(
+            {"context_utterances": ["hi"], "response": "ok",
+             "context_image_features": {"a": 1}}))),
+    "context image features a number":
+        lambda ws, w: _with_context(ws, w("x.json", {
+            "utterances": ["hi"], "image_features": 5})),
+    "context feature_files a number":
+        lambda ws, w: _with_context(ws, w("x.json", {
+            "utterances": ["hi"], "feature_files": 5})),
+    "context feature file a number":
+        lambda ws, w: _with_context(ws, w("x.json", {
+            "utterances": ["hi"], "feature_files": [w("f.json", 5)]})),
+    "checkpoint feature_dim a string":
+        lambda ws, w: _generate(ws, w("k.json",
+                                      _checkpoint(ws, feature_dim="8"))),
+    "checkpoint params a number":
+        lambda ws, w: _generate(ws, w("k.json", _checkpoint(ws, params=5))),
+    "checkpoint params data not numbers":
+        lambda ws, w: _generate(ws, w("k.json", _param_entry(
+            ws, {"shape": [8, 1], "data": [{}] * 8}))),  # fusion.a, D x 1
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_exits_one_without_traceback(ws, tmp_path, capsys,
+                                                        case):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    assert run_cli(MALFORMED[case](ws, write)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kgdialog: error:"), err
+    assert "Traceback" not in err

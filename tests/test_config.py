@@ -17,6 +17,20 @@ def test_from_dict_rejects_json_type_mismatch(fields):
         TrainingConfig.from_dict(fields)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_tuples", None), ("dim", 8.0), ("use_relations", 1),
+])
+def test_constructor_checks_json_types_too(field, value):
+    with pytest.raises(ValueError, match=f"{field!r} must be"):
+        TrainingConfig(**{field: value})
+
+
+@pytest.mark.parametrize("doc", [[1], "dim", None])
+def test_from_dict_rejects_a_non_object(doc):
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        TrainingConfig.from_dict(doc)
+
+
 def test_from_dict_accepts_json_types_of_each_field():
     cfg = TrainingConfig.from_dict({"dim": 8, "mlp_hidden": None, "lam": 1,
                                     "epsilon": 0.5, "use_relations": False})

@@ -75,6 +75,16 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(text)
 
+    @pytest.mark.parametrize("record, message", [
+        ([1, 2], "record must be a JSON object"),
+        ({"context_utterances": ["hi", 1], "response": "ok"},
+         "dialog utterances must be strings"),
+    ])
+    def test_record_type_error_names_its_line(self, record, message):
+        text = self.GOOD + "\n" + json.dumps(record) + "\n"
+        with pytest.raises(CorpusFormatError, match=f"line 2: {message}"):
+            load_corpus(text)
+
     def test_save_load_round_trip(self, tmp_path):
         syn = make_synthetic_corpus(seed=1, n_entities=8, n_pairs=10)
         path = tmp_path / "corpus.jsonl"
@@ -112,8 +122,11 @@ class TestMakeSyntheticCorpus:
         syn = make_synthetic_corpus(seed=2, n_entities=8, n_pairs=4)
         reparsed = parse_kb(json.dumps(syn.kb_doc))
         assert [e.name for e in reparsed] == [e.name for e in syn.kb]
+        assert reparsed.feature_dim == syn.kb.feature_dim > 0
         for a, b in zip(reparsed, syn.kb):
             assert a.attributes == b.attributes
+            assert a.image_features.shape == b.image_features.shape
+            assert a.image_features.tobytes() == b.image_features.tobytes()
 
     def test_relation_answers_derivable_only_by_walk(self):
         """Every relation-family response must be readable off some 2-hop

@@ -55,6 +55,14 @@ def test_parse_kb_rejects_inconsistent_feature_dims():
         parse_kb(doc)
 
 
+@pytest.mark.parametrize("features", [5, [1.0, 2.0]])
+def test_parse_kb_rejects_scalar_and_flat_image_features(features):
+    doc = _doc([{"name": "A", "image_features": features}])
+    with pytest.raises(KBFormatError, match="'A' \\(position 0\\): image "
+                                            "features must be"):
+        parse_kb(doc)
+
+
 def test_kb_rejects_zero_norm_image_row():
     # one such row used to make every visual acquisition raise
     doc = _doc([{"name": "a", "attributes": [{"type": "t", "value": "v"}],
