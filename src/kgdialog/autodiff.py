@@ -15,7 +15,7 @@ layer is a single node with a hand-written backward:
 
 - ``embed``: token rows plus position rows, gathered from two tables;
 - ``cross_attention``: softmax((x w_q)(y w_k)^T)(y w_v), the three
-  projections included, optionally scaled or causal;
+  projections included, scaled as the caller's parameters say, or causal;
 - ``segment_attention``: segmented self-attention, projections included;
 - ``mlp``: linear, tanh, linear;
 - ``residual_layer_norm``: layer_norm(h + y), the post-norm residual;
@@ -581,12 +581,11 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
             _node(r, (), None))
 
 
-def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float) -> tuple[np.ndarray, np.ndarray,
-                                       np.ndarray | float]:
+def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """Layer norm of the rows of x: returns (output, standardized rows,
-    1 / sqrt(variance + eps)), the last an n x 1 array, or a float for one
-    row.
+    1 / sqrt(variance + LN_EPS)), the last an n x 1 array, or a float for
+    one row.
 
     One row's statistics are Python floats, which spares the ufunc calls on
     1 x 1 arrays: the same operations in the same order, so the same bits.
@@ -595,7 +594,8 @@ def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     if n == 1:
         mean = float(np.add.reduce(x, None)) / d
         xc = x - mean
-        inv = 1.0 / math.sqrt(float(np.add.reduce(xc * xc, None)) / d + eps)
+        inv = 1.0 / math.sqrt(float(np.add.reduce(xc * xc, None)) / d
+                              + LN_EPS)
     else:
         # the n x 1 row statistics are updated in place: same operations,
         # no new array per step
@@ -604,7 +604,7 @@ def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
         xc = x - mean
         inv = np.add.reduce(xc * xc, 1, keepdims=True)
         inv /= d
-        inv += eps
+        inv += LN_EPS
         np.sqrt(inv, out=inv)
         np.divide(1.0, inv, out=inv)
     xc *= inv
@@ -614,7 +614,7 @@ def _layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
 
 def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
-                gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+                gain: Tensor, bias: Tensor) -> Tensor:
     """Layer norm of the rows of x as one node whose x-gradient goes to each
     of ``inputs`` (the tensors that summed to x)."""
     n, d = x.shape
@@ -622,7 +622,7 @@ def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
         raise ValueError(f"{op}: needs at least 2 columns")
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise ValueError(f"{op}: gain/bias must be 1 x d")
-    out, xhat, inv = _layer_norm_rows(x, gain.data, bias.data, eps)
+    out, xhat, inv = _layer_norm_rows(x, gain.data, bias.data)
 
     def backward(g):
         if gain.requires_grad:
@@ -645,24 +645,23 @@ def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
     return _node(out, (*inputs, gain, bias), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = LN_EPS) -> Tensor:
-    """Per-row standardization (variance + eps in the denominator), then
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row standardization (variance + LN_EPS in the denominator), then
     elementwise gain and bias (both 1 x d, broadcast over rows).
 
     Row means are ``sum / d``, the very operations of ``np.mean`` and
     ``np.var`` without their Python-level overhead, so the values are
     bit-identical to those functions'."""
-    return _layer_norm("layer_norm", x.data, (x,), gain, bias, eps)
+    return _layer_norm("layer_norm", x.data, (x,), gain, bias)
 
 
-def residual_layer_norm(h: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
-                        eps: float = LN_EPS) -> Tensor:
+def residual_layer_norm(h: Tensor, y: Tensor, gain: Tensor,
+                        bias: Tensor) -> Tensor:
     """layer_norm(h + y): a post-norm residual connection as one node; h
     and y both receive the gradient at the sum."""
     _check_same_shape(h, y, "residual_layer_norm")
     return _layer_norm("residual_layer_norm", h.data + y.data, (h, y), gain,
-                       bias, eps)
+                       bias)
 
 
 def _mlp(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,

@@ -10,9 +10,9 @@ dumps both semantic matrices per pair.
 Exit codes: 0 on success, 1 on bad input, 2 on internal errors. Bad input
 is a bad flag, an unreadable file, or a document its one reader rejects
 (``kb_from_doc``, ``read_corpus``, ``DialogContext.from_utterances``,
-``model_from_doc``, ``TrainingConfig.from_dict``): malformed JSON, a
-wrong JSON type or a value out of range. Diagnostics go to stderr; data
-goes to stdout or --out.
+``model_from_doc``, ``TrainingConfig.from_dict``): malformed or too deeply
+nested JSON, a missing key, a wrong JSON type or a value out of range.
+Diagnostics go to stderr; data goes to stdout or --out.
 Where it makes sense, commands also read/write a "bundle" document
 ``{"kb": ..., "corpus": ..., "checkpoint": ...}`` so that
 ``synth | train | evaluate`` composes over pipes.
@@ -33,14 +33,14 @@ from .acquire import (AcquisitionConfig, DialogContext, acquire_attributes,
 from .config import TrainingConfig
 from .corpus import (make_synthetic_corpus, pair_from_record, read_corpus,
                      save_corpus_records, save_kb_doc)
-from .kb import build_graph, kb_from_doc, parse_kb
+from .kb import build_graph, decode_json, kb_from_doc, parse_kb
 from .model import checkpoint_doc, model_from_doc, save_checkpoint
 from .training import TrainingDiverged, evaluate, train
 
 logger = logging.getLogger(__name__)
 
 # the package's format errors (KB, corpus, JSON, no images) are ValueErrors
-_INPUT_ERRORS = (ValueError, KeyError, OSError)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 class _UsageError(Exception):
@@ -77,7 +77,7 @@ def _emit_json(doc, out: str | None) -> None:
 
 
 def _load_json(path: str):
-    return json.loads(_read_text(path))
+    return decode_json(_read_text(path), path)
 
 
 def _context_from_args(args) -> DialogContext:
@@ -128,7 +128,12 @@ def _resolve_kb_corpus(args, need_model: bool):
         records = bundle.get("corpus", [])
         if not isinstance(records, list):
             raise ValueError("bundle 'corpus' must be a list of records")
-        pairs = [pair_from_record(r) for r in records]
+        pairs = []
+        for index, record in enumerate(records):
+            try:
+                pairs.append(pair_from_record(record))
+            except ValueError as exc:
+                raise ValueError(f"bundle corpus[{index}]: {exc}") from exc
         checkpoint = bundle.get("checkpoint")
     else:
         if not args.kb:

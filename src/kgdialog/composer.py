@@ -17,6 +17,7 @@ token ids, positions, cuts to the position table); ``compose`` runs:
      learned confidence weights r_t, r_h.
 
 With no relation tuples the relation stage is skipped and T_c = T_t.
+Every attention read scales its logits as its ``AttentionParams`` says.
 """
 from __future__ import annotations
 
@@ -109,11 +110,12 @@ class EmbeddingTable:
 
 @dataclass
 class AttentionParams:
-    """Single-head attention projections, each D x D."""
+    """Single-head attention projections, each D x D, and the scaling flag."""
 
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
+    scale: bool
 
 
 @dataclass
@@ -289,7 +291,7 @@ def project_image_features(features: np.ndarray,
 
 
 def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
-           scale: bool = False, lengths: Sequence[int] | None = None) -> Tensor:
+           lengths: Sequence[int] | None = None) -> Tensor:
     """Shared encoder: per block, post-norm self-attention then post-norm
     MLP, both residual. Zero blocks (or an empty input) is the identity.
 
@@ -305,7 +307,7 @@ def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
     for block in blocks:
         attn = block.attn
         a = ad.segment_attention(h, attn.w_q, attn.w_k, attn.w_v, lengths,
-                                 scale=scale)
+                                 scale=attn.scale)
         h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.residual_layer_norm(h, m, block.ln2_gain, block.ln2_bias)
@@ -313,8 +315,7 @@ def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
 
 
 def compose_attributes(E_k: Tensor, E_t: Tensor, E_v: Tensor,
-                       blocks: Sequence[EncoderBlockParams],
-                       scale: bool = False) -> Tensor:
+                       blocks: Sequence[EncoderBlockParams]) -> Tensor:
     """T_t: encode the row-concatenation [E_k, E_t, E_v]."""
     for name, part in (("E_k", E_k), ("E_t", E_t), ("E_v", E_v)):
         if part.shape[1] != E_t.shape[1]:
@@ -323,12 +324,11 @@ def compose_attributes(E_k: Tensor, E_t: Tensor, E_v: Tensor,
     if not parts:
         raise ValueError("compose_attributes: all segments empty")
     stacked = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-    return encode(stacked, blocks, scale)
+    return encode(stacked, blocks)
 
 
 def encode_relation_tuples(prepared: PreparedContext, table: EmbeddingTable,
-                           blocks: Sequence[EncoderBlockParams],
-                           scale: bool = False) -> Tensor:
+                           blocks: Sequence[EncoderBlockParams]) -> Tensor:
     """T_h: one mean-pooled encoded row per prepared tuple, rows in the
     prepared (``order_tuples``) order.
 
@@ -341,11 +341,11 @@ def encode_relation_tuples(prepared: PreparedContext, table: EmbeddingTable,
         return Tensor(np.zeros((0, table.dim)))
     E = ad.embed(table.token, table.position, prepared.tuple_ids,
                  prepared.tuple_positions)
-    return ad.mean_rows(encode(E, blocks, scale, lengths), lengths)
+    return ad.mean_rows(encode(E, blocks, lengths), lengths)
 
 
-def reorganize_relations(T_t: Tensor, T_h: Tensor, attn: AttentionParams,
-                         scale: bool = False) -> tuple[Tensor, Tensor]:
+def reorganize_relations(T_t: Tensor, T_h: Tensor,
+                         attn: AttentionParams) -> tuple[Tensor, Tensor]:
     """Reorganize tuple rows against each composed position.
 
     Cross-attention with query T_t and key/value T_h; returns the
@@ -355,7 +355,7 @@ def reorganize_relations(T_t: Tensor, T_h: Tensor, attn: AttentionParams,
     if T_h.shape[0] == 0:
         raise NoRelationKnowledge("no relation tuples to reorganize")
     return ad.cross_attention(T_t, T_h, attn.w_q, attn.w_k, attn.w_v,
-                              scale=scale)
+                              scale=attn.scale)
 
 
 _ZERO_SCORE_BIAS = Tensor(np.zeros((1, 1)))  # a constant: never trained
@@ -380,8 +380,8 @@ def fuse(T_t: Tensor, T_h_bar: Tensor,
     return Tensor(r.data[:, :1]), Tensor(r.data[:, 1:]), T_c
 
 
-def compose(prepared: PreparedContext, params: ModelParams,
-            scale: bool = False) -> ComposedRepresentation:
+def compose(prepared: PreparedContext,
+            params: ModelParams) -> ComposedRepresentation:
     """Run the full composition pipeline for one prepared context, on the
     ``table``, ``image_proj``, ``encoder``, ``relation_attn`` and ``fusion``
     of the model's parameters."""
@@ -396,12 +396,11 @@ def compose(prepared: PreparedContext, params: ModelParams,
         pos = ad.take_rows(table.position, range(start, start + E_v.shape[0]))
         E_v = ad.add(E_v, pos)
 
-    T_t = compose_attributes(E_k, E_t, E_v, params.encoder, scale)
-    T_h = encode_relation_tuples(prepared, table, params.encoder, scale)
+    T_t = compose_attributes(E_k, E_t, E_v, params.encoder)
+    T_h = encode_relation_tuples(prepared, table, params.encoder)
     T_c, weights, r_t, r_h = T_t, None, None, None
     if T_h.shape[0] > 0:
-        T_h_bar, weights = reorganize_relations(T_t, T_h,
-                                                params.relation_attn, scale)
+        T_h_bar, weights = reorganize_relations(T_t, T_h, params.relation_attn)
         r_t, r_h, T_c = fuse(T_t, T_h_bar, params.fusion)
     return ComposedRepresentation(
         E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_c, tuples=prepared.tuples,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .acquire import DialogContext, tokenize
-from .kb import KnowledgeBase, kb_from_doc
+from .kb import KnowledgeBase, decode_json, kb_from_doc
 
 CONTEXT_WINDOW = 2  # dialog history: the former two turns
 
@@ -58,9 +58,9 @@ class DialogPair:
             raise CorpusFormatError("response must be non-empty")
 
 
-def pair_from_record(record: dict, window: int = CONTEXT_WINDOW) -> DialogPair:
+def pair_from_record(record: dict) -> DialogPair:
     """Build a DialogPair from one corpus record, keeping the former
-    ``window`` utterances as context."""
+    ``CONTEXT_WINDOW`` utterances as context."""
     if not isinstance(record, dict):
         raise CorpusFormatError("record must be a JSON object")
     utterances = record.get("context_utterances")
@@ -70,12 +70,12 @@ def pair_from_record(record: dict, window: int = CONTEXT_WINDOW) -> DialogPair:
     if not isinstance(response, str) or not response.strip():
         raise CorpusFormatError("record needs a non-empty response string")
     ctx = DialogContext.from_utterances(
-        utterances[-window:], record.get("context_image_features") or ())
+        utterances[-CONTEXT_WINDOW:],
+        record.get("context_image_features") or ())
     return DialogPair(ctx, tuple(tokenize(response)))
 
 
-def read_corpus(source, window: int = CONTEXT_WINDOW
-                ) -> tuple[list[dict], list[DialogPair]]:
+def read_corpus(source) -> tuple[list[dict], list[DialogPair]]:
     """Read the corpus file format, one JSON object per line (blank lines
     are skipped), from bytes, text, or a readable file object. Returns the
     records and their pairs; every error names its line."""
@@ -88,16 +88,16 @@ def read_corpus(source, window: int = CONTEXT_WINDOW
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
-            pairs.append(pair_from_record(records[-1], window))
+            records.append(decode_json(line, "record"))
+            pairs.append(pair_from_record(records[-1]))
         except ValueError as exc:  # JSON, record and context errors alike
             raise CorpusFormatError(f"corpus line {lineno}: {exc}") from exc
     return records, pairs
 
 
-def load_corpus(source, window: int = CONTEXT_WINDOW) -> list[DialogPair]:
+def load_corpus(source) -> list[DialogPair]:
     """The pairs of ``read_corpus``."""
-    return read_corpus(source, window)[1]
+    return read_corpus(source)[1]
 
 
 def save_corpus_records(records: Sequence[dict], path) -> None:

@@ -30,7 +30,7 @@ graph ops share (``autodiff._softmax``, ``_layer_norm_rows`` and
   surviving parents.
 
 A cached step's distributions equal the teacher-forced rows at the same
-positions up to float summation order.
+positions up to float summation order; both scale as the parameters say.
 """
 from __future__ import annotations
 
@@ -111,7 +111,6 @@ class LossWeights:
 
 def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
                   blocks: Sequence[DecoderBlockParams],
-                  scale: bool = False,
                   cache: DecodeCache | None = None) -> Tensor:
     """Decoder states for the rows of E_y: each row is the state that
     predicts the token after it.
@@ -129,78 +128,75 @@ def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
     if E_y.shape[0] == 0:
         raise ValueError("decode_states: empty prefix")
     if cache is not None:
-        return Tensor(cache.step(T_c, E_k, E_y.data, blocks, scale))
+        return Tensor(cache.step(T_c, E_k, E_y.data, blocks))
     h = E_y
     for block in blocks:
         sa = block.self_attn
-        a, _ = ad.cross_attention(h, h, sa.w_q, sa.w_k, sa.w_v, scale=scale,
-                                  causal=True)
+        a, _ = ad.cross_attention(h, h, sa.w_q, sa.w_k, sa.w_v,
+                                  scale=sa.scale, causal=True)
         h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
         if E_k.shape[0]:
             h = _read(h, E_k, block.knowledge_attn, block.ln2_gain,
-                      block.ln2_bias, scale)
-        h = _read(h, T_c, block.encoder_attn, block.ln3_gain, block.ln3_bias,
-                  scale)
+                      block.ln2_bias)
+        h = _read(h, T_c, block.encoder_attn, block.ln3_gain, block.ln3_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.residual_layer_norm(h, m, block.ln4_gain, block.ln4_bias)
     return h
 
 
 def _read(h: Tensor, src: Tensor, attn: AttentionParams, gain: Tensor,
-          bias: Tensor, scale: bool) -> Tensor:
+          bias: Tensor) -> Tensor:
     """A residual attention read of h over src, then LN: one
     ``cross_attention`` node and one ``residual_layer_norm`` node."""
     a, _ = ad.cross_attention(h, src, attn.w_q, attn.w_k, attn.w_v,
-                              scale=scale)
+                              scale=attn.scale)
     return ad.residual_layer_norm(h, a, gain, bias)
 
 
 def semantic_enhance(z_bar: Tensor, T_sem: Tensor,
-                     params: SemanticEnhanceParams,
-                     scale: bool = False) -> Tensor:
+                     params: SemanticEnhanceParams) -> Tensor:
     """Enhance decoder states with a read over the semantic matrix.
 
     z-hat = LN(z-bar + cross_attention(z-bar, T_sem)). Rows are independent
     queries, so one call covers a whole teacher-forced sequence.
     """
-    return _read(z_bar, T_sem, params.attn, params.ln_gain, params.ln_bias,
-                 scale)
+    return _read(z_bar, T_sem, params.attn, params.ln_gain, params.ln_bias)
 
 
 class _Source(NamedTuple):
     """A fixed source's keys, transposed (D x N), and values (N x D) under
-    one read's projections, with the read's logit factor."""
+    one read's projections."""
 
     keys_t: np.ndarray
     values: np.ndarray
-    c: float
 
 
-def _project(src: Tensor, attn: AttentionParams, scale: bool) -> _Source:
+def _project(src: Tensor, attn: AttentionParams) -> _Source:
     """src's keys and values under ``attn``'s projections."""
     k = src.data @ attn.w_k.data
     v = src.data @ attn.w_v.data
-    return _Source(k.T.copy(), v, _logit_factor(k, scale))
+    return _Source(k.T.copy(), v)
 
 
-def _logit_factor(x: np.ndarray, scale: bool) -> float:
-    """1 / sqrt(D) for queries or keys of width D when scaling, else 1."""
-    return 1.0 / math.sqrt(x.shape[-1]) if scale else 1.0
+def _scale_logits(logits: np.ndarray, attn: AttentionParams) -> None:
+    """Times 1 / sqrt(D) in place, D the read's width, if ``attn`` scales."""
+    if attn.scale:
+        logits *= 1.0 / math.sqrt(attn.w_q.shape[1])
 
 
-def _attend_source(h: np.ndarray, w_q: Tensor, src: _Source) -> np.ndarray:
-    """softmax((h w_q) keys^T) values over a projected source: the
+def _attend_source(h: np.ndarray, attn: AttentionParams,
+                   src: _Source) -> np.ndarray:
+    """softmax((h w_q) keys^T) values over a source ``attn`` projected: the
     arithmetic of ``autodiff._attend`` on keys transposed beforehand."""
-    logits = h @ w_q.data @ src.keys_t
-    if src.c != 1.0:  # times 1.0 is exact
-        logits *= src.c
+    logits = h @ attn.w_q.data @ src.keys_t
+    _scale_logits(logits, attn)
     return ad._softmax(logits) @ src.values
 
 
 def _add_norm(h: np.ndarray, y: np.ndarray, gain: Tensor,
               bias: Tensor) -> np.ndarray:
     """layer_norm(h + y): ``residual_layer_norm``'s forward."""
-    return ad._layer_norm_rows(h + y, gain.data, bias.data, ad.LN_EPS)[0]
+    return ad._layer_norm_rows(h + y, gain.data, bias.data)[0]
 
 
 class DecodeCache:
@@ -232,22 +228,21 @@ class DecodeCache:
         self.values = [v[rows] for v in self.values]
 
     def step(self, T_c: Tensor, E_k: Tensor, h: np.ndarray,
-             blocks: Sequence[DecoderBlockParams], scale: bool) -> np.ndarray:
+             blocks: Sequence[DecoderBlockParams]) -> np.ndarray:
         """The states of the G new rows h, one per hypothesis, at position
         ``length``, which then advances."""
         if self.reads is None:
-            self.reads = [(_project(E_k, b.knowledge_attn, scale)
-                           if E_k.shape[0] else None,
-                           _project(T_c, b.encoder_attn, scale))
+            self.reads = [(_project(E_k, b.knowledge_attn) if E_k.shape[0]
+                           else None, _project(T_c, b.encoder_attn))
                           for b in blocks]
         for i, (block, (knowledge, encoder)) in enumerate(zip(blocks,
                                                               self.reads)):
-            a = self._attend_self(i, h, block.self_attn, scale)
+            a = self._attend_self(i, h, block.self_attn)
             h = _add_norm(h, a, block.ln1_gain, block.ln1_bias)
             if knowledge is not None:
-                a = _attend_source(h, block.knowledge_attn.w_q, knowledge)
+                a = _attend_source(h, block.knowledge_attn, knowledge)
                 h = _add_norm(h, a, block.ln2_gain, block.ln2_bias)
-            a = _attend_source(h, block.encoder_attn.w_q, encoder)
+            a = _attend_source(h, block.encoder_attn, encoder)
             h = _add_norm(h, a, block.ln3_gain, block.ln3_bias)
             m = block.mlp
             a, _ = ad._mlp(h, m.w1.data, m.b1.data, m.w2.data, m.b2.data)
@@ -255,8 +250,8 @@ class DecodeCache:
         self.length += 1
         return h
 
-    def _attend_self(self, block: int, h: np.ndarray, attn: AttentionParams,
-                     scale: bool) -> np.ndarray:
+    def _attend_self(self, block: int, h: np.ndarray,
+                     attn: AttentionParams) -> np.ndarray:
         """Project the new rows h, append their keys and values to
         ``block``'s cache and return softmax(q k^T) v of each row over its
         own hypothesis: one batched matmul each way, G x L x D work for G
@@ -276,21 +271,18 @@ class DecodeCache:
             self.values[block] = np.concatenate((self.values[block], new_v),
                                                 1)
         logits = np.matmul(self.keys[block], q[:, :, None])[:, :, 0]
-        c = _logit_factor(q, scale)
-        if c != 1.0:  # times 1.0 is exact
-            logits *= c
+        _scale_logits(logits, attn)
         weights = ad._softmax(logits)
         return np.matmul(weights[:, None, :], self.values[block])[:, 0]
 
     def predict(self, z: np.ndarray, T_sem: Tensor,
-                enhance: SemanticEnhanceParams,
-                head: OutputHead, scale: bool) -> np.ndarray:
+                enhance: SemanticEnhanceParams, head: OutputHead) -> np.ndarray:
         """The G x V next-token distributions of the G states z: the
         enhancement read over T_sem, then the output head, as
         ``semantic_enhance`` and ``predict_token`` compute them."""
         if self.semantic is None:
-            self.semantic = _project(T_sem, enhance.attn, scale)
-        z = _add_norm(z, _attend_source(z, enhance.attn.w_q, self.semantic),
+            self.semantic = _project(T_sem, enhance.attn)
+        z = _add_norm(z, _attend_source(z, enhance.attn, self.semantic),
                       enhance.ln_gain, enhance.ln_bias)
         return ad._softmax(z @ head.w_y.data + head.b_y.data)
 
@@ -321,7 +313,7 @@ def total_loss(l_ce: Tensor, l_r: Tensor, params: ad.ParamBuffer,
 
 def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
              table: EmbeddingTable, vocab: Vocabulary, max_len: int = 32,
-             strategy: str = "greedy", scale: bool = False) -> list[str]:
+             strategy: str = "greedy") -> list[str]:
     """Decode a response starting from the begin token.
 
     Greedy picks the argmax at each step (ties resolved to the lowest
@@ -339,8 +331,8 @@ def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,
         over each hypothesis' next token. No step builds a graph node."""
         E_y = Tensor(table.token.data[tokens]
                      + table.position.data[[cache.length] * len(tokens)])
-        z_bar = decode_states(T_c, E_k, E_y, dec.blocks, scale, cache)
-        return cache.predict(z_bar.data, T_sem, dec.enhance, dec.head, scale)
+        z_bar = decode_states(T_c, E_k, E_y, dec.blocks, cache)
+        return cache.predict(z_bar.data, T_sem, dec.enhance, dec.head)
 
     if width is None:
         ids = _generate_greedy(step, vocab, max_len)

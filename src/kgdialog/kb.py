@@ -161,15 +161,23 @@ class KnowledgeBase:
             max(map(len, by_tokens), default=0))
 
 
+def decode_json(text, document: str):
+    """``json.loads``; malformed or too deeply nested text raises ValueError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed {document}: {exc}") from exc
+
+
 def parse_kb(source) -> KnowledgeBase:
     """Parse the KB file format (see ``kb_from_doc``); ``source`` may be
     bytes, text, or a readable file object."""
     if hasattr(source, "read"):
         source = source.read()
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise KBFormatError(f"malformed KB document: {exc}") from exc
+        doc = decode_json(source, "KB document")
+    except ValueError as exc:
+        raise KBFormatError(str(exc)) from exc
     return kb_from_doc(doc)
 
 

@@ -32,7 +32,7 @@ from .config import TrainingConfig
 from .decoder import (DecoderBlockParams, DecoderParams, LossWeights,
                       OutputHead, SemanticEnhanceParams, decode_states,
                       generate, predict_token, semantic_enhance, total_loss)
-from .kb import KnowledgeBase, build_graph
+from .kb import KnowledgeBase, build_graph, decode_json
 from .regularizer import (LatentQuerySet, SemanticProjectionParams,
                           encode_ground_truth, project_semantic,
                           regularization_loss)
@@ -126,7 +126,7 @@ def param_tree(vocab_size: int, feature_dim: int,
         return Tensor(np.empty((rows, cols)), requires_grad=True)
 
     def attn():
-        return AttentionParams(p(d, d), p(d, d), p(d, d))
+        return AttentionParams(p(d, d), p(d, d), p(d, d), cfg.attn_scale)
 
     def mlp():
         return MlpParams(p(d, h), p(1, h), p(h, d), p(1, d))
@@ -230,6 +230,9 @@ def model_from_doc(doc: dict, kb: KnowledgeBase) -> "DialogModel":
     """Rebuild a model from a decoded checkpoint document against ``kb``."""
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a recognized checkpoint document")
+    for key in ("config", "vocab", "feature_dim", "params"):
+        if key not in doc:
+            raise ValueError(f"checkpoint has no {key!r} key")
     cfg = TrainingConfig.from_dict(doc["config"])
     tokens, feature_dim = doc["vocab"], doc["feature_dim"]
     if not (isinstance(tokens, list)
@@ -256,7 +259,7 @@ def save_checkpoint(model: "DialogModel", path) -> None:
 
 def load_checkpoint(path, kb: KnowledgeBase) -> "DialogModel":
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = decode_json(fh.read(), f"checkpoint {path}")
     return model_from_doc(doc, kb)
 
 
@@ -309,19 +312,18 @@ class DialogModel:
         """Compose ``ctx`` from ``prepare(ctx)``, made here when not given."""
         if prepared is None:
             prepared = self.prepare(ctx)
-        return compose(prepared, self.params, self.cfg.attn_scale)
+        return compose(prepared, self.params)
 
     def semantic_composed(self, comp: ComposedRepresentation) -> Tensor:
         """T-tilde_c: the composed-side semantic projection."""
         return project_semantic(self.params.latent, comp.T_c,
-                                self.params.sem_composed, self.cfg.attn_scale)
+                                self.params.sem_composed)
 
     def semantic_truth(self, response_tokens: Sequence[str]) -> Tensor:
         """T-tilde_r: the ground-truth-side semantic projection."""
         T_r = encode_ground_truth(response_tokens, self.vocab, self.params.table,
-                                  self.params.encoder, self.cfg.attn_scale)
-        return project_semantic(self.params.latent, T_r,
-                                self.params.sem_truth, self.cfg.attn_scale)
+                                  self.params.encoder)
+        return project_semantic(self.params.latent, T_r, self.params.sem_truth)
 
     # -------------------------------------------------------------- training
 
@@ -345,8 +347,8 @@ class DialogModel:
         prefix = [self.vocab.BOS] + response_ids
         E_y = ad.embed(self.params.table.token, self.params.table.position,
                        prefix, range(len(prefix)))
-        z_bar = decode_states(comp.T_c, comp.E_k, E_y, self.params.decoder.blocks,
-                              scale=self.cfg.attn_scale)
+        z_bar = decode_states(comp.T_c, comp.E_k, E_y,
+                              self.params.decoder.blocks)
         if enhance_with == "truth":
             T_sem = self.semantic_truth(response_tokens)
         elif enhance_with == "composed":
@@ -354,8 +356,7 @@ class DialogModel:
         else:
             raise ValueError(f"enhance_with must be 'truth' or 'composed', "
                              f"got {enhance_with!r}")
-        z_hat = semantic_enhance(z_bar, T_sem, self.params.decoder.enhance,
-                                 self.cfg.attn_scale)
+        z_hat = semantic_enhance(z_bar, T_sem, self.params.decoder.enhance)
         probs = predict_token(z_hat, self.params.decoder.head)
         return probs, targets, T_sem
 
@@ -392,8 +393,7 @@ class DialogModel:
             T_sem = self.semantic_composed(comp)
             return generate(comp.T_c, comp.E_k, T_sem, self.params.decoder,
                             self.params.table, self.vocab,
-                            max_len=max_len,
-                            strategy=strategy, scale=self.cfg.attn_scale)
+                            max_len=max_len, strategy=strategy)
 
     def export_representations(self, ctx: DialogContext,
                                response_tokens: Sequence[str]) -> dict:

@@ -36,8 +36,7 @@ class SemanticProjectionParams:
 
 
 def project_semantic(latent: LatentQuerySet, T: Tensor,
-                     proj: SemanticProjectionParams,
-                     scale: bool = False) -> Tensor:
+                     proj: SemanticProjectionParams) -> Tensor:
     """Project a representation into the latent semantic space.
 
     Cross-attention with query P_g over T, then an MLP residual:
@@ -46,20 +45,19 @@ def project_semantic(latent: LatentQuerySet, T: Tensor,
     """
     if T.shape[0] == 0:
         raise ValueError("project_semantic: empty representation")
-    t_bar, _ = ad.cross_attention(latent.P_g, T, proj.attn.w_q,
-                                  proj.attn.w_k, proj.attn.w_v, scale=scale)
+    t_bar, _ = ad.cross_attention(latent.P_g, T, proj.attn.w_q, proj.attn.w_k,
+                                  proj.attn.w_v, scale=proj.attn.scale)
     return ad.add(t_bar, ad.mlp(t_bar, proj.mlp.w1, proj.mlp.b1,
                                 proj.mlp.w2, proj.mlp.b2))
 
 
 def encode_ground_truth(response_tokens, vocab: Vocabulary,
                         table: EmbeddingTable,
-                        blocks: tuple[EncoderBlockParams, ...],
-                        scale: bool = False) -> Tensor:
+                        blocks: tuple[EncoderBlockParams, ...]) -> Tensor:
     """T_r: embed the ground-truth response and run the shared encoder."""
     if not response_tokens:
         raise ValueError("encode_ground_truth: empty response")
-    return encode(embed_tokens(response_tokens, vocab, table), blocks, scale)
+    return encode(embed_tokens(response_tokens, vocab, table), blocks)
 
 
 def regularization_loss(T_r_sem: Tensor, T_c_sem: Tensor) -> Tensor:

@@ -29,6 +29,8 @@ from .regularizer import regularization_loss
 
 logger = logging.getLogger(__name__)
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's, as Kingma & Ba set them
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss stops being finite."""
@@ -45,15 +47,11 @@ class Adam:
     """
 
     def __init__(self, params: ad.ParamBuffer | Sequence[ad.Tensor],
-                 learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 learning_rate: float):
         if not isinstance(params, ad.ParamBuffer):
             params = ad.ParamBuffer(params)
         self.params = params
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = np.zeros(params.values.size)
         self._v = np.zeros(params.values.size)
@@ -64,7 +62,7 @@ class Adam:
         flat gradient serves as scratch, so every tensor's ``grad`` is None
         afterwards."""
         self.step_count += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.learning_rate, ADAM_EPS
         correct1 = 1 - b1 ** self.step_count
         correct2 = 1 - b2 ** self.step_count
         params = self.params

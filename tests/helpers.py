@@ -285,9 +285,9 @@ def build_grad_cases(seed: int = 0):
 
 # ------------------------------------------------- parameter factories
 
-def make_attention(rng, d) -> AttentionParams:
+def make_attention(rng, d, scale=False) -> AttentionParams:
     return AttentionParams(_param(rng, d, d), _param(rng, d, d),
-                           _param(rng, d, d))
+                           _param(rng, d, d), scale)
 
 
 def make_mlp(rng, d, h) -> MlpParams:
@@ -295,8 +295,8 @@ def make_mlp(rng, d, h) -> MlpParams:
                      _param(rng, h, d), _param(rng, 1, d))
 
 
-def make_encoder_block(rng, d, h) -> EncoderBlockParams:
-    return EncoderBlockParams(make_attention(rng, d),
+def make_encoder_block(rng, d, h, scale=False) -> EncoderBlockParams:
+    return EncoderBlockParams(make_attention(rng, d, scale),
                               _param(rng, 1, d, lo=0.5, hi=1.5),
                               _param(rng, 1, d),
                               make_mlp(rng, d, h),
@@ -304,13 +304,16 @@ def make_encoder_block(rng, d, h) -> EncoderBlockParams:
                               _param(rng, 1, d))
 
 
-def make_decoder_block(rng, d, h) -> DecoderBlockParams:
+def make_decoder_block(rng, d, h, scale=False) -> DecoderBlockParams:
     def gain():
         return _param(rng, 1, d, lo=0.5, hi=1.5)
 
-    return DecoderBlockParams(make_attention(rng, d), gain(), _param(rng, 1, d),
-                              make_attention(rng, d), gain(), _param(rng, 1, d),
-                              make_attention(rng, d), gain(), _param(rng, 1, d),
+    def attn():
+        return make_attention(rng, d, scale)
+
+    return DecoderBlockParams(attn(), gain(), _param(rng, 1, d),
+                              attn(), gain(), _param(rng, 1, d),
+                              attn(), gain(), _param(rng, 1, d),
                               make_mlp(rng, d, h), gain(), _param(rng, 1, d))
 
 
@@ -464,13 +467,13 @@ def build_composite_grad_cases(seed: int = 1):
               RelationTuple(("b", "in", "c", "near", "a")),
               RelationTuple(("c", "in", "a"))]
     table = EmbeddingTable(_param(rng, len(vocab), 3), _param(rng, 6, 3))
-    blocks = tuple(make_encoder_block(rng, 3, 4) for _ in range(2))
+    blocks = tuple(make_encoder_block(rng, 3, 4, scale=True)
+                   for _ in range(2))
     prepared = prepare_context([], [], np.zeros((0, 0)), tuples, vocab,
                                table.max_len)
     case("encode_relation_tuples:lengths 3+4+5 d=3 blocks=2 scale=True",
          lambda table=table, blocks=blocks:
-         _project(encode_relation_tuples(prepared, table, blocks,
-                                         scale=True), 35),
+         _project(encode_relation_tuples(prepared, table, blocks), 35),
          [table.token, table.position]
          + [t for b in blocks for t in encoder_block_tensors(b)])
 

@@ -5,7 +5,10 @@ functions; a traced run counts one operation per ``DialogModel.loss_pair``
 or ``generate_response`` call, graph nodes at each backward, and decoder
 prefix rows from ``decode_states``' positional argument 2. A refactor that
 renames one of these or stops calling it leaves the benchmark's metrics
-null. These tests load the tracer read-only and check each contract.
+null. ``perfbench/checks.py`` verifies the benchmark's outputs through the
+model API (``compose_context``, ``teacher_predictions``, ``acquire`` and
+``loss_pair``), so a signature break there fails every benchmark run.
+These tests load both files read-only and check each contract.
 """
 import importlib.util
 import sys
@@ -14,23 +17,23 @@ from pathlib import Path
 import pytest
 
 from kgdialog import decoder
+from kgdialog.acquire import DialogContext
 from kgdialog.autodiff import Tensor
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.model import build_model, build_vocabulary
 from kgdialog.training import train_model
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CFG = TrainingConfig(dim=8, enc_blocks=1, dec_blocks=1, n_latent=2,
                      mlp_hidden=8, epochs=2, batch_size=2, seed=0,
                      max_seq_len=64, max_gen_len=5)
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:  # leave no bytecode cache beside the benchmark's files
@@ -38,6 +41,16 @@ def tracer_module():
     finally:
         sys.dont_write_bytecode = writes
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    return _load_perfbench("tracer")
+
+
+@pytest.fixture(scope="module")
+def checks_module():
+    return _load_perfbench("checks")
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +142,24 @@ def test_generate_response_passes_prefix_rows_as_argument_2(
         E_y = args[2]
         assert isinstance(E_y, Tensor) and E_y.shape[0] >= 1
         assert E_y.shape[1] == CFG.dim
+
+
+def test_benchmark_output_checks_pass_on_a_tiny_model(checks_module, corpus):
+    """Each output check the benchmark runs after its timed loop accepts
+    the replies, walk and gradients of a working model."""
+    syn, vocab = corpus
+    model = build_model(vocab, syn.kb, CFG)
+    seed = syn.kb_doc[0]["name"]  # slot 0 carries a near-relation
+    ctx = DialogContext.from_utterances([f"what is near {seed}"], [])
+    adjacency = {ent["name"]: [(a["type"], a["value"])
+                               for a in ent["attributes"]]
+                 for ent in syn.kb_doc}
+    greedy = model.generate_response(ctx)
+    beam = model.generate_response(ctx, strategy="beam:2")
+    assert checks_module.check_greedy(model, ctx, greedy,
+                                      CFG.max_gen_len) is None
+    assert checks_module.check_beam(model, ctx, beam, 2,
+                                    CFG.max_gen_len) is None
+    assert checks_module.check_walk(model, ctx, adjacency, seed,
+                                    CFG.max_hops, CFG.max_tuples) is None
+    assert checks_module.check_gradients(model, syn.pairs[0]) is None

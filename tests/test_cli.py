@@ -579,3 +579,63 @@ def test_malformed_document_exits_one_without_traceback(ws, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("kgdialog: error:"), err
     assert "Traceback" not in err
+
+
+# Nested deeper than the JSON decoder can recurse.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# Each builds the argv of one command reading DEEP as one document; ``w``
+# writes it and returns its path. The value names the document.
+NESTED = {
+    "ingest --kb":
+        (lambda ws, w: ["ingest", "--kb", w("kb.json")], "KB document"),
+    "train --kb":
+        (lambda ws, w: ["train", "--kb", w("kb.json"), "--corpus",
+                        str(ws["corpus"]), "--epochs", "1", *FAST_FLAGS],
+         "kb.json"),
+    "corpus line":
+        (lambda ws, w: _train_on(ws, w("c.jsonl")), "corpus line 1"),
+    "checkpoint":
+        (lambda ws, w: _generate(ws, w("k.json")), "k.json"),
+    "bundle":
+        (lambda ws, w: ["train", "--data", w("b.json"), "--epochs", "1",
+                        *FAST_FLAGS], "b.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(NESTED))
+def test_deeply_nested_document_exits_one_naming_it(ws, tmp_path, capsys,
+                                                    case):
+    def write(name):
+        path = tmp_path / name
+        path.write_text(DEEP)
+        return str(path)
+
+    argv, document = NESTED[case]
+    assert run_cli(argv(ws, write)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kgdialog: error:"), err
+    assert len(err.splitlines()) == 1 and document in err
+
+
+@pytest.mark.parametrize("key", ["config", "vocab", "feature_dim", "params"])
+def test_checkpoint_missing_key_is_named(ws, tmp_path, capsys, key):
+    doc = json.loads(ws["model"].read_text())
+    del doc[key]
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(_generate(ws, str(path))) == 1
+    err = capsys.readouterr().err
+    assert err == f"kgdialog: error: checkpoint has no {key!r} key\n"
+
+
+def test_bundle_record_error_names_its_index(ws, tmp_path, capsys):
+    bundle = json.loads(ws["bundle"].read_text())
+    del bundle["corpus"][2]["context_utterances"]
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(bundle))
+    assert run_cli(["train", "--data", str(path), "--epochs", "1",
+                    *FAST_FLAGS]) == 1
+    assert capsys.readouterr().err == (
+        "kgdialog: error: bundle corpus[2]: record needs non-empty "
+        "context_utterances\n")

@@ -365,14 +365,15 @@ class TestEncodeRelationTuples:
 
     def test_packed_rows_match_per_tuple_oracle(self, vocab, table, rng,
                                                 caplog):
-        blocks = tuple(make_encoder_block(rng, D, 6) for _ in range(2))
+        blocks = tuple(make_encoder_block(rng, D, 6, scale=True)
+                       for _ in range(2))
         tuples = TUPLES + LONG_TUPLES
         with caplog.at_level("WARNING"):
             prepared = _prepared_tuples(tuples, vocab, table.max_len)
         truncations = [r for r in caplog.records
                        if r.getMessage().startswith("embed_tokens: truncating")]
         assert len(truncations) == len(LONG_TUPLES)
-        T_h = encode_relation_tuples(prepared, table, blocks, scale=True)
+        T_h = encode_relation_tuples(prepared, table, blocks)
         np.testing.assert_allclose(
             T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, True),
             rtol=0, atol=1e-10)
@@ -389,9 +390,10 @@ class TestEncodeRelationTuples:
                             "the", "big"])
         table = EmbeddingTable(Tensor(rng.normal(size=(len(vocab), D))),
                                Tensor(rng.normal(size=(12, D))))
-        blocks = tuple(make_encoder_block(rng, D, 5) for _ in range(n_blocks))
+        blocks = tuple(make_encoder_block(rng, D, 5, scale)
+                       for _ in range(n_blocks))
         T_h = encode_relation_tuples(_prepared_tuples(tuples, vocab, 12),
-                                     table, blocks, scale)
+                                     table, blocks)
         np.testing.assert_allclose(
             T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, scale),
             rtol=0, atol=1e-10)

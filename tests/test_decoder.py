@@ -41,8 +41,8 @@ def setting(rng):
     }
 
 
-def _decoder_params(rng, blocks, d=D):
-    enhance = SemanticEnhanceParams(make_attention(rng, d),
+def _decoder_params(rng, blocks, d=D, scale=False):
+    enhance = SemanticEnhanceParams(make_attention(rng, d, scale),
                                     Tensor(np.ones((1, d)), requires_grad=True),
                                     Tensor(np.zeros((1, d)), requires_grad=True))
     head = OutputHead(Tensor(rng.normal(size=(d, V)), requires_grad=True),
@@ -50,32 +50,31 @@ def _decoder_params(rng, blocks, d=D):
     return DecoderParams(blocks=blocks, enhance=enhance, head=head)
 
 
-def _last_row_probs(setting, dec, table, prefix, scale=False):
+def _last_row_probs(setting, dec, table, prefix):
     """Full recompute: the teacher-forced distribution after ``prefix``,
     read from the last row of decode_states over the whole prefix."""
     n = len(prefix)
     E_y = ad.embed(table.token, table.position, prefix, range(n))
-    states = decode_states(setting["T_c"], setting["E_k"], E_y, dec.blocks,
-                           scale)
+    states = decode_states(setting["T_c"], setting["E_k"], E_y, dec.blocks)
     z = semantic_enhance(ad.take_rows(states, [n - 1]), setting["T_sem"],
-                         dec.enhance, scale)
+                         dec.enhance)
     return predict_token(z, dec.head).data[0]
 
 
-def _reference_greedy(setting, dec, table, vocab, max_len, scale=False):
+def _reference_greedy(setting, dec, table, vocab, max_len):
     """Greedy decoding over full-recompute distributions."""
     with ad.no_grad():
         prefix = [vocab.BOS]
         for _ in range(max_len):
-            nxt = int(np.argmax(_last_row_probs(setting, dec, table, prefix,
-                                                scale)))
+            nxt = int(np.argmax(_last_row_probs(setting, dec, table,
+                                                prefix)))
             if nxt == vocab.EOS:
                 break
             prefix.append(nxt)
     return prefix[1:]
 
 
-def _reference_beam(setting, dec, table, vocab, max_len, width, scale=False):
+def _reference_beam(setting, dec, table, vocab, max_len, width):
     """Beam search over full-recompute distributions, one hypothesis at a
     time. Returns (token ids without markers, steps run, steps run while
     some kept hypotheses had ended and others had not)."""
@@ -93,7 +92,7 @@ def _reference_beam(setting, dec, table, vocab, max_len, width, scale=False):
                 if done:
                     candidates.append((score, prefix, True))
                     continue
-                probs = _last_row_probs(setting, dec, table, prefix, scale)
+                probs = _last_row_probs(setting, dec, table, prefix)
                 logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
                 for idx in np.argsort(-logp, kind="stable")[:width]:
                     idx = int(idx)
@@ -271,15 +270,16 @@ class TestTotalLoss:
 
 
 class TestGenerate:
-    def _model(self, rng, n_blocks=1):
+    def _model(self, rng, n_blocks=1, scale=False):
         vocab = Vocabulary(["a", "b", "c", "d", "e"])
         table = EmbeddingTable(
             token=Tensor(rng.normal(size=(len(vocab), D)) * 0.3,
                          requires_grad=True),
             position=Tensor(rng.normal(size=(16, D)) * 0.3,
                             requires_grad=True))
-        blocks = tuple(make_decoder_block(rng, D, 6) for _ in range(n_blocks))
-        return vocab, table, _decoder_params(rng, blocks)
+        blocks = tuple(make_decoder_block(rng, D, 6, scale)
+                       for _ in range(n_blocks))
+        return vocab, table, _decoder_params(rng, blocks, scale=scale)
 
     def test_greedy_deterministic(self, rng, setting):
         vocab, table, dec = self._model(rng)
@@ -412,18 +412,17 @@ class TestGenerate:
         every block over the whole prefix at each step. beam:200 keeps
         more hypotheses than the V=9 vocabulary has tokens. With no blocks
         the cache still counts the positions fed."""
-        vocab, table, dec = self._model(rng, n_blocks)
+        vocab, table, dec = self._model(rng, n_blocks, scale)
         dec.head.b_y.data[0, vocab.EOS] += eos_bias
         if not knowledge:
             setting["E_k"] = Tensor(np.zeros((0, D)))
         if strategy == "greedy":
-            expect = _reference_greedy(setting, dec, table, vocab, 8, scale)
+            expect = _reference_greedy(setting, dec, table, vocab, 8)
         else:
             expect, _, _ = _reference_beam(setting, dec, table, vocab, 8,
-                                           int(strategy[5:]), scale)
+                                           int(strategy[5:]))
         got = generate(setting["T_c"], setting["E_k"], setting["T_sem"],
-                       dec, table, vocab, max_len=8, strategy=strategy,
-                       scale=scale)
+                       dec, table, vocab, max_len=8, strategy=strategy)
         assert got == vocab.decode(expect)
 
     @pytest.mark.parametrize("strategy", ["greedy", "beam:3"])
@@ -509,8 +508,9 @@ def test_cached_steps_match_teacher_forced_rows(seed, d, n_blocks,
     a beam does, give each hypothesis the distribution that teacher-forced
     decode_states gives at the last row of its whole prefix."""
     rng = np.random.default_rng(seed)
-    blocks = tuple(make_decoder_block(rng, d, d + 2) for _ in range(n_blocks))
-    dec = _decoder_params(rng, blocks, d)
+    blocks = tuple(make_decoder_block(rng, d, d + 2, scale)
+                   for _ in range(n_blocks))
+    dec = _decoder_params(rng, blocks, d, scale)
     table = EmbeddingTable(Tensor(rng.normal(size=(V, d))),
                            Tensor(rng.normal(size=(table_len, d))))
     setting = {"T_c": Tensor(rng.normal(size=(int(rng.integers(1, 4)), d))),
@@ -529,12 +529,12 @@ def test_cached_steps_match_teacher_forced_rows(seed, d, n_blocks,
             E_y = ad.add(ad.take_rows(table.token, [p[-1] for p in prefixes]),
                          ad.take_rows(table.position, [j] * hypotheses))
             z = decode_states(setting["T_c"], setting["E_k"], E_y, blocks,
-                              scale, cache)
+                              cache)
             got = predict_token(semantic_enhance(z, setting["T_sem"],
-                                                 dec.enhance, scale),
+                                                 dec.enhance),
                                 dec.head).data
             for row, prefix in enumerate(prefixes):
-                expect = _last_row_probs(setting, dec, table, prefix, scale)
+                expect = _last_row_probs(setting, dec, table, prefix)
                 np.testing.assert_allclose(got[row], expect, rtol=0,
                                            atol=1e-9)
 

@@ -1,4 +1,5 @@
 """Tests for model assembly, checkpointing, and the end-to-end forward paths."""
+import dataclasses
 import gc
 import json
 import threading
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from kgdialog import autodiff as ad
 from kgdialog import model as model_module
 from kgdialog.acquire import DialogContext, acquire_text_attributes, tokenize
-from kgdialog.composer import Vocabulary, linearize_attributes
+from kgdialog.composer import (AttentionParams, Vocabulary,
+                               linearize_attributes)
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import DialogPair, make_synthetic_corpus
 from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
@@ -56,6 +58,18 @@ def model(vocab, kb):
 CTX = DialogContext(("what", "is", "the", "domain", "of", "inaniwa",
                      "yosuke"))
 RESPONSE = ("the", "domain", "is", "restaurant")
+
+
+def _attention_reads(node):
+    """Every ``AttentionParams`` in a parameter tree, depth first."""
+    if isinstance(node, AttentionParams):
+        yield node
+    elif isinstance(node, tuple):
+        for child in node:
+            yield from _attention_reads(child)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _attention_reads(getattr(node, f.name))
 
 
 def _named_equal(a, b):
@@ -237,6 +251,21 @@ class TestDialogModel:
         np.testing.assert_array_equal(after, before)
         assert not np.array_equal(
             plain.teacher_predictions(CTX, RESPONSE)[0].data, before)
+
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_every_attention_read_scales_as_configured(self, vocab, kb,
+                                                        tmp_path, scale):
+        """Every attention read of a built model, and of one loaded from a
+        checkpoint, carries the configured scaling: per encoder block, the
+        relation read, both semantic projections, the self, knowledge and
+        encoder reads per decoder block, and the enhancement read."""
+        cfg = CFG.replace(enc_blocks=2, dec_blocks=2, attn_scale=scale)
+        built = build_model(vocab, kb, cfg)
+        save_checkpoint(built, tmp_path / "ckpt.json")
+        for model in (built, load_checkpoint(tmp_path / "ckpt.json", kb)):
+            reads = list(_attention_reads(model.params))
+            assert len(reads) == 2 + 1 + 2 + 3 * 2 + 1
+            assert [a.scale for a in reads] == [scale] * len(reads)
 
     def test_generation_may_not_outgrow_position_table(self, vocab, kb):
         with pytest.raises(ValueError, match="max_gen_len"):
