@@ -77,7 +77,7 @@ def _emit_json(doc, out: str | None) -> None:
 
 
 def _load_json(path: str):
-    return decode_json(_read_text(path), path)
+    return decode_json(_read_text(path), "stdin" if path == "-" else path)
 
 
 def _context_from_args(args) -> DialogContext:
