@@ -103,6 +103,17 @@ def run(tree: Path, command: list[str], workload: str, seed: int,
     return json.loads(result), json.loads(record)
 
 
+def pair_line(pair: dict) -> str:
+    """One pair's progress line: per side, in run order, the operations it
+    attempted and its metric values. A reply workload keeps every reply
+    until its run ends, so a side that attempts more holds more memory;
+    the count shows how far that explains a ``peak_rss_mb`` gap."""
+    return json.dumps({"seed": pair["seed"], **{
+        side: {"attempted": pair[side]["attempted"],
+               **{m: v["value"] for m, v in pair[side]["metrics"].items()}}
+        for side in pair["order"]}})
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
@@ -206,9 +217,7 @@ def main(argv=None) -> int:
                 pair[side], _ = run(trees[side], spec["command"],
                                     args.workload, seed, args.seconds)
             record["pairs"].append(pair)
-            print(json.dumps({"seed": seed, **{
-                side: {m: v["value"] for m, v in pair[side]["metrics"].items()}
-                for side in order}}), flush=True)
+            print(pair_line(pair), flush=True)
         record["traced"] = {"seed": args.seeds[0]}
         for side in ("parent", "change"):
             result, run_record = run(trees[side], spec["command"],

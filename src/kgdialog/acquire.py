@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class AcquisitionConfig:
     max_hops: walk budget n.
     max_tuples: optional cap on returned tuples, keeping the first in
     ``order_tuples`` order (shortest first, then lexicographic); the walk
-    stops once it has them, so a capped walk costs about d^(max_hops-1)
-    prefixes for out-degree d. None means unlimited.
+    stops once it has them (see ``walk_relations`` for its cost). None
+    means unlimited.
     """
 
     epsilon: float = 0.8
@@ -245,46 +245,69 @@ def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
 
     Returns every maximal simple path with 1..max_hops edges: a path is
     emitted exactly when it has used its hop budget or its last node has no
-    out-edge to a node not already on the path. Non-maximal prefixes are
-    extended instead of emitted; seeds outside the graph are skipped with a
-    warning. With ``cfg.max_tuples`` set, only the first ``max_tuples``
-    paths in ``order_tuples`` order (shortest first, then lexicographic)
-    are kept, and the walk stops as soon as it has them: it visits about
-    d^(max_hops-1) prefixes for out-degree d, never the d^max_hops paths.
+    out-edge to a node not already on it (a dead end). Seeds outside the
+    graph are skipped with a warning. With ``cfg.max_tuples`` set, only the
+    first ``max_tuples`` paths in ``order_tuples`` order (shortest first,
+    then lexicographic) are kept, and the walk stops as soon as it has
+    them. Dead ends are searched for only through prefixes that can still
+    reach a node able to end one (``KnowledgeGraph.dead_end_reach``), so
+    on a graph whose nodes all have more than ``max_hops`` out-neighbours
+    a capped walk reads at most ``max_tuples * max_hops`` adjacency lists.
     """
-    frontier = []
+    starts = []
     for seed in sorted(set(seeds)):
         if seed not in graph.nodes:
             logger.warning("walk_relations: seed %r is not a graph node", seed)
             continue
-        frontier.append((seed,))
-    paths = _maximal_paths(graph, frontier, cfg.max_hops)
+        starts.append(seed)
+    paths = _ranked_paths(graph, starts, cfg.max_hops)
     return {RelationTuple(p) for p in islice(paths, cfg.max_tuples)}
 
 
-def _maximal_paths(graph: KnowledgeGraph, frontier: list[tuple[str, ...]],
-                   max_hops: int) -> Iterator[tuple[str, ...]]:
-    # Walks one hop count at a time. The seed paths arrive sorted and
-    # out_edges is sorted, so every level is built in lexicographic order;
-    # each level's dead ends are yielded before any longer path, which is
-    # exactly order_tuples order.
-    def extensions(path):
-        visited = path[0::2]
-        return (path + edge for edge in graph.out_edges(path[-1])
-                if edge[1] not in visited)
+def _ranked_paths(graph: KnowledgeGraph, seeds: list[str],
+                  max_hops: int) -> Iterator[tuple[str, ...]]:
+    # The seeds arrive sorted and each walk is lexicographic, so the dead
+    # ends of each length, then the full-length paths, come out in
+    # order_tuples order.
+    reach = graph.dead_end_reach(max_hops) if max_hops > 1 else {}
+    for hops in range(1, max_hops):
+        for seed in seeds:
+            yield from _paths(graph, seed, hops, reach)
+    for seed in seeds:
+        yield from _paths(graph, seed, max_hops)
 
-    for hops in range(max_hops - 1):  # frontier paths have `hops` edges
-        grown: list[tuple[str, ...]] = []
-        for path in frontier:
-            size = len(grown)
-            grown.extend(extensions(path))
-            if hops and len(grown) == size:
-                yield path
-        frontier = grown
-    if max_hops > 1:  # dead ends one hop short rank before full-length paths
-        yield from (p for p in frontier if next(extensions(p), None) is None)
-    for path in frontier:
-        yield from extensions(path)
+
+def _paths(graph: KnowledgeGraph, seed: str, hops: int,
+           reach: Mapping[str, int] | None = None
+           ) -> Iterator[tuple[str, ...]]:
+    """Simple paths of exactly ``hops`` edges from ``seed``, lazily and in
+    lexicographic order, by a depth-first walk with an explicit stack.
+    Given ``reach``, only the dead ends among them, and a prefix is
+    extended only while a node of ``reach`` lies within the hops left."""
+    if reach is not None and reach.get(seed, hops + 1) > hops:
+        return
+    entries = [seed]
+    on_path = {seed}
+    stack = [iter(graph.out_edges(seed))]
+    while stack:
+        left = hops - len(stack)  # edges still to take after the next one
+        for label, tail in stack[-1]:
+            if tail in on_path or (reach is not None
+                                   and reach.get(tail, left + 1) > left):
+                continue
+            if left:
+                entries += (label, tail)
+                on_path.add(tail)
+                stack.append(iter(graph.out_edges(tail)))
+                break
+            if reach is None or all(t in on_path or t == tail
+                                    for _, t in graph.out_edges(tail)):
+                yield (*entries, label, tail)
+        else:
+            stack.pop()
+            if stack:
+                on_path.remove(entries[-1])
+                del entries[-2:]
 
 
 def order_tuples(tuples: Iterable[RelationTuple]) -> list[RelationTuple]:

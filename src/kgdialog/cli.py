@@ -76,8 +76,21 @@ def _emit_json(doc, out: str | None) -> None:
     _emit(json.dumps(doc, sort_keys=True) + "\n", out)
 
 
+def _document(path: str) -> str:
+    return "stdin" if path == "-" else path
+
+
 def _load_json(path: str):
-    return decode_json(_read_text(path), "stdin" if path == "-" else path)
+    return decode_json(_read_text(path), _document(path))
+
+
+def _in_document(path: str, read, *args):
+    """``read(*args)``, a ValueError's message prefixed with the name of
+    the document at ``path``."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{_document(path)}: {exc}") from exc
 
 
 def _context_from_args(args) -> DialogContext:
@@ -85,9 +98,11 @@ def _context_from_args(args) -> DialogContext:
 
     A --context file is a JSON object {"utterances": [...]} with image
     features inline ("image_features": [[...], ...]) or by reference
-    ("feature_files": [path, ...], each a JSON array of rows).
+    ("feature_files": [path, ...], each a JSON array of rows). Each file is
+    read into a ``DialogContext`` of its own, so an error in one names its
+    path, and the parts are joined in order.
     """
-    utterances, tables = [], []
+    utterances, parts = [], []
     if getattr(args, "context", None):
         doc = _load_json(args.context)
         if not isinstance(doc, dict) or not isinstance(
@@ -100,17 +115,21 @@ def _context_from_args(args) -> DialogContext:
             raise ValueError("--context 'feature_files' must be a list of "
                              "paths")
         utterances.extend(doc["utterances"])
-        tables.append(doc.get("image_features") or [])
-        tables.extend(map(_load_json, files))
-    utterances.extend(getattr(args, "text", []) or [])
+        parts.append(_in_document(args.context, DialogContext.from_utterances,
+                                  doc["utterances"],
+                                  doc.get("image_features") or []))
+        parts.extend(_in_document(path, DialogContext, (), _load_json(path))
+                     for path in files)
+    text = getattr(args, "text", None) or []
+    utterances.extend(text)
+    parts.append(DialogContext.from_utterances(text))
     if getattr(args, "features", None):
-        tables.append(_load_json(args.features))
+        parts.append(_in_document(args.features, DialogContext, (),
+                                  _load_json(args.features)))
     if not utterances:
         raise ValueError("no context given: pass --context or --text")
-    if not all(isinstance(table, list) for table in tables):
-        raise ValueError("image features must be a list of rows")
-    return DialogContext.from_utterances(
-        utterances, [row for table in tables for row in table])
+    return DialogContext([t for part in parts for t in part.text_tokens],
+                         [row for part in parts for row in part.image_features])
 
 
 def _resolve_kb_corpus(args, need_model: bool):

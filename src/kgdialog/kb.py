@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -45,7 +46,7 @@ def feature_table(features) -> np.ndarray:
     return feats if feats.size else feats.reshape(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeValuePair:
     """One attribute of an entity, e.g. (location, Orchard Road)."""
 
@@ -220,20 +221,28 @@ class KnowledgeGraph:
 
     Node identity is the exact string after trimming surrounding whitespace,
     so an attribute value equal to another entity's name lands on that
-    entity's node — this is what makes multi-hop walks possible.
+    entity's node — this is what makes multi-hop walks possible. The graph
+    stores its nodes and, per head, its distinct (label, tail) pairs in
+    sorted order; ``edges`` is derived from them on each read.
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str, str]]):
-        self.edges: frozenset[tuple[str, str, str]] = frozenset(edges)
-        node_set = set(nodes)
-        for head, _, tail in self.edges:
-            node_set.add(head)
-            node_set.add(tail)
-        self.nodes: frozenset[str] = frozenset(node_set)
-        adjacency: dict[str, list[tuple[str, str]]] = {}
-        for head, label, tail in self.edges:
-            adjacency.setdefault(head, []).append((label, tail))
-        self._out = {h: tuple(sorted(pairs)) for h, pairs in adjacency.items()}
+        grouped: dict[str, list[tuple[str, str]]] = {}
+        for head, label, tail in edges:
+            grouped.setdefault(head, []).append((label, tail))
+        self._out = {head: tuple(sorted(set(pairs)))
+                     for head, pairs in grouped.items()}
+        self.nodes: frozenset[str] = frozenset(chain(
+            nodes, self._out,
+            (tail for pairs in self._out.values() for _, tail in pairs)))
+        self._dead_end_reach: dict[int, Mapping[str, int]] = {}
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str, str]]:
+        """Every (head, label, tail) triple, rebuilt from the adjacency."""
+        return frozenset((head, label, tail)
+                         for head, pairs in self._out.items()
+                         for label, tail in pairs)
 
     def out_edges(self, node: str) -> tuple[tuple[str, str], ...]:
         """(label, tail) pairs leaving ``node``, sorted for determinism."""
@@ -242,8 +251,38 @@ class KnowledgeGraph:
     def out_degree(self, node: str) -> int:
         return len(self.out_edges(node))
 
+    def dead_end_reach(self, max_hops: int) -> Mapping[str, int]:
+        """Each node's hop distance to the nearest node that can end a
+        dead-end path of a ``max_hops`` walk, for nodes within
+        ``max_hops - 1`` hops of one; other nodes have no entry.
+
+        A path of k < max_hops edges is a dead end when every out-neighbour
+        of its last node lies on the path, so that node has fewer than
+        ``max_hops`` out-neighbours besides itself. Those nodes are found
+        once per ``max_hops`` and the distances by a breadth-first search
+        over reversed edges; the graph never changes, so it keeps them.
+        """
+        reach = self._dead_end_reach.get(max_hops)
+        if reach is None:
+            level = {node for node in self.nodes if len(
+                {tail for _, tail in self._out.get(node, ())} - {node})
+                < max_hops}
+            into: dict[str, list[str]] = {}
+            if level:
+                for head, pairs in self._out.items():
+                    for _, tail in pairs:
+                        into.setdefault(tail, []).append(head)
+            found = dict.fromkeys(level, 0)
+            for hops in range(1, max_hops):
+                level = {head for node in level
+                         for head in into.get(node, ())} - found.keys()
+                found.update(dict.fromkeys(level, hops))
+            reach = self._dead_end_reach[max_hops] = MappingProxyType(found)
+        return reach
+
     def __repr__(self) -> str:
-        return f"KnowledgeGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        edges = sum(map(len, self._out.values()))
+        return f"KnowledgeGraph({len(self.nodes)} nodes, {edges} edges)"
 
 
 def build_graph(kb: KnowledgeBase) -> KnowledgeGraph:
@@ -251,13 +290,10 @@ def build_graph(kb: KnowledgeBase) -> KnowledgeGraph:
 
     One edge per distinct (entity, attribute_type, value) triplet; duplicate
     triplets collapse. Every entity contributes a head node even when it has
-    no attributes.
+    no attributes. The triplets stream from the entities into the graph's
+    per-head adjacency; no set of all triplets is built.
     """
-    nodes: set[str] = set()
-    edges: set[tuple[str, str, str]] = set()
-    for ent in kb:
-        head = ent.name.strip()
-        nodes.add(head)
-        for pair in ent.attributes:
-            edges.add((head, pair.attribute_type, pair.value.strip()))
-    return KnowledgeGraph(nodes, edges)
+    return KnowledgeGraph(
+        (ent.name.strip() for ent in kb),
+        ((ent.name.strip(), pair.attribute_type, pair.value.strip())
+         for ent in kb for pair in ent.attributes))

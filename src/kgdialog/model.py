@@ -285,9 +285,10 @@ class DialogModel:
     def acquire(self, ctx: DialogContext) -> tuple[AttributeKnowledge,
                                                    set[RelationTuple]]:
         """Acquire attribute knowledge and mine relation tuples from the
-        mentioned entities (none when relations are disabled). Nothing is
-        cached: each call walks the graph again, visiting about
-        d^(max_hops-1) prefixes per seed for out-degree d."""
+        mentioned entities (none when relations are disabled). Each call
+        walks the graph again; with ``max_tuples`` set, a walk over nodes
+        of more than ``max_hops`` out-neighbours reads at most
+        ``max_tuples * max_hops`` adjacency lists, whatever the degree."""
         knowledge = acquire_attributes(ctx, self.kb, self.acq)
         if self.cfg.use_relations:
             seeds = {name.strip() for name in knowledge.source_entities()}

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking.
+"""Shared test utilities: finite-difference gradient checking, and a
+generated dense knowledge graph.
 
 The case lists below are the single source of truth for "every op, at three
 or more distinct shapes" — both the unit tests and the acceptance suite
@@ -21,6 +22,7 @@ from kgdialog.composer import (AttentionParams, EmbeddingTable,
 from kgdialog.decoder import (DecoderBlockParams, LossWeights, OutputHead,
                               SemanticEnhanceParams, decode_states,
                               predict_token, semantic_enhance, total_loss)
+from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
 from kgdialog.regularizer import (LatentQuerySet, SemanticProjectionParams,
                                   project_semantic)
 
@@ -478,3 +480,24 @@ def build_composite_grad_cases(seed: int = 1):
          + [t for b in blocks for t in encoder_block_tensors(b)])
 
     return cases
+
+
+def dense_adjacency(n_entities: int, degree: int,
+                    seed: int = 0) -> dict[str, list[tuple[str, str]]]:
+    """Entities ``e000``, ``e001``, ... each with attributes ``r00``,
+    ``r01``, ... whose ``degree`` values name distinct other entities, so
+    every node of the graph has ``degree`` out-neighbours, none itself."""
+    rng = np.random.default_rng(seed)
+    names = [f"e{i:03d}" for i in range(n_entities)]
+    return {name: [(f"r{k:02d}", names[(i + 1 + int(j)) % n_entities])
+                   for k, j in enumerate(rng.choice(n_entities - 1,
+                                                    size=degree,
+                                                    replace=False))]
+            for i, name in enumerate(names)}
+
+
+def kb_of(adjacency: dict[str, list[tuple[str, str]]]) -> KnowledgeBase:
+    """The knowledge base whose entities carry ``adjacency``'s pairs."""
+    return KnowledgeBase(Entity(name, tuple(AttributeValuePair(t, v)
+                                            for t, v in pairs))
+                         for name, pairs in adjacency.items())

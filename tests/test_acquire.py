@@ -16,6 +16,8 @@ from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.kb import (AttributeValuePair, Entity, KnowledgeBase,
                          KnowledgeGraph, build_graph)
 
+from helpers import dense_adjacency
+
 
 def _pairs(*tvs):
     return tuple(AttributeValuePair(t, v) for t, v in tvs)
@@ -421,7 +423,7 @@ def enumerate_maximal_paths(graph, seed_node, max_hops):
 def test_walk_matches_enumeration_oracle(seed):
     g = random_graph(seed)
     rng = np.random.default_rng(seed + 1000)
-    hops = int(rng.integers(1, 4))
+    hops = int(rng.integers(1, 6))
     seeds = {str(s) for s in rng.choice(sorted(g.nodes),
                                         size=min(3, len(g.nodes)),
                                         replace=False)}
@@ -433,7 +435,7 @@ def test_walk_matches_enumeration_oracle(seed):
     assert got == expected
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3))
+@given(st.integers(0, 10_000), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_walk_output_is_well_formed(seed, hops):
     g = random_graph(seed)
@@ -465,12 +467,40 @@ def _capped_oracle(graph, seeds, hops, cap):
     return sorted(paths, key=lambda p: (len(p), p))[:cap]
 
 
-@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 40),
-       st.integers(1, 4))
+CAPS = st.one_of(st.none(), st.integers(1, 40))  # None: keep every path
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5), CAPS, st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 def test_capped_walk_matches_ranked_oracle(seed, hops, cap, n_seeds):
     g = random_graph(seed)
     seeds = set(sorted(g.nodes)[:n_seeds]) | {"ghost"}
+    got = walk_relations(g, seeds, AcquisitionConfig(max_hops=hops,
+                                                     max_tuples=cap))
+    assert [t.entries for t in order_tuples(got)] == \
+        _capped_oracle(g, seeds, hops, cap)
+
+
+@st.composite
+def dead_end_graphs(draw):
+    """Up to 9 nodes, the last ``sinks`` of them without out-edges, and up
+    to 30 edges over two labels: multi-edges (two labels to one tail),
+    self-loops and dead ends at every depth are common."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 9)))]
+    heads = nodes[:len(nodes) - draw(st.integers(0, len(nodes)))]
+    edges = draw(st.lists(st.tuples(st.sampled_from(heads),
+                                    st.sampled_from("ab"),
+                                    st.sampled_from(nodes)),
+                          max_size=30)) if heads else []
+    return KnowledgeGraph(nodes, edges)
+
+
+@given(dead_end_graphs(), st.integers(1, 5), CAPS,
+       st.sets(st.sampled_from([f"n{i}" for i in range(9)]), min_size=1,
+               max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_ranked_oracle_on_multi_edge_dead_end_graphs(
+        g, hops, cap, seeds):
     got = walk_relations(g, seeds, AcquisitionConfig(max_hops=hops,
                                                      max_tuples=cap))
     assert [t.entries for t in order_tuples(got)] == \
@@ -529,6 +559,33 @@ def test_capped_walk_work_is_bounded_by_prefixes():
     assert g.calls <= 2 * (1 + d + d * (d - 1))
     assert [t.entries for t in order_tuples(got)] == \
         _capped_oracle(g, {"n00"}, hops, cap)
+
+
+@pytest.mark.parametrize("n, d, hops, caps", [
+    (30, 6, 1, (1, 5, 6)),
+    (30, 6, 3, (1, 7, 64)),
+    (30, 6, 5, (1, 7, 64)),
+    (400, 24, 3, (1, 64)),
+    (400, 24, 5, (1, 64, 200)),
+])
+def test_dense_walk_reads_max_tuples_times_max_hops_adjacency_lists(
+        n, d, hops, caps):
+    # Every node has d > hops out-neighbours, so no path ends early: the
+    # walk reads the adjacency of the seed and of each inner node of the
+    # paths it keeps, never the d^(hops-1) prefixes of the graph.
+    adjacency = dense_adjacency(n, d)
+    g = _CountingGraph((), [(h, label, t) for h, pairs in adjacency.items()
+                            for label, t in pairs])
+    for cap in caps:
+        g.calls = 0
+        got = walk_relations(g, {"e000", "e001"},
+                             AcquisitionConfig(max_hops=hops, max_tuples=cap))
+        assert g.calls <= cap * hops
+        ranked = [t.entries for t in order_tuples(got)]
+        assert len(ranked) == cap and all(len(p) == 2 * hops + 1
+                                          for p in ranked)
+        if d ** hops <= 10_000:
+            assert ranked == _capped_oracle(g, {"e000", "e001"}, hops, cap)
 
 
 # --------------------------------------------------------------- linearizing

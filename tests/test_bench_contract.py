@@ -8,12 +8,17 @@ renames one of these or stops calling it leaves the benchmark's metrics
 null. ``perfbench/checks.py`` verifies the benchmark's outputs through the
 model API (``compose_context``, ``teacher_predictions``, ``acquire`` and
 ``loss_pair``), so a signature break there fails every benchmark run.
+Its brute-force walk is the oracle the ``dense_kb`` run holds the tuples
+to; it runs here on generated graphs, dense and with dead ends, so a walk
+that disagrees with it fails these tests before it fails a benchmark run.
 These tests load both files read-only and check each contract.
 """
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgdialog import decoder
@@ -23,6 +28,8 @@ from kgdialog.config import TrainingConfig
 from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.model import build_model, build_vocabulary
 from kgdialog.training import train_model
+
+from helpers import dense_adjacency, kb_of
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -163,3 +170,36 @@ def test_benchmark_output_checks_pass_on_a_tiny_model(checks_module, corpus):
     assert checks_module.check_walk(model, ctx, adjacency, seed,
                                     CFG.max_hops, CFG.max_tuples) is None
     assert checks_module.check_gradients(model, syn.pairs[0]) is None
+
+
+def _dead_end_adjacency(seed=0):
+    """12 entities with 0-3 attributes each, valued by entities or by
+    three plain values that head no edge: many paths end early, and
+    repeated values and self-references occur."""
+    rng = np.random.default_rng(seed)
+    names = [f"e{i:03d}" for i in range(12)]
+    values = names + ["v0", "v1", "v2"]
+    return {name: [(f"r{k}", str(rng.choice(values)))
+                   for k in range(int(rng.integers(0, 4)))]
+            for name in names}
+
+
+@pytest.mark.parametrize("adjacency, max_hops, max_tuples", [
+    (dense_adjacency(12, 4), 3, 10),  # 4 > 3 out-neighbours everywhere
+    (_dead_end_adjacency(), 4, 1000),
+], ids=["dense", "dead ends"])
+def test_benchmark_walk_check_passes_on_generated_graphs(
+        checks_module, adjacency, max_hops, max_tuples):
+    kb = kb_of(adjacency)
+    vocab = build_vocabulary([["what", "is", "around", *adjacency]], kb)
+    model = build_model(vocab, kb, dataclasses.replace(
+        CFG, max_hops=max_hops, max_tuples=max_tuples))
+    kept = set()
+    for seed in adjacency:
+        ctx = DialogContext.from_utterances([f"what is around {seed}"])
+        assert checks_module.check_walk(model, ctx, adjacency, seed,
+                                        max_hops, max_tuples) is None
+        every = checks_module.maximal_paths(adjacency, seed, max_hops, None)
+        kept.add(len(every) > max_tuples)
+    # the dense graph caps every walk; the other graph keeps all paths
+    assert kept == {max_tuples < 1000}

@@ -1,7 +1,8 @@
 """The per-metric verdict of ``scripts/bench_pairs.py`` on made-up pairs
 (pair wins, the gain verdict, the bound check and the unresolved flag), its
-failure tally, its comparison of the traced counts, and its dirty-tree
-filter on made-up ``git status --porcelain`` text."""
+failure tally, its comparison of the traced counts, its progress line, and
+its dirty-tree filter on made-up ``git status --porcelain`` text."""
+import json
 import sys
 from pathlib import Path
 
@@ -100,3 +101,14 @@ def test_only_changes_to_benchmarked_files_mark_the_tree():
     assert bench_pairs.benchmarked_changes(
         " M README.md\n M CHANGES.md\n M tests/helpers.py\n") == []
     assert bench_pairs.benchmarked_changes("") == []
+
+
+def test_pair_line_shows_each_sides_attempted_operations_in_run_order():
+    (pair,) = _pairs([64.1], [61.9])
+    pair["parent"]["attempted"] = 1480
+    pair.update(seed=911, order=["change", "parent"])
+    line = bench_pairs.pair_line(pair)
+    assert json.loads(line) == {"seed": 911,
+                                "change": {"attempted": 100, "ms": 61.9},
+                                "parent": {"attempted": 1480, "ms": 64.1}}
+    assert line.index('"change"') < line.index('"parent"')

@@ -639,3 +639,26 @@ def test_bundle_record_error_names_its_index(ws, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "kgdialog: error: bundle corpus[2]: record needs non-empty "
         "context_utterances\n")
+
+
+FEATURES_ERROR = "image features must be a list of equal-length vectors of numbers"
+
+
+@pytest.mark.parametrize("case", ["utterance", "feature file", "--features"])
+def test_context_error_names_its_document(ws, tmp_path, capsys, case):
+    ctx, feats = tmp_path / "ctx.json", tmp_path / "f.json"
+    feats.write_text("[1]")
+    doc = {"utterances": ["hi"]}
+    argv = _with_context(ws, str(ctx))
+    if case == "utterance":
+        doc["utterances"] = [1]
+        named, message = ctx, "dialog utterances must be strings"
+    elif case == "feature file":
+        doc["feature_files"] = [str(feats)]
+        named, message = feats, FEATURES_ERROR
+    else:
+        argv += ["--features", str(feats)]
+        named, message = feats, FEATURES_ERROR
+    ctx.write_text(json.dumps(doc))
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"kgdialog: error: {named}: {message}\n"

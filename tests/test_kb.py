@@ -1,5 +1,7 @@
 """Knowledge base parsing and graph construction."""
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdialog.kb import (AttributeValuePair, Entity, KBFormatError,
-                         KnowledgeBase, build_graph, parse_kb)
+                         KnowledgeBase, KnowledgeGraph, build_graph,
+                         parse_kb)
+
+from helpers import dense_adjacency, kb_of
 
 
 def _doc(entities):
@@ -174,3 +179,57 @@ def test_build_graph_insertion_order_is_irrelevant(seed):
     reordered = KnowledgeBase(entities[::-1])
     a, b = build_graph(kb), build_graph(reordered)
     assert a.nodes == b.nodes and a.edges == b.edges
+
+
+def test_dense_graph_is_built_and_kept_in_under_one_mib():
+    # 400 entities of out-degree 24: 9,600 edges, held once, per head
+    kb = kb_of(dense_adjacency(400, 24))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = build_graph(kb)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes) == 400 and len(graph.edges) == 9600
+    assert retained < 2 ** 20 and peak < 2 ** 20
+
+
+def test_attribute_pairs_carry_no_instance_dict():
+    pair = AttributeValuePair("near", "B")
+    assert not hasattr(pair, "__dict__")
+    with pytest.raises(AttributeError):
+        pair.value = "C"
+
+
+def _reach_oracle(graph, max_hops):
+    """Per node, the fewest hops to a node with fewer than ``max_hops``
+    out-neighbours besides itself, found by a forward search from each
+    node; kept when under ``max_hops``."""
+    low = {node for node in graph.nodes
+           if len({t for _, t in graph.out_edges(node)} - {node}) < max_hops}
+    reach = {}
+    for start in graph.nodes:
+        level, seen = {start}, {start}
+        for hops in range(max_hops):
+            if level & low:
+                reach[start] = hops
+                break
+            level = {t for node in level for _, t in graph.out_edges(node)}
+            level -= seen
+            seen |= level
+    return reach
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_dead_end_reach_matches_forward_search(seed, max_hops):
+    # 0-6 out-edges per node, repeats and self-loops included
+    rng = np.random.default_rng(seed)
+    names = [f"n{i}" for i in range(10)]
+    graph = KnowledgeGraph(names, [
+        (head, "r", str(tail)) for head in names
+        for tail in rng.choice(names, size=int(rng.integers(0, 7)))])
+    reach = graph.dead_end_reach(max_hops)
+    assert dict(reach) == _reach_oracle(graph, max_hops)
+    assert graph.dead_end_reach(max_hops) is reach  # kept, not rebuilt
