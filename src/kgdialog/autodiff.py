@@ -215,9 +215,8 @@ class ParamBuffer:
 
     Joining copies each tensor's values into ``values`` and rebinds its
     ``data`` to its view there, so code that writes parameters must write
-    into ``t.data[...]``. With ``copy=False`` the values start at zero and
-    the tensors' own arrays are never read, so a caller can draw initial
-    values straight into the views. The flat gradient ``grads`` is made on
+    into ``t.data[...]``; ``cut`` makes new tensors over given values
+    instead. The flat gradient ``grads`` is made on
     first use by ``collect_grads``, with ``scratch``, one ``BLOCK`` of work
     space for whole-buffer updates, which run block by block over
     ``spans()``; from then on each tensor's first gradient contribution of
@@ -226,9 +225,9 @@ class ParamBuffer:
     ``release_grads`` drops both again. Two buffers never share memory.
     """
 
-    __slots__ = ("tensors", "sizes", "values", "grads", "scratch")
+    __slots__ = ("tensors", "shapes", "values", "grads", "scratch")
 
-    def __init__(self, tensors: Sequence[Tensor], copy: bool = True):
+    def __init__(self, tensors: Sequence[Tensor]):
         self.tensors = tuple(tensors)
         for i, t in enumerate(self.tensors):
             if not t.requires_grad:
@@ -238,19 +237,26 @@ class ParamBuffer:
                 raise ValueError(f"ParamBuffer: tensor {i}'s values are a "
                                  f"view of another array (a ParamBuffer's, "
                                  f"say); give it an array of its own")
-        self.sizes = [t.data.size for t in self.tensors]
-        self.values = np.zeros(sum(self.sizes))
+        self.shapes = [t.shape for t in self.tensors]
+        self.values = np.zeros(sum(t.data.size for t in self.tensors))
         self.grads: np.ndarray | None = None
         self.scratch: np.ndarray | None = None
         for t, view in zip(self.tensors, self._views(self.values)):
-            if copy:
-                view[...] = t.data
+            view[...] = t.data
             t.data = view
 
+    @classmethod
+    def cut(cls, values: np.ndarray, shapes) -> "ParamBuffer":
+        """New trainable tensors of ``shapes``, views of ``values`` in turn."""
+        buf = cls(())
+        buf.values, buf.shapes = values, list(shapes)
+        buf.tensors = tuple(Tensor(v, True) for v in buf._views(values))
+        return buf
+
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        bounds = np.cumsum([0] + self.sizes)
-        return [flat[lo:hi].reshape(t.data.shape)
-                for t, lo, hi in zip(self.tensors, bounds[:-1], bounds[1:])]
+        ends = np.cumsum([r * c for r, c in self.shapes], dtype=np.int64)
+        return [flat[end - r * c:end].reshape(r, c)
+                for (r, c), end in zip(self.shapes, ends)]
 
     def collect_grads(self, fill: bool = False) -> list[bool]:
         """Gather every tensor's gradient into its view of ``grads`` (made

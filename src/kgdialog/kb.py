@@ -35,14 +35,14 @@ class KBFormatError(ValueError):
 def feature_table(features) -> np.ndarray:
     """Image features as an (n_images, feature_dim) float64 array, or a
     0 x 0 array when there are none; anything but a list of equal-length
-    vectors of numbers raises ValueError."""
+    vectors of finite numbers raises ValueError."""
     try:
         feats = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or holding a non-number
-        feats = None
-    if feats is None or (feats.size and feats.ndim != 2):
+    except (TypeError, ValueError, OverflowError):  # ragged, or a non-number
+        feats = np.array(np.nan)                     # fails the test below
+    if feats.size and (feats.ndim != 2 or not np.isfinite(feats).all()):
         raise ValueError("image features must be a list of equal-length "
-                         "vectors of numbers")
+                         "vectors of finite numbers")
     return feats if feats.size else feats.reshape(0, 0)
 
 

@@ -1,11 +1,11 @@
 """Model assembly: parameters, checkpoints, and end-to-end forward paths.
 
-``ModelParams`` owns every trainable tensor and exposes a deterministic
-flat name -> Tensor map used for optimization and checkpointing; the
-name order, which is also the random-draw order, is fixed, which is what
-makes fixed-seed runs bit-identical. The tensors' values are views into
-one ``ParamBuffer`` per model, in that name order, which the optimizer and
-the parameter penalty work on whole. ``DialogModel`` couples the parameters
+``param_plan`` names every trainable tensor and gives its shape, and so
+the model's size before anything is allocated, in a fixed order that is
+also the random-draw order, which makes fixed-seed runs bit-identical.
+``ModelParams`` owns the tensors, whose values are views into one
+``ParamBuffer`` per model in that order, which the optimizer and the
+parameter penalty work on whole. ``DialogModel`` couples the parameters
 with a knowledge base to run acquisition, composition, regularization, and
 decoding for single dialog pairs; ``DialogModel.prepare`` does the
 parameter-free half of composing a context, which training does once.
@@ -38,7 +38,49 @@ from .regularizer import (LatentQuerySet, SemanticProjectionParams,
                           regularization_loss)
 
 INIT_SCALE = 0.08
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 CHECKPOINT_FORMAT = "kgdialog-checkpoint-v1"
+
+
+def param_plan(vocab_size: int, feature_dim: int,
+               cfg: TrainingConfig) -> tuple[tuple, int, int]:
+    """The one statement of a model's parameters, in ``named()`` order:
+    runs (prefix, repeats, ((name, rows, cols), ...)) holding the tensors
+    ``prefix.format(i) + name`` for i < repeats, with the tensor count and
+    value count, which are worked out per run without listing blocks."""
+    d, h = cfg.dim, cfg.hidden
+
+    def attn(p):
+        return tuple((f"{p}.w_{x}", d, d) for x in "qkv")
+
+    def mlp(p):
+        return (f"{p}.w1", d, h), (f"{p}.b1", 1, h), (f"{p}.w2", h, d), \
+            (f"{p}.b2", 1, d)
+
+    def ln(p):
+        return (f"{p}.gain", 1, d), (f"{p}.bias", 1, d)
+
+    runs = (
+        ("", 1, (("embedding.token", vocab_size, d),
+                 ("embedding.position", cfg.max_seq_len, d),
+                 ("image_proj.w", max(feature_dim, 1), d),
+                 ("image_proj.b", 1, d), *ln("image_proj"))),
+        ("encoder.{}.", cfg.enc_blocks,
+         (*attn("attn"), *ln("ln1"), *mlp("mlp"), *ln("ln2"))),
+        ("", 1, (*attn("relation_attn"),
+                 ("fusion.w_t", d, d), ("fusion.b_t", 1, d),
+                 ("fusion.w_h", d, d), ("fusion.b_h", 1, d),
+                 ("fusion.a", d, 1), ("latent.queries", cfg.n_latent, d),
+                 *attn("sem_composed.attn"), *mlp("sem_composed.mlp"),
+                 *attn("sem_truth.attn"), *mlp("sem_truth.mlp"))),
+        ("decoder.{}.", cfg.dec_blocks,
+         (*attn("self_attn"), *ln("ln1"), *attn("knowledge_attn"), *ln("ln2"),
+          *attn("encoder_attn"), *ln("ln3"), *mlp("mlp"), *ln("ln4"))),
+        ("", 1, (*attn("enhance.attn"), *ln("enhance.ln"),
+                 ("head.w_y", d, vocab_size), ("head.b_y", 1, vocab_size))),
+    )
+    return (runs, sum(n * len(run) for _, n, run in runs),
+            sum(n * sum(r * c for _, r, c in run) for _, n, run in runs))
 
 
 @dataclass
@@ -55,109 +97,52 @@ class ModelParams:
     sem_composed: SemanticProjectionParams
     sem_truth: SemanticProjectionParams
     decoder: DecoderParams
-    # set by param_tree, which joins the tensors at zero values
-    buffer: ad.ParamBuffer = field(init=False, repr=False, compare=False)
+    buffer: ad.ParamBuffer = field(repr=False, compare=False)
+    _named: dict[str, Tensor] = field(repr=False, compare=False)
 
     def named(self) -> dict[str, Tensor]:
-        """Flat name -> tensor map in a fixed, documented order."""
-        out: dict[str, Tensor] = {
-            "embedding.token": self.table.token,
-            "embedding.position": self.table.position,
-            "image_proj.w": self.image_proj.w,
-            "image_proj.b": self.image_proj.b,
-            "image_proj.gain": self.image_proj.gain,
-            "image_proj.bias": self.image_proj.bias,
-        }
-        for i, blk in enumerate(self.encoder):
-            p = f"encoder.{i}"
-            _add_attn(out, f"{p}.attn", blk.attn)
-            out[f"{p}.ln1.gain"], out[f"{p}.ln1.bias"] = blk.ln1_gain, blk.ln1_bias
-            _add_mlp(out, f"{p}.mlp", blk.mlp)
-            out[f"{p}.ln2.gain"], out[f"{p}.ln2.bias"] = blk.ln2_gain, blk.ln2_bias
-        _add_attn(out, "relation_attn", self.relation_attn)
-        out["fusion.w_t"], out["fusion.b_t"] = self.fusion.w_t, self.fusion.b_t
-        out["fusion.w_h"], out["fusion.b_h"] = self.fusion.w_h, self.fusion.b_h
-        out["fusion.a"] = self.fusion.a
-        out["latent.queries"] = self.latent.P_g
-        for side, proj in (("sem_composed", self.sem_composed),
-                           ("sem_truth", self.sem_truth)):
-            _add_attn(out, f"{side}.attn", proj.attn)
-            _add_mlp(out, f"{side}.mlp", proj.mlp)
-        for i, blk in enumerate(self.decoder.blocks):
-            p = f"decoder.{i}"
-            _add_attn(out, f"{p}.self_attn", blk.self_attn)
-            out[f"{p}.ln1.gain"], out[f"{p}.ln1.bias"] = blk.ln1_gain, blk.ln1_bias
-            _add_attn(out, f"{p}.knowledge_attn", blk.knowledge_attn)
-            out[f"{p}.ln2.gain"], out[f"{p}.ln2.bias"] = blk.ln2_gain, blk.ln2_bias
-            _add_attn(out, f"{p}.encoder_attn", blk.encoder_attn)
-            out[f"{p}.ln3.gain"], out[f"{p}.ln3.bias"] = blk.ln3_gain, blk.ln3_bias
-            _add_mlp(out, f"{p}.mlp", blk.mlp)
-            out[f"{p}.ln4.gain"], out[f"{p}.ln4.bias"] = blk.ln4_gain, blk.ln4_bias
-        _add_attn(out, "enhance.attn", self.decoder.enhance.attn)
-        out["enhance.ln.gain"] = self.decoder.enhance.ln_gain
-        out["enhance.ln.bias"] = self.decoder.enhance.ln_bias
-        out["head.w_y"], out["head.b_y"] = self.decoder.head.w_y, self.decoder.head.b_y
-        return out
+        """Flat name -> tensor map in ``param_plan`` order."""
+        return dict(self._named)
 
     def all_tensors(self) -> list[Tensor]:
         return list(self.buffer.tensors)
 
 
-def _add_attn(out: dict, prefix: str, attn: AttentionParams) -> None:
-    out[f"{prefix}.w_q"] = attn.w_q
-    out[f"{prefix}.w_k"] = attn.w_k
-    out[f"{prefix}.w_v"] = attn.w_v
-
-
-def _add_mlp(out: dict, prefix: str, mlp: MlpParams) -> None:
-    out[f"{prefix}.w1"], out[f"{prefix}.b1"] = mlp.w1, mlp.b1
-    out[f"{prefix}.w2"], out[f"{prefix}.b2"] = mlp.w2, mlp.b2
-
-
 def param_tree(vocab_size: int, feature_dim: int,
                cfg: TrainingConfig) -> ModelParams:
-    """The parameters of a model of this shape, joined into their buffer
-    with every value zero; nothing is drawn. ``init_params`` fills them
-    with a seeded initialization, a checkpoint load with its values."""
-    d, h = cfg.dim, cfg.hidden
-
-    def p(rows, cols):
-        # never read or written: joining the buffer rebinds the tensor
-        return Tensor(np.empty((rows, cols)), requires_grad=True)
+    """The parameters of a model of this shape, cut from one buffer of zeros
+    allocated at the plan's size (ValueError if it cannot be). ``init_params``
+    fills them with a seeded initialization, a checkpoint load with its own."""
+    runs, _, size = param_plan(vocab_size, feature_dim, cfg)
+    try:
+        values = np.zeros(size)
+    except (MemoryError, ValueError) as exc:  # numpy's "array is too big"
+        raise ValueError(f"a model of {size} parameter values is too large "
+                         f"to allocate") from exc
+    names, shapes = zip(*((pre.format(i) + name, (r, c)) for pre, n, run in runs
+                          for i in range(n) for name, r, c in run))
+    buffer = ad.ParamBuffer.cut(values, shapes)
+    p = iter(buffer.tensors).__next__  # each call: the plan's next tensor
 
     def attn():
-        return AttentionParams(p(d, d), p(d, d), p(d, d), cfg.attn_scale)
+        return AttentionParams(p(), p(), p(), cfg.attn_scale)
 
     def mlp():
-        return MlpParams(p(d, h), p(1, h), p(h, d), p(1, d))
+        return MlpParams(p(), p(), p(), p())
 
-    def enc_block():
-        return EncoderBlockParams(attn(), p(1, d), p(1, d), mlp(), p(1, d),
-                                  p(1, d))
-
-    def dec_block():
-        return DecoderBlockParams(attn(), p(1, d), p(1, d), attn(), p(1, d),
-                                  p(1, d), attn(), p(1, d), p(1, d), mlp(),
-                                  p(1, d), p(1, d))
-
-    table = EmbeddingTable(token=p(vocab_size, d), position=p(cfg.max_seq_len, d))
-    image_proj = ImageProjectionParams(p(max(feature_dim, 1), d), p(1, d),
-                                       p(1, d), p(1, d))
-    encoder = tuple(enc_block() for _ in range(cfg.enc_blocks))
-    relation_attn = attn()
-    fusion = FusionParams(p(d, d), p(1, d), p(d, d), p(1, d), p(d, 1))
-    latent = LatentQuerySet(p(cfg.n_latent, d))
-    sem_composed = SemanticProjectionParams(attn(), mlp())
-    sem_truth = SemanticProjectionParams(attn(), mlp())
-    dec = DecoderParams(blocks=tuple(dec_block() for _ in range(cfg.dec_blocks)),
-                        enhance=SemanticEnhanceParams(attn(), p(1, d), p(1, d)),
-                        head=OutputHead(p(d, vocab_size), p(1, vocab_size)))
-    params = ModelParams(table=table, image_proj=image_proj, encoder=encoder,
-                         relation_attn=relation_attn, fusion=fusion,
-                         latent=latent, sem_composed=sem_composed,
-                         sem_truth=sem_truth, decoder=dec)
-    params.buffer = ad.ParamBuffer(params.named().values(), copy=False)
-    return params
+    return ModelParams(
+        EmbeddingTable(p(), p()), ImageProjectionParams(p(), p(), p(), p()),
+        tuple(EncoderBlockParams(attn(), p(), p(), mlp(), p(), p())
+              for _ in range(cfg.enc_blocks)),
+        attn(), FusionParams(p(), p(), p(), p(), p()), LatentQuerySet(p()),
+        SemanticProjectionParams(attn(), mlp()),
+        SemanticProjectionParams(attn(), mlp()),
+        DecoderParams(
+            tuple(DecoderBlockParams(attn(), p(), p(), attn(), p(), p(),
+                                     attn(), p(), p(), mlp(), p(), p())
+                  for _ in range(cfg.dec_blocks)),
+            SemanticEnhanceParams(attn(), p(), p()), OutputHead(p(), p())),
+        buffer, dict(zip(names, buffer.tensors)))
 
 
 def init_params(vocab_size: int, feature_dim: int,
@@ -196,8 +181,6 @@ def params_to_doc(named: dict[str, Tensor]) -> dict:
 def params_from_doc(named: dict[str, Tensor], doc: dict) -> None:
     """Load a parameter map into existing tensors, validating names/shapes;
     the values are copied into the tensors' arrays, never rebound."""
-    if not isinstance(doc, dict):
-        raise ValueError("checkpoint params must be an object")
     missing = sorted(set(named) - set(doc))
     extra = sorted(set(doc) - set(named))
     if missing or extra:
@@ -206,9 +189,10 @@ def params_from_doc(named: dict[str, Tensor], doc: dict) -> None:
         entry = doc[name]
         if not (isinstance(entry, dict) and isinstance(entry.get("shape"), list)
                 and isinstance(entry.get("data"), list)
-                and all(type(x) in (int, float) for x in entry["data"])):
-            raise ValueError(f"checkpoint {name}: entry must be an object with "
-                             f"a list \"shape\" and a list of numbers \"data\"")
+                and all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX
+                        for x in entry["data"])):
+            raise ValueError(f"checkpoint {name}: entry needs a list \"shape\" "
+                             f"and a list of finite numbers \"data\"")
         shape = tuple(entry["shape"])
         if shape != t.shape:
             raise ValueError(f"checkpoint {name}: shape {shape} != {t.shape}")
@@ -240,15 +224,24 @@ def model_from_doc(doc: dict, kb: KnowledgeBase) -> "DialogModel":
         raise ValueError("checkpoint vocab must be a list of strings")
     if type(feature_dim) is not int or feature_dim < 0:
         raise ValueError("checkpoint feature_dim must be an int >= 0")
-    vocab = Vocabulary(tokens)
-    params = param_tree(len(vocab), feature_dim, cfg)
-    params_from_doc(params.named(), doc["params"])
-    model = DialogModel(params, vocab, kb, cfg)
     if kb.feature_dim and feature_dim != kb.feature_dim:
         raise ValueError(
             f"checkpoint feature_dim {feature_dim} does not match "
             f"knowledge base feature_dim {kb.feature_dim}")
-    return model
+    vocab = Vocabulary(tokens)
+    # checked before allocating: a checkpoint builds no more than it holds
+    entries = doc["params"]
+    if not isinstance(entries, dict):
+        raise ValueError("checkpoint params must be an object")
+    held = len(entries), sum(len(e["data"]) for e in entries.values() if
+                             isinstance(e, dict) and isinstance(e.get("data"), list))
+    need = param_plan(len(vocab), feature_dim, cfg)[1:]
+    if held != need:
+        raise ValueError("checkpoint holds {} parameter tensors of {} values; "
+                         "its config needs {} of {}".format(*held, *need))
+    params = param_tree(len(vocab), feature_dim, cfg)
+    params_from_doc(params.named(), entries)
+    return DialogModel(params, vocab, kb, cfg)
 
 
 def save_checkpoint(model: "DialogModel", path) -> None:

@@ -67,7 +67,8 @@ class Adam:
         correct2 = 1 - b2 ** self.step_count
         params = self.params
         reached = params.collect_grads()
-        mask = None if all(reached) else np.repeat(reached, params.sizes)
+        mask = None if all(reached) else np.repeat(
+            reached, [r * c for r, c in params.shapes])
         for run in params.spans():
             w = True if mask is None else mask[run]
             p, g, m, v = (params.values[run], params.grads[run],

@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking, and a
-generated dense knowledge graph.
+"""Shared test utilities: finite-difference gradient checking, a
+generated dense knowledge graph, and a cap on the process's memory.
 
 The case lists below are the single source of truth for "every op, at three
 or more distinct shapes" — both the unit tests and the acceptance suite
@@ -9,6 +9,9 @@ sweep them: ``build_grad_cases`` covers the primitive ops,
 ``kgdialog.autodiff`` has fewer than three ``build_grad_cases`` labels.
 """
 from __future__ import annotations
+
+import resource
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -501,3 +504,21 @@ def kb_of(adjacency: dict[str, list[tuple[str, str]]]) -> KnowledgeBase:
     return KnowledgeBase(Entity(name, tuple(AttributeValuePair(t, v)
                                             for t, v in pairs))
                          for name, pairs in adjacency.items())
+
+
+@contextmanager
+def address_space_cap(extra: int = 1 << 30):
+    """Cap this process's address space at its present size plus ``extra``
+    bytes, so that code which allocates without bound fails with
+    MemoryError instead of filling the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

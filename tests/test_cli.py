@@ -4,10 +4,13 @@ import argparse
 import dataclasses
 import io
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 
+from helpers import address_space_cap
 from kgdialog.cli import build_parser, run_cli
 from kgdialog.config import TrainingConfig
 from kgdialog.corpus import load_corpus
@@ -320,6 +323,28 @@ def test_train_config_non_finite_value_exits_one(ws, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim", 10**8), ("enc_blocks", 10**13), ("dec_blocks", 10**13),
+    ("n_latent", 10**15), ("mlp_hidden", 10**15), ("max_seq_len", 10**15),
+])
+def test_train_config_too_large_to_allocate_exits_one(ws, tmp_path, capsys,
+                                                      field, value):
+    """Petabytes of parameters or more: beyond the address space, so the
+    allocation fails at once and nothing is built block by block."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    flag = FAST_FLAGS.index("--" + field.replace("_", "-"))
+    flags = FAST_FLAGS[:flag] + FAST_FLAGS[flag + 2:]
+    started = time.monotonic()
+    with address_space_cap():
+        assert run_cli(["train", "--data", str(ws["bundle"]), "--epochs", "1",
+                        "--config", str(cfg), *flags]) == 1
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"kgdialog: error: a model of \d+ parameter values "
+                        r"is too large to allocate\n", err), err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_train_non_finite_learning_rate_flag_exits_one(ws, capsys, value):
     assert run_cli(["train", "--data", str(ws["bundle"]), "--epochs", "1",
@@ -501,8 +526,28 @@ def _train_on(ws, corpus_path):
             "--epochs", "1", *FAST_FLAGS]
 
 
+def _with_config(ws, **fields):
+    doc = json.loads(ws["model"].read_text())
+    doc["config"].update(fields)
+    return doc
+
+
+def _param_value(ws, name, value):
+    doc = json.loads(ws["model"].read_text())
+    doc["params"][name]["data"][0] = value
+    return doc
+
+
+def _image_row(ws, value):
+    """An image-feature row of the workspace KB's width, led by ``value``."""
+    width = max(len(e["image_features"][0]) for e in
+                json.loads(ws["kb"].read_text()) if e.get("image_features"))
+    return [value] + [0.5] * (width - 1)
+
+
 # Each builds the argv of one command given a document of the wrong JSON
-# type; ``w(name, doc)`` writes the document and returns its path.
+# type, a non-finite number or a size beyond any allocation; ``w(name,
+# doc)`` writes the document and returns its path.
 MALFORMED = {
     "corpus line not an object":
         lambda ws, w: _train_on(ws, w("c.jsonl", "[1, 2]\n")),
@@ -564,6 +609,40 @@ MALFORMED = {
     "checkpoint params data not numbers":
         lambda ws, w: _generate(ws, w("k.json", _param_entry(
             ws, {"shape": [8, 1], "data": [{}] * 8}))),  # fusion.a, D x 1
+    # non-finite numbers, which json reads as NaN and Infinity
+    "checkpoint param value NaN":
+        lambda ws, w: _generate(ws, w("k.json", _param_value(
+            ws, "head.w_y", float("nan")))),
+    "checkpoint param value an int beyond float":
+        lambda ws, w: _generate(ws, w("k.json", _param_value(
+            ws, "head.w_y", 10 ** 400))),
+    "context image feature NaN":
+        lambda ws, w: _with_context(ws, w("x.json", {
+            "utterances": ["hi"], "image_features": [_image_row(
+                ws, float("nan"))]})),
+    "context image feature Infinity":
+        lambda ws, w: _with_context(ws, w("x.json", {
+            "utterances": ["hi"], "image_features": [_image_row(
+                ws, float("inf"))]})),
+    "corpus image feature -Infinity":
+        lambda ws, w: _train_on(ws, w("c.jsonl", json.dumps(
+            {"context_utterances": ["hi"], "response": "ok",
+             "context_image_features": [_image_row(ws, -float("inf"))]}))),
+    "kb image feature NaN":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "image_features": [[float("nan"), 1.0]]}])],
+    "kb image feature an int beyond float":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "image_features": [[10 ** 400, 1.0]]}])],
+    # sizes beyond the address space, against a checkpoint of a few KB
+    "checkpoint dim 1e7":
+        lambda ws, w: _generate(ws, w("k.json", _with_config(ws, dim=10**7))),
+    "checkpoint enc_blocks 1e8":
+        lambda ws, w: _generate(ws, w("k.json", _with_config(
+            ws, enc_blocks=10**8))),
+    "checkpoint feature_dim 1e13":
+        lambda ws, w: _generate(ws, w("k.json", _checkpoint(
+            ws, feature_dim=10**13))),
 }
 
 
@@ -575,10 +654,14 @@ def test_malformed_document_exits_one_without_traceback(ws, tmp_path, capsys,
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         return str(path)
 
-    assert run_cli(MALFORMED[case](ws, write)) == 1
+    argv = MALFORMED[case](ws, write)
+    started = time.monotonic()
+    with address_space_cap():
+        assert run_cli(argv) == 1
+    assert time.monotonic() - started < 1.0
     err = capsys.readouterr().err
     assert err.startswith("kgdialog: error:"), err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1, err
 
 
 # Nested deeper than the JSON decoder can recurse.
@@ -641,7 +724,8 @@ def test_bundle_record_error_names_its_index(ws, tmp_path, capsys):
         "context_utterances\n")
 
 
-FEATURES_ERROR = "image features must be a list of equal-length vectors of numbers"
+FEATURES_ERROR = ("image features must be a list of equal-length vectors of "
+                  "finite numbers")
 
 
 @pytest.mark.parametrize("case", ["utterance", "feature file", "--features"])

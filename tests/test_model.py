@@ -1,6 +1,7 @@
 """Tests for model assembly, checkpointing, and the end-to-end forward paths."""
 import dataclasses
 import gc
+import hashlib
 import json
 import threading
 import weakref
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import address_space_cap
 from kgdialog import autodiff as ad
 from kgdialog import model as model_module
 from kgdialog.acquire import DialogContext, acquire_text_attributes, tokenize
@@ -20,8 +22,8 @@ from kgdialog.corpus import DialogPair, make_synthetic_corpus
 from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
 from kgdialog.model import (DialogModel, build_model, build_vocabulary,
                             checkpoint_doc, init_params, load_checkpoint,
-                            model_from_doc, params_from_doc, params_to_doc,
-                            save_checkpoint)
+                            model_from_doc, param_plan, param_tree,
+                            params_from_doc, params_to_doc, save_checkpoint)
 from kgdialog.training import train_model
 
 CFG = TrainingConfig(dim=8, enc_blocks=1, dec_blocks=1, n_latent=2,
@@ -70,6 +72,19 @@ def _attention_reads(node):
     elif dataclasses.is_dataclass(node):
         for f in dataclasses.fields(node):
             yield from _attention_reads(getattr(node, f.name))
+
+
+def _tensor_fields(node, field=None):
+    """(field name, tensor) of every tensor in a parameter tree, depth
+    first in field order."""
+    if isinstance(node, ad.Tensor):
+        yield field, node
+    elif isinstance(node, tuple):
+        for child in node:
+            yield from _tensor_fields(child)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _tensor_fields(getattr(node, f.name), f.name)
 
 
 def _named_equal(a, b):
@@ -160,6 +175,41 @@ class TestInitParams:
         assert len(a.all_tensors()) == len(names)
         # every tensor requires a gradient: all are trainable
         assert all(t.requires_grad for t in a.all_tensors())
+
+    @given(vocab_size=st.integers(5, 9), feature_dim=st.integers(0, 3),
+           dim=st.integers(2, 5), enc_blocks=st.integers(0, 3),
+           dec_blocks=st.integers(0, 3), n_latent=st.integers(1, 3),
+           mlp_hidden=st.none() | st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_agrees_with_the_tree(self, vocab_size, feature_dim,
+                                       **sizes):
+        """The plan's arithmetic counts are the buffer's size and the
+        number of names, and each tree field holds the tensor of its name:
+        field ``ln1_gain`` the tensor ``*.ln1.gain``, and so on."""
+        cfg = TrainingConfig(max_seq_len=4, max_gen_len=4, **sizes)
+        _, count, size = param_plan(vocab_size, feature_dim, cfg)
+        params = param_tree(vocab_size, feature_dim, cfg)
+        assert size == params.buffer.values.size
+        assert count == len(params.named())
+        fields = list(_tensor_fields(params))
+        assert len(fields) == count
+        for (field, t), (name, u) in zip(fields, params.named().items()):
+            assert t is u, name
+            assert (name.replace(".", "_").endswith(field)
+                    or (field, name) == ("P_g", "latent.queries")), name
+
+    @pytest.mark.parametrize("cfg, sha256", [
+        (CFG, "4e3b91c85c267b9ef3c39961b8d69b877f482d2513cd98c159350faa2b0497f0"),
+        (CFG.replace(enc_blocks=0, dec_blocks=3, mlp_hidden=None),
+         "212433a882367779ba05d9dd052fb4fc173a40e4844c146c3b574f29072dbf4a"),
+    ])
+    def test_fixed_seed_checkpoint_bytes_are_pinned(self, vocab, kb, tmp_path,
+                                                    cfg, sha256):
+        """The names, their order, the shapes and the draws of a fixed-seed
+        model, pinned by its checkpoint's bytes."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(build_model(vocab, kb, cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 class TestCheckpointDocs:
@@ -432,6 +482,33 @@ class TestModelFromDoc:
         m = build_model(vocab, syn.kb, CFG)
         loss, parts = m.loss_pair(syn.pairs[0].context, syn.pairs[0].response)
         assert np.isfinite(parts["total"])
+
+
+CONFIG_INTS = [f.name for f in dataclasses.fields(TrainingConfig)
+               if f.type in ("int", "int | None")]
+
+
+@pytest.fixture(scope="module")
+def small_doc(vocab, kb):
+    return json.loads(json.dumps(checkpoint_doc(build_model(vocab, kb, CFG))))
+
+
+@given(st.dictionaries(st.sampled_from(CONFIG_INTS),
+                       st.integers(-1, 2 ** 62), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=250)
+def test_checkpoint_config_sizes_raise_only_value_error(small_doc, kb,
+                                                        overrides):
+    """A real checkpoint whose config ints are redrawn, up to 2^62: a load
+    builds the model or raises ValueError, and allocates nothing the file
+    does not hold."""
+    doc = dict(small_doc, config={**small_doc["config"], **overrides})
+    try:
+        with address_space_cap():
+            loaded = model_from_doc(doc, kb)
+    except ValueError:
+        return
+    assert loaded.params.buffer.values.size == sum(
+        len(e["data"]) for e in small_doc["params"].values())
 
 
 def test_context_past_position_table_trains_and_generates(caplog):
