@@ -20,7 +20,7 @@ layer is a single node with a hand-written backward:
 - ``mlp``: linear, tanh, linear;
 - ``residual_layer_norm``: layer_norm(h + y), the post-norm residual;
 - ``linear``, ``gate`` (the two-way softmax mix), ``layer_norm``,
-  ``softmax_rows``, ``mean_rows``, ``cross_entropy_loss``,
+  ``softmax_rows``, ``mean_rows``, ``cross_entropy_loss`` (from logits),
   ``frobenius_distance_sq``, ``squared_norm`` and ``weighted_sum`` (the
   training objective's sum of weighted scalars).
 
@@ -45,7 +45,6 @@ gradients into the table's gradient in place. The only module state is the
 """
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from contextlib import contextmanager
@@ -53,9 +52,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
-LOG_FLOOR = 1e-12
 # Entries per pass of a whole-buffer update (256 KB per float64 array), so
 # that a block of every array it touches stays in cache across its numpy
 # calls; NVIDIA apex's multi-tensor apply chunks its flat lists likewise.
@@ -805,14 +801,12 @@ def frobenius_distance_sq(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.array([[float((d * d).sum())]]), (a, b), backward)
 
 
-def cross_entropy_loss(probs: Tensor, targets: Sequence[int]) -> Tensor:
-    """Mean negative log-probability of each target token, as one node.
-
-    Row i of the n x V matrix ``probs`` is the distribution that predicts
-    ``targets[i]``. A target probability below 1e-12 is clamped there (with
-    a warning) so the loss stays finite; a clamped entry gets no gradient.
-    """
-    n, v = probs.shape
+def cross_entropy_loss(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Cross-entropy as one node: the mean of logsumexp(z_i) - z_i[t_i] over
+    the rows z_i of the n x V logits and their targets t_i. One
+    max-subtracted exp pass gives the sums and, in backward, the gradient
+    (softmax(z) - onehot) / n, nonzero at a target however improbable."""
+    n, v = logits.shape
     if n != len(targets) or not n:
         raise ValueError("cross_entropy_loss: need one nonzero row per target")
     for step, t in enumerate(targets):
@@ -820,18 +814,17 @@ def cross_entropy_loss(probs: Tensor, targets: Sequence[int]) -> Tensor:
             raise ValueError(f"cross_entropy_loss: target {t} out of range "
                              f"for V={v} at step {step}")
     rows, cols = np.arange(n), np.asarray(targets, dtype=np.intp)
-    picked = probs.data[rows, cols]
-    for step in np.flatnonzero(picked < LOG_FLOOR):
-        logger.warning("cross_entropy_loss: clamping zero probability at "
-                       "step %d (target %d)", step, targets[step])
-    kept = picked > LOG_FLOOR
-    clamped = np.maximum(picked, LOG_FLOOR)
+    e = logits.data - np.maximum.reduce(logits.data, 1, keepdims=True)
+    picked = e[rows, cols]
+    np.exp(e, out=e)
+    total = np.add.reduce(e, 1, keepdims=True)
 
     def backward(g):
-        if probs.requires_grad:
-            gp = np.zeros_like(probs.data)
-            gp[rows, cols] = g[0, 0] * (-1.0 / n) / clamped * kept
-            probs._accum(gp, fresh=True)
+        if logits.requires_grad:
+            gz = e / total
+            gz[rows, cols] -= 1.0
+            gz *= g[0, 0] / n
+            logits._accum(gz, fresh=True)
 
-    return _node(np.array([[np.log(clamped).sum() * (-1.0 / n)]]),
-                 (probs,), backward)
+    return _node(np.array([[(np.log(total[:, 0]) - picked).sum() / n]]),
+                 (logits,), backward)

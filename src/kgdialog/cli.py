@@ -37,8 +37,6 @@ from .kb import build_graph, decode_json, kb_from_doc, parse_kb
 from .model import checkpoint_doc, model_from_doc, save_checkpoint
 from .training import TrainingDiverged, evaluate, train
 
-logger = logging.getLogger(__name__)
-
 # the package's format errors (KB, corpus, JSON, no images) are ValueErrors
 _INPUT_ERRORS = (ValueError, OSError)
 

@@ -34,7 +34,6 @@ positions up to float summation order; both scale as the parameters say.
 """
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass
@@ -46,7 +45,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .composer import AttentionParams, EmbeddingTable, MlpParams, Vocabulary
 
-logger = logging.getLogger(__name__)
 
 @dataclass
 class DecoderBlockParams:
@@ -367,6 +365,9 @@ def _generate_greedy(step, vocab, max_len) -> list[int]:
     return out
 
 
+LOG_FLOOR = 1e-12  # beam scores take logs of probabilities floored here
+
+
 def _generate_beam(step, vocab, max_len, width) -> list[int]:
     cache = DecodeCache()
     # (cumulative log prob, prefix with BOS, finished, parent's cache row)
@@ -378,7 +379,7 @@ def _generate_beam(step, vocab, max_len, width) -> list[int]:
             break
         cache.select([row for _, _, _, row in live])
         probs = step(cache, [prefix[-1] for _, prefix, _, _ in live])
-        logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
+        logp = np.log(np.maximum(probs, LOG_FLOOR))
         top = np.argsort(-logp, axis=1, kind="stable")[:, :width]
         candidates = [b for b in beams if b[2]]
         for row, (score, prefix, _, _) in enumerate(live):

@@ -32,6 +32,15 @@ class KBFormatError(ValueError):
     """Raised for malformed, duplicated, or inconsistent KB input."""
 
 
+def _numbers(table) -> bool:
+    """Whether a table holds ints and floats alone: arrays by dtype, lists
+    value by value, so that a bool or a string is refused."""
+    if isinstance(table, np.ndarray):
+        return table.dtype.kind in "iuf"
+    return all(_numbers(row) if isinstance(row, np.ndarray) else
+               all(type(x) in (int, float) for x in row) for row in table)
+
+
 def feature_table(features) -> np.ndarray:
     """Image features as an (n_images, feature_dim) float64 array, or a
     0 x 0 array when there are none; anything but a list of equal-length
@@ -40,7 +49,8 @@ def feature_table(features) -> np.ndarray:
         feats = np.asarray(features, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):  # ragged, or a non-number
         feats = np.array(np.nan)                     # fails the test below
-    if feats.size and (feats.ndim != 2 or not np.isfinite(feats).all()):
+    if feats.size and (feats.ndim != 2 or not np.isfinite(feats).all()
+                       or not _numbers(features)):
         raise ValueError("image features must be a list of equal-length "
                          "vectors of finite numbers")
     return feats if feats.size else feats.reshape(0, 0)

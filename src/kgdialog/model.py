@@ -332,6 +332,12 @@ class DialogModel:
         ``enhance_with`` picks the semantic matrix: "truth" (training) or
         "composed" (inference-style scoring).
         """
+        z_hat, targets, T_sem = self._teacher_forced(
+            ctx, response_tokens, enhance_with, comp)
+        return predict_token(z_hat, self.params.decoder.head), targets, T_sem
+
+    def _teacher_forced(self, ctx, response_tokens, enhance_with, comp):
+        """``teacher_predictions`` up to the output head: z-hat [n x D]."""
         if not response_tokens:
             raise ValueError("teacher_predictions: empty response")
         if comp is None:
@@ -351,8 +357,7 @@ class DialogModel:
             raise ValueError(f"enhance_with must be 'truth' or 'composed', "
                              f"got {enhance_with!r}")
         z_hat = semantic_enhance(z_bar, T_sem, self.params.decoder.enhance)
-        probs = predict_token(z_hat, self.params.decoder.head)
-        return probs, targets, T_sem
+        return z_hat, targets, T_sem
 
     def loss_pair(self, ctx: DialogContext, response_tokens: Sequence[str],
                   prepared: PreparedContext | None = None,
@@ -365,9 +370,11 @@ class DialogModel:
         the same either way."""
         comp = self.compose_context(ctx, prepared)
         T_c_sem = self.semantic_composed(comp)
-        probs, targets, T_r_sem = self.teacher_predictions(
-            ctx, response_tokens, enhance_with="truth", comp=comp)
-        l_ce = ad.cross_entropy_loss(probs, targets)
+        z_hat, targets, T_r_sem = self._teacher_forced(
+            ctx, response_tokens, "truth", comp)
+        head = self.params.decoder.head
+        l_ce = ad.cross_entropy_loss(ad.linear(z_hat, head.w_y, head.b_y),
+                                     targets)
         l_r = regularization_loss(T_r_sem, T_c_sem)
         loss = total_loss(l_ce, l_r, self.params.buffer, self.weights,
                           penalty)

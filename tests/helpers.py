@@ -209,8 +209,15 @@ def build_grad_cases(seed: int = 0):
         logits = _param(rng, steps, v)
         targets = [int(t) for t in rng.integers(0, v, size=steps)]
         case(f"cross_entropy:{steps}steps V={v}",
-             lambda z=logits, t=targets:
-             ad.cross_entropy_loss(ad.softmax_rows(z), t), [logits])
+             lambda z=logits, t=targets: ad.cross_entropy_loss(z, t),
+             [logits])
+    # logits over +-40: targets of probability ~e^-80, far below any floor
+    # a loss over probabilities would need, and a tie at the top; no rng
+    # draw, so every later case keeps its parameters
+    spread = ad.Tensor([[-40.0, 40.0, 39.0, 38.5], [40.0, -40.0, 40.0, -40.0],
+                        [40.0, 39.5, -40.0, 0.0]], requires_grad=True)
+    case("cross_entropy:3steps V=4 logits +-40",
+         lambda z=spread: ad.cross_entropy_loss(z, [0, 1, 0]), [spread])
 
     # segment_attention once took projected q, k, v; x is the draw that
     # was q, and the projections are drawn after every other case
@@ -459,7 +466,7 @@ def build_composite_grad_cases(seed: int = 1):
 
         def loss_fn(logits=logits, targets=targets, a=a, b=b,
                     penalized=penalized, weights=weights):
-            l_ce = ad.cross_entropy_loss(ad.softmax_rows(logits), targets)
+            l_ce = ad.cross_entropy_loss(logits, targets)
             l_r = ad.frobenius_distance_sq(a, b)
             return total_loss(l_ce, l_r, penalized, weights)
 

@@ -387,16 +387,18 @@ def test_take_rows_gathers_and_accumulates_duplicates():
     np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0], [2, 2]])
 
 
-def test_cross_entropy_clamps_zero_probability(caplog):
-    p = ad.Tensor([[1.0, 0.0], [0.75, 0.25]], requires_grad=True)
-    loss = ad.cross_entropy_loss(p, [1, 0])
-    assert np.isfinite(loss.item())
-    assert loss.item() == pytest.approx(-(np.log(1e-12) + np.log(0.75)) / 2)
-    assert "cross_entropy_loss: clamping zero probability at step 0" \
-        in caplog.text
+def test_cross_entropy_from_logits_has_no_clamp(caplog):
+    """Row 0's target has probability e^-40: the loss counts its whole
+    -log p and the row gets the gradient (softmax - onehot) / n."""
+    z = ad.Tensor([[0.0, 40.0, 1.0], [0.0, 1.0, 2.0]], requires_grad=True)
+    loss = ad.cross_entropy_loss(z, [0, 2])
+    assert loss.item() == pytest.approx(20.2038029822, abs=1e-9)
     loss.backward()
-    # the clamped entry gets no gradient; the other target gets -1/(n p)
-    np.testing.assert_array_equal(p.grad, [[0.0, 0.0], [-1 / 1.5, 0.0]])
+    p = np.exp(z.data) / np.exp(z.data).sum(axis=1, keepdims=True)
+    p[[0, 1], [0, 2]] -= 1.0
+    np.testing.assert_allclose(z.grad, p / 2, rtol=0, atol=1e-15)
+    assert np.all(z.grad[0] != 0.0)
+    assert not caplog.records
 
 
 # ------------------------------------------------------------ graph mechanics
@@ -472,9 +474,8 @@ def test_penalty_graph_size_does_not_grow_with_tensor_count():
     weights = LossWeights(1.0, 0.1, 1e-3)
 
     def interior_nodes(n_penalized):
-        probs = ad.softmax_rows(ad.Tensor(rng.standard_normal((3, 4)),
-                                          requires_grad=True))
-        l_ce = ad.cross_entropy_loss(probs, [0, 1, 2])
+        logits = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        l_ce = ad.cross_entropy_loss(logits, [0, 1, 2])
         a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         l_r = ad.frobenius_distance_sq(a, ad.Tensor(np.zeros((2, 2))))
         params = ad.ParamBuffer(

@@ -634,6 +634,17 @@ MALFORMED = {
     "kb image feature an int beyond float":
         lambda ws, w: ["ingest", "--kb", w("kb.json", [
             {"name": "A", "image_features": [[10 ** 400, 1.0]]}])],
+    # JSON strings and booleans are not numbers, though numpy reads them so
+    "kb image features strings and booleans":
+        lambda ws, w: ["ingest", "--kb", w("kb.json", [
+            {"name": "A", "image_features": [["1.5", True], ["2", False]]}])],
+    "corpus image feature a string":
+        lambda ws, w: _train_on(ws, w("c.jsonl", json.dumps(
+            {"context_utterances": ["hi"], "response": "ok",
+             "context_image_features": [_image_row(ws, "1.5")]}))),
+    "context image feature a boolean":
+        lambda ws, w: _with_context(ws, w("x.json", {
+            "utterances": ["hi"], "image_features": [_image_row(ws, True)]})),
     # sizes beyond the address space, against a checkpoint of a few KB
     "checkpoint dim 1e7":
         lambda ws, w: _generate(ws, w("k.json", _with_config(ws, dim=10**7))),

@@ -93,7 +93,7 @@ def _reference_beam(setting, dec, table, vocab, max_len, width):
                     candidates.append((score, prefix, True))
                     continue
                 probs = _last_row_probs(setting, dec, table, prefix)
-                logp = np.log(np.maximum(probs, ad.LOG_FLOOR))
+                logp = np.log(np.maximum(probs, decoder.LOG_FLOOR))
                 for idx in np.argsort(-logp, kind="stable")[:width]:
                     idx = int(idx)
                     candidates.append((score + float(logp[idx]),

@@ -365,6 +365,20 @@ class TestDialogModel:
         ops = [n for n in ad.topo_order(loss) if n._backward is not None]
         assert len(ops) <= 45
 
+    def test_loss_pair_takes_cross_entropy_from_the_head_logits(self, model):
+        """The cross-entropy node's one parent is the output head's linear
+        node, and no softmax node is in the training graph."""
+        loss, parts = model.loss_pair(CTX, RESPONSE)
+        ops = {n: n._backward.__qualname__.split(".")[0]
+               for n in ad.topo_order(loss) if n._backward is not None}
+        (ce,) = [n for n, op in ops.items() if op == "cross_entropy_loss"]
+        assert ce.item() == parts["ce"]
+        (logits,) = ce._parents
+        head = model.params.decoder.head
+        assert ops[logits] == "linear"
+        assert logits._parents[1:] == (head.w_y, head.b_y)
+        assert "softmax_rows" not in ops.values()
+
     def test_greedy_without_decoder_blocks_follows_teacher_argmax(self):
         """dec_blocks=0 is a valid config: each cached step embeds its token
         at its own position, so a greedy reply is the argmax path of the
