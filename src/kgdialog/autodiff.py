@@ -428,20 +428,29 @@ def _check_projections(op: str, x: Tensor, *ws: Tensor) -> int:
 
 
 def segment_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
-                      lengths: Sequence[int], scale: bool = False) -> Tensor:
+                      lengths: Sequence[int], scale: bool = False,
+                      width: int | None = None) -> Tensor:
     """Self-attention softmax(q k^T) v of q, k, v = x w_q, x w_k, x w_v,
     computed separately inside each run of ``lengths`` contiguous rows, so a
     row attends only to the rows of its own segment.
 
     One node, projections included. The G segments are padded to G x L x D
-    with L the longest segment, padded keys get zero weight, and the
-    products are batched matmuls, so the cost is G L^2 D rather than (sum
-    of lengths)^2 D. ``scale`` divides the logits by sqrt(D).
+    with L = ``width`` (default: the longest segment), padded keys get zero
+    weight, and the products are batched matmuls, so the cost is G L^2 D
+    rather than (sum of lengths)^2 D. A segment's batched products depend
+    on L but not on the other segments, so a caller that splits one set of
+    segments over several calls passes the set's longest length as
+    ``width`` to each to keep their bits. ``scale`` divides the logits by
+    sqrt(D).
     """
     d = _check_projections("segment_attention", x, w_q, w_k, w_v)
     n = x.shape[0]
     lens = _segments(lengths, n, "segment_attention")
-    g_count, width = lens.size, int(lens.max())
+    g_count = lens.size
+    width = int(lens.max()) if width is None else width
+    if width < lens.max():
+        raise ValueError(f"segment_attention: width {width} is shorter "
+                         f"than a segment of {int(lens.max())} rows")
     c = 1.0 / np.sqrt(d) if scale else 1.0
     uniform = lens.min() == width
     if uniform:

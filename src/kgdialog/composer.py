@@ -10,11 +10,12 @@ token ids, positions, cuts to the position table); ``compose`` runs:
      across the concatenation.
   2. Encode the concatenation with a small trainable transformer-style
      encoder to get the attribute-composed representation T_t.
-  3. Encode all relation tuples in one encoder pass, each tuple a segment
-     with its own positions that attends only to itself, and mean-pool each
-     segment to one row (T_h); reorganize T_h against T_t via
-     cross-attention, and fuse the two views position-wise into T_c with
-     learned confidence weights r_t, r_h.
+  3. Encode the relation tuples, each tuple a segment with its own
+     positions that attends only to itself, in passes of whole tuples of
+     at most ``TUPLE_PASS_ROWS`` rows, and mean-pool each segment to one
+     row (T_h); reorganize T_h against T_t via cross-attention, and fuse
+     the two views position-wise into T_c with learned confidence weights
+     r_t, r_h.
 
 With no relation tuples the relation stage is skipped and T_c = T_t.
 Every attention read scales its logits as its ``AttentionParams`` says.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +48,12 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Rows of one relation-tuple encoder pass. Every intermediate of a pass has
+# at most this many rows (a longer tuple gets a pass of its own), so a
+# reply's transient memory does not grow with the tuple count; a training
+# graph keeps every pass for its backward.
+TUPLE_PASS_ROWS = 192
 
 
 class NoRelationKnowledge(ValueError):
@@ -291,13 +299,16 @@ def project_image_features(features: np.ndarray,
 
 
 def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
-           lengths: Sequence[int] | None = None) -> Tensor:
+           lengths: Sequence[int] | None = None,
+           width: int | None = None) -> Tensor:
     """Shared encoder: per block, post-norm self-attention then post-norm
     MLP, both residual. Zero blocks (or an empty input) is the identity.
 
     ``lengths`` splits the rows of E into contiguous segments encoded side
     by side: self-attention stays inside each segment, and the row-wise
     layer norms and MLP do not mix rows. None means one segment.
+    ``width`` is the length attention pads each segment to (see
+    ``autodiff.segment_attention``); None means the longest segment.
     """
     h = E
     if h.shape[0] == 0:
@@ -307,7 +318,7 @@ def encode(E: Tensor, blocks: Sequence[EncoderBlockParams],
     for block in blocks:
         attn = block.attn
         a = ad.segment_attention(h, attn.w_q, attn.w_k, attn.w_v, lengths,
-                                 scale=attn.scale)
+                                 scale=attn.scale, width=width)
         h = ad.residual_layer_norm(h, a, block.ln1_gain, block.ln1_bias)
         m = ad.mlp(h, block.mlp.w1, block.mlp.b1, block.mlp.w2, block.mlp.b2)
         h = ad.residual_layer_norm(h, m, block.ln2_gain, block.ln2_bias)
@@ -327,21 +338,49 @@ def compose_attributes(E_k: Tensor, E_t: Tensor, E_v: Tensor,
     return encode(stacked, blocks)
 
 
+def _tuple_passes(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """Split tuples of ``lengths`` rows, in order, into runs [lo, hi) of at
+    most ``TUPLE_PASS_ROWS`` rows; a longer tuple is a run of its own."""
+    bounds, rows = [0], 0
+    for i, n in enumerate(lengths):
+        if rows and rows + n > TUPLE_PASS_ROWS:
+            bounds.append(i)
+            rows = 0
+        rows += n
+    bounds.append(len(lengths))
+    return list(zip(bounds, bounds[1:]))
+
+
 def encode_relation_tuples(prepared: PreparedContext, table: EmbeddingTable,
                            blocks: Sequence[EncoderBlockParams]) -> Tensor:
     """T_h: one mean-pooled encoded row per prepared tuple, rows in the
     prepared (``order_tuples``) order.
 
-    All tuples go through the encoder in one call: each tuple is a segment
-    whose positions restart at 0 and whose rows attend only to each other,
-    so row i equals encoding tuple i alone.
+    Each tuple is a segment whose positions restart at 0 and whose rows
+    attend only to each other, so in exact arithmetic row i equals encoding
+    tuple i alone. The tuples go through the encoder in passes of whole
+    tuples of at most ``TUPLE_PASS_ROWS`` rows, one ``encode`` call each,
+    and the pooled rows are joined by one ``concat_rows`` node; a set of
+    that many rows or fewer is one pass. The bits of a row depend on the
+    width its attention pads to, so every pass pads to the longest tuple
+    of the whole set. The rows then have the bits of one ``encode`` call
+    over all tuples wherever BLAS gives a product row the same bits
+    whatever the row count: OpenBLAS on x86-64 does when the model and MLP
+    widths are multiples of 8, and the tests check mixed-length splits
+    there.
     """
     lengths = prepared.tuple_lengths
     if not lengths:
         return Tensor(np.zeros((0, table.dim)))
-    E = ad.embed(table.token, table.position, prepared.tuple_ids,
-                 prepared.tuple_positions)
-    return ad.mean_rows(encode(E, blocks, lengths), lengths)
+    width, pooled = max(lengths), []
+    offsets = list(accumulate(lengths, initial=0))
+    for lo, hi in _tuple_passes(lengths):
+        rows = slice(offsets[lo], offsets[hi])
+        E = ad.embed(table.token, table.position, prepared.tuple_ids[rows],
+                     prepared.tuple_positions[rows])
+        pooled.append(ad.mean_rows(encode(E, blocks, lengths[lo:hi], width),
+                                   lengths[lo:hi]))
+    return pooled[0] if len(pooled) == 1 else ad.concat_rows(pooled)
 
 
 def reorganize_relations(T_t: Tensor, T_h: Tensor,

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import resource
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 
 from kgdialog import autodiff as ad
 from kgdialog.acquire import RelationTuple
-from kgdialog.composer import (AttentionParams, EmbeddingTable,
-                               EncoderBlockParams, FusionParams, MlpParams,
-                               Vocabulary, compose_attributes,
-                               encode_relation_tuples, fuse, prepare_context,
-                               reorganize_relations)
+from kgdialog.composer import (TUPLE_PASS_ROWS, AttentionParams,
+                               EmbeddingTable, EncoderBlockParams,
+                               FusionParams, MlpParams, Vocabulary,
+                               compose_attributes, encode_relation_tuples,
+                               fuse, prepare_context, reorganize_relations)
 from kgdialog.decoder import (DecoderBlockParams, LossWeights, OutputHead,
                               SemanticEnhanceParams, decode_states,
                               predict_token, semantic_enhance, total_loss)
@@ -292,6 +293,14 @@ def build_grad_cases(seed: int = 0):
              lambda terms=terms, weights=weights:
              ad.weighted_sum(terms, weights), terms)
 
+    # padded past the longest segment, as a relation-tuple encoder pass
+    # pads to the longest tuple of the whole set
+    x, ws = _param(rng, 5, 3), [_param(rng, 3, 3) for _ in range(3)]
+    case("segment_attention:[2, 3] d=3 scale=True width=6",
+         lambda x=x, ws=ws: _project(
+             ad.segment_attention(x, *ws, [2, 3], scale=True, width=6), 22),
+         [x] + ws)
+
     return cases
 
 
@@ -484,8 +493,26 @@ def build_composite_grad_cases(seed: int = 1):
     prepared = prepare_context([], [], np.zeros((0, 0)), tuples, vocab,
                                table.max_len)
     case("encode_relation_tuples:lengths 3+4+5 d=3 blocks=2 scale=True",
-         lambda table=table, blocks=blocks:
+         lambda table=table, blocks=blocks, prepared=prepared:
          _project(encode_relation_tuples(prepared, table, blocks), 35),
+         [table.token, table.position]
+         + [t for b in blocks for t in encoder_block_tensors(b)])
+
+    # past one encoder pass: 72 tuples of 3 rows and 6 of 5 (246 rows) make
+    # a first pass of 3-row tuples padded to 5 rows, then a mixed one
+    nodes, labels = "abcdef", ("near", "in")
+    vocab = Vocabulary([*nodes, *labels])
+    tuples = [RelationTuple(t) for t in product(nodes, labels, nodes)]
+    tuples += [RelationTuple(("a", "near", n, "in", "b")) for n in nodes]
+    table = EmbeddingTable(_param(rng, len(vocab), 3), _param(rng, 5, 3))
+    blocks = tuple(make_encoder_block(rng, 3, 4, scale=True)
+                   for _ in range(2))
+    prepared = prepare_context([], [], np.zeros((0, 0)), tuples, vocab,
+                               table.max_len)
+    assert sum(prepared.tuple_lengths) > TUPLE_PASS_ROWS
+    case("encode_relation_tuples:72x3+6x5 rows, two passes d=3 blocks=2",
+         lambda table=table, blocks=blocks, prepared=prepared:
+         _project(encode_relation_tuples(prepared, table, blocks), 36),
          [table.token, table.position]
          + [t for b in blocks for t in encoder_block_tensors(b)])
 

@@ -134,10 +134,12 @@ def test_cross_attention_equals_chain_formula_bit_for_bit(n_q, n_k, d, scale,
     np.testing.assert_array_equal(weights.data, want_weights)
 
 
-def _chain_segment_attention(q, k, v, lengths, scale):
+def _chain_segment_attention(q, k, v, lengths, scale, width=None):
     """The segmented kernel over already projected rows: segments padded
-    to G x L x D, batched matmuls, padded keys at -inf, row softmax."""
-    g_count, width, d = len(lengths), max(lengths), q.shape[1]
+    to G x L x D (L the longest segment, or ``width``), batched matmuls,
+    padded keys at -inf, row softmax."""
+    g_count, d = len(lengths), q.shape[1]
+    width = max(lengths) if width is None else width
     starts = np.cumsum([0] + list(lengths))[:-1]
     pads = []
     for a in (q, k, v):
@@ -173,6 +175,22 @@ def test_segment_attention_equals_chain_formula_bit_for_bit(lengths, d,
     np.testing.assert_array_equal(
         out.data, _chain_segment_attention(x @ w_q, x @ w_k, x @ w_v,
                                            lengths, scale))
+
+
+@pytest.mark.parametrize("lengths,width", [([3], 5), ([2, 5, 1, 3], 8),
+                                          ([4, 4], 11)])
+def test_segment_attention_pads_to_a_given_width(lengths, width):
+    """A width past the longest segment: the chain formula padded to that
+    width, bit for bit."""
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((sum(lengths), 8))
+    w_q, w_k, w_v = (rng.standard_normal((8, 8)) for _ in range(3))
+    out = ad.segment_attention(ad.Tensor(x), ad.Tensor(w_q), ad.Tensor(w_k),
+                               ad.Tensor(w_v), lengths, scale=True,
+                               width=width)
+    np.testing.assert_array_equal(
+        out.data, _chain_segment_attention(x @ w_q, x @ w_k, x @ w_v,
+                                           lengths, True, width))
 
 
 def _leaves(rng, *shapes):
@@ -603,6 +621,8 @@ def test_misc_validation():
         ad.segment_attention(x, w, w, w, [0, 3])
     with pytest.raises(ValueError):
         ad.segment_attention(x, w, w, ad.Tensor(np.zeros((3, 3))), [3])
+    with pytest.raises(ValueError):
+        ad.segment_attention(x, w, w, w, [1, 2], width=1)
     with pytest.raises(ValueError):
         ad.embed(w, w, [0], [2])
     with pytest.raises(ValueError):

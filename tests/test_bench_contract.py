@@ -171,6 +171,14 @@ def test_benchmark_output_checks_pass_on_a_tiny_model(checks_module, corpus):
     assert checks_module.check_gradients(model, syn.pairs[0]) is None
 
 
+def test_reference_beam_floors_log_probabilities_like_the_decoder(
+        checks_module):
+    """``check_beam``'s reference beam keeps its own copy of the floor under
+    its log-probabilities. A decoder floor that moved alone would score
+    hypotheses differently and mark correct replies incorrect."""
+    assert checks_module.LOG_FLOOR == decoder.LOG_FLOOR
+
+
 def _dead_end_adjacency(seed=0):
     """12 entities with 0-3 attributes each, valued by entities or by
     three plain values that head no edge: many paths end early, and

@@ -398,6 +398,66 @@ class TestEncodeRelationTuples:
             T_h.data, _np_tuple_rows(tuples, vocab, table, blocks, scale),
             rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("lengths,passes", [
+        ([96, 96], [[96, 96]]),
+        ([96, 97], [[96], [97]]),
+        ([100, 200, 50, 150, 10, 20], [[100], [200], [50], [150, 10, 20]]),
+    ])
+    def test_passes_hold_whole_tuples_of_at_most_the_bound(
+            self, rng, monkeypatch, lengths, passes):
+        """Each ``encode`` call takes whole tuples of at most
+        ``TUPLE_PASS_ROWS`` rows in all (a longer tuple alone), padded to
+        the longest tuple of the set."""
+        assert composer.TUPLE_PASS_ROWS == 192
+        seen = []
+        real_encode = composer.encode
+
+        def spy(E, blocks, lengths=None, width=None):
+            seen.append((list(lengths), width, E.shape[0]))
+            return real_encode(E, blocks, lengths, width)
+
+        monkeypatch.setattr(composer, "encode", spy)
+        rows = sum(lengths)
+        prepared = composer.PreparedContext(
+            [], [], np.zeros((0, 0)), [],
+            [int(i) for i in rng.integers(0, 13, size=rows)],
+            [p for n in lengths for p in range(n)], lengths)
+        table = EmbeddingTable(Tensor(rng.normal(size=(13, D))),
+                               Tensor(rng.normal(size=(max(lengths), D))))
+        T_h = encode_relation_tuples(prepared, table,
+                                     (make_encoder_block(rng, D, 6),))
+        assert T_h.shape == (len(lengths), D)
+        assert seen == [(p, max(lengths), sum(p)) for p in passes]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_passes_keep_the_bits_of_one_encoder_call(self, seed):
+        """Mixed-length tuple sets of three or more passes give T_h the
+        bits of one ``encode`` over all tuples. Widths are multiples of 8:
+        where a product's output width is not, OpenBLAS's x86-64 kernels
+        can give a row bits that depend on the product's row count, so the
+        split alone would move the last bits."""
+        rng = np.random.default_rng(seed)
+        dim, n_blocks = 8 * int(rng.integers(1, 9)), seed % 3
+        vocab = Vocabulary(["near", "mall", "wisma", "atria", "domain",
+                            "the", "big"])
+        tuples = []
+        while sum(len(linearize_tuple(t)) for t in tuples) <= 400:
+            tuples.append(_chain(rng.choice(ORACLE_NODES,
+                                            size=rng.integers(2, 6))))
+        prepared = _prepared_tuples(tuples, vocab)
+        table = EmbeddingTable(Tensor(rng.normal(size=(len(vocab), dim))),
+                               Tensor(rng.normal(size=(20, dim))))
+        blocks = tuple(make_encoder_block(rng, dim, 8 * int(rng.integers(1, 9)),
+                                          scale=bool(seed % 2))
+                       for _ in range(n_blocks))
+        lengths = prepared.tuple_lengths
+        assert len(set(lengths)) > 1 and sum(lengths) > 2 * 192
+        E = ad.embed(table.token, table.position, prepared.tuple_ids,
+                     prepared.tuple_positions)
+        np.testing.assert_array_equal(
+            encode_relation_tuples(prepared, table, blocks).data,
+            ad.mean_rows(encode(E, blocks, lengths), lengths).data)
+
 
 class TestReorganizeRelations:
     def test_empty_raises(self, rng):
