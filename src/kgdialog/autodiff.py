@@ -3,9 +3,11 @@
 Every value is a rows x cols matrix. Operations record their inputs on the
 output tensor, so the compute graph of one forward pass lives in the tensor
 parent links; ``Tensor.backward`` replays it once in reverse topological
-order. A batch of sequences is one matrix whose rows run segment after
-segment, described by a list of segment lengths: ``segment_attention`` and
-``mean_rows`` work within each segment. Rank-3 arrays appear only inside
+order and releases it as it goes, so no activation of a graph outlives its
+backward pass and a second pass through the same graph raises. A batch of
+sequences is one matrix whose rows run segment after segment, described by
+a list of segment lengths: ``segment_attention`` and ``mean_rows`` work
+within each segment. Rank-3 arrays appear only inside
 ``segment_attention``, which pads the segments to a common length for its
 batched matmuls; there is no broadcasting beyond the row-vector biases and
 gains and ``gate``'s per-row weights.
@@ -82,8 +84,10 @@ def no_grad():
 class Tensor:
     """A rows x cols matrix of 64-bit reals, optionally tracking gradients.
 
-    ``grad`` is allocated lazily and accumulates across backward calls until
-    the owner resets it; repeated ``backward`` runs therefore add up.
+    ``grad`` is allocated lazily. A leaf's accumulates across backward
+    calls until the owner resets it, so the backward runs of repeated
+    forward passes add up; one graph can be walked only once (see
+    ``backward``).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
@@ -153,13 +157,31 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor that requires it."""
+        """Populate ``grad`` on every reachable leaf that requires it, and
+        release the graph on the way.
+
+        Nodes run in reverse topological order, each popped off the order
+        once its backward has run: it drops its parents and its backward
+        closure (with the arrays the closure holds), and an op output other
+        than this root drops its gradient too, so the graph's activations
+        go as the walk passes them. Leaves keep their gradients, which add
+        up across the graphs of repeated forward passes. A released graph
+        cannot be walked again: backward through it raises ValueError."""
         if self.shape != (1, 1):
             raise ValueError(f"backward() needs a 1x1 loss, got {self.shape}")
+        if self._backward is _released:
+            _released(None)
         self._accum(np.ones((1, 1)))
-        for node in reversed(topo_order(self)):
-            if node._backward is not None and node.grad is not None:
+        order = topo_order(self)
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents, node._backward = (), _released
+            if node is not self:
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -190,6 +212,13 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(g: np.ndarray | None) -> None:
+    """The backward closure that ``Tensor.backward`` leaves on each op
+    output it has walked."""
+    raise ValueError("backward through a graph that an earlier backward "
+                     "released; run the forward pass again")
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
     """An op output over ``data``, which the op has already made a 2-D
@@ -212,12 +241,13 @@ class ParamBuffer:
     Joining copies each tensor's values into ``values`` and rebinds its
     ``data`` to its view there, so code that writes parameters must write
     into ``t.data[...]``; ``cut`` makes new tensors over given values
-    instead. The flat gradient ``grads`` is made on
-    first use by ``collect_grads``, with ``scratch``, one ``BLOCK`` of work
-    space for whole-buffer updates, which run block by block over
-    ``spans()``; from then on each tensor's first gradient contribution of
-    a backward pass is copied into its view of ``grads``, and later ones
-    add there.
+    instead. The flat gradient ``grads`` is made by the first
+    ``collect_grads``, which an optimizer over the buffer calls when it is
+    built, so a training run has it from its first backward pass; with it
+    comes ``scratch``, one ``BLOCK`` of work space for whole-buffer
+    updates, which run block by block over ``spans()``. From then on each
+    tensor's first gradient contribution of a backward pass is copied into
+    its view of ``grads``, and later ones add there.
     ``release_grads`` drops both again. Two buffers never share memory.
     """
 

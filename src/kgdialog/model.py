@@ -40,6 +40,11 @@ from .regularizer import (LatentQuerySet, SemanticProjectionParams,
 INIT_SCALE = 0.08
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 CHECKPOINT_FORMAT = "kgdialog-checkpoint-v1"
+# The most tensors a model may have. Each costs a Python object of some
+# hundred bytes next to its values, so a plan of many tiny blocks would pass
+# the allocation and then spend seconds and hundreds of MB building tensors;
+# the default config plans 100.
+MAX_PARAM_TENSORS = 100_000
 
 
 def param_plan(vocab_size: int, feature_dim: int,
@@ -111,14 +116,18 @@ class ModelParams:
 def param_tree(vocab_size: int, feature_dim: int,
                cfg: TrainingConfig) -> ModelParams:
     """The parameters of a model of this shape, cut from one buffer of zeros
-    allocated at the plan's size (ValueError if it cannot be). ``init_params``
-    fills them with a seeded initialization, a checkpoint load with its own."""
-    runs, _, size = param_plan(vocab_size, feature_dim, cfg)
+    allocated at the plan's size (ValueError if it cannot be, or if the plan
+    has more than ``MAX_PARAM_TENSORS`` tensors). ``init_params`` fills them
+    with a seeded initialization, a checkpoint load with its own."""
+    runs, count, size = param_plan(vocab_size, feature_dim, cfg)
     try:
         values = np.zeros(size)
     except (MemoryError, ValueError) as exc:  # numpy's "array is too big"
         raise ValueError(f"a model of {size} parameter values is too large "
                          f"to allocate") from exc
+    if count > MAX_PARAM_TENSORS:
+        raise ValueError(f"a model of {count} parameter tensors is more than "
+                         f"the {MAX_PARAM_TENSORS} allowed")
     names, shapes = zip(*((pre.format(i) + name, (r, c)) for pre, n, run in runs
                           for i in range(n) for name, r, c in run))
     buffer = ad.ParamBuffer.cut(values, shapes)

@@ -40,16 +40,19 @@ class Adam:
     """Adam (Kingma & Ba) over one parameter buffer.
 
     ``params`` is a model's ``ParamBuffer`` or a sequence of standalone
-    tensors, which then join a new buffer. The two moments are flat arrays
-    too, and live as long as the optimizer. A step runs the update's
-    numpy calls block by block over the buffer (see ``ParamBuffer``), in
-    the buffer's scratch block and the consumed gradient.
+    tensors, which then join a new buffer. The buffer's flat gradient is
+    made here, so the first backward pass already accumulates into it. The
+    two moments are flat arrays too, and live as long as the optimizer. A
+    step runs the update's numpy calls block by block over the buffer (see
+    ``ParamBuffer``), in the buffer's scratch block and the consumed
+    gradient.
     """
 
     def __init__(self, params: ad.ParamBuffer | Sequence[ad.Tensor],
                  learning_rate: float):
         if not isinstance(params, ad.ParamBuffer):
             params = ad.ParamBuffer(params)
+        params.collect_grads()
         self.params = params
         self.learning_rate = float(learning_rate)
         self.step_count = 0
@@ -130,6 +133,11 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
 
     Every pair's decoder prefix (the start marker plus the response) must
     fit the position table; this is checked before the first update.
+
+    Memory is one pair's graph plus one flat gradient: each pair's
+    ``backward`` releases that pair's graph before the next pair's forward
+    pass is built, and the optimizer makes the flat gradient before the
+    first backward, which accumulates straight into it.
 
     Work that does not change between updates is done once:
 

@@ -430,6 +430,43 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_array_equal(x.grad, 2 * first)
 
 
+def test_backward_twice_through_one_graph_raises():
+    """The first backward releases the graph; a second from the same root,
+    or from a new root over one of its op outputs, raises instead of
+    adding to the root's gradient alone. A leaf root may run again."""
+    x = ad.Tensor([[2.0]], requires_grad=True)
+    h = mul(x, x)
+    loss = sum_all(h)
+    loss.backward()
+    with pytest.raises(ValueError, match="released"):
+        loss.backward()
+    with pytest.raises(ValueError, match="released"):
+        sum_all(h).backward()
+    assert x.grad[0, 0] == 4.0 and loss.grad[0, 0] == 1.0
+    x.backward()
+    x.backward()
+    assert x.grad[0, 0] == 6.0
+
+
+def test_backward_releases_op_outputs_and_keeps_leaf_gradients():
+    """After backward every op output has dropped its parents, its closure
+    and, the root aside, its gradient; the leaves keep theirs."""
+    rng = np.random.default_rng(11)
+    x = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    b = ad.Tensor(np.zeros((1, 2)), requires_grad=True)
+    h = ad.linear(x, w, b)
+    loss = sum_all(mul(h, h))
+    ops = [n for n in ad.topo_order(loss) if n._backward is not None]
+    assert len(ops) == 3
+    loss.backward()
+    for node in ops:
+        assert node._parents == () and node._backward is ad._released
+        assert (node.grad is None) == (node is not loss)
+    np.testing.assert_array_equal(w.grad, x.data.T @ (2.0 * h.data))
+    assert x.grad is not None and b.grad is not None
+
+
 def test_gradients_reaching_two_parents_do_not_alias():
     """add hands one upstream array to both parents; each must keep its
     own copy, so changing one gradient leaves the other as it was."""

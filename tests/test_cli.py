@@ -545,6 +545,8 @@ def _image_row(ws, value):
     return [value] + [0.5] * (width - 1)
 
 
+TINY_TENSORS = {"dim": 2, "mlp_hidden": 1, "enc_blocks": 100_000}
+
 # Each builds the argv of one command given a document of the wrong JSON
 # type, a non-finite number or a size beyond any allocation; ``w(name,
 # doc)`` writes the document and returns its path.
@@ -654,6 +656,14 @@ MALFORMED = {
     "checkpoint feature_dim 1e13":
         lambda ws, w: _generate(ws, w("k.json", _checkpoint(
             ws, feature_dim=10**13))),
+    # 1.1M tensors of a few values each: an allocation of 21 MiB, but a
+    # Python object per tensor
+    "train config of 1.1M tiny tensors":
+        lambda ws, w: ["train", "--data", str(ws["bundle"]), "--epochs", "1",
+                       "--config", w("cfg.json", TINY_TENSORS)],
+    "checkpoint config of 1.1M tiny tensors":
+        lambda ws, w: _generate(ws, w("k.json", _with_config(
+            ws, **TINY_TENSORS))),
 }
 
 

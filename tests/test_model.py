@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import address_space_cap, dense_adjacency, kb_of
+from helpers import address_space_cap, dense_adjacency, kb_of, \
+    max_rel_error
 from kgdialog import autodiff as ad
 from kgdialog import model as model_module
 from kgdialog.acquire import DialogContext, acquire_text_attributes, tokenize
@@ -366,6 +367,31 @@ class TestDialogModel:
         ops = [n for n in ad.topo_order(loss) if n._backward is not None]
         assert len(ops) <= 45
 
+    def test_backward_frees_the_pair_graph(self, model):
+        """Once ``loss.backward()`` has run, every op output of the pair's
+        graph below the loss (the composed ``T_c`` among them) is collected
+        while ``loss`` is still held, and the parameter gradients of that
+        backward pass the finite-difference check. Tensors take no weak
+        references, so each op output is watched through its values, which
+        it holds."""
+        loss, _ = model.loss_pair(CTX, RESPONSE)
+        ops = [weakref.ref(n.data) for n in ad.topo_order(loss)
+               if n._backward is not None and n is not loss]
+        assert len(ops) > 40
+        loss.backward()
+        gc.collect()
+        assert [r() for r in ops if r() is not None] == []
+        assert loss.grad[0, 0] == 1.0
+        named = model.params.named()
+        checked = [named[n] for n in ("fusion.a", "head.b_y",
+                                      "encoder.0.ln1.gain", "latent.queries")]
+        grads = [t.grad.copy() for t in checked]
+        err = max_rel_error(lambda: model.loss_pair(CTX, RESPONSE)[0],
+                            checked)
+        assert err < 1e-4
+        for t, g in zip(checked, grads):
+            np.testing.assert_array_equal(t.grad, g)
+
     def test_loss_pair_takes_cross_entropy_from_the_head_logits(self, model):
         """The cross-entropy node's one parent is the output head's linear
         node, and no softmax node is in the training graph."""
@@ -506,6 +532,25 @@ CONFIG_INTS = [f.name for f in dataclasses.fields(TrainingConfig)
 @pytest.fixture(scope="module")
 def small_doc(vocab, kb):
     return json.loads(json.dumps(checkpoint_doc(build_model(vocab, kb, CFG))))
+
+
+def test_tensor_count_past_the_limit_is_refused_before_any_tensor(
+        monkeypatch):
+    """A plan of many tiny blocks fits its allocation but not the tensor
+    limit: ``param_tree`` names the count and cuts no tensor."""
+    cfg = TrainingConfig(dim=2, mlp_hidden=1, enc_blocks=100_000)
+    _, count, _ = param_plan(9, 0, cfg)
+    assert count > model_module.MAX_PARAM_TENSORS
+    _, default_count, _ = param_plan(9, 0, TrainingConfig())
+    assert default_count * 100 < model_module.MAX_PARAM_TENSORS
+
+    def cut(*args):
+        raise AssertionError("tensors were made")
+
+    monkeypatch.setattr(ad.ParamBuffer, "cut", cut)
+    with pytest.raises(ValueError, match=f"a model of {count} parameter "
+                                         f"tensors is more than"):
+        param_tree(9, 0, cfg)
 
 
 @given(st.dictionaries(st.sampled_from(CONFIG_INTS),

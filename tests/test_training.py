@@ -352,6 +352,31 @@ class TestTrain:
         assert all(t.grad is None and t._gview is None
                    for t in model.params.all_tensors())
 
+    def test_first_backward_accumulates_into_the_flat_gradient(
+            self, tiny, monkeypatch):
+        """The optimizer makes the flat gradient before the run's first
+        backward, so right after it every reached parameter's gradient is
+        its view of ``ParamBuffer.grads``: no array of its own, no copy."""
+        model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
+        buf = model.params.buffer
+        after_first = []
+        backward = ad.Tensor.backward
+
+        def spy(loss):
+            backward(loss)
+            if not after_first:
+                after_first.append((buf.grads, [
+                    (t.grad, t._gview) for t in buf.tensors
+                    if t.grad is not None]))
+
+        monkeypatch.setattr(ad.Tensor, "backward", spy)
+        train_model(model, tiny.pairs[:2], FAST.replace(epochs=1),
+                    log_every=0)
+        ((flat, reached),) = after_first
+        assert flat is not None and len(reached) > len(buf.tensors) // 2
+        for grad, view in reached:
+            assert grad is view and grad.base is flat
+
     def test_response_past_position_table_rejected_before_any_update(
             self, tiny):
         cfg = FAST.replace(epochs=1, batch_size=1, max_seq_len=8,
