@@ -3,8 +3,9 @@
 Every value is a rows x cols matrix. Operations record their inputs on the
 output tensor, so the compute graph of one forward pass lives in the tensor
 parent links; ``Tensor.backward`` replays it once in reverse topological
-order and releases it as it goes, so no activation of a graph outlives its
-backward pass and a second pass through the same graph raises. A batch of
+order and releases it as it goes, so the graph's activations are freed
+during its backward pass unless the caller holds them, and a second pass
+through the same graph raises. A batch of
 sequences is one matrix whose rows run segment after segment, described by
 a list of segment lengths: ``segment_attention`` and ``mean_rows`` work
 within each segment. Rank-3 arrays appear only inside
@@ -169,7 +170,7 @@ class Tensor:
         cannot be walked again: backward through it raises ValueError."""
         if self.shape != (1, 1):
             raise ValueError(f"backward() needs a 1x1 loss, got {self.shape}")
-        if self._backward is _released:
+        if self._backward is _released:  # a root walked before: raises
             _released(None)
         self._accum(np.ones((1, 1)))
         order = topo_order(self)
