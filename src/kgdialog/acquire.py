@@ -253,6 +253,10 @@ def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
     reach a node able to end one (``KnowledgeGraph.dead_end_reach``), so
     on a graph whose nodes all have more than ``max_hops`` out-neighbours
     a capped walk reads at most ``max_tuples * max_hops`` adjacency lists.
+
+    A simple path has at most one edge fewer than the graph has nodes, and
+    a path that long ends at a dead end, so the walk's budget is
+    ``max_hops`` clamped to that: a larger one yields the same tuples.
     """
     starts = []
     for seed in sorted(set(seeds)):
@@ -260,7 +264,10 @@ def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
             logger.warning("walk_relations: seed %r is not a graph node", seed)
             continue
         starts.append(seed)
-    paths = _ranked_paths(graph, starts, cfg.max_hops)
+    hops = min(cfg.max_hops, len(graph.nodes) - 1)
+    if hops < 1:  # a one-node graph has no simple path with an edge
+        return set()
+    paths = _ranked_paths(graph, starts, hops)
     return {RelationTuple(p) for p in islice(paths, cfg.max_tuples)}
 
 

@@ -39,12 +39,13 @@ kernels on plain arrays (``_softmax``, ``_layer_norm_rows``, ``_mlp``),
 which the decoder's cached inference steps call directly, so a step builds
 no node and computes the same bits as the graph ops.
 
-Trainable leaves live in a ``ParamBuffer``: their values are views into one
-flat array and their gradients accumulate into views of a second, so the
-optimizer and the ``squared_norm`` penalty each work on the whole buffer in
-a few numpy calls. Table lookups (``embed``, ``take_rows``) add their row
-gradients into the table's gradient in place. The only module state is the
-``no_grad`` switch, which is per thread.
+Trainable leaves are made by a ``ParamBuffer``, which cuts them from one
+flat array: their values are views into it and their gradients accumulate
+into views of a second, so the optimizer and the ``squared_norm`` penalty
+each work on the whole buffer in a few numpy calls. Table lookups
+(``embed``, ``take_rows``) add their row gradients into the table's
+gradient in place. The only module state is the ``no_grad`` switch, which
+is per thread.
 """
 from __future__ import annotations
 
@@ -239,46 +240,26 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
 class ParamBuffer:
     """Trainable leaf tensors stored back to back in one flat array.
 
-    Joining copies each tensor's values into ``values`` and rebinds its
-    ``data`` to its view there, so code that writes parameters must write
-    into ``t.data[...]``; ``cut`` makes new tensors over given values
-    instead. The flat gradient ``grads`` is made by the first
+    ``ParamBuffer(values, shapes)`` makes one new trainable tensor per
+    shape, each a view of ``values`` in turn, so writes through a tensor's
+    ``data[...]`` reach the flat values and no tensor can sit in two
+    buffers. The flat gradient ``grads`` is made by the first
     ``collect_grads``, which an optimizer over the buffer calls when it is
     built, so a training run has it from its first backward pass; with it
     comes ``scratch``, one ``BLOCK`` of work space for whole-buffer
     updates, which run block by block over ``spans()``. From then on each
     tensor's first gradient contribution of a backward pass is copied into
     its view of ``grads``, and later ones add there.
-    ``release_grads`` drops both again. Two buffers never share memory.
+    ``release_grads`` drops both again.
     """
 
     __slots__ = ("tensors", "shapes", "values", "grads", "scratch")
 
-    def __init__(self, tensors: Sequence[Tensor]):
-        self.tensors = tuple(tensors)
-        for i, t in enumerate(self.tensors):
-            if not t.requires_grad:
-                raise ValueError(f"ParamBuffer: tensor {i} does not "
-                                 f"require gradients")
-            if t.data.base is not None:
-                raise ValueError(f"ParamBuffer: tensor {i}'s values are a "
-                                 f"view of another array (a ParamBuffer's, "
-                                 f"say); give it an array of its own")
-        self.shapes = [t.shape for t in self.tensors]
-        self.values = np.zeros(sum(t.data.size for t in self.tensors))
+    def __init__(self, values: np.ndarray, shapes):
+        self.values, self.shapes = values, list(shapes)
+        self.tensors = tuple(Tensor(v, True) for v in self._views(values))
         self.grads: np.ndarray | None = None
         self.scratch: np.ndarray | None = None
-        for t, view in zip(self.tensors, self._views(self.values)):
-            view[...] = t.data
-            t.data = view
-
-    @classmethod
-    def cut(cls, values: np.ndarray, shapes) -> "ParamBuffer":
-        """New trainable tensors of ``shapes``, views of ``values`` in turn."""
-        buf = cls(())
-        buf.values, buf.shapes = values, list(shapes)
-        buf.tensors = tuple(Tensor(v, True) for v in buf._views(values))
-        return buf
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         ends = np.cumsum([r * c for r, c in self.shapes], dtype=np.int64)

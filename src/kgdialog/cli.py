@@ -12,7 +12,9 @@ is a bad flag, an unreadable file, or a document its one reader rejects
 (``kb_from_doc``, ``read_corpus``, ``DialogContext.from_utterances``,
 ``model_from_doc``, ``TrainingConfig.from_dict``): malformed or too deeply
 nested JSON, a missing key, a wrong JSON type or a value out of range.
-Diagnostics go to stderr; data goes to stdout or --out.
+Every command reads a knowledge base through ``kb_from_doc``, and an error
+in one names the file it came from. Diagnostics go to stderr; data goes to
+stdout or --out.
 Where it makes sense, commands also read/write a "bundle" document
 ``{"kb": ..., "corpus": ..., "checkpoint": ...}`` so that
 ``synth | train | evaluate`` composes over pipes.
@@ -33,7 +35,7 @@ from .acquire import (AcquisitionConfig, DialogContext, acquire_attributes,
 from .config import TrainingConfig
 from .corpus import (make_synthetic_corpus, pair_from_record, read_corpus,
                      save_corpus_records, save_kb_doc)
-from .kb import build_graph, decode_json, kb_from_doc, parse_kb
+from .kb import build_graph, decode_json, kb_from_doc
 from .model import checkpoint_doc, model_from_doc, save_checkpoint
 from .training import TrainingDiverged, evaluate, train
 
@@ -160,7 +162,7 @@ def _resolve_kb_corpus(args, need_model: bool):
                           if getattr(args, "corpus", None) else ([], []))
         if getattr(args, "checkpoint", None):
             checkpoint = _load_json(args.checkpoint)
-    kb = kb_from_doc(kb_doc)
+    kb = _in_document(args.data or args.kb, kb_from_doc, kb_doc)
     model = None
     if need_model:
         if checkpoint is None:
@@ -238,7 +240,7 @@ def _add_io_flags(sp: argparse.ArgumentParser, model: bool = False,
 # ----------------------------------------------------------------- commands
 
 def _cmd_ingest(args) -> int:
-    kb = parse_kb(_read_text(args.kb))
+    kb = _in_document(args.kb, kb_from_doc, _load_json(args.kb))
     graph = build_graph(kb)
     _emit_json({
         "entities": len(kb),
@@ -251,7 +253,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    kb = parse_kb(_read_text(args.kb))
+    kb = _in_document(args.kb, kb_from_doc, _load_json(args.kb))
     graph = build_graph(kb)
     cfg = AcquisitionConfig(max_hops=args.hops, max_tuples=args.max_tuples)
     tuples = walk_relations(graph, args.seed, cfg)
@@ -262,7 +264,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    kb = parse_kb(_read_text(args.kb))
+    kb = _in_document(args.kb, kb_from_doc, _load_json(args.kb))
     ctx = _context_from_args(args)
     knowledge = acquire_attributes(ctx, kb,
                                    AcquisitionConfig(epsilon=args.epsilon))

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 from .acquire import AcquisitionConfig
-from .decoder import LossWeights
 
 
 @dataclass(frozen=True)
@@ -14,7 +13,10 @@ class TrainingConfig:
     """All knobs for building and training a model.
 
     ``mlp_hidden`` of None means 2 * dim. ``lam``/``gamma``/``beta`` weight
-    the cross-entropy, regularization, and parameter-penalty loss terms.
+    the cross-entropy, regularization, and parameter-penalty loss terms of
+    the objective L = lam * L_CE + gamma * L_r + beta * ||params||^2
+    (``decoder.total_loss``); each is finite and non-negative, and not all
+    are zero.
     ``use_relations`` switches the relation-knowledge pipeline off for the
     ablation configuration, and ``attn_scale`` enables 1/sqrt(D) attention
     scaling (off by default: the attention here is plain softmax(QK^T)V).
@@ -55,7 +57,14 @@ class TrainingConfig:
         if self.mlp_hidden is not None and self.mlp_hidden < 1:
             raise ValueError("mlp_hidden must be >= 1 or None")
         AcquisitionConfig(self.epsilon, self.max_hops, self.max_tuples)
-        LossWeights(self.lam, self.gamma, self.beta)
+        for name in ("lam", "gamma", "beta"):
+            value = getattr(self, name)
+            # written so that NaN fails too: every comparison with it is false
+            if not 0 <= value < math.inf:
+                raise ValueError(f"loss weight {name} must be finite and "
+                                 f"non-negative, got {value!r}")
+        if self.lam == self.gamma == self.beta == 0:
+            raise ValueError("at least one loss weight must be positive")
         if not 0 < self.learning_rate < math.inf:  # false for NaN too
             raise ValueError(f"learning_rate must be finite and positive, "
                              f"got {self.learning_rate!r}")

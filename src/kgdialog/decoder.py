@@ -44,6 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .composer import AttentionParams, EmbeddingTable, MlpParams, Vocabulary
+from .config import TrainingConfig
 
 
 @dataclass
@@ -86,25 +87,6 @@ class DecoderParams:
     blocks: tuple[DecoderBlockParams, ...]
     enhance: SemanticEnhanceParams
     head: OutputHead
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Objective weights: L = lam * L_CE + gamma * L_r + beta * ||params||^2."""
-
-    lam: float = 1.0
-    gamma: float = 0.1
-    beta: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("lam", "gamma", "beta"):
-            value = getattr(self, name)
-            # written so that NaN fails too: every comparison with it is false
-            if not 0 <= value < math.inf:
-                raise ValueError(f"loss weight {name} must be finite and "
-                                 f"non-negative, got {value!r}")
-        if self.lam == self.gamma == self.beta == 0:
-            raise ValueError("at least one loss weight must be positive")
 
 
 def decode_states(T_c: Tensor, E_k: Tensor, E_y: Tensor,
@@ -291,22 +273,22 @@ def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
 
 
 def total_loss(l_ce: Tensor, l_r: Tensor, params: ad.ParamBuffer,
-               w: LossWeights, penalty: float | None = None) -> Tensor:
-    """The combined objective: lam * L_CE + gamma * L_r + beta * penalty,
-    where the penalty is the summed squared entries of every parameter in
-    the buffer, as one ``weighted_sum`` node over the two loss terms and
-    (when beta > 0) one ``squared_norm`` node. The penalty node has no
-    parents, so its backward runs after every other contribution to the
-    parameters.
+               cfg: TrainingConfig, penalty: float | None = None) -> Tensor:
+    """The combined objective with ``cfg``'s weights: lam * L_CE +
+    gamma * L_r + beta * penalty, where the penalty is the summed squared
+    entries of every parameter in the buffer, as one ``weighted_sum`` node
+    over the two loss terms and (when beta > 0) one ``squared_norm`` node.
+    The penalty node has no parents, so its backward runs after every other
+    contribution to the parameters.
 
     ``penalty`` is ``params.norm_sq()`` when the caller holds it already
     and adds the penalty's gradient itself (``train_model`` does both once
     per optimizer step). The penalty is then a constant of the graph: the
     objective's value is the same bits, and no gradient flows from it."""
-    if w.beta == 0:
-        return ad.weighted_sum((l_ce, l_r), (w.lam, w.gamma))
+    if cfg.beta == 0:
+        return ad.weighted_sum((l_ce, l_r), (cfg.lam, cfg.gamma))
     norm = ad.squared_norm(params) if penalty is None else Tensor([[penalty]])
-    return ad.weighted_sum((l_ce, l_r, norm), (w.lam, w.gamma, w.beta))
+    return ad.weighted_sum((l_ce, l_r, norm), (cfg.lam, cfg.gamma, cfg.beta))
 
 
 def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,

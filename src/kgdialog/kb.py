@@ -286,6 +286,8 @@ class KnowledgeGraph:
             for hops in range(1, max_hops):
                 level = {head for node in level
                          for head in into.get(node, ())} - found.keys()
+                if not level:
+                    break
                 found.update(dict.fromkeys(level, hops))
             reach = self._dead_end_reach[max_hops] = MappingProxyType(found)
         return reach

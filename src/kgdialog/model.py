@@ -29,9 +29,9 @@ from .composer import (AttentionParams, ComposedRepresentation,
                        Vocabulary, compose, linearize_attributes,
                        prepare_context)
 from .config import TrainingConfig
-from .decoder import (DecoderBlockParams, DecoderParams, LossWeights,
-                      OutputHead, SemanticEnhanceParams, decode_states,
-                      generate, predict_token, semantic_enhance, total_loss)
+from .decoder import (DecoderBlockParams, DecoderParams, OutputHead,
+                      SemanticEnhanceParams, decode_states, generate,
+                      predict_token, semantic_enhance, total_loss)
 from .kb import KnowledgeBase, build_graph, decode_json
 from .regularizer import (LatentQuerySet, SemanticProjectionParams,
                           encode_ground_truth, project_semantic,
@@ -109,9 +109,6 @@ class ModelParams:
         """Flat name -> tensor map in ``param_plan`` order."""
         return dict(self._named)
 
-    def all_tensors(self) -> list[Tensor]:
-        return list(self.buffer.tensors)
-
 
 def param_tree(vocab_size: int, feature_dim: int,
                cfg: TrainingConfig) -> ModelParams:
@@ -130,7 +127,7 @@ def param_tree(vocab_size: int, feature_dim: int,
                          f"the {MAX_PARAM_TENSORS} allowed")
     names, shapes = zip(*((pre.format(i) + name, (r, c)) for pre, n, run in runs
                           for i in range(n) for name, r, c in run))
-    buffer = ad.ParamBuffer.cut(values, shapes)
+    buffer = ad.ParamBuffer(values, shapes)
     p = iter(buffer.tensors).__next__  # each call: the plan's next tensor
 
     def attn():
@@ -280,7 +277,6 @@ class DialogModel:
         self.acq = AcquisitionConfig(epsilon=cfg.epsilon,
                                      max_hops=cfg.max_hops,
                                      max_tuples=cfg.max_tuples)
-        self.weights = LossWeights(cfg.lam, cfg.gamma, cfg.beta)
 
     # ----------------------------------------------------------- acquisition
 
@@ -385,8 +381,7 @@ class DialogModel:
         l_ce = ad.cross_entropy_loss(ad.linear(z_hat, head.w_y, head.b_y),
                                      targets)
         l_r = regularization_loss(T_r_sem, T_c_sem)
-        loss = total_loss(l_ce, l_r, self.params.buffer, self.weights,
-                          penalty)
+        loss = total_loss(l_ce, l_r, self.params.buffer, self.cfg, penalty)
         parts = {"ce": l_ce.item(), "reg": l_r.item(), "total": loss.item()}
         return loss, parts
 

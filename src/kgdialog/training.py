@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ class TrainingDiverged(RuntimeError):
 class Adam:
     """Adam (Kingma & Ba) over one parameter buffer.
 
-    ``params`` is a model's ``ParamBuffer`` or a sequence of standalone
-    tensors, which then join a new buffer. The buffer's flat gradient is
+    ``params`` is a model's ``ParamBuffer``. The buffer's flat gradient is
     made here, so the first backward pass already accumulates into it. The
     two moments are flat arrays too, and live as long as the optimizer. A
     step runs the update's numpy calls block by block over the buffer (see
@@ -48,10 +46,7 @@ class Adam:
     gradient.
     """
 
-    def __init__(self, params: ad.ParamBuffer | Sequence[ad.Tensor],
-                 learning_rate: float):
-        if not isinstance(params, ad.ParamBuffer):
-            params = ad.ParamBuffer(params)
+    def __init__(self, params: ad.ParamBuffer, learning_rate: float):
         params.collect_grads()
         self.params = params
         self.learning_rate = float(learning_rate)
@@ -92,9 +87,6 @@ class Adam:
             np.divide(g, s, out=s, where=w)
             np.subtract(p, s, out=p, where=w)
         params.zero_grad()
-
-    def zero_grad(self) -> None:
-        self.params.zero_grad()
 
 
 @dataclass
@@ -160,14 +152,14 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
                 f"decoder positions (start marker included), but "
                 f"max_seq_len is {limit}")
     prepared = [model.prepare(pair.context) for pair in pairs]
-    params, beta = model.params.buffer, model.weights.beta
+    params, beta = model.params.buffer, model.cfg.beta
     optimizer = Adam(params, cfg.learning_rate)
     result = TrainResult(model=model)
     started = time.monotonic()
     try:
         for epoch in range(cfg.epochs):
             epoch_total = 0.0
-            optimizer.zero_grad()
+            params.zero_grad()
             pending, penalty = 0, None
             for index, pair in enumerate(pairs):
                 if beta > 0 and penalty is None:

@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking, a
-generated dense knowledge graph, and a cap on the process's memory.
+"""Shared test utilities: finite-difference gradient checking, parameter
+buffers built from arrays, a generated dense knowledge graph, and a cap on
+the process's memory.
 
 The case lists below are the single source of truth for "every op, at three
 or more distinct shapes" — both the unit tests and the acceptance suite
@@ -23,7 +24,8 @@ from kgdialog.composer import (TUPLE_PASS_ROWS, AttentionParams,
                                FusionParams, MlpParams, Vocabulary,
                                compose_attributes, encode_relation_tuples,
                                fuse, prepare_context, reorganize_relations)
-from kgdialog.decoder import (DecoderBlockParams, LossWeights, OutputHead,
+from kgdialog.config import TrainingConfig
+from kgdialog.decoder import (DecoderBlockParams, OutputHead,
                               SemanticEnhanceParams, decode_states,
                               predict_token, semantic_enhance, total_loss)
 from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
@@ -32,6 +34,13 @@ from kgdialog.regularizer import (LatentQuerySet, SemanticProjectionParams,
 
 EPS = 1e-5
 DENOM_FLOOR = 1e-6
+
+
+def param_buffer(arrays) -> ad.ParamBuffer:
+    """A buffer whose tensors hold copies of the 2-D ``arrays``, in order."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    values = np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)])
+    return ad.ParamBuffer(values, [a.shape for a in arrays])
 
 
 def max_rel_error(f, params, eps: float = EPS) -> float:
@@ -249,9 +258,9 @@ def build_grad_cases(seed: int = 0):
              _project(ad.gate(x, y, s_x, s_y)[0], 24), [x, y, s_x, s_y])
 
     for shapes, xs in norm_inputs:
-        buf = ad.ParamBuffer(xs)
+        buf = param_buffer([x.data for x in xs])
         case(f"squared_norm:{shapes}", lambda buf=buf: ad.squared_norm(buf),
-             xs)
+             list(buf.tensors))
 
     for lengths, d, scaled, x in segment_inputs:
         ws = [_param(rng, d, d) for _ in range(3)]
@@ -462,25 +471,27 @@ def build_composite_grad_cases(seed: int = 1):
              [z_hat, head.w_y, head.b_y])
 
     # total_loss: weighted sum with the parameter-norm penalty
-    for i, (steps, v, d, weights) in enumerate(
-            [(1, 3, 2, LossWeights(1.0, 0.1, 1e-3)),
-             (2, 4, 3, LossWeights(0.5, 1.0, 0.0)),
-             (3, 2, 2, LossWeights(2.0, 0.0, 1e-2))]):
+    for i, (steps, v, d, lam, gamma, beta) in enumerate(
+            [(1, 3, 2, 1.0, 0.1, 1e-3),
+             (2, 4, 3, 0.5, 1.0, 0.0),
+             (3, 2, 2, 2.0, 0.0, 1e-2)]):
+        cfg = TrainingConfig(lam=lam, gamma=gamma, beta=beta)
         logits = _param(rng, steps, v)
         targets = [int(t) for t in rng.integers(0, v, size=steps)]
         a, b = _param(rng, d, d), _param(rng, d, d)
         # ``a`` is both regularized and penalized: its gradient sums both
         extra = [_param(rng, 2, d), _param(rng, 1, d)]
-        penalized = ad.ParamBuffer(extra + [a])
+        penalized = param_buffer([t.data for t in extra + [a]])
+        *extra, a = penalized.tensors
 
         def loss_fn(logits=logits, targets=targets, a=a, b=b,
-                    penalized=penalized, weights=weights):
+                    penalized=penalized, cfg=cfg):
             l_ce = ad.cross_entropy_loss(logits, targets)
             l_r = ad.frobenius_distance_sq(a, b)
-            return total_loss(l_ce, l_r, penalized, weights)
+            return total_loss(l_ce, l_r, penalized, cfg)
 
-        case(f"total_loss:{steps}steps V={v} {weights}", loss_fn,
-             [logits, a, b] + extra)
+        case(f"total_loss:{steps}steps V={v} lam={lam} gamma={gamma} "
+             f"beta={beta}", loss_fn, [logits, a, b] + extra)
 
     # encode_relation_tuples: every tuple in one segmented encoder pass
     vocab = Vocabulary(["a", "b", "c", "near", "in"])

@@ -550,6 +550,26 @@ def test_capped_walk_work_is_bounded_by_prefixes():
         _capped_oracle(g, {"n00"}, hops, cap)
 
 
+@pytest.mark.parametrize("cap", [None, 1])
+def test_walk_work_stops_growing_at_the_longest_simple_path(cap):
+    """A budget past the graph's longest possible simple path (one edge
+    fewer than its nodes) reads the adjacency lists that budget reads and
+    gives the same tuples; a one-node graph, self-loop and all, walks
+    nothing."""
+    g = _CountingGraph((), [("a", "r", "b"), ("b", "r", "c"),
+                            ("c", "r", "d"), ("a", "s", "c")])
+    want = walk_relations(g, {"a"}, AcquisitionConfig(max_hops=3,
+                                                      max_tuples=cap))
+    reads, g.calls = g.calls, 0
+    assert walk_relations(g, {"a"}, AcquisitionConfig(
+        max_hops=100_000, max_tuples=cap)) == want
+    assert g.calls == reads
+    lone = _CountingGraph((), [("x", "r", "x")])
+    assert walk_relations(lone, {"x"}, AcquisitionConfig(
+        max_hops=100_000, max_tuples=cap)) == set()
+    assert lone.calls == 0
+
+
 @pytest.mark.parametrize("n, d, hops, caps", [
     (30, 6, 1, (1, 5, 6)),
     (30, 6, 3, (1, 7, 64)),

@@ -692,7 +692,7 @@ DEEP = "[" * 100_000 + "]" * 100_000
 # writes it and returns its path. The value names the document.
 NESTED = {
     "ingest --kb":
-        (lambda ws, w: ["ingest", "--kb", w("kb.json")], "KB document"),
+        (lambda ws, w: ["ingest", "--kb", w("kb.json")], "kb.json"),
     "train --kb":
         (lambda ws, w: ["train", "--kb", w("kb.json"), "--corpus",
                         str(ws["corpus"]), "--epochs", "1", *FAST_FLAGS],
@@ -720,6 +720,42 @@ def test_deeply_nested_document_exits_one_naming_it(ws, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("kgdialog: error:"), err
     assert len(err.splitlines()) == 1 and document in err
+
+
+# The argv of every command that reads --kb, given the KB file's path.
+KB_COMMANDS = {
+    "ingest": lambda ws, kb: ["ingest", "--kb", kb],
+    "walk": lambda ws, kb: ["walk", "--kb", kb, "--seed", "A"],
+    "retrieve": lambda ws, kb: ["retrieve", "--kb", kb, "--text", "hi"],
+    "train": lambda ws, kb: ["train", "--kb", kb, "--corpus",
+                             str(ws["corpus"]), "--epochs", "1", *FAST_FLAGS],
+    "generate": lambda ws, kb: ["generate", "--kb", kb, "--checkpoint",
+                                str(ws["model"]), "--text", "hi"],
+    "evaluate": lambda ws, kb: ["evaluate", "--kb", kb, "--checkpoint",
+                                str(ws["model"]), "--corpus",
+                                str(ws["corpus"])],
+    "dump-attention": lambda ws, kb: ["dump-attention", "--kb", kb,
+                                      "--checkpoint", str(ws["model"]),
+                                      "--text", "hi"],
+    "export-reps": lambda ws, kb: ["export-reps", "--kb", kb, "--checkpoint",
+                                   str(ws["model"]), "--corpus",
+                                   str(ws["corpus"])],
+}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "malformed {}: "),
+    (json.dumps([{"nom": "A"}]), "{}: entity at position 0 needs"),
+])
+@pytest.mark.parametrize("command", list(KB_COMMANDS))
+def test_kb_error_names_its_file(ws, tmp_path, capsys, command, text,
+                                 message):
+    path = tmp_path / "kb.json"
+    path.write_text(text)
+    assert run_cli(KB_COMMANDS[command](ws, str(path))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kgdialog: error: " + message.format(path)), err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key", ["config", "vocab", "feature_dim", "params"])

@@ -1,7 +1,38 @@
 """Run configuration validation."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from kgdialog.config import TrainingConfig
+
+
+def test_config_loads_no_model_module():
+    """The config checks its own fields: importing it loads neither the
+    autodiff engine nor the modules built on it."""
+    code = ("import sys, kgdialog.config; print(' '.join(sorted(m for m in "
+            "sys.modules if m.startswith('kgdialog.'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ,
+                                  PYTHONPATH=os.pathsep.join(sys.path)))
+    loaded = set(out.stdout.split())
+    assert "kgdialog.config" in loaded
+    assert not loaded & {"kgdialog.autodiff", "kgdialog.composer",
+                         "kgdialog.decoder"}, loaded
+
+
+def test_loss_weight_defaults():
+    cfg = TrainingConfig()
+    assert (cfg.lam, cfg.gamma, cfg.beta) == (1.0, 0.1, 1e-6)
+
+
+@pytest.mark.parametrize("field", ["lam", "gamma", "beta"])
+def test_negative_loss_weight_rejected_by_name(field):
+    with pytest.raises(ValueError, match=f"loss weight {field} must be "
+                                         f"finite and non-negative"):
+        TrainingConfig(**{field: -1.0})
 
 
 def test_all_zero_loss_weights_rejected():

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
 from kgdialog import decoder
-from kgdialog.autodiff import ParamBuffer, Tensor
+from kgdialog.autodiff import Tensor
 from kgdialog.composer import EmbeddingTable, Vocabulary
-from kgdialog.decoder import (DecodeCache, DecoderParams, LossWeights,
-                              OutputHead, SemanticEnhanceParams,
-                              decode_states, generate, predict_token,
-                              semantic_enhance, total_loss)
+from kgdialog.config import TrainingConfig
+from kgdialog.decoder import (DecodeCache, DecoderParams, OutputHead,
+                              SemanticEnhanceParams, decode_states, generate,
+                              predict_token, semantic_enhance, total_loss)
 
 from helpers import (build_composite_grad_cases, make_attention,
-                     make_decoder_block, max_rel_error)
+                     make_decoder_block, max_rel_error, param_buffer)
 
 D = 4
 V = 9
@@ -231,42 +231,29 @@ class TestPredictToken:
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestLossWeights:
-    def test_defaults(self):
-        w = LossWeights()
-        assert (w.lam, w.gamma, w.beta) == (1.0, 0.1, 1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lam=-1.0)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(0.0, 0.0, 0.0)
-
-
 class TestTotalLoss:
     def test_weighted_sum_with_penalty(self, rng):
         l_ce = Tensor(np.array([[2.0]]))
         l_r = Tensor(np.array([[3.0]]))
-        p = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        w = LossWeights(lam=0.5, gamma=2.0, beta=0.1)
-        got = total_loss(l_ce, l_r, ParamBuffer([p]), w).item()
-        expect = 0.5 * 2.0 + 2.0 * 3.0 + 0.1 * float(np.sum(p.data ** 2))
+        p = rng.normal(size=(2, 3))
+        cfg = TrainingConfig(lam=0.5, gamma=2.0, beta=0.1)
+        got = total_loss(l_ce, l_r, param_buffer([p]), cfg).item()
+        expect = 0.5 * 2.0 + 2.0 * 3.0 + 0.1 * float(np.sum(p ** 2))
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_zero_beta_skips_penalty(self, rng):
         l_ce = Tensor(np.array([[2.0]]))
         l_r = Tensor(np.array([[3.0]]))
-        p = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        w = LossWeights(lam=1.0, gamma=1.0, beta=0.0)
-        assert total_loss(l_ce, l_r, ParamBuffer([p]), w).item() == pytest.approx(5.0)
+        buf = param_buffer([rng.normal(size=(4, 4))])
+        cfg = TrainingConfig(lam=1.0, gamma=1.0, beta=0.0)
+        assert total_loss(l_ce, l_r, buf, cfg).item() == pytest.approx(5.0)
 
     def test_gamma_zero_detaches_regularizer(self):
         l_ce = Tensor(np.array([[2.0]]))
         l_r = Tensor(np.array([[3.0]]))
-        w = LossWeights(lam=1.0, gamma=0.0, beta=0.0)
-        assert total_loss(l_ce, l_r, ParamBuffer([]), w).item() == pytest.approx(2.0)
+        cfg = TrainingConfig(lam=1.0, gamma=0.0, beta=0.0)
+        assert total_loss(l_ce, l_r, param_buffer([]), cfg).item() == \
+            pytest.approx(2.0)
 
 
 class TestGenerate:

@@ -19,7 +19,7 @@ from kgdialog.training import (Adam, TrainingDiverged, evaluate,
                                mean_semantic_gap, token_accuracy, train,
                                train_model)
 
-from helpers import mul, sum_all
+from helpers import mul, param_buffer, sum_all
 
 FAST = TrainingConfig(dim=12, enc_blocks=1, dec_blocks=1, n_latent=3,
                       mlp_hidden=16, epochs=3, learning_rate=1e-3, seed=0,
@@ -39,10 +39,11 @@ def _vocab(pairs, kb):
 
 class TestAdam:
     def test_single_step_matches_hand_computation(self):
-        p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        buf = param_buffer([[[1.0, -2.0]]])
+        p, = buf.tensors
         g = np.array([[0.5, -1.5]])
         p.grad = g.copy()
-        opt = Adam([p], learning_rate=0.1)
+        opt = Adam(buf, learning_rate=0.1)
         opt.step()
         m = 0.1 * g
         v = 0.001 * g * g
@@ -53,8 +54,9 @@ class TestAdam:
         np.testing.assert_allclose(p.data, expect, atol=1e-12)
 
     def test_two_steps_track_moments(self):
-        p = Tensor(np.array([[2.0]]), requires_grad=True)
-        opt = Adam([p], learning_rate=0.01)
+        buf = param_buffer([[[2.0]]])
+        p, = buf.tensors
+        opt = Adam(buf, learning_rate=0.01)
         m = v = 0.0
         x = 2.0
         for step in range(1, 3):
@@ -69,16 +71,24 @@ class TestAdam:
             assert p.data[0, 0] == pytest.approx(x, rel=1e-12)
 
     def test_none_grad_skipped(self):
-        p = Tensor(np.array([[3.0]]), requires_grad=True)
-        opt = Adam([p], learning_rate=0.5)
+        buf = param_buffer([[[3.0]]])
+        p, = buf.tensors
+        opt = Adam(buf, learning_rate=0.5)
         opt.step()
         assert p.data[0, 0] == 3.0
 
     def test_zero_grad_clears(self):
-        p = Tensor(np.array([[3.0]]), requires_grad=True)
+        """Clearing the optimizer's buffer drops a pending gradient, so the
+        next step leaves the tensor as it is (``train_model`` clears it at
+        the start of each epoch)."""
+        buf = param_buffer([[[3.0]]])
+        p, = buf.tensors
+        opt = Adam(buf, 0.1)
         p.grad = np.array([[1.0]])
-        Adam([p], 0.1).zero_grad()
+        opt.params.zero_grad()
         assert p.grad is None
+        opt.step()
+        assert p.data[0, 0] == 3.0
 
     @settings(max_examples=60, deadline=None)
     @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)),
@@ -103,8 +113,9 @@ class TestAdam:
     def _check_flat_step(shapes, steps, lr, seed):
         rng = np.random.default_rng(seed)
         start = [rng.uniform(-1, 1, shape) for shape in shapes]
-        params = [Tensor(x.copy(), requires_grad=True) for x in start]
-        opt = Adam(params, learning_rate=lr)
+        buf = param_buffer(start)
+        params = buf.tensors
+        opt = Adam(buf, learning_rate=lr)
         expect = [x.copy() for x in start]
         m = [np.zeros_like(x) for x in start]
         v = [np.zeros_like(x) for x in start]
@@ -315,7 +326,7 @@ class TestTrain:
         train_model(saved, tiny.pairs[:3], cfg.replace(epochs=1))
         loaded = model_from_doc(json.loads(json.dumps(checkpoint_doc(saved))),
                                 tiny.kb)
-        for t in loaded.params.all_tensors():
+        for t in loaded.params.buffer.tensors:
             assert t.data.base is loaded.params.buffer.values
         a = train_model(saved, tiny.pairs, cfg)
         b = train_model(loaded, tiny.pairs, cfg)
@@ -333,9 +344,9 @@ class TestTrain:
         assert not np.array_equal(a.params.buffer.values, fresh)
         pair = tiny.pairs[0]
         a.loss_pair(pair.context, pair.response)[0].backward()
-        grads_a = [t.grad.copy() for t in a.params.all_tensors()]
+        grads_a = [t.grad.copy() for t in a.params.buffer.tensors]
         b.loss_pair(pair.context, pair.response)[0].backward()
-        for t, g in zip(a.params.all_tensors(), grads_a):
+        for t, g in zip(a.params.buffer.tensors, grads_a):
             np.testing.assert_array_equal(t.grad, g)
         assert not np.shares_memory(a.params.buffer.values,
                                     b.params.buffer.values)
@@ -350,7 +361,7 @@ class TestTrain:
         train_model(model, tiny.pairs[:2], FAST.replace(epochs=1))
         assert model.params.buffer.grads is None
         assert all(t.grad is None and t._gview is None
-                   for t in model.params.all_tensors())
+                   for t in model.params.buffer.tensors)
 
     def test_first_backward_accumulates_into_the_flat_gradient(
             self, tiny, monkeypatch):
