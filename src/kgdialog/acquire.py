@@ -107,14 +107,6 @@ class RelationTuple:
     def nodes(self) -> tuple[str, ...]:
         return self.entries[0::2]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.entries[1::2]
-
-    @property
-    def n_hops(self) -> int:
-        return len(self.entries) // 2
-
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
@@ -169,7 +161,11 @@ def acquire_text_attributes(ctx: DialogContext, kb: KnowledgeBase) -> AttributeK
 
 
 def entity_similarity(feature: np.ndarray, entity: Entity) -> float:
-    """Maximum cosine similarity between ``feature`` and the entity's images."""
+    """Maximum cosine similarity between ``feature`` and the entity's images.
+
+    No program code calls it: it is the per-entity reference that the
+    visual-route tests hold ``acquire_visual_attributes`` to at exact
+    thresholds."""
     if not entity.has_images:
         raise NoImagesError(f"entity {entity.name!r} has no image features")
     f = np.asarray(feature, dtype=np.float64).reshape(-1)

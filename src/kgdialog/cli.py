@@ -9,12 +9,13 @@ dumps both semantic matrices per pair.
 
 Exit codes: 0 on success, 1 on bad input, 2 on internal errors. Bad input
 is a bad flag, an unreadable file, or a document its one reader rejects
-(``kb_from_doc``, ``read_corpus``, ``DialogContext.from_utterances``,
-``model_from_doc``, ``TrainingConfig.from_dict``): malformed or too deeply
-nested JSON, a missing key, a wrong JSON type or a value out of range.
-Every command reads a knowledge base through ``kb_from_doc``, and an error
-in one names the file it came from. Diagnostics go to stderr; data goes to
-stdout or --out.
+(``kb_from_doc``, ``read_corpus``, ``pairs_from_records``,
+``DialogContext.from_utterances``, ``model_from_doc``,
+``TrainingConfig.from_dict``): malformed or too deeply nested JSON, a
+missing key, a wrong JSON type or a value out of range. Every reader is
+called through ``_in_document``, so an error in a knowledge base, corpus,
+checkpoint, context or feature file names that file, and one in a bundle
+names the bundle. Diagnostics go to stderr; data goes to stdout or --out.
 Where it makes sense, commands also read/write a "bundle" document
 ``{"kb": ..., "corpus": ..., "checkpoint": ...}`` so that
 ``synth | train | evaluate`` composes over pipes.
@@ -33,7 +34,7 @@ from . import autodiff as ad
 from .acquire import (AcquisitionConfig, DialogContext, acquire_attributes,
                       order_tuples, walk_relations)
 from .config import TrainingConfig
-from .corpus import (make_synthetic_corpus, pair_from_record, read_corpus,
+from .corpus import (make_synthetic_corpus, pairs_from_records, read_corpus,
                      save_corpus_records, save_kb_doc)
 from .kb import build_graph, decode_json, kb_from_doc
 from .model import checkpoint_doc, model_from_doc, save_checkpoint
@@ -132,43 +133,43 @@ def _context_from_args(args) -> DialogContext:
                          [row for part in parts for row in part.image_features])
 
 
+def _read_bundle(bundle) -> tuple:
+    """A bundle's (kb document, corpus records, DialogPairs, checkpoint
+    document or None)."""
+    if not isinstance(bundle, dict) or "kb" not in bundle:
+        raise ValueError(
+            "bundle document must be an object with a 'kb' key")
+    records = bundle.get("corpus", [])
+    return (bundle["kb"], records, pairs_from_records(records),
+            bundle.get("checkpoint"))
+
+
 def _resolve_kb_corpus(args, need_model: bool):
-    """Inputs from either --data (bundle) or separate --kb/--corpus/--model.
+    """Inputs from either --data (a bundle) or --kb, --corpus and
+    --checkpoint, each document read through ``_in_document``.
 
     Returns (kb, kb_doc, corpus records, DialogPairs, model-or-None).
     """
-    checkpoint = None
     if args.data:
-        bundle = _load_json(args.data)
-        if not isinstance(bundle, dict) or "kb" not in bundle:
-            raise ValueError(
-                "bundle document must be an object with a 'kb' key")
-        kb_doc = bundle["kb"]
-        records = bundle.get("corpus", [])
-        if not isinstance(records, list):
-            raise ValueError("bundle 'corpus' must be a list of records")
-        pairs = []
-        for index, record in enumerate(records):
-            try:
-                pairs.append(pair_from_record(record))
-            except ValueError as exc:
-                raise ValueError(f"bundle corpus[{index}]: {exc}") from exc
-        checkpoint = bundle.get("checkpoint")
+        kb_doc, records, pairs, checkpoint = _in_document(
+            args.data, _read_bundle, _load_json(args.data))
+        kb_path = checkpoint_path = args.data
     else:
         if not args.kb:
             raise ValueError("either --data or --kb is required")
-        kb_doc = _load_json(args.kb)
-        records, pairs = (read_corpus(_read_text(args.corpus))
-                          if getattr(args, "corpus", None) else ([], []))
-        if getattr(args, "checkpoint", None):
-            checkpoint = _load_json(args.checkpoint)
-    kb = _in_document(args.data or args.kb, kb_from_doc, kb_doc)
+        kb_doc, kb_path = _load_json(args.kb), args.kb
+        corpus = getattr(args, "corpus", None)
+        records, pairs = (_in_document(corpus, read_corpus, _read_text(corpus))
+                          if corpus else ([], []))
+        checkpoint_path = getattr(args, "checkpoint", None)
+        checkpoint = _load_json(checkpoint_path) if checkpoint_path else None
+    kb = _in_document(kb_path, kb_from_doc, kb_doc)
     model = None
     if need_model:
         if checkpoint is None:
             raise ValueError("a checkpoint is required: pass --checkpoint or "
                              "a bundle with a 'checkpoint' key")
-        model = model_from_doc(checkpoint, kb)
+        model = _in_document(checkpoint_path, model_from_doc, checkpoint, kb)
     return kb, kb_doc, records, pairs, model
 
 

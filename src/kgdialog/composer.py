@@ -37,16 +37,6 @@ from .autodiff import Tensor
 if TYPE_CHECKING:
     from .model import ModelParams
 
-__all__ = [
-    "Vocabulary", "EmbeddingTable", "AttentionParams", "MlpParams",
-    "EncoderBlockParams", "ImageProjectionParams", "FusionParams",
-    "PreparedContext", "ComposedRepresentation", "tokenize",
-    "linearize_attributes", "prepare_context", "embed_tokens",
-    "project_image_features", "encode", "compose_attributes",
-    "encode_relation_tuples", "reorganize_relations", "fuse", "compose",
-    "NoRelationKnowledge",
-]
-
 logger = logging.getLogger(__name__)
 
 # Rows of one relation-tuple encoder pass. Every intermediate of a pass has
@@ -54,10 +44,6 @@ logger = logging.getLogger(__name__)
 # reply's transient memory does not grow with the tuple count; a training
 # graph keeps every pass for its backward.
 TUPLE_PASS_ROWS = 192
-
-
-class NoRelationKnowledge(ValueError):
-    """Signals that relation composition must be skipped (no tuples)."""
 
 
 class Vocabulary:
@@ -208,10 +194,6 @@ class ComposedRepresentation:
     n_knowledge: int
     n_text: int
     n_visual: int
-
-    @property
-    def n_positions(self) -> int:
-        return self.n_knowledge + self.n_text + self.n_visual
 
 
 def linearize_attributes(knowledge: AttributeKnowledge) -> list[str]:
@@ -389,10 +371,9 @@ def reorganize_relations(T_t: Tensor, T_h: Tensor,
 
     Cross-attention with query T_t and key/value T_h; returns the
     reorganized representation (N_b x D) and the attention weight matrix
-    (N_b x N_h) for inspection.
+    (N_b x N_h) for inspection. With no tuple rows ``cross_attention``
+    raises ValueError.
     """
-    if T_h.shape[0] == 0:
-        raise NoRelationKnowledge("no relation tuples to reorganize")
     return ad.cross_attention(T_t, T_h, attn.w_q, attn.w_k, attn.w_v,
                               scale=attn.scale)
 

@@ -75,16 +75,12 @@ def pair_from_record(record: dict) -> DialogPair:
     return DialogPair(ctx, tuple(tokenize(response)))
 
 
-def read_corpus(source) -> tuple[list[dict], list[DialogPair]]:
+def read_corpus(text: str) -> tuple[list[dict], list[DialogPair]]:
     """Read the corpus file format, one JSON object per line (blank lines
-    are skipped), from bytes, text, or a readable file object. Returns the
-    records and their pairs; every error names its line."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        source = source.decode("utf-8")
+    are skipped). Returns the records and their pairs; every error names
+    its line."""
     records, pairs = [], []
-    for lineno, line in enumerate(source.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -95,9 +91,18 @@ def read_corpus(source) -> tuple[list[dict], list[DialogPair]]:
     return records, pairs
 
 
-def load_corpus(source) -> list[DialogPair]:
-    """The pairs of ``read_corpus``."""
-    return read_corpus(source)[1]
+def pairs_from_records(records) -> list[DialogPair]:
+    """Read a bundle's corpus, a list of records, into their pairs; every
+    error names its record's index."""
+    if not isinstance(records, list):
+        raise CorpusFormatError("bundle 'corpus' must be a list of records")
+    pairs = []
+    for index, record in enumerate(records):
+        try:
+            pairs.append(pair_from_record(record))
+        except ValueError as exc:
+            raise CorpusFormatError(f"corpus[{index}]: {exc}") from exc
+    return pairs
 
 
 def save_corpus_records(records: Sequence[dict], path) -> None:
@@ -212,7 +217,10 @@ def make_synthetic_corpus(seed: int, n_entities: int = 24, n_pairs: int = 32,
     Pair i's family cycles deterministically: attribute, attribute,
     relation, attribute, relation, open, and (with images) every eighth
     pair is visually grounded. Content randomness all flows from ``seed``.
+    A negative ``n_pairs`` raises ValueError.
     """
+    if n_pairs < 0:
+        raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
     rng = np.random.default_rng(seed)
     raw_entities = _make_entities(rng, n_entities, with_images)
     even_indices = [i for i in range(0, n_entities - 1, 2)]
@@ -246,8 +254,11 @@ def make_relation_ablation(seed: int, n_train: int = 64,
 
     Every question is from the 2-hop family; each asks about a distinct
     entity, so held-out questions concern near-chains never seen in
-    training and can only be answered by reading the walked tuple.
+    training and can only be answered by reading the walked tuple. Each
+    side needs at least one question, or ValueError is raised.
     """
+    if n_train < 1 or n_held < 1:
+        raise ValueError(f"n_train {n_train} and n_held {n_held} must be >= 1")
     n_questions = n_train + n_held
     rng = np.random.default_rng(seed)
     raw_entities = _make_entities(rng, 2 * n_questions, with_images=False)

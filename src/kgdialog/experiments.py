@@ -32,8 +32,11 @@ def overfit_study(seed: int = 1, n_entities: int = 24, n_pairs: int = 32,
     Attention scaling is on for this study: at width 64 the unscaled score
     matrices saturate their softmax rows and constant-rate Adam oscillates
     instead of memorizing. Batched accumulation smooths the steps for the
-    same reason.
+    same reason. ``epochs`` below 1 raises ValueError: the report compares
+    the first epoch's loss with the last.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     syn = make_synthetic_corpus(seed, n_entities=n_entities, n_pairs=n_pairs)
     cfg = TrainingConfig(dim=dim, enc_blocks=blocks, dec_blocks=blocks,
                          n_latent=n_latent, epochs=epochs,

@@ -180,18 +180,6 @@ def decode_json(text, document: str):
         raise ValueError(f"malformed {document}: {exc}") from exc
 
 
-def parse_kb(source) -> KnowledgeBase:
-    """Parse the KB file format (see ``kb_from_doc``); ``source`` may be
-    bytes, text, or a readable file object."""
-    if hasattr(source, "read"):
-        source = source.read()
-    try:
-        doc = decode_json(source, "KB document")
-    except ValueError as exc:
-        raise KBFormatError(str(exc)) from exc
-    return kb_from_doc(doc)
-
-
 def kb_from_doc(doc) -> KnowledgeBase:
     """Build a knowledge base from a decoded KB document, checking every
     JSON type: an array of {"name": str, "attributes": [{"type","value"},
@@ -257,9 +245,6 @@ class KnowledgeGraph:
     def out_edges(self, node: str) -> tuple[tuple[str, str], ...]:
         """(label, tail) pairs leaving ``node``, sorted for determinism."""
         return self._out.get(node, ())
-
-    def out_degree(self, node: str) -> int:
-        return len(self.out_edges(node))
 
     def dead_end_reach(self, max_hops: int) -> Mapping[str, int]:
         """Each node's hop distance to the nearest node that can end a

@@ -32,7 +32,7 @@ from .config import TrainingConfig
 from .decoder import (DecoderBlockParams, DecoderParams, OutputHead,
                       SemanticEnhanceParams, decode_states, generate,
                       predict_token, semantic_enhance, total_loss)
-from .kb import KnowledgeBase, build_graph, decode_json
+from .kb import KnowledgeBase, build_graph
 from .regularizer import (LatentQuerySet, SemanticProjectionParams,
                           encode_ground_truth, project_semantic,
                           regularization_loss)
@@ -254,12 +254,6 @@ def save_checkpoint(model: "DialogModel", path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(checkpoint_doc(model), fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_checkpoint(path, kb: KnowledgeBase) -> "DialogModel":
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = decode_json(fh.read(), f"checkpoint {path}")
-    return model_from_doc(doc, kb)
 
 
 # --------------------------------------------------------------------- model

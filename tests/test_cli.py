@@ -13,9 +13,9 @@ import pytest
 from helpers import address_space_cap
 from kgdialog.cli import build_parser, run_cli
 from kgdialog.config import TrainingConfig
-from kgdialog.corpus import load_corpus
-from kgdialog.kb import parse_kb
-from kgdialog.model import load_checkpoint
+from kgdialog.corpus import read_corpus
+from kgdialog.kb import kb_from_doc
+from kgdialog.model import model_from_doc
 
 METRIC_KEYS = {"bleu1", "bleu2", "bleu3", "bleu4", "nist", "exact_match"}
 
@@ -216,11 +216,10 @@ def test_synth_writes_bundle_and_side_files(ws):
     bundle = json.loads(ws["bundle"].read_text())
     assert set(bundle) == {"kb", "corpus"}
     assert len(bundle["corpus"]) == 8
-    kb = parse_kb(ws["kb"].read_text())
+    kb = kb_from_doc(json.loads(ws["kb"].read_text()))
     assert len(kb) == 12
-    with open(ws["corpus"]) as fh:
-        pairs = load_corpus(fh)
-    assert len(pairs) == 8
+    records, pairs = read_corpus(ws["corpus"].read_text())
+    assert records == bundle["corpus"] and len(pairs) == 8
 
 
 def test_synth_output_is_byte_identical_across_runs(capsys):
@@ -235,6 +234,15 @@ def test_synth_output_is_byte_identical_across_runs(capsys):
     assert capsys.readouterr().out != first
 
 
+def test_synth_negative_pair_count_exits_one(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert run_cli(["synth", "--seed", "0", "--pairs", "-3",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "kgdialog: error: n_pairs must be >= 0, got -3\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- train
 
 def test_train_emits_full_bundle(ws):
@@ -242,8 +250,8 @@ def test_train_emits_full_bundle(ws):
     assert set(doc) == {"kb", "corpus", "checkpoint", "losses"}
     assert len(doc["losses"]) == 2
     assert doc["checkpoint"]["config"]["dim"] == 8
-    kb = parse_kb(json.dumps(doc["kb"]))
-    model = load_checkpoint(ws["model"], kb)
+    kb = kb_from_doc(doc["kb"])
+    model = model_from_doc(json.loads(ws["model"].read_text()), kb)
     assert model.cfg.dim == 8
 
 
@@ -766,7 +774,7 @@ def test_checkpoint_missing_key_is_named(ws, tmp_path, capsys, key):
     path.write_text(json.dumps(doc))
     assert run_cli(_generate(ws, str(path))) == 1
     err = capsys.readouterr().err
-    assert err == f"kgdialog: error: checkpoint has no {key!r} key\n"
+    assert err == f"kgdialog: error: {path}: checkpoint has no {key!r} key\n"
 
 
 def test_bundle_record_error_names_its_index(ws, tmp_path, capsys):
@@ -777,7 +785,7 @@ def test_bundle_record_error_names_its_index(ws, tmp_path, capsys):
     assert run_cli(["train", "--data", str(path), "--epochs", "1",
                     *FAST_FLAGS]) == 1
     assert capsys.readouterr().err == (
-        "kgdialog: error: bundle corpus[2]: record needs non-empty "
+        f"kgdialog: error: {path}: corpus[2]: record needs non-empty "
         "context_utterances\n")
 
 
@@ -803,3 +811,55 @@ def test_context_error_names_its_document(ws, tmp_path, capsys, case):
     ctx.write_text(json.dumps(doc))
     assert run_cli(argv) == 1
     assert capsys.readouterr().err == f"kgdialog: error: {named}: {message}\n"
+
+
+def _bundle(ws, name, **fields):
+    doc = json.loads(ws[name].read_text())
+    doc.update(fields)
+    return doc
+
+
+# Each builds the argv of a command given ``w(name, doc)``, which writes one
+# bad document and returns its path, with the file the error must name and
+# the reader's message that must follow it.
+BAD_DOCUMENTS = {
+    "--kb": (lambda ws, w: ["generate", "--kb", w("kb.json", [{"nom": "A"}]),
+                            "--checkpoint", str(ws["model"]), "--text", "hi"],
+             "kb.json", 'entity at position 0 needs a string "name"'),
+    "--corpus": (lambda ws, w: _train_on(ws, w("c.jsonl", "[1, 2]\n")),
+                 "c.jsonl", "corpus line 1: record must be a JSON object"),
+    "--checkpoint": (lambda ws, w: _generate(ws, w("k.json", {
+        k: v for k, v in _checkpoint(ws).items() if k != "vocab"})),
+        "k.json", "checkpoint has no 'vocab' key"),
+    "--context": (lambda ws, w: _with_context(ws, w("x.json", {
+        "utterances": ["hi", 1]})),
+        "x.json", "dialog utterances must be strings"),
+    "--features": (lambda ws, w: _generate(ws, str(ws["model"])) + [
+        "--features", w("f.json", [1])], "f.json", FEATURES_ERROR),
+    "bundle kb": (lambda ws, w: ["train", "--data", w("b.json", _bundle(
+        ws, "bundle", kb=[{"nom": "A"}])), "--epochs", "1", *FAST_FLAGS],
+        "b.json", 'entity at position 0 needs a string "name"'),
+    "bundle corpus record": (lambda ws, w: ["train", "--data", w(
+        "b.json", _bundle(ws, "bundle", corpus=[
+            _bundle(ws, "bundle")["corpus"][0], [1, 2]])),
+        "--epochs", "1", *FAST_FLAGS],
+        "b.json", "corpus[1]: record must be a JSON object"),
+    "bundle checkpoint": (lambda ws, w: ["generate", "--data", w(
+        "b.json", _bundle(ws, "trained",
+                          checkpoint=_with_config(ws, dim="x"))),
+        "--text", "hi"],
+        "b.json", "config field 'dim' must be int, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DOCUMENTS))
+def test_reader_error_names_its_document(ws, tmp_path, capsys, case):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return str(path)
+
+    argv, name, message = BAD_DOCUMENTS[case]
+    assert run_cli(argv(ws, write)) == 1
+    assert capsys.readouterr().err == (
+        f"kgdialog: error: {tmp_path / name}: {message}\n")

@@ -11,10 +11,9 @@ from kgdialog.acquire import (AcquiredPair, AttributeKnowledge, RelationTuple,
                               linearize_tuple, order_tuples)
 from kgdialog.autodiff import Tensor
 from kgdialog.composer import (EmbeddingTable, ImageProjectionParams,
-                               NoRelationKnowledge, Vocabulary, compose,
-                               compose_attributes, embed_tokens, encode,
-                               encode_relation_tuples, fuse,
-                               linearize_attributes, prepare_context,
+                               Vocabulary, compose, compose_attributes,
+                               embed_tokens, encode, encode_relation_tuples,
+                               fuse, linearize_attributes, prepare_context,
                                project_image_features, reorganize_relations)
 from kgdialog.config import TrainingConfig
 from kgdialog.kb import AttributeValuePair
@@ -462,7 +461,7 @@ class TestEncodeRelationTuples:
 class TestReorganizeRelations:
     def test_empty_raises(self, rng):
         attn = make_attention(rng, D)
-        with pytest.raises(NoRelationKnowledge):
+        with pytest.raises(ValueError, match="at least one key"):
             reorganize_relations(Tensor(np.zeros((2, D))),
                                  Tensor(np.zeros((0, D))), attn)
 
@@ -575,7 +574,6 @@ class TestCompose:
         comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
                         ["the", "mall"], feats, TUPLES)
         assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (4, 2, 2)
-        assert comp.n_positions == 8
         assert comp.T_t.shape == (8, D)
         assert comp.T_c.shape == (8, D)
         assert comp.E_k.shape == (4, D)

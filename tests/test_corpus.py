@@ -1,5 +1,4 @@
 """Tests for corpus loading and the synthetic corpus generator."""
-import io
 import json
 
 import numpy as np
@@ -8,10 +7,10 @@ import pytest
 from kgdialog.acquire import (AcquisitionConfig, DialogContext,
                               entity_similarity, tokenize, walk_relations)
 from kgdialog.corpus import (CONTEXT_WINDOW, CorpusFormatError, DialogPair,
-                             load_corpus, make_relation_ablation,
-                             make_synthetic_corpus, pair_from_record,
-                             save_corpus_records)
-from kgdialog.kb import build_graph, parse_kb
+                             make_relation_ablation, make_synthetic_corpus,
+                             pair_from_record, pairs_from_records,
+                             read_corpus, save_corpus_records)
+from kgdialog.kb import build_graph, kb_from_doc
 
 
 class TestDialogPair:
@@ -53,27 +52,28 @@ class TestPairFromRecord:
             pair_from_record({"context_utterances": ["hi"], "response": "  "})
 
 
+def _pairs(text):
+    return read_corpus(text)[1]
+
+
 class TestLoadCorpus:
     GOOD = json.dumps({"context_utterances": ["hello there"],
                        "response": "hi"})
 
     def test_loads_lines_and_skips_blanks(self):
         text = self.GOOD + "\n\n" + self.GOOD + "\n"
-        assert len(load_corpus(text)) == 2
-
-    def test_accepts_bytes_and_file_objects(self):
-        assert len(load_corpus(self.GOOD.encode())) == 1
-        assert len(load_corpus(io.StringIO(self.GOOD))) == 1
+        records, pairs = read_corpus(text)
+        assert records == [json.loads(self.GOOD)] * 2 and len(pairs) == 2
 
     def test_error_carries_line_number(self):
         text = self.GOOD + "\nnot json\n"
         with pytest.raises(CorpusFormatError, match="line 2"):
-            load_corpus(text)
+            _pairs(text)
 
     def test_semantic_error_carries_line_number(self):
         text = self.GOOD + "\n" + json.dumps({"response": "x"}) + "\n"
         with pytest.raises(CorpusFormatError, match="line 2"):
-            load_corpus(text)
+            _pairs(text)
 
     @pytest.mark.parametrize("record, message", [
         ([1, 2], "record must be a JSON object"),
@@ -83,19 +83,43 @@ class TestLoadCorpus:
     def test_record_type_error_names_its_line(self, record, message):
         text = self.GOOD + "\n" + json.dumps(record) + "\n"
         with pytest.raises(CorpusFormatError, match=f"line 2: {message}"):
-            load_corpus(text)
+            _pairs(text)
 
     def test_save_load_round_trip(self, tmp_path):
         syn = make_synthetic_corpus(seed=1, n_entities=8, n_pairs=10)
         path = tmp_path / "corpus.jsonl"
         save_corpus_records(syn.records, path)
-        loaded = load_corpus(path.read_text())
+        loaded = _pairs(path.read_text())
         assert len(loaded) == len(syn.pairs)
         for a, b in zip(loaded, syn.pairs):
             assert a.context.text_tokens == b.context.text_tokens
             assert a.response == b.response
             assert np.array_equal(a.context.image_features,
                                   b.context.image_features)
+
+
+class TestPairsFromRecords:
+    GOOD = {"context_utterances": ["hello there"], "response": "hi"}
+
+    def test_reads_one_pair_per_record(self):
+        pairs = pairs_from_records([self.GOOD, self.GOOD])
+        assert [p.response for p in pairs] == [("hi",), ("hi",)]
+        assert pairs_from_records([]) == []
+
+    @pytest.mark.parametrize("record, message", [
+        ([1, 2], "record must be a JSON object"),
+        ({"response": "x"}, "record needs non-empty context_utterances"),
+        ({"context_utterances": ["hi", 1], "response": "ok"},
+         "dialog utterances must be strings"),
+    ])
+    def test_error_names_the_record_index(self, record, message):
+        with pytest.raises(CorpusFormatError,
+                           match=rf"^corpus\[1\]: {message}$"):
+            pairs_from_records([self.GOOD, record])
+
+    def test_refuses_a_corpus_that_is_not_a_list(self):
+        with pytest.raises(CorpusFormatError, match="must be a list"):
+            pairs_from_records({"a": self.GOOD})
 
 
 class TestMakeSyntheticCorpus:
@@ -118,9 +142,14 @@ class TestMakeSyntheticCorpus:
         with pytest.raises(ValueError):
             make_synthetic_corpus(seed=0, n_entities=3, n_pairs=4)
 
+    def test_negative_pair_count_is_refused(self):
+        with pytest.raises(ValueError, match="n_pairs must be >= 0, got -2"):
+            make_synthetic_corpus(seed=0, n_pairs=-2)
+        assert make_synthetic_corpus(seed=0, n_pairs=0).pairs == []
+
     def test_kb_doc_parses_to_same_kb(self):
         syn = make_synthetic_corpus(seed=2, n_entities=8, n_pairs=4)
-        reparsed = parse_kb(json.dumps(syn.kb_doc))
+        reparsed = kb_from_doc(json.loads(json.dumps(syn.kb_doc)))
         assert [e.name for e in reparsed] == [e.name for e in syn.kb]
         assert reparsed.feature_dim == syn.kb.feature_dim > 0
         for a, b in zip(reparsed, syn.kb):
@@ -148,7 +177,7 @@ class TestMakeSyntheticCorpus:
                                    tokens.index("is")])
             tuples = walk_relations(graph, [name], cfg)
             matches = [t for t in tuples
-                       if t.labels == ("near", "domain")
+                       if t.entries[1::2] == ("near", "domain")
                        and t.nodes[-1] == answer]
             assert matches, (name, answer)
             own = next(e for e in syn.kb if e.name == name)
@@ -213,6 +242,13 @@ class TestMakeRelationAblation:
         held_entities = {asked(p) for p in held}
         assert len(train_entities) == 6 and len(held_entities) == 4
         assert not train_entities & held_entities
+
+    @pytest.mark.parametrize("n_train, n_held", [(-1, 4), (0, 4), (4, 0),
+                                                  (4, -3)])
+    def test_empty_side_is_refused(self, n_train, n_held):
+        with pytest.raises(ValueError, match=f"n_train {n_train} and "
+                                             f"n_held {n_held} must be >= 1"):
+            make_relation_ablation(0, n_train=n_train, n_held=n_held)
 
     def test_all_relation_family(self):
         _, train, held = make_relation_ablation(seed=1, n_train=5, n_held=3)

@@ -23,10 +23,16 @@ from kgdialog.config import TrainingConfig
 from kgdialog.corpus import DialogPair, make_synthetic_corpus
 from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
 from kgdialog.model import (DialogModel, build_model, build_vocabulary,
-                            checkpoint_doc, init_params, load_checkpoint,
-                            model_from_doc, param_plan, param_tree,
-                            params_from_doc, params_to_doc, save_checkpoint)
+                            checkpoint_doc, init_params, model_from_doc,
+                            param_plan, param_tree, params_from_doc,
+                            params_to_doc, save_checkpoint)
 from kgdialog.training import train_model
+
+
+def _reload(path, kb):
+    """The model of a checkpoint file that ``save_checkpoint`` wrote."""
+    return model_from_doc(json.loads(path.read_text()), kb)
+
 
 CFG = TrainingConfig(dim=8, enc_blocks=1, dec_blocks=1, n_latent=2,
                      mlp_hidden=12, max_seq_len=64, seed=5)
@@ -242,7 +248,7 @@ class TestCheckpointDocs:
     def test_full_checkpoint_file_round_trip(self, model, kb, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
-        loaded = load_checkpoint(path, kb)
+        loaded = _reload(path, kb)
         assert _named_equal(model.params, loaded.params)
         assert loaded.vocab.tokens == model.vocab.tokens
         assert loaded.cfg == model.cfg
@@ -262,7 +268,7 @@ class TestCheckpointDocs:
             raise AssertionError("init_params called by a checkpoint load")
 
         monkeypatch.setattr(model_module, "init_params", refuse)
-        loaded = load_checkpoint(path, kb)
+        loaded = _reload(path, kb)
         assert _named_equal(model.params, loaded.params)
         assert all(t.data.base is loaded.params.buffer.values
                    for t in loaded.params.buffer.tensors)
@@ -271,7 +277,7 @@ class TestCheckpointDocs:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a recognized"):
-            load_checkpoint(path, kb)
+            _reload(path, kb)
 
     def test_feature_dim_mismatch_rejected(self, model, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -280,7 +286,7 @@ class TestCheckpointDocs:
             Entity("X", (AttributeValuePair("domain", "bar"),),
                    np.ones((1, 9)))])
         with pytest.raises(ValueError, match="feature_dim"):
-            load_checkpoint(path, other)
+            _reload(path, other)
 
 
 class TestDialogModel:
@@ -314,7 +320,7 @@ class TestDialogModel:
         cfg = CFG.replace(enc_blocks=2, dec_blocks=2, attn_scale=scale)
         built = build_model(vocab, kb, cfg)
         save_checkpoint(built, tmp_path / "ckpt.json")
-        for model in (built, load_checkpoint(tmp_path / "ckpt.json", kb)):
+        for model in (built, _reload(tmp_path / "ckpt.json", kb)):
             reads = list(_attention_reads(model.params))
             assert len(reads) == 2 + 1 + 2 + 3 * 2 + 1
             assert [a.scale for a in reads] == [scale] * len(reads)
@@ -503,7 +509,7 @@ class TestDialogModel:
         equal in storage."""
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
-        reloaded = load_checkpoint(path, kb)
+        reloaded = _reload(path, kb)
         a = model.loss_pair(CTX, RESPONSE)[1]["total"]
         b = reloaded.loss_pair(CTX, RESPONSE)[1]["total"]
         assert a == b

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from kgdialog import experiments
 from kgdialog.experiments import summarize_runs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -56,6 +57,17 @@ def test_seeds_across_processes_match_one_process(capsys):
     _, pooled, _ = _run(capsys, ["relations", *TINY["relations"],
                                  "--jobs", "2"])
     assert pooled["per_seed"] == serial["per_seed"]
+
+
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_overfit_without_epochs_is_refused_before_training(monkeypatch,
+                                                           epochs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained with no epochs to report")
+
+    monkeypatch.setattr(experiments, "train", refuse)
+    with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+        run_study.main(["overfit", *TINY["overfit"], "--epochs", epochs])
 
 
 def test_zero_jobs_rejected(capsys):
