@@ -11,7 +11,8 @@ Each study's flags are its function's parameters (``n_train`` is
 ``--n-train``, and ``seeds`` takes several values), with the function's
 defaults, which are the pinned acceptance settings. A study over seeds runs
 each seed as its own call, in up to --jobs worker processes, and merges
-the per-seed rows with ``summarize_runs``.
+the per-seed rows with ``summarize_runs``. Arguments the study refuses
+(a ValueError) are usage errors: one line on stderr and exit code 2.
 """
 from __future__ import annotations
 
@@ -103,7 +104,10 @@ def main(argv=None) -> int:
     jobs = args.pop("jobs", 1)
     if jobs < 1:
         ap.error("--jobs must be at least 1")
-    report = run(study, args, jobs)
+    try:
+        report = run(study, args, jobs)
+    except ValueError as exc:  # the study refused its arguments
+        ap.error(str(exc))
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     print()
     ok = study.passed(report)

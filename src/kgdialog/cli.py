@@ -36,7 +36,7 @@ from .acquire import (AcquisitionConfig, DialogContext, acquire_attributes,
 from .config import TrainingConfig
 from .corpus import (make_synthetic_corpus, pairs_from_records, read_corpus,
                      save_corpus_records, save_kb_doc)
-from .kb import build_graph, decode_json, kb_from_doc
+from .kb import decode_json, kb_from_doc
 from .model import checkpoint_doc, model_from_doc, save_checkpoint
 from .training import TrainingDiverged, evaluate, train
 
@@ -201,17 +201,24 @@ def _add_config_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> TrainingConfig:
-    fields: dict = {}
-    if getattr(args, "config", None):
-        loaded = _load_json(args.config)
-        if not isinstance(loaded, dict):
-            raise ValueError("--config file must hold a JSON object")
-        fields.update(loaded)
-    for name in (*_CONFIG_FIELDS, "use_relations", "attn_scale"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    return TrainingConfig.from_dict(fields)
+    """Flags over the --config file over the defaults. An error the file's
+    values cause names the file; an error in the flags alone does not."""
+    flags = {name: getattr(args, name) for name in
+             (*_CONFIG_FIELDS, "use_relations", "attn_scale")
+             if getattr(args, name, None) is not None}
+    path = getattr(args, "config", None)
+    if not path:
+        return TrainingConfig.from_dict(flags)
+    loaded = _load_json(path)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{_document(path)}: --config file must hold a JSON "
+                         f"object")
+    try:
+        return _in_document(path, TrainingConfig.from_dict,
+                            {**loaded, **flags})
+    except ValueError:
+        TrainingConfig.from_dict(flags)  # a flag's own error goes unprefixed
+        raise
 
 
 def _add_context_flags(sp: argparse.ArgumentParser) -> None:
@@ -242,12 +249,11 @@ def _add_io_flags(sp: argparse.ArgumentParser, model: bool = False,
 
 def _cmd_ingest(args) -> int:
     kb = _in_document(args.kb, kb_from_doc, _load_json(args.kb))
-    graph = build_graph(kb)
     _emit_json({
         "entities": len(kb),
         "attribute_pairs": sum(len(e.attributes) for e in kb),
-        "graph_nodes": len(graph.nodes),
-        "graph_edges": len(graph.edges),
+        "graph_nodes": len(kb.graph.nodes),
+        "graph_edges": len(kb.graph.edges),
         "feature_dim": kb.feature_dim,
     }, args.out)
     return 0
@@ -255,9 +261,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_walk(args) -> int:
     kb = _in_document(args.kb, kb_from_doc, _load_json(args.kb))
-    graph = build_graph(kb)
     cfg = AcquisitionConfig(max_hops=args.hops, max_tuples=args.max_tuples)
-    tuples = walk_relations(graph, args.seed, cfg)
+    tuples = walk_relations(kb.graph, args.seed, cfg)
     lines = [json.dumps({"entries": list(t.entries)}, sort_keys=True)
              for t in order_tuples(tuples)]
     _emit("".join(line + "\n" for line in lines), args.out)

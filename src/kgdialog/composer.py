@@ -208,8 +208,9 @@ def linearize_attributes(knowledge: AttributeKnowledge) -> list[str]:
     return tokens
 
 
-def _fit_positions(tokens: Sequence[str], budget: int) -> Sequence[str]:
-    """Cut a token run to the ``budget`` positions left free for it."""
+def _fit_positions(tokens: Sequence, budget: int) -> Sequence:
+    """Cut a run of tokens or ids to the ``budget`` positions left free for
+    it."""
     if len(tokens) > budget:
         logger.warning("embed_tokens: truncating %d tokens to %d",
                        len(tokens), budget)
@@ -247,24 +248,18 @@ def prepare_context(knowledge_tokens: Sequence[str],
         tuple_lengths=[len(run) for run in runs])
 
 
-def _embed_ids(ids: Sequence[int], table: EmbeddingTable,
-               offset: int = 0) -> Tensor:
-    """Token plus position rows of ids at positions offset..offset+n; no
-    ids give a 0-row leaf, not a graph node."""
+def embed_ids(ids: Sequence[int], table: EmbeddingTable,
+              offset: int = 0) -> Tensor:
+    """Token plus position rows of ids at positions offset, offset + 1, ...
+
+    Ids running past the position table are cut, with a warning, to the
+    positions left after ``offset``; no ids give a 0-row leaf, not a graph
+    node."""
+    ids = _fit_positions(ids, table.max_len - offset)
     if not ids:
         return Tensor(np.zeros((0, table.dim)))
     return ad.embed(table.token, table.position, ids,
                     range(offset, offset + len(ids)))
-
-
-def embed_tokens(tokens: Sequence[str], vocab: Vocabulary,
-                 table: EmbeddingTable) -> Tensor:
-    """Token embedding plus position embedding, positions from 0.
-
-    Sequences running past the position table are truncated with a warning.
-    """
-    return _embed_ids(vocab.encode(_fit_positions(tokens, table.max_len)),
-                      table)
 
 
 def project_image_features(features: np.ndarray,
@@ -406,9 +401,9 @@ def compose(prepared: PreparedContext,
     ``table``, ``image_proj``, ``encoder``, ``relation_attn`` and ``fusion``
     of the model's parameters."""
     table = params.table
-    E_k = _embed_ids(prepared.knowledge_ids, table)
+    E_k = embed_ids(prepared.knowledge_ids, table)
     n_k = E_k.shape[0]
-    E_t = _embed_ids(prepared.context_ids, table, offset=n_k)
+    E_t = embed_ids(prepared.context_ids, table, offset=n_k)
     n_t = E_t.shape[0]
     E_v = project_image_features(prepared.image_features, params.image_proj)
     if E_v.shape[0] > 0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .acquire import AcquisitionConfig
 
@@ -56,7 +57,7 @@ class TrainingConfig:
             raise ValueError("n_latent must be >= 1")
         if self.mlp_hidden is not None and self.mlp_hidden < 1:
             raise ValueError("mlp_hidden must be >= 1 or None")
-        AcquisitionConfig(self.epsilon, self.max_hops, self.max_tuples)
+        self.acquisition  # built now, so a bad acquisition field fails here
         for name in ("lam", "gamma", "beta"):
             value = getattr(self, name)
             # written so that NaN fails too: every comparison with it is false
@@ -76,6 +77,12 @@ class TrainingConfig:
             raise ValueError("max_seq_len must be >= 2")
         if not 1 <= self.max_gen_len <= self.max_seq_len:
             raise ValueError("max_gen_len must lie in [1, max_seq_len]")
+
+    @cached_property
+    def acquisition(self) -> AcquisitionConfig:
+        """The acquisition settings among these fields, built once; not a
+        field, so ``to_dict`` and checkpoints hold the three fields alone."""
+        return AcquisitionConfig(self.epsilon, self.max_hops, self.max_tuples)
 
     @property
     def hidden(self) -> int:

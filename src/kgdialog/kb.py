@@ -4,7 +4,9 @@ A knowledge base is a set of named entities, each carrying attribute-value
 pairs and optional precomputed image feature vectors. Casting every
 (entity, attribute_type, value) triplet to a directed labeled edge — and
 unifying value strings with entity names — yields the graph that multi-hop
-relation walks run over.
+relation walks run over. The knowledge base builds that graph on first use
+and keeps it (``KnowledgeBase.graph``), so every model and command over one
+knowledge base walks one graph.
 """
 from __future__ import annotations
 
@@ -110,7 +112,8 @@ class KnowledgeBase:
     ``feature_dim`` is the shared dimensionality of all image feature
     vectors, or 0 when no entity carries any. Every image feature row must
     have non-zero norm; ``image_norms`` holds those norms, per entity with
-    images, for the visual route.
+    images, for the visual route. ``names`` and ``graph`` are built on first
+    use and kept, since the entities never change.
     """
 
     def __init__(self, entities: Iterable[Entity]):
@@ -142,10 +145,6 @@ class KnowledgeBase:
             image_norms)
         self.feature_dim = feature_dim
 
-    @property
-    def entities(self) -> Mapping[str, Entity]:
-        return MappingProxyType(self._entities)
-
     def __len__(self) -> int:
         return len(self._entities)
 
@@ -170,6 +169,13 @@ class KnowledgeBase:
         return NameIndex(
             MappingProxyType({k: tuple(v) for k, v in by_tokens.items()}),
             max(map(len, by_tokens), default=0))
+
+    @cached_property
+    def graph(self) -> KnowledgeGraph:
+        """``build_graph(self)``, built on first use: models and commands
+        over one knowledge base share the graph and its ``dead_end_reach``
+        cache, and a knowledge base nobody walks builds none."""
+        return build_graph(self)
 
 
 def decode_json(text, document: str):

@@ -8,7 +8,9 @@ also the random-draw order, which makes fixed-seed runs bit-identical.
 parameter penalty work on whole. ``DialogModel`` couples the parameters
 with a knowledge base to run acquisition, composition, regularization, and
 decoding for single dialog pairs; ``DialogModel.prepare`` does the
-parameter-free half of composing a context, which training does once.
+parameter-free half of composing a context, which training does once. A
+model walks its knowledge base's one ``graph`` under its config's one
+``acquisition``, and a teacher-forced pass maps its response to ids once.
 """
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .acquire import (AcquisitionConfig, AttributeKnowledge, DialogContext,
-                      RelationTuple, acquire_attributes, tokenize,
-                      walk_relations)
+from .acquire import (AttributeKnowledge, DialogContext, RelationTuple,
+                      acquire_attributes, tokenize, walk_relations)
 from .autodiff import Tensor
 from .composer import (AttentionParams, ComposedRepresentation,
                        EmbeddingTable, EncoderBlockParams, FusionParams,
@@ -32,7 +33,7 @@ from .config import TrainingConfig
 from .decoder import (DecoderBlockParams, DecoderParams, OutputHead,
                       SemanticEnhanceParams, decode_states, generate,
                       predict_token, semantic_enhance, total_loss)
-from .kb import KnowledgeBase, build_graph
+from .kb import KnowledgeBase
 from .regularizer import (LatentQuerySet, SemanticProjectionParams,
                           encode_ground_truth, project_semantic,
                           regularization_loss)
@@ -267,10 +268,6 @@ class DialogModel:
         self.vocab = vocab
         self.kb = kb
         self.cfg = cfg
-        self.graph = build_graph(kb)
-        self.acq = AcquisitionConfig(epsilon=cfg.epsilon,
-                                     max_hops=cfg.max_hops,
-                                     max_tuples=cfg.max_tuples)
 
     # ----------------------------------------------------------- acquisition
 
@@ -278,13 +275,15 @@ class DialogModel:
                                                    set[RelationTuple]]:
         """Acquire attribute knowledge and mine relation tuples from the
         mentioned entities (none when relations are disabled). Each call
-        walks the graph again; with ``max_tuples`` set, a walk over nodes
-        of more than ``max_hops`` out-neighbours reads at most
-        ``max_tuples * max_hops`` adjacency lists, whatever the degree."""
-        knowledge = acquire_attributes(ctx, self.kb, self.acq)
+        walks the knowledge base's graph again; with ``max_tuples`` set, a
+        walk over nodes of more than ``max_hops`` out-neighbours reads at
+        most ``max_tuples * max_hops`` adjacency lists, whatever the
+        degree."""
+        acq = self.cfg.acquisition
+        knowledge = acquire_attributes(ctx, self.kb, acq)
         if self.cfg.use_relations:
             seeds = {name.strip() for name in knowledge.source_entities()}
-            tuples = walk_relations(self.graph, seeds, self.acq)
+            tuples = walk_relations(self.kb.graph, seeds, acq)
         else:
             tuples = set()
         return knowledge, tuples
@@ -312,9 +311,10 @@ class DialogModel:
         return project_semantic(self.params.latent, comp.T_c,
                                 self.params.sem_composed)
 
-    def semantic_truth(self, response_tokens: Sequence[str]) -> Tensor:
-        """T-tilde_r: the ground-truth-side semantic projection."""
-        T_r = encode_ground_truth(response_tokens, self.vocab, self.params.table,
+    def semantic_truth(self, response_ids: Sequence[int]) -> Tensor:
+        """T-tilde_r: the ground-truth-side semantic projection of a
+        response's token ids (``vocab.encode`` of its tokens)."""
+        T_r = encode_ground_truth(response_ids, self.params.table,
                                   self.params.encoder)
         return project_semantic(self.params.latent, T_r, self.params.sem_truth)
 
@@ -336,7 +336,9 @@ class DialogModel:
         return predict_token(z_hat, self.params.decoder.head), targets, T_sem
 
     def _teacher_forced(self, ctx, response_tokens, enhance_with, comp):
-        """``teacher_predictions`` up to the output head: z-hat [n x D]."""
+        """``teacher_predictions`` up to the output head: z-hat [n x D]. The
+        response is mapped to ids once, for the targets, the decoder prefix
+        and the ground-truth side."""
         if not response_tokens:
             raise ValueError("teacher_predictions: empty response")
         if comp is None:
@@ -349,7 +351,7 @@ class DialogModel:
         z_bar = decode_states(comp.T_c, comp.E_k, E_y,
                               self.params.decoder.blocks)
         if enhance_with == "truth":
-            T_sem = self.semantic_truth(response_tokens)
+            T_sem = self.semantic_truth(response_ids)
         elif enhance_with == "composed":
             T_sem = self.semantic_composed(comp)
         else:
@@ -400,7 +402,7 @@ class DialogModel:
         with ad.no_grad():
             comp = self.compose_context(ctx)
             composed = self.semantic_composed(comp)
-            truth = self.semantic_truth(response_tokens)
+            truth = self.semantic_truth(self.vocab.encode(response_tokens))
             return {"composed": composed.data.tolist(),
                     "ground_truth": truth.data.tolist()}
 

@@ -1,19 +1,20 @@
 """Latent-query semantic projection and the representation regularizer.
 
 A shared set of trainable latent query vectors P_g attends over a
-variable-length representation (the composed T_c, or the encoded
-ground-truth response T_r) and projects it to a fixed N_P x D semantic
-matrix. Projecting both sides into that one space makes the squared
+variable-length representation (the composed T_c, or T_r, the ground-truth
+response's token ids embedded and encoded) and projects it to a fixed
+N_P x D semantic matrix. Projecting both sides into that one space makes the squared
 Frobenius distance between them a well-defined training signal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .composer import (AttentionParams, EmbeddingTable, EncoderBlockParams,
-                       MlpParams, Vocabulary, embed_tokens, encode)
+                       MlpParams, embed_ids, encode)
 
 
 @dataclass
@@ -51,13 +52,13 @@ def project_semantic(latent: LatentQuerySet, T: Tensor,
                                 proj.mlp.w2, proj.mlp.b2))
 
 
-def encode_ground_truth(response_tokens, vocab: Vocabulary,
-                        table: EmbeddingTable,
+def encode_ground_truth(response_ids: Sequence[int], table: EmbeddingTable,
                         blocks: tuple[EncoderBlockParams, ...]) -> Tensor:
-    """T_r: embed the ground-truth response and run the shared encoder."""
-    if not response_tokens:
+    """T_r: embed the ground-truth response's token ids, cut to the position
+    table as ``embed_ids`` cuts, and run the shared encoder."""
+    if not response_ids:
         raise ValueError("encode_ground_truth: empty response")
-    return encode(embed_tokens(response_tokens, vocab, table), blocks)
+    return encode(embed_ids(response_ids, table), blocks)
 
 
 def regularization_loss(T_r_sem: Tensor, T_c_sem: Tensor) -> Tensor:

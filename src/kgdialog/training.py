@@ -243,6 +243,7 @@ def mean_semantic_gap(model: DialogModel, pairs: list[DialogPair]) -> float:
     with ad.no_grad():
         for pair in pairs:
             comp = model.compose_context(pair.context)
-            total += regularization_loss(model.semantic_truth(pair.response),
+            truth = model.semantic_truth(model.vocab.encode(pair.response))
+            total += regularization_loss(truth,
                                          model.semantic_composed(comp)).item()
     return total / len(pairs)

@@ -117,6 +117,26 @@ def test_traced_training_spans_compose_and_encodes_once_per_pair(
         assert calls[name] == calls["model.loss_pair"], name
 
 
+def test_first_acquire_over_a_fresh_kb_reaches_the_traced_build_graph(
+        tracer_module):
+    """``kb.build_graph_ms`` times the graph a knowledge base builds on its
+    first walk, which the workloads' warm-up request makes under the
+    tracer; later acquisitions reuse the graph."""
+    syn = make_synthetic_corpus(seed=0, n_entities=6, n_pairs=3)
+    vocab = build_vocabulary([list(p.response) for p in syn.pairs], syn.kb)
+    model = build_model(vocab, syn.kb, CFG)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for pair in syn.pairs:
+            model.acquire(pair.context)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("acquire.acquire") == len(syn.pairs)
+    assert names.count("kb.build_graph") == 1
+
+
 @pytest.mark.parametrize("strategy", ["greedy", "beam:2"])
 def test_traced_reply_spans_compose_and_tuple_encode_once(
         tracer_module, corpus, strategy):

@@ -353,6 +353,28 @@ def test_train_config_too_large_to_allocate_exits_one(ws, tmp_path, capsys,
                         r"is too large to allocate\n", err), err
 
 
+def test_train_config_flag_error_does_not_name_the_file(ws, tmp_path,
+                                                        capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    assert run_cli(["train", "--data", str(ws["bundle"]), "--config",
+                    str(cfg), *FAST_FLAGS, "--max-gen-len", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "kgdialog: error: max_gen_len must lie in [1, max_seq_len]\n")
+
+
+def test_train_config_file_valid_only_with_the_flags_is_accepted(
+        ws, tmp_path, capsys):
+    """max_gen_len 300 exceeds the default max_seq_len 256, not the
+    flag's 512."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_gen_len": 300, "epochs": 0}))
+    assert run_cli(["train", "--data", str(ws["bundle"]), "--config",
+                    str(cfg), *FAST_FLAGS[:-4], "--max-seq-len", "512"]) == 0
+    conf = json.loads(capsys.readouterr().out)["checkpoint"]["config"]
+    assert (conf["max_gen_len"], conf["max_seq_len"]) == (300, 512)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_train_non_finite_learning_rate_flag_exits_one(ws, capsys, value):
     assert run_cli(["train", "--data", str(ws["bundle"]), "--epochs", "1",
@@ -849,6 +871,13 @@ BAD_DOCUMENTS = {
                           checkpoint=_with_config(ws, dim="x"))),
         "--text", "hi"],
         "b.json", "config field 'dim' must be int, got 'x'"),
+    "--config": (lambda ws, w: ["train", "--data", str(ws["bundle"]),
+                                "--config", w("cfg.json", {"dim": "x"}),
+                                "--epochs", "1", *FAST_FLAGS[2:]],
+                 "cfg.json", "config field 'dim' must be int, got 'x'"),
+    "--config not an object": (lambda ws, w: [
+        "train", "--data", str(ws["bundle"]), "--config", w("cfg.json", [8])],
+        "cfg.json", "--config file must hold a JSON object"),
 }
 
 

@@ -12,7 +12,7 @@ from kgdialog.acquire import (AcquiredPair, AttributeKnowledge, RelationTuple,
 from kgdialog.autodiff import Tensor
 from kgdialog.composer import (EmbeddingTable, ImageProjectionParams,
                                Vocabulary, compose, compose_attributes,
-                               embed_tokens, encode, encode_relation_tuples,
+                               embed_ids, encode, encode_relation_tuples,
                                fuse, linearize_attributes, prepare_context,
                                project_image_features, reorganize_relations)
 from kgdialog.config import TrainingConfig
@@ -107,8 +107,8 @@ class TestLinearizeAttributes:
 class TestEmbedding:
     def test_sum_of_token_and_position_rows(self, vocab, table):
         tokens = ["the", "mall"]
-        E = embed_tokens(tokens, vocab, table)
         ids = vocab.encode(tokens)
+        E = embed_ids(ids, table)
         expect = table.token.data[ids] + table.position.data[:2]
         np.testing.assert_allclose(E.data, expect)
 
@@ -130,14 +130,23 @@ class TestEmbedding:
             + position[5:7])
 
     def test_empty_tokens(self, vocab, table):
-        assert embed_tokens([], vocab, table).shape == (0, D)
+        assert embed_ids([], table).shape == (0, D)
 
     def test_truncates_past_position_table(self, vocab, table, caplog):
         tokens = ["mall"] * 25
         with caplog.at_level("WARNING"):
-            E = embed_tokens(tokens, vocab, table)
+            E = embed_ids(vocab.encode(tokens), table)
         assert E.shape == (20, D)
         assert "truncating" in caplog.text
+
+    def test_cuts_to_the_positions_left_after_the_offset(self, vocab, table,
+                                                         caplog):
+        ids = vocab.encode(["mall"] * 10)
+        with caplog.at_level("WARNING"):
+            E = embed_ids(ids, table, offset=15)
+        assert caplog.messages == ["embed_tokens: truncating 10 tokens to 5"]
+        np.testing.assert_array_equal(
+            E.data, table.token.data[ids[:5]] + table.position.data[15:])
 
 
 
@@ -328,7 +337,7 @@ class TestEncodeRelationTuples:
         assert T_h.shape == (3, D)
         # row i is the mean-pooled encoding of the i-th ordered tuple
         for i, t in enumerate(order_tuples(TUPLES)):
-            E = embed_tokens(linearize_tuple(t), vocab, table)
+            E = embed_ids(vocab.encode(linearize_tuple(t)), table)
             row = _np_encoder_block(E.data, block).mean(axis=0)
             np.testing.assert_allclose(T_h.data[i], row, atol=1e-10)
 

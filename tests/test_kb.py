@@ -171,6 +171,14 @@ def test_build_graph_is_deterministic_and_idempotent():
         assert g1.out_edges(node) == g2.out_edges(node)
 
 
+def test_knowledge_base_keeps_the_graph_it_builds():
+    kb = _random_kb(np.random.default_rng(4), 8)
+    graph = kb.graph
+    assert kb.graph is graph
+    assert graph.nodes == build_graph(kb).nodes
+    assert graph.edges == build_graph(kb).edges
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_build_graph_insertion_order_is_irrelevant(seed):

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 from helpers import address_space_cap, dense_adjacency, kb_of, \
     max_rel_error
 from kgdialog import autodiff as ad
+from kgdialog import kb as kb_module
 from kgdialog import model as model_module
-from kgdialog.acquire import DialogContext, acquire_text_attributes, tokenize
+from kgdialog.acquire import (DialogContext, acquire_text_attributes, tokenize,
+                              walk_relations)
 from kgdialog.composer import (AttentionParams, Vocabulary,
                                linearize_attributes)
 from kgdialog.config import TrainingConfig
@@ -354,6 +357,65 @@ class TestDialogModel:
         comp = m.compose_context(CTX)
         assert comp.T_c is comp.T_t
 
+    @staticmethod
+    def _counting_graph_builds(monkeypatch):
+        """The knowledge bases ``kb.build_graph`` is called on, in order,
+        through any module of the package that binds it."""
+        built = []
+        real = kb_module.build_graph
+
+        def counting(kb):
+            built.append(kb)
+            return real(kb)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("kgdialog")
+                    and getattr(module, "build_graph", None) is real):
+                monkeypatch.setattr(module, "build_graph", counting)
+        return built
+
+    def test_models_and_a_walk_over_one_kb_share_one_graph(
+            self, vocab, kb, monkeypatch):
+        built = self._counting_graph_builds(monkeypatch)
+        fresh = KnowledgeBase(kb)
+        models = [build_model(vocab, fresh, CFG.replace(seed=seed))
+                  for seed in (1, 2)]
+        for m in models:
+            m.acquire(CTX)
+            m.generate_response(CTX, max_len=2)
+        walked = walk_relations(fresh.graph, {"Inaniwa Yosuke"},
+                                CFG.acquisition)
+        assert walked == models[0].acquire(CTX)[1]
+        assert built == [fresh]
+
+    def test_relations_disabled_builds_no_graph(self, vocab, kb,
+                                                monkeypatch):
+        built = self._counting_graph_builds(monkeypatch)
+        m = build_model(vocab, KnowledgeBase(kb),
+                        CFG.replace(use_relations=False))
+        m.acquire(CTX)
+        m.loss_pair(CTX, RESPONSE)[0].backward()
+        m.generate_response(CTX, max_len=2)
+        assert built == []
+
+    @pytest.mark.parametrize("run", [
+        lambda m: m.loss_pair(CTX, RESPONSE),
+        lambda m: m.teacher_predictions(CTX, RESPONSE, "truth"),
+    ], ids=["loss_pair", "teacher_predictions"])
+    def test_a_teacher_forced_pass_encodes_its_response_once(
+            self, model, monkeypatch, run):
+        responses = []
+        real = Vocabulary.encode
+
+        def recording(vocab, tokens):
+            if tuple(tokens) == RESPONSE:
+                responses.append(tokens)
+            return real(vocab, tokens)
+
+        monkeypatch.setattr(Vocabulary, "encode", recording)
+        run(model)
+        assert len(responses) == 1
+
     def test_loss_pair_structure(self, model):
         loss, parts = model.loss_pair(CTX, RESPONSE)
         assert set(parts) == {"ce", "reg", "total"}
@@ -466,7 +528,7 @@ class TestDialogModel:
         original = model.semantic_truth
         try:
             comp = model.compose_context(CTX)
-            model.semantic_truth = lambda tokens: model.semantic_composed(comp)
+            model.semantic_truth = lambda ids: model.semantic_composed(comp)
             p_forced, _, m_forced = model.teacher_predictions(
                 CTX, RESPONSE, enhance_with="truth", comp=comp)
         finally:

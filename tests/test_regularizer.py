@@ -74,15 +74,15 @@ class TestEncodeGroundTruth:
             token=Tensor(rng.normal(size=(7, D))),
             position=Tensor(rng.normal(size=(10, D))))
         block = make_encoder_block(rng, D, 6)
-        got = encode_ground_truth(["a", "c", "b"], vocab, table, (block,))
+        got = encode_ground_truth(vocab.encode(["a", "c", "b"]), table,
+                                  (block,))
         assert got.shape == (3, D)
 
     def test_empty_response_raises(self, rng):
-        vocab = Vocabulary(["a"])
         table = EmbeddingTable(token=Tensor(rng.normal(size=(5, D))),
                                position=Tensor(rng.normal(size=(10, D))))
         with pytest.raises(ValueError):
-            encode_ground_truth([], vocab, table, ())
+            encode_ground_truth([], table, ())
 
 
 class TestRegularizationLoss:

@@ -61,13 +61,30 @@ def test_seeds_across_processes_match_one_process(capsys):
 
 @pytest.mark.parametrize("epochs", ["0", "-1"])
 def test_overfit_without_epochs_is_refused_before_training(monkeypatch,
-                                                           epochs):
+                                                           capsys, epochs):
     def refuse(*args, **kwargs):
         raise AssertionError("trained with no epochs to report")
 
     monkeypatch.setattr(experiments, "train", refuse)
-    with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+    with pytest.raises(SystemExit) as exc:
         run_study.main(["overfit", *TINY["overfit"], "--epochs", epochs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f": error: epochs must be >= 1, got {epochs}\n")
+
+
+@pytest.mark.parametrize("study, flags, message", [
+    ("overfit", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+    ("relations", ["--n-train", "0"], "n_train 0 and n_held 4 must be >= 1"),
+])
+def test_refused_study_arguments_are_a_one_line_usage_error(
+        capsys, study, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        run_study.main([study, *TINY[study], *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_zero_jobs_rejected(capsys):

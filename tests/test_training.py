@@ -448,7 +448,7 @@ class TestEvaluationHelpers:
         for pair in tiny.pairs[:3]:
             comp = model.compose_context(pair.context)
             a = model.semantic_composed(comp).data
-            b = model.semantic_truth(pair.response).data
+            b = model.semantic_truth(model.vocab.encode(pair.response)).data
             total += float(np.sum((a - b) ** 2))
         assert got == pytest.approx(total / 3, rel=1e-12)
 
