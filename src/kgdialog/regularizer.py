@@ -3,13 +3,12 @@
 A shared set of trainable latent query vectors P_g attends over a
 variable-length representation (the composed T_c, or T_r, the ground-truth
 response's token ids embedded and encoded) and projects it to a fixed
-N_P x D semantic matrix. Projecting both sides into that one space makes the squared
-Frobenius distance between them a well-defined training signal.
+N_P x D semantic matrix. Projecting both sides into that one space makes
+the squared Frobenius distance between them a well-defined training signal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -52,7 +51,7 @@ def project_semantic(latent: LatentQuerySet, T: Tensor,
                                 proj.mlp.w2, proj.mlp.b2))
 
 
-def encode_ground_truth(response_ids: Sequence[int], table: EmbeddingTable,
+def encode_ground_truth(response_ids: list[int], table: EmbeddingTable,
                         blocks: tuple[EncoderBlockParams, ...]) -> Tensor:
     """T_r: embed the ground-truth response's token ids, cut to the position
     table as ``embed_ids`` cuts, and run the shared encoder."""
