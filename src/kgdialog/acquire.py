@@ -68,25 +68,6 @@ class AcquiredPair:
 
 
 @dataclass(frozen=True)
-class AttributeKnowledge:
-    """Deterministically ordered attribute knowledge for one context."""
-
-    pairs: tuple[AcquiredPair, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-    def source_entities(self) -> set[str]:
-        return {ap.source_entity for ap in self.pairs}
-
-
-@dataclass(frozen=True)
 class RelationTuple:
     """A linearized walk result: [node, label, node, label, node, ...].
 
@@ -114,9 +95,9 @@ class AcquisitionConfig:
 
     epsilon: strict lower bound on cosine similarity for the visual route.
     max_hops: walk budget n.
-    max_tuples: optional cap on returned tuples, keeping the first in
-    ``order_tuples`` order (shortest first, then lexicographic); the walk
-    stops once it has them (see ``walk_relations`` for its cost). None
+    max_tuples: optional cap on returned tuples, keeping the first in the
+    walk's order (shortest first, then lexicographic); the walk stops once
+    it has them (see ``walk_relations`` for its cost). None
     means unlimited.
     """
 
@@ -133,13 +114,14 @@ class AcquisitionConfig:
             raise ValueError("max_tuples must be >= 1 or None")
 
 
-def _ordered(pairs: Iterable[AcquiredPair]) -> AttributeKnowledge:
+def _ordered(pairs: Iterable[AcquiredPair]) -> tuple[AcquiredPair, ...]:
     """Sort by (source, type, value) and drop duplicates."""
     unique = {ap.key(): ap for ap in pairs}
-    return AttributeKnowledge(tuple(unique[k] for k in sorted(unique)))
+    return tuple(unique[k] for k in sorted(unique))
 
 
-def acquire_text_attributes(ctx: DialogContext, kb: KnowledgeBase) -> AttributeKnowledge:
+def acquire_text_attributes(ctx: DialogContext,
+                            kb: KnowledgeBase) -> tuple[AcquiredPair, ...]:
     """Attribute pairs of every entity mentioned in the context text.
 
     A mention is the entity's name appearing as a contiguous token run,
@@ -187,7 +169,8 @@ def _max_cosine(f: np.ndarray, f_norm: float, entity: Entity,
 
 
 def acquire_visual_attributes(ctx: DialogContext, kb: KnowledgeBase,
-                              cfg: AcquisitionConfig) -> AttributeKnowledge:
+                              cfg: AcquisitionConfig
+                              ) -> tuple[AcquiredPair, ...]:
     """Attribute pairs of entities visually similar to any context image.
 
     An entity is selected by a context image when its maximum per-image
@@ -207,46 +190,32 @@ def acquire_visual_attributes(ctx: DialogContext, kb: KnowledgeBase,
     return _ordered(found)
 
 
-def merge_attribute_knowledge(text_k: AttributeKnowledge,
-                              visual_k: AttributeKnowledge) -> AttributeKnowledge:
-    """Concatenate textual then visual knowledge, dropping repeats.
-
-    Deduplication keys on (source entity, type, value) and keeps the first
-    occurrence, so the textual route wins on overlap.
-    """
-    seen: set[tuple[str, str, str]] = set()
-    merged = []
-    for ap in (*text_k.pairs, *visual_k.pairs):
-        if ap.key() not in seen:
-            seen.add(ap.key())
-            merged.append(ap)
-    return AttributeKnowledge(tuple(merged))
-
-
 def acquire_attributes(ctx: DialogContext, kb: KnowledgeBase,
-                       cfg: AcquisitionConfig) -> AttributeKnowledge:
-    """The context's attribute knowledge: the textual route, then the
-    visual route when both the context and the KB carry image features,
-    merged so that the textual route wins on repeats."""
-    text_k = acquire_text_attributes(ctx, kb)
+                       cfg: AcquisitionConfig) -> tuple[AcquiredPair, ...]:
+    """The context's attribute knowledge: the textual route's pairs, then,
+    when both the context and the KB carry image features, the visual
+    route's pairs that the textual route lacks (keyed on source entity,
+    type and value)."""
+    text = acquire_text_attributes(ctx, kb)
     if not (ctx.image_features.size and kb.feature_dim):
-        return text_k
-    return merge_attribute_knowledge(
-        text_k, acquire_visual_attributes(ctx, kb, cfg))
+        return text
+    seen = {ap.key() for ap in text}
+    return text + tuple(ap for ap in acquire_visual_attributes(ctx, kb, cfg)
+                        if ap.key() not in seen)
 
 
 def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
-                   cfg: AcquisitionConfig) -> set[RelationTuple]:
+                   cfg: AcquisitionConfig) -> tuple[RelationTuple, ...]:
     """Mine relation tuples by n-hop graph walk from each seed entity.
 
     Returns every maximal simple path with 1..max_hops edges: a path is
     emitted exactly when it has used its hop budget or its last node has no
-    out-edge to a node not already on it (a dead end). Seeds outside the
-    graph are skipped with a warning. With ``cfg.max_tuples`` set, only the
-    first ``max_tuples`` paths in ``order_tuples`` order (shortest first,
-    then lexicographic) are kept, and the walk stops as soon as it has
-    them. Dead ends are searched for only through prefixes that can still
-    reach a node able to end one (``KnowledgeGraph.dead_end_reach``), so
+    out-edge to a node not already on it (a dead end), in the order
+    composition uses: shorter first, ties broken lexicographically on
+    entries. Seeds outside the graph are skipped with a warning. With
+    ``cfg.max_tuples`` set, only the first ``max_tuples`` paths are kept,
+    and the walk stops as soon as it has them. Dead ends are searched for
+    only through prefixes that can still reach a node able to end one (``KnowledgeGraph.dead_end_reach``), so
     on a graph whose nodes all have more than ``max_hops`` out-neighbours
     a capped walk reads at most ``max_tuples * max_hops`` adjacency lists.
 
@@ -262,16 +231,16 @@ def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
         starts.append(seed)
     hops = min(cfg.max_hops, len(graph.nodes) - 1)
     if hops < 1:  # a one-node graph has no simple path with an edge
-        return set()
+        return ()
     paths = _ranked_paths(graph, starts, hops)
-    return {RelationTuple(p) for p in islice(paths, cfg.max_tuples)}
+    return tuple(RelationTuple(p) for p in islice(paths, cfg.max_tuples))
 
 
 def _ranked_paths(graph: KnowledgeGraph, seeds: list[str],
                   max_hops: int) -> Iterator[tuple[str, ...]]:
     # The seeds arrive sorted and each walk is lexicographic, so the dead
-    # ends of each length, then the full-length paths, come out in
-    # order_tuples order.
+    # ends of each length, then the full-length paths, come out shortest
+    # first, then lexicographically.
     reach = graph.dead_end_reach(max_hops) if max_hops > 1 else {}
     for hops in range(1, max_hops):
         for seed in seeds:
@@ -311,12 +280,6 @@ def _paths(graph: KnowledgeGraph, seed: str, hops: int,
             if stack:
                 on_path.remove(entries[-1])
                 del entries[-2:]
-
-
-def order_tuples(tuples: Iterable[RelationTuple]) -> list[RelationTuple]:
-    """The deterministic tuple order used everywhere downstream: shorter
-    tuples first, ties broken lexicographically on entries."""
-    return sorted(tuples, key=lambda t: (len(t.entries), t.entries))
 
 
 def linearize_tuple(t: RelationTuple) -> list[str]:

@@ -32,7 +32,7 @@ import traceback
 from . import __version__
 from . import autodiff as ad
 from .acquire import (AcquisitionConfig, DialogContext, acquire_attributes,
-                      order_tuples, walk_relations)
+                      walk_relations)
 from .config import TrainingConfig
 from .corpus import (make_synthetic_corpus, pairs_from_records, read_corpus,
                      save_corpus_records, save_kb_doc)
@@ -262,9 +262,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_walk(args) -> int:
     kb = _in_document(args.kb, kb_from_doc, _load_json(args.kb))
     cfg = AcquisitionConfig(max_hops=args.hops, max_tuples=args.max_tuples)
-    tuples = walk_relations(kb.graph, args.seed, cfg)
     lines = [json.dumps({"entries": list(t.entries)}, sort_keys=True)
-             for t in order_tuples(tuples)]
+             for t in walk_relations(kb.graph, args.seed, cfg)]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

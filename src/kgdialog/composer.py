@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .acquire import (AttributeKnowledge, RelationTuple, linearize_tuple,
-                      order_tuples, tokenize)
+from .acquire import AcquiredPair, RelationTuple, linearize_tuple, tokenize
 from .autodiff import Tensor
 
 if TYPE_CHECKING:
@@ -168,7 +167,7 @@ class PreparedContext:
     knowledge_ids: list[int]
     context_ids: list[int]
     image_features: np.ndarray
-    tuples: list[RelationTuple]
+    tuples: tuple[RelationTuple, ...]
     tuple_ids: list[int]
     tuple_positions: list[int]
     tuple_lengths: list[int]
@@ -187,7 +186,7 @@ class ComposedRepresentation:
     T_t: Tensor
     T_h: Tensor
     T_c: Tensor
-    tuples: list[RelationTuple]
+    tuples: tuple[RelationTuple, ...]
     relation_attention: Optional[Tensor]
     r_t: Optional[Tensor]
     r_h: Optional[Tensor]
@@ -196,9 +195,9 @@ class ComposedRepresentation:
     n_visual: int
 
 
-def linearize_attributes(knowledge: AttributeKnowledge) -> list[str]:
+def linearize_attributes(knowledge: Iterable[AcquiredPair]) -> list[str]:
     """Render attribute knowledge as a token run: "type : value ;" per pair,
-    in the knowledge's deterministic order."""
+    in the knowledge's order."""
     tokens: list[str] = []
     for ap in knowledge:
         tokens += tokenize(ap.pair.attribute_type)
@@ -220,10 +219,11 @@ def _fit_positions(tokens: Sequence, budget: int) -> Sequence:
 
 def prepare_context(knowledge_tokens: Sequence[str],
                     ctx_tokens: Sequence[str], image_features: np.ndarray,
-                    tuples: Iterable[RelationTuple], vocab: Vocabulary,
+                    tuples: Sequence[RelationTuple], vocab: Vocabulary,
                     max_len: int) -> PreparedContext:
     """Token ids, positions and cuts for one context and a position table
-    of ``max_len`` rows, tuples in ``order_tuples`` order. Image rows keep
+    of ``max_len`` rows, tuples in the order given (``walk_relations``'
+    order, for a model's contexts). Image rows keep
     their positions first, then context tokens, and knowledge tokens get
     what is left; each tuple's positions restart at 0. Every cut warns."""
     n_vis = len(image_features) if image_features.size else 0
@@ -237,12 +237,11 @@ def prepare_context(knowledge_tokens: Sequence[str],
         logger.warning("compose: truncating knowledge tokens %d -> %d",
                        len(knowledge_tokens), knowledge_budget)
         knowledge_tokens = knowledge_tokens[:knowledge_budget]
-    ordered = order_tuples(tuples)
-    runs = [_fit_positions(linearize_tuple(t), max_len) for t in ordered]
+    runs = [_fit_positions(linearize_tuple(t), max_len) for t in tuples]
     return PreparedContext(
         knowledge_ids=vocab.encode(knowledge_tokens),
         context_ids=vocab.encode(ctx_tokens), image_features=image_features,
-        tuples=ordered,
+        tuples=tuple(tuples),
         tuple_ids=vocab.encode([tok for run in runs for tok in run]),
         tuple_positions=[p for run in runs for p in range(len(run))],
         tuple_lengths=[len(run) for run in runs])
@@ -331,7 +330,7 @@ def _tuple_passes(lengths: Sequence[int]) -> list[tuple[int, int]]:
 def encode_relation_tuples(prepared: PreparedContext, table: EmbeddingTable,
                            blocks: Sequence[EncoderBlockParams]) -> Tensor:
     """T_h: one mean-pooled encoded row per prepared tuple, rows in the
-    prepared (``order_tuples``) order.
+    prepared order.
 
     Each tuple is a segment whose positions restart at 0 and whose rows
     attend only to each other, so in exact arithmetic row i equals encoding

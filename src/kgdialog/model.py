@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .acquire import (AttributeKnowledge, DialogContext, RelationTuple,
+from .acquire import (AcquiredPair, DialogContext, RelationTuple,
                       acquire_attributes, tokenize, walk_relations)
 from .autodiff import Tensor
 from .composer import (AttentionParams, ComposedRepresentation,
@@ -271,22 +271,20 @@ class DialogModel:
 
     # ----------------------------------------------------------- acquisition
 
-    def acquire(self, ctx: DialogContext) -> tuple[AttributeKnowledge,
-                                                   set[RelationTuple]]:
-        """Acquire attribute knowledge and mine relation tuples from the
-        mentioned entities (none when relations are disabled). Each call
-        walks the knowledge base's graph again; with ``max_tuples`` set, a
-        walk over nodes of more than ``max_hops`` out-neighbours reads at
-        most ``max_tuples * max_hops`` adjacency lists, whatever the
-        degree."""
+    def acquire(self, ctx: DialogContext
+                ) -> tuple[tuple[AcquiredPair, ...], tuple[RelationTuple, ...]]:
+        """Acquire attribute knowledge and mine relation tuples, in the
+        walk's order, from the entities the knowledge came from (none when
+        relations are disabled). Each call walks the knowledge base's graph
+        again; with ``max_tuples`` set, a walk over nodes of more than
+        ``max_hops`` out-neighbours reads at most ``max_tuples * max_hops``
+        adjacency lists, whatever the degree."""
         acq = self.cfg.acquisition
         knowledge = acquire_attributes(ctx, self.kb, acq)
-        if self.cfg.use_relations:
-            seeds = {name.strip() for name in knowledge.source_entities()}
-            tuples = walk_relations(self.kb.graph, seeds, acq)
-        else:
-            tuples = set()
-        return knowledge, tuples
+        if not self.cfg.use_relations:
+            return knowledge, ()
+        seeds = {ap.source_entity.strip() for ap in knowledge}
+        return knowledge, walk_relations(self.kb.graph, seeds, acq)
 
     def prepare(self, ctx: DialogContext) -> PreparedContext:
         """The parameter-free half of composing ``ctx``: its acquired

@@ -496,8 +496,8 @@ def build_composite_grad_cases(seed: int = 1):
     # encode_relation_tuples: every tuple in one segmented encoder pass
     vocab = Vocabulary(["a", "b", "c", "near", "in"])
     tuples = [RelationTuple(("a", "near", "b c")),
-              RelationTuple(("b", "in", "c", "near", "a")),
-              RelationTuple(("c", "in", "a"))]
+              RelationTuple(("c", "in", "a")),
+              RelationTuple(("b", "in", "c", "near", "a"))]
     table = EmbeddingTable(_param(rng, len(vocab), 3), _param(rng, 6, 3))
     blocks = tuple(make_encoder_block(rng, 3, 4, scale=True)
                    for _ in range(2))
@@ -513,7 +513,7 @@ def build_composite_grad_cases(seed: int = 1):
     # a first pass of 3-row tuples padded to 5 rows, then a mixed one
     nodes, labels = "abcdef", ("near", "in")
     vocab = Vocabulary([*nodes, *labels])
-    tuples = [RelationTuple(t) for t in product(nodes, labels, nodes)]
+    tuples = [RelationTuple(t) for t in sorted(product(nodes, labels, nodes))]
     tuples += [RelationTuple(("a", "near", n, "in", "b")) for n in nodes]
     table = EmbeddingTable(_param(rng, len(vocab), 3), _param(rng, 5, 3))
     blocks = tuple(make_encoder_block(rng, 3, 4, scale=True)
@@ -528,6 +528,12 @@ def build_composite_grad_cases(seed: int = 1):
          + [t for b in blocks for t in encoder_block_tensors(b)])
 
     return cases
+
+
+def walk_rank(entries: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """The order ``walk_relations`` emits tuples in, as a sort key on their
+    entries: fewer entries first, then lexicographic."""
+    return len(entries), entries
 
 
 def dense_adjacency(n_entities: int, degree: int,

@@ -5,18 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdialog.acquire import (PROVENANCE_TEXTUAL, AcquisitionConfig,
-                              AttributeKnowledge, DialogContext,
-                              NoImagesError, RelationTuple,
+                              DialogContext, NoImagesError, RelationTuple,
                               acquire_attributes, acquire_text_attributes,
                               acquire_visual_attributes, entity_similarity,
-                              linearize_tuple, merge_attribute_knowledge,
-                              order_tuples, tokenize, walk_relations)
+                              linearize_tuple, tokenize, walk_relations)
 from kgdialog import kb as kb_module
 from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.kb import (AttributeValuePair, Entity, KnowledgeBase,
                          KnowledgeGraph, build_graph)
 
-from helpers import dense_adjacency
+from helpers import dense_adjacency, walk_rank
 
 
 def _pairs(*tvs):
@@ -68,7 +66,7 @@ def test_text_route_requires_contiguous_mention():
 def test_text_route_empty_when_nothing_mentioned():
     kb = KnowledgeBase([WISMA, INANIWA])
     ctx = DialogContext(tuple(tokenize("any good food around here?")))
-    assert acquire_text_attributes(ctx, kb) == AttributeKnowledge(())
+    assert acquire_text_attributes(ctx, kb) == ()
 
 
 # Words for names and contexts: "site"/"1"/"12" make names that are prefixes
@@ -286,42 +284,49 @@ def test_visual_route_selection_grows_as_epsilon_drops(seed, eps):
 
 # --------------------------------------------------------------------- merge
 
+def _merged(text, visual):
+    """The textual pairs, then the visual pairs whose key they lack."""
+    keys = {ap.key() for ap in text}
+    return text + tuple(ap for ap in visual if ap.key() not in keys)
+
+
 def test_merge_keeps_text_first_then_visual():
-    t = AttributeKnowledge(tuple(
-        acquire_text_attributes(
-            DialogContext(tuple(tokenize("Wisma Atria"))),
-            KnowledgeBase([WISMA])).pairs))
-    v = acquire_visual_attributes(
-        DialogContext((), np.array([[1.0, 0.0]])),
-        KnowledgeBase([_visual_entity("E", [[1.0, 0.0]], (("a", "b"), ("c", "d")))]),
-        AcquisitionConfig(epsilon=0.5))
-    merged = merge_attribute_knowledge(t, v)
+    kb = KnowledgeBase([WISMA, _visual_entity("E", [[1.0, 0.0]],
+                                              (("a", "b"), ("c", "d")))])
+    ctx = DialogContext(tuple(tokenize("Wisma Atria")), np.array([[1.0, 0.0]]))
+    merged = acquire_attributes(ctx, kb, AcquisitionConfig(epsilon=0.5))
     assert len(merged) == 5
     assert [ap.provenance for ap in merged] == ["textual"] * 3 + ["visual"] * 2
 
 
 def test_merge_deduplicates_identical_inputs():
-    kb = KnowledgeBase([WISMA])
-    ctx = DialogContext(tuple(tokenize("Wisma Atria")))
-    k = acquire_text_attributes(ctx, kb)
-    assert len(merge_attribute_knowledge(k, k)) == 3
+    # Wisma Atria is both mentioned and seen: each pair once, as textual
+    kb = KnowledgeBase([Entity(WISMA.name, WISMA.attributes, [[1.0, 0.0]])])
+    ctx = DialogContext(tuple(tokenize("Wisma Atria")), np.array([[1.0, 0.0]]))
+    merged = acquire_attributes(ctx, kb, AcquisitionConfig(epsilon=0.5))
+    assert len(acquire_visual_attributes(ctx, kb,
+                                         AcquisitionConfig(epsilon=0.5))) == 3
+    assert [ap.provenance for ap in merged] == ["textual"] * 3
 
 
 def test_merge_matches_set_union_oracle():
     rng = np.random.default_rng(5)
     kb = KnowledgeBase([Entity(f"e{i}", _pairs(*[(f"t{j}", f"v{j}")
-                                                 for j in range(4)]))
+                                                 for j in range(4)]),
+                               rng.standard_normal((2, 3)))
                         for i in range(6)])
+    cfg = AcquisitionConfig(epsilon=0.6)
     for trial in range(10):
-        mentioned = rng.choice([e.name for e in kb], size=3, replace=False)
-        ctx_a = DialogContext(tuple(tokenize(" ".join(mentioned[:2]))))
-        ctx_b = DialogContext(tuple(tokenize(" ".join(mentioned[1:]))))
-        a = acquire_text_attributes(ctx_a, kb)
-        b = acquire_text_attributes(ctx_b, kb)
-        merged = merge_attribute_knowledge(a, b)
-        union = {ap.key() for ap in a} | {ap.key() for ap in b}
+        mentioned = rng.choice([e.name for e in kb], size=2, replace=False)
+        ctx = DialogContext(tuple(tokenize(" ".join(mentioned))),
+                            rng.standard_normal((2, 3)))
+        text = acquire_text_attributes(ctx, kb)
+        visual = acquire_visual_attributes(ctx, kb, cfg)
+        merged = acquire_attributes(ctx, kb, cfg)
+        union = {ap.key() for ap in text} | {ap.key() for ap in visual}
         assert {ap.key() for ap in merged} == union
         assert len(merged) == len(union)
+        assert merged[:len(text)] == text
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -331,14 +336,12 @@ def test_acquire_attributes_equals_gated_route_sequence(seed, with_images):
     cfg = AcquisitionConfig()
     for pair in syn.pairs:
         ctx = pair.context
-        # the sequence acquire_attributes replaced: text route, visual route
-        # gated on image features, then merge
-        text_k = acquire_text_attributes(ctx, syn.kb)
-        visual_k = AttributeKnowledge(())
+        # text route, visual route gated on image features, then merge
+        text = acquire_text_attributes(ctx, syn.kb)
+        visual = ()
         if ctx.image_features.size and syn.kb.feature_dim:
-            visual_k = acquire_visual_attributes(ctx, syn.kb, cfg)
-        expected = merge_attribute_knowledge(text_k, visual_k)
-        assert acquire_attributes(ctx, syn.kb, cfg) == expected
+            visual = acquire_visual_attributes(ctx, syn.kb, cfg)
+        assert acquire_attributes(ctx, syn.kb, cfg) == _merged(text, visual)
 
 
 # --------------------------------------------------------------------- walks
@@ -349,20 +352,20 @@ def test_walk_reproduces_near_domain_chain():
         edges=[("InaniwaYosuke", "near", "WismaAtria"),
                ("WismaAtria", "domain", "mall")])
     out = walk_relations(g, {"InaniwaYosuke"}, AcquisitionConfig(max_hops=2))
-    assert out == {RelationTuple(("InaniwaYosuke", "near", "WismaAtria",
-                                  "domain", "mall"))}
+    assert out == (RelationTuple(("InaniwaYosuke", "near", "WismaAtria",
+                                  "domain", "mall")),)
 
 
 def test_walk_from_dead_end_seed_is_empty():
     g = KnowledgeGraph(nodes=("A", "B"), edges=[("A", "r", "B")])
-    assert walk_relations(g, {"B"}, AcquisitionConfig(max_hops=2)) == set()
+    assert walk_relations(g, {"B"}, AcquisitionConfig(max_hops=2)) == ()
 
 
 def test_walk_skips_unknown_seed_with_warning(caplog):
     g = KnowledgeGraph(nodes=("A", "B"), edges=[("A", "r", "B")])
     with caplog.at_level("WARNING"):
         out = walk_relations(g, {"A", "ghost"}, AcquisitionConfig(max_hops=1))
-    assert out == {RelationTuple(("A", "r", "B"))}
+    assert out == (RelationTuple(("A", "r", "B")),)
     assert "ghost" in caplog.text
 
 
@@ -371,14 +374,14 @@ def test_walk_emits_shorter_path_only_at_dead_ends():
     g = KnowledgeGraph(
         nodes=(), edges=[("A", "r1", "B"), ("A", "r2", "C"), ("C", "r3", "D")])
     out = walk_relations(g, {"A"}, AcquisitionConfig(max_hops=2))
-    assert out == {RelationTuple(("A", "r1", "B")),
-                   RelationTuple(("A", "r2", "C", "r3", "D"))}
+    assert out == (RelationTuple(("A", "r1", "B")),
+                   RelationTuple(("A", "r2", "C", "r3", "D")))
 
 
 def test_walk_never_revisits_nodes():
     g = KnowledgeGraph(nodes=(), edges=[("A", "r", "B"), ("B", "r", "A")])
     out = walk_relations(g, {"A"}, AcquisitionConfig(max_hops=3))
-    assert out == {RelationTuple(("A", "r", "B"))}
+    assert out == (RelationTuple(("A", "r", "B")),)
 
 
 def random_graph(seed, max_nodes=12, max_edges=24):
@@ -427,12 +430,12 @@ def test_walk_matches_enumeration_oracle(seed):
     seeds = {str(s) for s in rng.choice(sorted(g.nodes),
                                         size=min(3, len(g.nodes)),
                                         replace=False)}
-    got = {t.entries for t in walk_relations(
-        g, seeds, AcquisitionConfig(max_hops=hops))}
+    got = [t.entries for t in walk_relations(
+        g, seeds, AcquisitionConfig(max_hops=hops))]
     expected = set()
     for s in seeds:
         expected |= enumerate_maximal_paths(g, s, hops)
-    assert got == expected
+    assert got == sorted(expected, key=walk_rank)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5))
@@ -455,17 +458,17 @@ def test_walk_cap_keeps_shortest_then_lexicographic():
     edges += [(f"b{i}", "r", f"c{i}") for i in range(5)]
     g = KnowledgeGraph((), edges)
     capped = walk_relations(g, {"A"}, AcquisitionConfig(max_hops=1, max_tuples=2))
-    assert order_tuples(capped) == [RelationTuple(("A", "r", "b0")),
-                                    RelationTuple(("A", "r", "b1"))]
+    assert capped == (RelationTuple(("A", "r", "b0")),
+                      RelationTuple(("A", "r", "b1")))
 
 
 def _capped_oracle(graph, seeds, hops, cap):
-    """Every seed's maximal paths, ranked as ``order_tuples`` ranks them."""
+    """Every seed's maximal paths in the walk's ranking, the first ``cap``."""
     paths = set()
     for s in seeds:
         if s in graph.nodes:
             paths |= enumerate_maximal_paths(graph, s, hops)
-    return sorted(paths, key=lambda p: (len(p), p))[:cap]
+    return sorted(paths, key=walk_rank)[:cap]
 
 
 @st.composite
@@ -493,8 +496,7 @@ def test_capped_walk_matches_ranked_oracle(g, hops, cap, n_seeds):
     seeds = set(sorted(g.nodes)[:n_seeds]) | {"ghost"}
     got = walk_relations(g, seeds, AcquisitionConfig(max_hops=hops,
                                                      max_tuples=cap))
-    assert [t.entries for t in order_tuples(got)] == \
-        _capped_oracle(g, seeds, hops, cap)
+    assert [t.entries for t in got] == _capped_oracle(g, seeds, hops, cap)
 
 
 @pytest.mark.parametrize("cap", range(1, 6))
@@ -508,7 +510,7 @@ def test_capped_walk_ranks_shallow_dead_ends_of_later_seeds_first(cap):
     seeds = {"A", "Z", "ghost"}
     got = walk_relations(g, seeds, AcquisitionConfig(max_hops=3,
                                                      max_tuples=cap))
-    assert [t.entries for t in order_tuples(got)] == [
+    assert [t.entries for t in got] == [
         ("Z", "z", "Y"), ("A", "b", "E", "e", "F"),
         ("A", "a", "B", "b", "C", "c", "D")][:cap]
 
@@ -547,8 +549,7 @@ def test_capped_walk_work_is_bounded_by_prefixes():
     got = walk_relations(g, {"n00"}, AcquisitionConfig(max_hops=hops,
                                                        max_tuples=cap))
     assert g.calls <= 2 * (1 + d + d * (d - 1))
-    assert [t.entries for t in order_tuples(got)] == \
-        _capped_oracle(g, {"n00"}, hops, cap)
+    assert [t.entries for t in got] == _capped_oracle(g, {"n00"}, hops, cap)
 
 
 @pytest.mark.parametrize("cap", [None, 1])
@@ -567,7 +568,7 @@ def test_walk_work_stops_growing_at_the_longest_simple_path(cap):
     assert g.calls == reads
     lone = _CountingGraph((), [("x", "r", "x")])
     assert walk_relations(lone, {"x"}, AcquisitionConfig(
-        max_hops=100_000, max_tuples=cap)) == set()
+        max_hops=100_000, max_tuples=cap)) == ()
     assert lone.calls == 0
 
 
@@ -591,7 +592,7 @@ def test_dense_walk_reads_max_tuples_times_max_hops_adjacency_lists(
         got = walk_relations(g, {"e000", "e001"},
                              AcquisitionConfig(max_hops=hops, max_tuples=cap))
         assert g.calls <= cap * hops
-        ranked = [t.entries for t in order_tuples(got)]
+        ranked = [t.entries for t in got]
         assert len(ranked) == cap and all(len(p) == 2 * hops + 1
                                           for p in ranked)
         if d ** hops <= 10_000:

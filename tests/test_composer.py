@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
 from kgdialog import composer
-from kgdialog.acquire import (AcquiredPair, AttributeKnowledge, RelationTuple,
-                              linearize_tuple, order_tuples)
+from kgdialog.acquire import AcquiredPair, RelationTuple, linearize_tuple
 from kgdialog.autodiff import Tensor
 from kgdialog.composer import (EmbeddingTable, ImageProjectionParams,
                                Vocabulary, compose, compose_attributes,
@@ -20,7 +19,8 @@ from kgdialog.kb import AttributeValuePair
 from kgdialog.model import init_params
 
 from helpers import (build_composite_grad_cases, make_attention,
-                     make_encoder_block, make_fusion, max_rel_error)
+                     make_encoder_block, make_fusion, max_rel_error,
+                     walk_rank)
 
 D = 4
 
@@ -80,9 +80,8 @@ class TestVocabulary:
 # -------------------------------------------------------------- linearization
 
 def _knowledge(*entries):
-    return AttributeKnowledge(tuple(
-        AcquiredPair(e, AttributeValuePair(t, v), "textual")
-        for e, t, v in entries))
+    return tuple(AcquiredPair(e, AttributeValuePair(t, v), "textual")
+                 for e, t, v in entries)
 
 
 class TestLinearizeAttributes:
@@ -99,7 +98,7 @@ class TestLinearizeAttributes:
                           "domain", ":", "mall", ";"]
 
     def test_empty(self):
-        assert linearize_attributes(AttributeKnowledge(())) == []
+        assert linearize_attributes(()) == []
 
 
 # ------------------------------------------------------------------ embedding
@@ -258,22 +257,23 @@ class TestComposeAttributes:
 
 # ----------------------------------------------------------- relation encoding
 
-TUPLES = [
-    RelationTuple(("inaniwa yosuke", "near", "wisma atria", "domain", "mall")),
-    RelationTuple(("wisma atria", "domain", "mall")),
+# in the walk's order: shorter first, then lexicographic
+TUPLES = (
     RelationTuple(("inaniwa yosuke", "domain", "restaurant")),
-]
+    RelationTuple(("wisma atria", "domain", "mall")),
+    RelationTuple(("inaniwa yosuke", "near", "wisma atria", "domain", "mall")),
+)
 
 
 # each linearizes past the 20-row position table of the ``table`` fixture
-LONG_TUPLES = [
+LONG_TUPLES = (
     RelationTuple(("the big mall", "near", "wisma atria domain", "near",
                    "the big mall", "near", "wisma atria domain", "near",
                    "the big mall", "near", "wisma atria")),
     RelationTuple(("wisma atria domain", "near", "the big mall", "near",
                    "wisma atria domain", "near", "the big mall", "near",
                    "wisma atria domain", "near", "the mall")),
-]
+)
 
 # nodes for random tuples; "zebra" is out of vocabulary
 ORACLE_NODES = ("mall", "wisma atria", "domain", "the big mall", "zebra")
@@ -291,7 +291,7 @@ def _np_tuple_rows(tuples, vocab, table, blocks, scale):
     """Per-tuple oracle for T_h: embed each tuple alone, positions from 0
     and cut at the position table, run the numpy encoder, mean the rows."""
     rows = []
-    for t in order_tuples(tuples):
+    for t in tuples:
         tokens = linearize_tuple(t)[:table.max_len]
         x = (table.token.data[vocab.encode(tokens)]
              + table.position.data[:len(tokens)])
@@ -312,21 +312,20 @@ class TestPrepareContext:
                                    np.zeros((0, 0)), TUPLES, vocab, 20)
         assert prepared.knowledge_ids == vocab.encode(["domain", ":", "mall"])
         assert prepared.context_ids == vocab.encode(["the", "mall"])
-        assert prepared.tuples == order_tuples(TUPLES)
-        runs = [linearize_tuple(t) for t in order_tuples(TUPLES)]
+        assert prepared.tuples == TUPLES
+        runs = [linearize_tuple(t) for t in TUPLES]
         assert prepared.tuple_lengths == [len(run) for run in runs]
         assert prepared.tuple_ids == vocab.encode(
             [tok for run in runs for tok in run])
         assert prepared.tuple_positions == [p for run in runs
                                             for p in range(len(run))]
 
-    def test_tuple_order_decided_once(self, vocab, monkeypatch):
-        calls = []
-        real = composer.order_tuples
-        monkeypatch.setattr(composer, "order_tuples",
-                            lambda ts: calls.append(1) or real(ts))
-        prepared = _prepared_tuples(list(reversed(TUPLES)), vocab)
-        assert prepared.tuples == order_tuples(TUPLES) and len(calls) == 1
+    def test_tuples_keep_the_given_order(self, vocab):
+        """The walk decides the order; preparing a context keeps it."""
+        prepared = _prepared_tuples(TUPLES[::-1], vocab)
+        assert prepared.tuples == TUPLES[::-1]
+        assert prepared.tuple_lengths == [len(linearize_tuple(t))
+                                          for t in TUPLES[::-1]]
 
 
 class TestEncodeRelationTuples:
@@ -336,18 +335,18 @@ class TestEncodeRelationTuples:
                                      (block,))
         assert T_h.shape == (3, D)
         # row i is the mean-pooled encoding of the i-th ordered tuple
-        for i, t in enumerate(order_tuples(TUPLES)):
+        for i, t in enumerate(TUPLES):
             E = embed_ids(vocab.encode(linearize_tuple(t)), table)
             row = _np_encoder_block(E.data, block).mean(axis=0)
             np.testing.assert_allclose(T_h.data[i], row, atol=1e-10)
 
-    def test_input_order_irrelevant(self, vocab, table, rng):
+    def test_rows_follow_the_given_order(self, vocab, table, rng):
         block = make_encoder_block(rng, D, 6)
         a = encode_relation_tuples(_prepared_tuples(TUPLES, vocab), table,
                                    (block,))
-        b = encode_relation_tuples(
-            _prepared_tuples(list(reversed(TUPLES)), vocab), table, (block,))
-        np.testing.assert_array_equal(a.data, b.data)
+        b = encode_relation_tuples(_prepared_tuples(TUPLES[::-1], vocab),
+                                   table, (block,))
+        np.testing.assert_array_equal(a.data[::-1], b.data)
 
     def test_empty(self, vocab, table):
         T_h = encode_relation_tuples(_prepared_tuples([], vocab), table, ())
@@ -452,6 +451,7 @@ class TestEncodeRelationTuples:
         while sum(len(linearize_tuple(t)) for t in tuples) <= 400:
             tuples.append(_chain(rng.choice(ORACLE_NODES,
                                             size=rng.integers(2, 6))))
+        tuples.sort(key=lambda t: walk_rank(t.entries))
         prepared = _prepared_tuples(tuples, vocab)
         table = EmbeddingTable(Tensor(rng.normal(size=(len(vocab), dim))),
                                Tensor(rng.normal(size=(20, dim))))
@@ -573,7 +573,7 @@ class TestCompose:
         comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
                         ["the", "mall"], np.zeros((0, 0)), [])
         assert comp.T_c is comp.T_t
-        assert comp.tuples == []
+        assert comp.tuples == ()
         assert comp.relation_attention is None
         assert comp.r_t is None and comp.r_h is None
 
@@ -591,7 +591,7 @@ class TestCompose:
         params = _composer_params(rng)
         comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
                         ["the", "mall"], np.zeros((0, 0)), TUPLES)
-        assert comp.tuples == order_tuples(TUPLES)
+        assert comp.tuples == TUPLES
         assert comp.relation_attention.shape == (6, 3)
         np.testing.assert_allclose(comp.r_t.data + comp.r_h.data, 1.0,
                                    atol=1e-12)
@@ -650,7 +650,7 @@ class TestCompose:
         a = _compose(params, vocab, ["domain"], ["the", "mall"],
                      np.zeros((0, 0)), TUPLES)
         b = _compose(params, vocab, ["domain"], ["the", "mall"],
-                     np.zeros((0, 0)), list(reversed(TUPLES)))
+                     np.zeros((0, 0)), TUPLES)
         np.testing.assert_array_equal(a.T_c.data, b.T_c.data)
 
 

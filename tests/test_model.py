@@ -353,7 +353,7 @@ class TestDialogModel:
     def test_relations_disabled_yields_none(self, vocab, kb):
         m = build_model(vocab, kb, CFG.replace(use_relations=False))
         _, tuples = m.acquire(CTX)
-        assert tuples == set()
+        assert tuples == ()
         comp = m.compose_context(CTX)
         assert comp.T_c is comp.T_t
 

@@ -241,19 +241,12 @@ class TestTrain:
                                                       monkeypatch):
         """train_model prepares each context once per call, so one epoch
         and three make the same context-side ``Vocabulary.encode`` calls
-        and the same ``linearize_tuple`` and ``order_tuples`` calls. (The
-        response side encodes its tokens for every pair of every epoch.)"""
+        and the same ``linearize_tuple`` calls. (The response side encodes
+        its tokens for every pair of every epoch.)"""
         pairs = tiny.pairs[:4]
         vocab = _vocab(pairs, tiny.kb)
         responses = {tuple(p.response) for p in pairs}
         calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
         real_encode = Vocabulary.encode
 
         def encode(self, tokens):
@@ -264,12 +257,15 @@ class TestTrain:
         monkeypatch.setattr(Vocabulary, "encode", encode)
         modules = [m for key, m in list(sys.modules.items())
                    if key.split(".")[0] == "kgdialog"]
-        for name in ("linearize_tuple", "order_tuples"):
-            real = getattr(sys.modules["kgdialog.acquire"], name)
-            wrapper = counted(name, real)
-            for module in modules:
-                if vars(module).get(name) is real:
-                    monkeypatch.setattr(module, name, wrapper)
+        real = sys.modules["kgdialog.acquire"].linearize_tuple
+
+        def wrapper(t):
+            calls["linearize_tuple"] += 1
+            return real(t)
+
+        for module in modules:
+            if vars(module).get("linearize_tuple") is real:
+                monkeypatch.setattr(module, "linearize_tuple", wrapper)
         counts = []
         for epochs in (1, 3):
             calls.clear()
