@@ -97,8 +97,8 @@ class AcquisitionConfig:
     max_hops: walk budget n.
     max_tuples: optional cap on returned tuples, keeping the first in the
     walk's order (shortest first, then lexicographic); the walk stops once
-    it has them (see ``walk_relations`` for its cost). None
-    means unlimited.
+    it has them (see ``walk_relations`` for its cost). None means
+    unlimited.
     """
 
     epsilon: float = 0.8
@@ -151,20 +151,21 @@ def entity_similarity(feature: np.ndarray, entity: Entity) -> float:
     if not entity.has_images:
         raise NoImagesError(f"entity {entity.name!r} has no image features")
     f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    return _max_cosine(f, np.linalg.norm(f), entity,
-                       np.linalg.norm(entity.image_features, axis=1))
-
-
-def _max_cosine(f: np.ndarray, f_norm: float, entity: Entity,
-                img_norms: np.ndarray) -> float:
-    """``entity_similarity`` given the norms of f and of the images."""
     images = entity.image_features
     if f.shape[0] != images.shape[1]:
         raise ValueError(
             f"feature dim {f.shape[0]} != entity {entity.name!r} "
             f"image dim {images.shape[1]}")
+    f_norm, img_norms = np.linalg.norm(f), np.linalg.norm(images, axis=1)
     if f_norm == 0.0 or np.any(img_norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm vectors")
+    return _max_cosine(f, f_norm, images, img_norms)
+
+
+def _max_cosine(f: np.ndarray, f_norm: float, images: np.ndarray,
+                img_norms: np.ndarray) -> float:
+    """The largest cosine of f with the rows of ``images``, given the
+    norms, all non-zero."""
     return float(np.max(images @ f / (img_norms * f_norm)))
 
 
@@ -175,16 +176,25 @@ def acquire_visual_attributes(ctx: DialogContext, kb: KnowledgeBase,
 
     An entity is selected by a context image when its maximum per-image
     cosine similarity strictly exceeds ``cfg.epsilon``; entities without
-    images never match. The entities' image norms come from the knowledge
-    base, and each context image's norm is taken once.
+    images never match, and neither does a zero-norm context image, whose
+    cosine is undefined. The entities' image norms come from the knowledge
+    base (which refuses zero-norm rows), and each context image's norm is
+    taken once. Context images of another width than the knowledge base's
+    raise ValueError before any entity is compared.
     """
+    feats = ctx.image_features
+    if feats.size and kb.feature_dim and feats.shape[1] != kb.feature_dim:
+        raise ValueError(f"context image width {feats.shape[1]} != "
+                         f"knowledge base image width {kb.feature_dim}")
     found = []
-    for feature in ctx.image_features:
-        f = np.asarray(feature, dtype=np.float64).reshape(-1)
+    for f in feats:
         f_norm = np.linalg.norm(f)
+        if f_norm == 0.0:
+            continue
         for name, img_norms in kb.image_norms.items():
             ent = kb[name]
-            if _max_cosine(f, f_norm, ent, img_norms) > cfg.epsilon:
+            if _max_cosine(f, f_norm, ent.image_features,
+                           img_norms) > cfg.epsilon:
                 found.extend(AcquiredPair(ent.name, p, PROVENANCE_VISUAL)
                              for p in ent.attributes)
     return _ordered(found)
@@ -212,19 +222,21 @@ def walk_relations(graph: KnowledgeGraph, seeds: Iterable[str],
     emitted exactly when it has used its hop budget or its last node has no
     out-edge to a node not already on it (a dead end), in the order
     composition uses: shorter first, ties broken lexicographically on
-    entries. Seeds outside the graph are skipped with a warning. With
-    ``cfg.max_tuples`` set, only the first ``max_tuples`` paths are kept,
-    and the walk stops as soon as it has them. Dead ends are searched for
-    only through prefixes that can still reach a node able to end one (``KnowledgeGraph.dead_end_reach``), so
-    on a graph whose nodes all have more than ``max_hops`` out-neighbours
-    a capped walk reads at most ``max_tuples * max_hops`` adjacency lists.
+    entries. Seeds are trimmed, as graph nodes are, and seeds outside the
+    graph are skipped with a warning. With ``cfg.max_tuples`` set, only the
+    first ``max_tuples`` paths are kept, and the walk stops as soon as it
+    has them. Dead ends are searched for only through prefixes that can
+    still reach a node able to end one (``KnowledgeGraph.dead_end_reach``),
+    so on a graph whose nodes all have more than ``max_hops``
+    out-neighbours a capped walk reads at most ``max_tuples * max_hops``
+    adjacency lists, and on an unbranching chain at most two per node.
 
     A simple path has at most one edge fewer than the graph has nodes, and
     a path that long ends at a dead end, so the walk's budget is
     ``max_hops`` clamped to that: a larger one yields the same tuples.
     """
     starts = []
-    for seed in sorted(set(seeds)):
+    for seed in sorted({seed.strip() for seed in seeds}):
         if seed not in graph.nodes:
             logger.warning("walk_relations: seed %r is not a graph node", seed)
             continue

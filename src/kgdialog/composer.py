@@ -223,9 +223,9 @@ def prepare_context(knowledge_tokens: Sequence[str],
                     max_len: int) -> PreparedContext:
     """Token ids, positions and cuts for one context and a position table
     of ``max_len`` rows, tuples in the order given (``walk_relations``'
-    order, for a model's contexts). Image rows keep
-    their positions first, then context tokens, and knowledge tokens get
-    what is left; each tuple's positions restart at 0. Every cut warns."""
+    order, for a model's contexts). Image rows keep their positions first,
+    then context tokens, and knowledge tokens get what is left; each
+    tuple's positions restart at 0. Every cut warns."""
     n_vis = len(image_features) if image_features.size else 0
     if n_vis > max_len:
         logger.warning("compose: truncating image rows %d -> %d", n_vis,

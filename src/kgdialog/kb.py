@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -259,9 +259,12 @@ class KnowledgeGraph:
 
         A path of k < max_hops edges is a dead end when every out-neighbour
         of its last node lies on the path, so that node has fewer than
-        ``max_hops`` out-neighbours besides itself. Those nodes are found
-        once per ``max_hops`` and the distances by a breadth-first search
-        over reversed edges; the graph never changes, so it keeps them.
+        ``max_hops`` out-neighbours besides itself, and each of those lies
+        earlier on the path, so it reaches the node and shares its strongly
+        connected component. Those nodes are found once per ``max_hops``
+        (the components once per graph, and only when a node passes the
+        count) and the distances by a breadth-first search over reversed
+        edges; the graph never changes, so it keeps them.
         """
         reach = self._dead_end_reach.get(max_hops)
         if reach is None:
@@ -270,6 +273,10 @@ class KnowledgeGraph:
                 < max_hops}
             into: dict[str, list[str]] = {}
             if level:
+                component = self._components
+                level = {node for node in level if all(
+                    component[tail] == component[node]
+                    for _, tail in self._out.get(node, ()))}
                 for head, pairs in self._out.items():
                     for _, tail in pairs:
                         into.setdefault(tail, []).append(head)
@@ -282,6 +289,47 @@ class KnowledgeGraph:
                 found.update(dict.fromkeys(level, hops))
             reach = self._dead_end_reach[max_hops] = MappingProxyType(found)
         return reach
+
+    @cached_property
+    def _components(self) -> dict[str, str]:
+        """Each node's strongly connected component, named by its root in
+        Tarjan's algorithm, run with an explicit stack so that a long path
+        cannot exhaust the recursion limit."""
+        index: dict[str, int] = {}
+        low: dict[str, int] = {}
+        component: dict[str, str] = {}
+        open_nodes: list[str] = []  # visited, component not yet known
+        work: list[tuple[str, Iterator[tuple[str, str]]]] = []
+
+        def visit(node: str) -> None:
+            index[node] = low[node] = len(index)
+            open_nodes.append(node)
+            work.append((node, iter(self._out.get(node, ()))))
+
+        for root in self.nodes:
+            if root in index:
+                continue
+            visit(root)
+            while work:
+                node, edges = work[-1]
+                for _, tail in edges:
+                    if tail not in index:
+                        visit(tail)
+                        break
+                    if tail not in component:
+                        low[node] = min(low[node], index[tail])
+                else:
+                    work.pop()
+                    if work:
+                        head = work[-1][0]
+                        low[head] = min(low[head], low[node])
+                    if low[node] == index[node]:
+                        while True:
+                            member = open_nodes.pop()
+                            component[member] = node
+                            if member == node:
+                                break
+        return component
 
     def __repr__(self) -> str:
         edges = sum(map(len, self._out.values()))

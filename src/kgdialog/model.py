@@ -283,7 +283,7 @@ class DialogModel:
         knowledge = acquire_attributes(ctx, self.kb, acq)
         if not self.cfg.use_relations:
             return knowledge, ()
-        seeds = {ap.source_entity.strip() for ap in knowledge}
+        seeds = {ap.source_entity for ap in knowledge}
         return knowledge, walk_relations(self.kb.graph, seeds, acq)
 
     def prepare(self, ctx: DialogContext) -> PreparedContext:

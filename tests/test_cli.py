@@ -149,6 +149,15 @@ def test_walk_unknown_seed_warns_but_succeeds(ws, capsys, caplog):
     assert capsys.readouterr().out == ""
 
 
+def test_walk_trims_seeds_as_graph_nodes_are(ws, capsys):
+    printed = []
+    for seed in ("A", " A", "A\t"):
+        assert run_cli(["walk", "--kb", str(ws["toy"]), "--seed", seed,
+                        "--hops", "2"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] and printed == [printed[0]] * 3
+
+
 # A -> shop is a 1-hop dead end, so it ranks before A's and B's 2-hop paths
 # even though "shop" sorts after both of A's other walks.
 RANKED_KB = [

@@ -211,12 +211,27 @@ def test_attribute_pairs_carry_no_instance_dict():
         pair.value = "C"
 
 
+def _reachable(graph, start):
+    """Every node a path from ``start`` reaches, ``start`` included."""
+    seen, todo = {start}, [start]
+    while todo:
+        for _, t in graph.out_edges(todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
 def _reach_oracle(graph, max_hops):
     """Per node, the fewest hops to a node with fewer than ``max_hops``
-    out-neighbours besides itself, found by a forward search from each
-    node; kept when under ``max_hops``."""
-    low = {node for node in graph.nodes
-           if len({t for _, t in graph.out_edges(node)} - {node}) < max_hops}
+    out-neighbours besides itself, each of which reaches it back, found by
+    forward searches from each node; kept when under ``max_hops``."""
+    reachable = {node: _reachable(graph, node) for node in graph.nodes}
+    low = set()
+    for node in graph.nodes:
+        tails = {t for _, t in graph.out_edges(node)} - {node}
+        if len(tails) < max_hops and all(node in reachable[t] for t in tails):
+            low.add(node)
     reach = {}
     for start in graph.nodes:
         level, seen = {start}, {start}

@@ -670,6 +670,29 @@ def test_context_past_position_table_trains_and_generates(caplog):
             assert [r.getMessage() for r in caplog.records] == want * 2
 
 
+def test_zero_norm_context_image_selects_nothing_and_the_reply_proceeds(
+        model, kb):
+    """A zero-norm context image has no cosine with any entity image, so it
+    selects no entity, while another image of the context still does."""
+    seen = kb["Wisma Atria"].image_features
+    for images, selected in ((np.zeros((1, 4)), set()),
+                             (np.vstack([np.zeros((1, 4)), seen]),
+                              {"Wisma Atria"})):
+        ctx = DialogContext(CTX.text_tokens, images)
+        knowledge, _ = model.acquire(ctx)
+        assert {ap.source_entity for ap in knowledge
+                if ap.provenance == "visual"} == selected
+        assert len(model.generate_response(ctx, max_len=3)) <= 3
+
+
+def test_context_image_of_another_width_is_refused_naming_both_widths(
+        model):
+    ctx = DialogContext(CTX.text_tokens, np.ones((2, 5)))
+    with pytest.raises(ValueError, match=r"^context image width 5 != "
+                                         r"knowledge base image width 4$"):
+        model.generate_response(ctx, max_len=3)
+
+
 def test_reply_memory_does_not_grow_with_the_tuple_count():
     """One reply over a dense graph at max_tuples 512 (3,584 tuple rows)
     peaks at under 3 MiB of traced memory and under twice the peak at 64:
