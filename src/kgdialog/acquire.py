@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-# tokenize lives in kb, which indexes entity names with it; it is imported
-# here too, as the package's one tokenizer
+# tokenize lives in kb, which indexes entity names with it; contexts are
+# tokenized with it too, while linearize_tuple splits on whitespace
 from .kb import (AttributeValuePair, Entity, KnowledgeBase, KnowledgeGraph,
                  feature_table, tokenize)
 

@@ -24,8 +24,10 @@ layer is a single node with a hand-written backward:
 - ``residual_layer_norm``: layer_norm(h + y), the post-norm residual;
 - ``linear``, ``gate`` (the two-way softmax mix), ``layer_norm``,
   ``softmax_rows``, ``mean_rows``, ``cross_entropy_loss`` (from logits),
-  ``frobenius_distance_sq``, ``squared_norm`` and ``weighted_sum`` (the
-  training objective's sum of weighted scalars).
+  ``frobenius_distance_sq`` and ``weighted_sum`` (the training
+  objective's sum of weighted scalars);
+- ``add``, ``concat_rows`` and ``take_rows``, the plain sum, row stack
+  and row gather.
 
 Each fused forward runs the numpy operations of the chain of smaller ops it
 replaced, in the same order, so its values are the same bits; its backward
@@ -41,8 +43,8 @@ no node and computes the same bits as the graph ops.
 
 Trainable leaves are made by a ``ParamBuffer``, which cuts them from one
 flat array: their values are views into it and their gradients accumulate
-into views of a second, so the optimizer and the ``squared_norm`` penalty
-each work on the whole buffer in a few numpy calls. Table lookups
+into views of a second, so the optimizer, the L2 penalty's weight decay
+included, works on the whole buffer in a few numpy calls. Table lookups
 (``embed``, ``take_rows``) add their row gradients into the table's
 gradient in place. The only module state is the ``no_grad`` switch, which
 is per thread.
@@ -301,16 +303,6 @@ class ParamBuffer:
         # is busy
         return float(np.einsum("i,i->", self.values, self.values))
 
-    def add_scaled_values(self, c: float) -> None:
-        """Add c times the values to the flat gradient, block by block,
-        after giving every tensor a gradient (``collect_grads(fill=True)``):
-        the backward of c / 2 times ``norm_sq``."""
-        self.collect_grads(fill=True)
-        for run in self.spans():
-            s = self.scratch[:run.stop - run.start]
-            np.multiply(self.values[run], c, out=s)
-            self.grads[run] += s
-
     def zero_grad(self) -> None:
         for t in self.tensors:
             t.grad = None
@@ -358,21 +350,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             b._accum(g.sum(axis=0, keepdims=True), fresh=True)
 
     return _node(x.data @ w.data + b.data, (x, w, b), backward)
-
-
-def squared_norm(params: ParamBuffer) -> Tensor:
-    """Sum of the squared entries of every tensor in ``params``, as one
-    scalar node: a dot product of the flat values with themselves.
-
-    Its backward adds 2 g p to the flat gradient, after giving every tensor
-    a gradient. The node links no parents, so it adds no leaves to the
-    graph; in reverse topological order it runs after every op that also
-    reaches the parameters, as the penalty always has."""
-    out = _node(np.array([[params.norm_sq()]]), (), None)
-    if _grad_mode.enabled and params.tensors:
-        out.requires_grad = True
-        out._backward = lambda g: params.add_scaled_values(2.0 * g[0, 0])
-    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -15,9 +15,12 @@ class TrainingConfig:
 
     ``mlp_hidden`` of None means 2 * dim. ``lam``/``gamma``/``beta`` weight
     the cross-entropy, regularization, and parameter-penalty loss terms of
-    the objective L = lam * L_CE + gamma * L_r + beta * ||params||^2
-    (``decoder.total_loss``); each is finite and non-negative, and not all
-    are zero.
+    the objective L = lam * L_CE + gamma * L_r + beta * ||params||^2; each
+    is finite and non-negative, and not all are zero. A pair's graph holds
+    lam * L_CE + gamma * L_r (``decoder.total_loss``); the penalty's
+    gradient 2 beta * params is the optimizer's weight decay
+    (``training.Adam.step``), and ``train_model`` adds its value to the
+    loss it reports.
     ``use_relations`` switches the relation-knowledge pipeline off for the
     ablation configuration, and ``attn_scale`` enables 1/sqrt(D) attention
     scaling (off by default: the attention here is plain softmax(QK^T)V).

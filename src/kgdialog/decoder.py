@@ -272,23 +272,12 @@ def predict_token(z_hat: Tensor, head: OutputHead) -> Tensor:
     return ad.softmax_rows(ad.linear(z_hat, head.w_y, head.b_y))
 
 
-def total_loss(l_ce: Tensor, l_r: Tensor, params: ad.ParamBuffer,
-               cfg: TrainingConfig, penalty: float | None = None) -> Tensor:
-    """The combined objective with ``cfg``'s weights: lam * L_CE +
-    gamma * L_r + beta * penalty, where the penalty is the summed squared
-    entries of every parameter in the buffer, as one ``weighted_sum`` node
-    over the two loss terms and (when beta > 0) one ``squared_norm`` node.
-    The penalty node has no parents, so its backward runs after every other
-    contribution to the parameters.
-
-    ``penalty`` is ``params.norm_sq()`` when the caller holds it already
-    and adds the penalty's gradient itself (``train_model`` does both once
-    per optimizer step). The penalty is then a constant of the graph: the
-    objective's value is the same bits, and no gradient flows from it."""
-    if cfg.beta == 0:
-        return ad.weighted_sum((l_ce, l_r), (cfg.lam, cfg.gamma))
-    norm = ad.squared_norm(params) if penalty is None else Tensor([[penalty]])
-    return ad.weighted_sum((l_ce, l_r, norm), (cfg.lam, cfg.gamma, cfg.beta))
+def total_loss(l_ce: Tensor, l_r: Tensor, cfg: TrainingConfig) -> Tensor:
+    """The pair's objective with ``cfg``'s weights, lam * L_CE + gamma * L_r,
+    as one ``weighted_sum`` node. The L2 penalty beta * ||params||^2 is not
+    in it: training applies it as the optimizer's weight decay
+    (``training.Adam.step``)."""
+    return ad.weighted_sum((l_ce, l_r), (cfg.lam, cfg.gamma))
 
 
 def generate(T_c: Tensor, E_k: Tensor, T_sem: Tensor, dec: DecoderParams,

@@ -4,10 +4,11 @@
 the model's size before anything is allocated, in a fixed order that is
 also the random-draw order, which makes fixed-seed runs bit-identical.
 ``ModelParams`` owns the tensors, whose values are views into one
-``ParamBuffer`` per model in that order, which the optimizer and the
-parameter penalty work on whole. ``DialogModel`` couples the parameters
-with a knowledge base to run acquisition, composition, regularization, and
-decoding for single dialog pairs; ``DialogModel.prepare`` does the
+``ParamBuffer`` per model in that order, which the optimizer works on
+whole, the parameter penalty's weight decay included. ``DialogModel``
+couples the parameters with a knowledge base to run acquisition,
+composition, regularization, and decoding for single dialog pairs; its
+``loss_pair`` leaves the penalty out. ``DialogModel.prepare`` does the
 parameter-free half of composing a context, which training does once. A
 model walks its knowledge base's one ``graph`` under its config's one
 ``acquisition``, and a teacher-forced pass maps its response to ids once.
@@ -359,14 +360,12 @@ class DialogModel:
         return z_hat, targets, T_sem
 
     def loss_pair(self, ctx: DialogContext, response_tokens: Sequence[str],
-                  prepared: PreparedContext | None = None,
-                  penalty: float | None = None) -> tuple[Tensor, dict]:
-        """The per-pair training objective and its component values.
+                  prepared: PreparedContext | None = None
+                  ) -> tuple[Tensor, dict]:
+        """The per-pair objective lam * L_CE + gamma * L_r and its component
+        values; the L2 penalty is the optimizer's (see ``total_loss``).
 
-        ``prepared`` is ``prepare(ctx)``, computed here when not given.
-        ``penalty`` is the parameters' ``norm_sq()`` for a caller that adds
-        the penalty's gradient itself (see ``total_loss``); the values are
-        the same either way."""
+        ``prepared`` is ``prepare(ctx)``, computed here when not given."""
         comp = self.compose_context(ctx, prepared)
         T_c_sem = self.semantic_composed(comp)
         z_hat, targets, T_r_sem = self._teacher_forced(
@@ -375,7 +374,7 @@ class DialogModel:
         l_ce = ad.cross_entropy_loss(ad.linear(z_hat, head.w_y, head.b_y),
                                      targets)
         l_r = regularization_loss(T_r_sem, T_c_sem)
-        loss = total_loss(l_ce, l_r, self.params.buffer, self.cfg, penalty)
+        loss = total_loss(l_ce, l_r, self.cfg)
         parts = {"ce": l_ce.item(), "reg": l_r.item(), "total": loss.item()}
         return loss, parts
 

@@ -6,9 +6,10 @@ moments (the multi-tensor "foreach" form of the update), doing the
 per-tensor formula's operations in the same order, so the trained weights
 are the same bits as a loop over the tensors would give.
 
-``train_model`` does once what does not change between updates: each
-pair's context is prepared once per run, and the L2 penalty once per
-optimizer step.
+``train_model`` prepares each pair's context once per run. The L2
+penalty beta * ||params||^2 is not part of a pair's graph: its gradient is
+Adam's coupled weight decay, and its value, computed once per optimizer
+step, is added to each pair's reported objective.
 """
 from __future__ import annotations
 
@@ -54,24 +55,32 @@ class Adam:
         self._m = np.zeros(params.values.size)
         self._v = np.zeros(params.values.size)
 
-    def step(self) -> None:
+    def step(self, decay: float = 0.0) -> None:
         """Apply one bias-corrected update from the accumulated gradients,
-        skipping tensors that have none, and consume the gradients: the
-        flat gradient serves as scratch, so every tensor's ``grad`` is None
-        afterwards."""
+        and consume the gradients: the flat gradient serves as scratch, so
+        every tensor's ``grad`` is None afterwards.
+
+        ``decay`` is coupled weight decay, as in PyTorch's
+        ``Adam(weight_decay=)``: decay times the values is added to the
+        gradient before the moments see it, which is the gradient of an L2
+        penalty decay / 2 times the squared norm. With it every tensor is
+        updated; without it, tensors that have no gradient are skipped."""
         self.step_count += 1
         b1, b2, lr, eps = BETA1, BETA2, self.learning_rate, ADAM_EPS
         correct1 = 1 - b1 ** self.step_count
         correct2 = 1 - b2 ** self.step_count
         params = self.params
-        reached = params.collect_grads()
-        mask = None if all(reached) else np.repeat(
+        reached = params.collect_grads(fill=decay > 0)
+        mask = None if decay > 0 or all(reached) else np.repeat(
             reached, [r * c for r, c in params.shapes])
         for run in params.spans():
             w = True if mask is None else mask[run]
             p, g, m, v = (params.values[run], params.grads[run],
                           self._m[run], self._v[run])
             s = params.scratch[:run.stop - run.start]
+            if decay > 0:
+                np.multiply(p, decay, out=s)        # g = g + decay p
+                np.add(g, s, out=g)
             np.multiply(m, b1, out=m, where=w)      # m = b1 m + (1 - b1) g
             np.multiply(g, 1 - b1, out=s, where=w)
             np.add(m, s, out=m, where=w)
@@ -131,16 +140,15 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
     pass is built, and the optimizer makes the flat gradient before the
     first backward, which accumulates straight into it.
 
-    Work that does not change between updates is done once:
+    Each pair's context is prepared once per call (``DialogModel.prepare``),
+    since it does not depend on the parameters; the prepared list lives
+    only as long as the call.
 
-    - each pair's context is prepared once per call
-      (``DialogModel.prepare``), since it does not depend on the
-      parameters; the prepared list lives only as long as the call;
-    - the L2 penalty's value is computed once per optimizer step and its
-      gradient, 2 beta p for each pair of the batch, is added to the flat
-      gradient in one pass just before the step. Each pair's objective is
-      the same bits; the summed gradient differs from adding 2 beta p after
-      every pair only in float rounding.
+    The L2 penalty beta * ||params||^2 is not in the pair's graph: the
+    parameters do not change within an optimizer batch, so its gradient,
+    2 beta p for each pair of the batch, is the optimizer's weight decay
+    (``Adam.step``), and its value, computed once per step, is added to
+    each pair's ``loss_pair`` objective for the reported loss.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -160,23 +168,23 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
         for epoch in range(cfg.epochs):
             epoch_total = 0.0
             params.zero_grad()
-            pending, penalty = 0, None
+            pending = 0
             for index, pair in enumerate(pairs):
-                if beta > 0 and penalty is None:
-                    penalty = params.norm_sq()
+                if pending == 0:
+                    penalty = params.norm_sq() if beta > 0 else 0.0
                 loss, parts = model.loss_pair(pair.context, pair.response,
-                                              prepared[index], penalty)
-                if not np.isfinite(parts["total"]):
+                                              prepared[index])
+                objective = parts["total"] + beta * penalty
+                if not np.isfinite(objective):
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch} "
-                                           f"pair {index}: {parts}")
+                                           f"pair {index}: {parts}, "
+                                           f"penalty {penalty}")
                 loss.backward()
-                epoch_total += parts["total"]
+                epoch_total += objective
                 pending += 1
                 if pending == cfg.batch_size or index == len(pairs) - 1:
-                    if beta > 0:
-                        params.add_scaled_values(2.0 * beta * pending)
-                    optimizer.step()
-                    pending, penalty = 0, None
+                    optimizer.step(2.0 * beta * pending)
+                    pending = 0
             mean_loss = epoch_total / len(pairs)
             result.epoch_losses.append(mean_loss)
             if log_every and (epoch % log_every == 0

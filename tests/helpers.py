@@ -209,11 +209,10 @@ def build_grad_cases(seed: int = 0):
         case(f"frobenius_distance_sq:{r}x{c}",
              lambda a=a, b=b: ad.frobenius_distance_sq(a, b), [a, b])
 
-    # drawn here, where the deleted sum_squares op drew them; their
-    # squared_norm cases are appended last
-    norm_inputs = [(shapes, [_param(rng, r, c) for r, c in shapes])
-                   for shapes in [[(1, 1)], [(2, 3), (1, 3)],
-                                  [(3, 2), (1, 4), (2, 2)]]]
+    # drawn here, where the deleted sum_squares and squared_norm ops drew
+    # their inputs, so that every later case keeps its parameters
+    for r, c in [(1, 1), (2, 3), (1, 3), (3, 2), (1, 4), (2, 2)]:
+        _param(rng, r, c)
 
     for (steps, v) in [(1, 3), (3, 5), (4, 2)]:
         logits = _param(rng, steps, v)
@@ -256,11 +255,6 @@ def build_grad_cases(seed: int = 0):
         case(f"gate:{n}x{d}",
              lambda x=x, y=y, s_x=s_x, s_y=s_y:
              _project(ad.gate(x, y, s_x, s_y)[0], 24), [x, y, s_x, s_y])
-
-    for shapes, xs in norm_inputs:
-        buf = param_buffer([x.data for x in xs])
-        case(f"squared_norm:{shapes}", lambda buf=buf: ad.squared_norm(buf),
-             list(buf.tensors))
 
     for lengths, d, scaled, x in segment_inputs:
         ws = [_param(rng, d, d) for _ in range(3)]
@@ -470,7 +464,8 @@ def build_composite_grad_cases(seed: int = 1):
              _project(predict_token(z_hat, head), 90 + i),
              [z_hat, head.w_y, head.b_y])
 
-    # total_loss: weighted sum with the parameter-norm penalty
+    # total_loss: lam * CE + gamma * L_r, whatever beta (the L2 penalty is
+    # the optimizer's weight decay)
     for i, (steps, v, d, lam, gamma, beta) in enumerate(
             [(1, 3, 2, 1.0, 0.1, 1e-3),
              (2, 4, 3, 0.5, 1.0, 0.0),
@@ -479,19 +474,16 @@ def build_composite_grad_cases(seed: int = 1):
         logits = _param(rng, steps, v)
         targets = [int(t) for t in rng.integers(0, v, size=steps)]
         a, b = _param(rng, d, d), _param(rng, d, d)
-        # ``a`` is both regularized and penalized: its gradient sums both
-        extra = [_param(rng, 2, d), _param(rng, 1, d)]
-        penalized = param_buffer([t.data for t in extra + [a]])
-        *extra, a = penalized.tensors
+        # drawn where the penalized tensors were, so later cases keep theirs
+        _param(rng, 2, d), _param(rng, 1, d)
 
-        def loss_fn(logits=logits, targets=targets, a=a, b=b,
-                    penalized=penalized, cfg=cfg):
+        def loss_fn(logits=logits, targets=targets, a=a, b=b, cfg=cfg):
             l_ce = ad.cross_entropy_loss(logits, targets)
             l_r = ad.frobenius_distance_sq(a, b)
-            return total_loss(l_ce, l_r, penalized, cfg)
+            return total_loss(l_ce, l_r, cfg)
 
         case(f"total_loss:{steps}steps V={v} lam={lam} gamma={gamma} "
-             f"beta={beta}", loss_fn, [logits, a, b] + extra)
+             f"beta={beta}", loss_fn, [logits, a, b])
 
     # encode_relation_tuples: every tuple in one segmented encoder pass
     vocab = Vocabulary(["a", "b", "c", "near", "in"])

@@ -1,5 +1,7 @@
 """Autodiff engine: forward values, gradients, graph mechanics."""
+import re
 from collections import Counter
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from kgdialog import autodiff as ad
 from kgdialog.config import TrainingConfig
 from kgdialog.decoder import total_loss
+from kgdialog.training import Adam
 
 from helpers import (build_grad_cases, max_rel_error, mul, param_buffer,
                      sum_all)
@@ -34,9 +37,9 @@ def test_forward_values_match_numpy():
     assert sum_all(a).item() == pytest.approx(a.data.sum())
     d = a.data - b.data
     assert ad.frobenius_distance_sq(a, b).item() == float((d * d).sum())
-    assert ad.squared_norm(param_buffer([a.data, m.data])).item() == \
+    assert param_buffer([a.data, m.data]).norm_sq() == \
         pytest.approx(np.sum(a.data ** 2) + np.sum(m.data ** 2))
-    assert ad.squared_norm(param_buffer([])).item() == 0.0
+    assert param_buffer([]).norm_sq() == 0.0
     np.testing.assert_allclose(ad.mean_rows(a).data, a.data.mean(axis=0,
                                                                  keepdims=True))
     np.testing.assert_allclose(ad.mean_rows(a, [1, 2]).data,
@@ -354,19 +357,45 @@ def test_gate_equals_chain_formula_bit_for_bit(n, d):
         np.testing.assert_array_equal(got, want)
 
 
+def public_ops() -> list[str]:
+    """The engine's public ops: the public callables the module defines,
+    less its graph tools and classes."""
+    exempt = {"no_grad", "topo_order", "Tensor", "ParamBuffer"}
+    return sorted(name for name, f in vars(ad).items()
+                  if callable(f) and getattr(f, "__module__", None) ==
+                  ad.__name__ and not name.startswith("_")
+                  and name not in exempt)
+
+
 def test_every_op_has_gradient_cases():
     """Each public op of the engine appears in >= 3 gradient-case labels,
     directly or through the named composite or label that exercises it."""
     through = {"cross_entropy_loss": "cross_entropy"}
-    exempt = {"no_grad", "topo_order", "Tensor", "ParamBuffer"}
-    ops = {name for name, f in vars(ad).items()
-           if callable(f) and getattr(f, "__module__", None) == ad.__name__
-           and not name.startswith("_")}
+    ops = public_ops()
     labels = Counter(label.split(":")[0] for label, _, _ in GRAD_CASES)
-    missing = {op: labels[through.get(op, op)] for op in sorted(ops - exempt)
+    missing = {op: labels[through.get(op, op)] for op in ops
                if labels[through.get(op, op)] < 3}
     assert not missing, f"ops with fewer than 3 gradient cases: {missing}"
     assert "gate" in ops and "linear" in ops
+
+
+def test_module_docstring_names_every_op_and_nothing_gone():
+    """The module docstring names each public op in double backticks, and
+    every name it puts in double backticks is defined in the module, so
+    neither an added nor a deleted op leaves it stale."""
+    doc = ad.__doc__
+    assert [op for op in public_ops() if f"``{op}``" not in doc] == []
+
+    def defined(name):
+        try:
+            attrgetter(name)(ad)
+        except AttributeError:
+            return False
+        return True
+
+    quoted = re.findall(r"``([A-Za-z_][\w.]*)``", doc)
+    assert "Tensor.backward" in quoted
+    assert [name for name in quoted if not defined(name)] == []
 
 
 def test_attention_validates_shapes():
@@ -523,52 +552,35 @@ def test_topo_order_visits_each_node_once():
             assert pos[id(parent)] < pos[id(node)]
 
 
-def test_penalty_graph_size_does_not_grow_with_tensor_count():
-    """The L2 penalty is one node however many tensors it covers."""
-    rng = np.random.default_rng(8)
-    cfg = TrainingConfig(lam=1.0, gamma=0.1, beta=1e-3)
-
-    def interior_nodes(n_penalized):
-        logits = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        l_ce = ad.cross_entropy_loss(logits, [0, 1, 2])
-        a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-        l_r = ad.frobenius_distance_sq(a, ad.Tensor(np.zeros((2, 2))))
-        params = param_buffer([rng.standard_normal((2, 3))
-                               for _ in range(n_penalized)])
-        loss = total_loss(l_ce, l_r, params, cfg)
-        return sum(1 for node in ad.topo_order(loss) if node._parents)
-
-    assert interior_nodes(1) == interior_nodes(100)
-
-
 @pytest.mark.parametrize("block", [3, ad.BLOCK])
 @pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.37])
 def test_penalty_gradient_is_two_beta_p_added_last(beta, block, monkeypatch):
-    """Through ``total_loss``: a tensor reached only by the penalty gets
-    exactly 2 beta p; one also reached by L_r gets exactly its L_r gradient
-    plus 2 beta p, since the penalty's backward runs after every other.
-    A block of 3 entries splits both tensors across blocks."""
+    """The L2 penalty is Adam's coupled weight decay: ``step(2 beta)`` gives
+    the bits of adding 2 beta p to the flat gradient after every backward
+    contribution and then taking the plain step, for a tensor reached only
+    by the penalty and one also reached by L_r. A block of 3 entries splits
+    both tensors across blocks; the second step runs on the moments of the
+    first."""
     monkeypatch.setattr(ad, "BLOCK", block)
     rng = np.random.default_rng(9)
-    a_values = rng.standard_normal((3, 2))
-    buf = param_buffer([rng.standard_normal((2, 4)), a_values])
-    only, a = buf.tensors
+    start = [rng.standard_normal((2, 4)), rng.standard_normal((3, 2))]
     target = ad.Tensor(rng.standard_normal((3, 2)))
-    l_ce = ad.Tensor([[0.5]])
-
-    def backward(cfg):
-        buf.zero_grad()
-        total_loss(l_ce, ad.frobenius_distance_sq(a, target), buf,
-                   cfg).backward()
-
-    backward(TrainingConfig(lam=1.0, gamma=0.3, beta=0.0))
-    assert only.grad is None
-    reg_grad = a.grad.copy()
-    for _ in range(2):  # the second pass reuses the flat gradient's views
-        backward(TrainingConfig(lam=1.0, gamma=0.3, beta=beta))
-        np.testing.assert_array_equal(only.grad, 2.0 * beta * only.data)
-        np.testing.assert_array_equal(a.grad, reg_grad + 2.0 * beta * a.data)
-        assert only.grad.base is buf.grads and a.grad.base is buf.grads
+    cfg = TrainingConfig(lam=1.0, gamma=0.3, beta=beta)
+    decayed, manual = param_buffer(start), param_buffer(start)
+    opt_decayed, opt_manual = Adam(decayed, 0.01), Adam(manual, 0.01)
+    for _ in range(2):
+        for buf in (decayed, manual):
+            only, a = buf.tensors
+            total_loss(ad.Tensor([[0.5]]), ad.frobenius_distance_sq(a, target),
+                       cfg).backward()
+            assert only.grad is None
+        manual.collect_grads(fill=True)
+        manual.grads += 2.0 * beta * manual.values
+        opt_manual.step()
+        opt_decayed.step(2.0 * beta)
+        np.testing.assert_array_equal(decayed.values, manual.values)
+    assert not np.array_equal(decayed.values, np.concatenate(
+        [x.ravel() for x in start]))
 
 
 def test_param_buffer_views_and_gradients():

@@ -16,7 +16,7 @@ from kgdialog.decoder import (DecodeCache, DecoderParams, OutputHead,
                               predict_token, semantic_enhance, total_loss)
 
 from helpers import (build_composite_grad_cases, make_attention,
-                     make_decoder_block, max_rel_error, param_buffer)
+                     make_decoder_block, max_rel_error)
 
 D = 4
 V = 9
@@ -232,28 +232,27 @@ class TestPredictToken:
 
 
 class TestTotalLoss:
-    def test_weighted_sum_with_penalty(self, rng):
-        l_ce = Tensor(np.array([[2.0]]))
-        l_r = Tensor(np.array([[3.0]]))
-        p = rng.normal(size=(2, 3))
+    def test_weighted_sum_of_ce_and_reg_alone(self):
+        """lam * L_CE + gamma * L_r as one node over the two terms: a beta
+        above zero adds nothing, since the L2 penalty is the optimizer's."""
+        l_ce = Tensor(np.array([[2.0]]), requires_grad=True)
+        l_r = Tensor(np.array([[3.0]]), requires_grad=True)
         cfg = TrainingConfig(lam=0.5, gamma=2.0, beta=0.1)
-        got = total_loss(l_ce, l_r, param_buffer([p]), cfg).item()
-        expect = 0.5 * 2.0 + 2.0 * 3.0 + 0.1 * float(np.sum(p ** 2))
-        assert got == pytest.approx(expect, rel=1e-12)
+        loss = total_loss(l_ce, l_r, cfg)
+        assert loss.item() == 0.5 * 2.0 + 2.0 * 3.0
+        assert loss._parents == (l_ce, l_r)
 
-    def test_zero_beta_skips_penalty(self, rng):
+    def test_zero_beta_skips_penalty(self):
         l_ce = Tensor(np.array([[2.0]]))
         l_r = Tensor(np.array([[3.0]]))
-        buf = param_buffer([rng.normal(size=(4, 4))])
         cfg = TrainingConfig(lam=1.0, gamma=1.0, beta=0.0)
-        assert total_loss(l_ce, l_r, buf, cfg).item() == pytest.approx(5.0)
+        assert total_loss(l_ce, l_r, cfg).item() == 5.0
 
     def test_gamma_zero_detaches_regularizer(self):
         l_ce = Tensor(np.array([[2.0]]))
         l_r = Tensor(np.array([[3.0]]))
         cfg = TrainingConfig(lam=1.0, gamma=0.0, beta=0.0)
-        assert total_loss(l_ce, l_r, param_buffer([]), cfg).item() == \
-            pytest.approx(2.0)
+        assert total_loss(l_ce, l_r, cfg).item() == 2.0
 
 
 class TestGenerate:

@@ -421,11 +421,10 @@ class TestDialogModel:
         assert set(parts) == {"ce", "reg", "total"}
         assert parts["ce"] > 0 and parts["reg"] >= 0
         assert np.isfinite(parts["total"])
-        penalty = sum(float(np.sum(t.data ** 2))
-                      for t in model.params.buffer.tensors)
-        expect = (CFG.lam * parts["ce"] + CFG.gamma * parts["reg"]
-                  + CFG.beta * penalty)
-        assert parts["total"] == pytest.approx(expect, rel=1e-9)
+        # the L2 penalty is left to the optimizer (its weight decay)
+        assert CFG.beta > 0
+        assert parts["total"] == (CFG.lam * parts["ce"]
+                                  + CFG.gamma * parts["reg"])
         assert loss.item() == parts["total"]
 
     def test_loss_pair_graph_size(self, model):

@@ -75,7 +75,20 @@ class TestAdam:
         p, = buf.tensors
         opt = Adam(buf, learning_rate=0.5)
         opt.step()
+        opt.step(decay=0.0)
         assert p.data[0, 0] == 3.0
+
+    def test_decay_moves_a_tensor_that_has_no_gradient(self):
+        """With weight decay every tensor is updated: one without a loss
+        gradient takes decay times its values as its gradient, and Adam's
+        first step moves it by about the learning rate against its sign."""
+        buf = param_buffer([[[3.0, -2.0]], [[1.0]]])
+        p, q = buf.tensors
+        opt = Adam(buf, learning_rate=0.5)
+        q.grad = np.array([[1.0]])
+        opt.step(decay=0.1)
+        np.testing.assert_allclose(p.data, [[2.5, -1.5]], rtol=1e-7)
+        assert q.data[0, 0] < 1.0
 
     def test_zero_grad_clears(self):
         """Clearing the optimizer's buffer drops a pending gradient, so the
@@ -96,21 +109,24 @@ class TestAdam:
            steps=st.integers(1, 6),
            lr=st.sampled_from([1e-3, 5e-3, 0.1]),
            block=st.sampled_from([1, 3, 7, ad.BLOCK]),
+           decay=st.sampled_from([0.0, 2e-6, 0.37]),
            seed=st.integers(0, 2**32 - 1))
     def test_flat_step_equals_per_tensor_update_bit_for_bit(
-            self, shapes, steps, lr, block, seed):
+            self, shapes, steps, lr, block, decay, seed):
         """The whole-buffer step against the per-tensor formula, on
         gradients given through backward (into the flat views) and by
-        assignment, with tensors that get no gradient at some steps, and
-        with blocks that split tensors."""
+        assignment, with tensors that get no gradient at some steps, with
+        blocks that split tensors, and with and without weight decay,
+        which adds decay p to every tensor's gradient, a missing one
+        counting as zero."""
         saved, ad.BLOCK = ad.BLOCK, block
         try:
-            self._check_flat_step(shapes, steps, lr, seed)
+            self._check_flat_step(shapes, steps, lr, decay, seed)
         finally:
             ad.BLOCK = saved
 
     @staticmethod
-    def _check_flat_step(shapes, steps, lr, seed):
+    def _check_flat_step(shapes, steps, lr, decay, seed):
         rng = np.random.default_rng(seed)
         start = [rng.uniform(-1, 1, shape) for shape in shapes]
         buf = param_buffer(start)
@@ -129,10 +145,12 @@ class TestAdam:
                     p.grad = g.copy()
                 else:  # d/dp of sum(p * g) is exactly g
                     sum_all(mul(p, Tensor(g))).backward()
-            opt.step()
+            opt.step(decay)
             assert all(p.grad is None for p in params)
             c1, c2 = 1 - 0.9 ** step, 1 - 0.999 ** step
             for i, g in enumerate(grads):
+                if decay > 0:
+                    g = (0.0 if g is None else g) + expect[i] * decay
                 if g is None:
                     continue
                 m[i] = 0.9 * m[i] + (1 - 0.9) * g
@@ -180,16 +198,11 @@ class TestTrain:
         trained = train(pairs, tiny.kb, cfg)
 
         manual = build_model(vocab, tiny.kb, cfg)
-        params = manual.params.buffer
-        opt = Adam(params, cfg.learning_rate)
-        penalty = params.norm_sq()
+        opt = Adam(manual.params.buffer, cfg.learning_rate)
         for pair in pairs:
-            loss, _ = manual.loss_pair(pair.context, pair.response,
-                                       penalty=penalty)
-            loss.backward()
-        # the penalty's gradient, once for both pairs
-        params.add_scaled_values(2.0 * cfg.beta * len(pairs))
-        opt.step()
+            manual.loss_pair(pair.context, pair.response)[0].backward()
+        # the penalty's gradient, 2 beta p once for each pair of the step
+        opt.step(2.0 * cfg.beta * len(pairs))
         for name, t in trained.model.params.named().items():
             np.testing.assert_array_equal(t.data,
                                           manual.params.named()[name].data)
@@ -197,8 +210,8 @@ class TestTrain:
     def test_knowledge_is_prepared_once_per_pair(self, tiny, monkeypatch):
         """train_model acquires each pair's knowledge once per call, and its
         epoch losses and weights are the bits of a loop that acquires it
-        again for every pair of every epoch (and adds the penalty's
-        gradient once per step, as train_model does)."""
+        again for every pair of every epoch (and takes the penalty once per
+        step, as train_model does)."""
         pairs = tiny.pairs[:4]
         cfg = FAST.replace(epochs=4, batch_size=2)
         vocab = _vocab(pairs, tiny.kb)
@@ -223,13 +236,11 @@ class TestTrain:
             for index, pair in enumerate(pairs):
                 if index % cfg.batch_size == 0:
                     penalty = params.norm_sq()
-                loss, parts = manual.loss_pair(pair.context, pair.response,
-                                               penalty=penalty)
+                loss, parts = manual.loss_pair(pair.context, pair.response)
                 loss.backward()
-                total += parts["total"]
+                total += parts["total"] + cfg.beta * penalty
                 if index % cfg.batch_size == cfg.batch_size - 1:
-                    params.add_scaled_values(2.0 * cfg.beta * cfg.batch_size)
-                    opt.step()
+                    opt.step(2.0 * cfg.beta * cfg.batch_size)
             losses.append(total / len(pairs))
         assert len(calls) == len(pairs) * (cfg.epochs + 1)
         assert [x.hex() for x in result.epoch_losses] == \
@@ -275,22 +286,42 @@ class TestTrain:
         assert counts[0]["linearize_tuple"] > 0
         assert counts[0] == counts[1]
 
-    def test_penalty_once_per_step_sums_the_per_pair_penalty(self, tiny):
-        """The objective of a pair is the same bits when the caller holds
-        the penalty, and the gradient without it plus 2 beta p is the full
-        gradient bit for bit (the penalty's backward runs last anyway)."""
-        model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
-        params, pair = model.params.buffer, tiny.pairs[1]
-        full, parts = model.loss_pair(pair.context, pair.response)
-        full.backward()
-        want = params.grads.copy()
-        params.zero_grad()
-        held, held_parts = model.loss_pair(pair.context, pair.response,
-                                           penalty=params.norm_sq())
-        assert held.item() == full.item() and held_parts == parts
-        held.backward()
-        params.add_scaled_values(2.0 * FAST.beta)
-        np.testing.assert_array_equal(params.grads, want)
+    def test_penalty_once_per_step_sums_the_per_pair_penalty(
+            self, tiny, monkeypatch):
+        """The reported epoch loss is the mean over the pairs of their
+        objective lam * CE + gamma * L_r plus beta ||params||^2, the norm
+        taken once per optimizer step, before its pairs: the same bits,
+        with a remainder batch."""
+        cfg = FAST.replace(epochs=2, batch_size=2, beta=1e-3)
+        pairs = tiny.pairs[:3]
+        model = build_model(_vocab(pairs, tiny.kb), tiny.kb, cfg)
+        buf = model.params.buffer
+        norms, seen = [buf.norm_sq()], []
+        real_step, real_loss = Adam.step, DialogModel.loss_pair
+
+        def step(opt, decay=0.0):
+            real_step(opt, decay)
+            norms.append(buf.norm_sq())
+
+        def loss_pair(self, *args):
+            loss, parts = real_loss(self, *args)
+            seen.append(parts)
+            return loss, parts
+
+        monkeypatch.setattr(Adam, "step", step)
+        monkeypatch.setattr(DialogModel, "loss_pair", loss_pair)
+        result = train_model(model, pairs, cfg, log_every=0)
+        assert len(norms) == 5 and len(set(norms)) == 5
+        step_of = [0, 0, 1, 2, 2, 3]  # pairs 0 and 1, then 2, each epoch
+        expect = []
+        for epoch in range(cfg.epochs):
+            total = 0.0
+            for k in range(epoch * 3, epoch * 3 + 3):
+                total += (cfg.lam * seen[k]["ce"] + cfg.gamma * seen[k]["reg"]
+                          + cfg.beta * norms[step_of[k]])
+            expect.append(total / len(pairs))
+        assert [x.hex() for x in result.epoch_losses] == \
+            [x.hex() for x in expect]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, tiny):
@@ -340,12 +371,19 @@ class TestTrain:
         assert not np.array_equal(a.params.buffer.values, fresh)
         pair = tiny.pairs[0]
         a.loss_pair(pair.context, pair.response)[0].backward()
-        grads_a = [t.grad.copy() for t in a.params.buffer.tensors]
+        grads_a = [None if t.grad is None else t.grad.copy()
+                   for t in a.params.buffer.tensors]
+        # a text-only pair does not reach the image projection
+        assert any(g is None for g in grads_a)
         b.loss_pair(pair.context, pair.response)[0].backward()
         for t, g in zip(a.params.buffer.tensors, grads_a):
-            np.testing.assert_array_equal(t.grad, g)
+            assert (t.grad is None) == (g is None)
+            if g is not None:
+                np.testing.assert_array_equal(t.grad, g)
         assert not np.shares_memory(a.params.buffer.values,
                                     b.params.buffer.values)
+        for model in (a, b):
+            model.params.buffer.collect_grads()
         assert not np.shares_memory(a.params.buffer.grads,
                                     b.params.buffer.grads)
         train_model(b, tiny.pairs[:4], cfg)
