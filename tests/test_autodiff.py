@@ -552,6 +552,34 @@ def test_topo_order_visits_each_node_once():
             assert pos[id(parent)] < pos[id(node)]
 
 
+def test_penalty_graph_size_does_not_grow_with_tensor_count():
+    """The L2 penalty adds no graph node however many tensors it covers:
+    the loss graph is the same size for 1 and 100 penalized tensors, none
+    of them is in it, and ``step(2 beta)`` still moves every one."""
+    rng = np.random.default_rng(8)
+    cfg = TrainingConfig(lam=1.0, gamma=0.1, beta=1e-3)
+
+    def interior_nodes(n_penalized):
+        logits = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        l_ce = ad.cross_entropy_loss(logits, [0, 1, 2])
+        a = ad.Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        l_r = ad.frobenius_distance_sq(a, ad.Tensor(np.zeros((2, 2))))
+        params = param_buffer([rng.standard_normal((2, 3))
+                               for _ in range(n_penalized)])
+        loss = total_loss(l_ce, l_r, cfg)
+        order = ad.topo_order(loss)
+        in_graph = {id(node) for node in order}
+        assert not any(id(t) in in_graph for t in params.tensors)
+        loss.backward()
+        before = params.values.copy()
+        Adam(params, 0.01).step(2.0 * cfg.beta)
+        assert all((params.values != before).reshape(n_penalized, -1)
+                   .all(axis=1))
+        return sum(1 for node in order if node._parents)
+
+    assert interior_nodes(1) == interior_nodes(100)
+
+
 @pytest.mark.parametrize("block", [3, ad.BLOCK])
 @pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.37])
 def test_penalty_gradient_is_two_beta_p_added_last(beta, block, monkeypatch):

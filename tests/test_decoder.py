@@ -232,9 +232,10 @@ class TestPredictToken:
 
 
 class TestTotalLoss:
-    def test_weighted_sum_of_ce_and_reg_alone(self):
-        """lam * L_CE + gamma * L_r as one node over the two terms: a beta
-        above zero adds nothing, since the L2 penalty is the optimizer's."""
+    def test_weighted_sum_with_penalty(self):
+        """With a penalty weight beta above zero the loss is still
+        lam * L_CE + gamma * L_r, one node over the two terms: the L2
+        penalty is the optimizer's weight decay, not a graph term."""
         l_ce = Tensor(np.array([[2.0]]), requires_grad=True)
         l_r = Tensor(np.array([[3.0]]), requires_grad=True)
         cfg = TrainingConfig(lam=0.5, gamma=2.0, beta=0.1)
