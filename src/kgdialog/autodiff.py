@@ -42,12 +42,15 @@ which the decoder's cached inference steps call directly, so a step builds
 no node and computes the same bits as the graph ops.
 
 Trainable leaves are made by a ``ParamBuffer``, which cuts them from one
-flat array: their values are views into it and their gradients accumulate
-into views of a second, so the optimizer, the L2 penalty's weight decay
-included, works on the whole buffer in a few numpy calls. Table lookups
-(``embed``, ``take_rows``) add their row gradients into the table's
-gradient in place. The only module state is the ``no_grad`` switch, which
-is per thread.
+flat array: their values are views into it. While the buffer's flat
+gradient ``ParamBuffer.grads`` exists (from the first
+``ParamBuffer.zero_grad`` to ``ParamBuffer.release_grads``), each tensor's
+``Tensor.grad`` is bound to its view of it, so every backward contribution
+to a parameter is added there in place and the optimizer, the L2 penalty's
+weight decay included, works on the whole buffer in a few numpy calls.
+Table lookups (``embed``, ``take_rows``) add their row gradients into the
+table's gradient in place. The only module state is the ``no_grad``
+switch, which is per thread.
 """
 from __future__ import annotations
 
@@ -58,10 +61,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Entries per pass of a whole-buffer update (256 KB per float64 array), so
-# that a block of every array it touches stays in cache across its numpy
-# calls; NVIDIA apex's multi-tensor apply chunks its flat lists likewise.
-BLOCK = 1 << 15
 # The variance offset of every layer norm.
 LN_EPS = 1e-5
 
@@ -88,14 +87,13 @@ def no_grad():
 class Tensor:
     """A rows x cols matrix of 64-bit reals, optionally tracking gradients.
 
-    ``grad`` is allocated lazily. A leaf's accumulates across backward
-    calls until the owner resets it, so the backward runs of repeated
-    forward passes add up; one graph can be walked only once (see
-    ``backward``).
+    ``grad`` is allocated lazily, unless a ``ParamBuffer`` has bound it to
+    its flat gradient. A leaf's accumulates across backward calls until
+    the owner resets it, so the backward runs of repeated forward passes
+    add up; one graph can be walked only once (see ``backward``).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_gview")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -110,8 +108,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-        # this tensor's view of its ParamBuffer's flat gradient, if any
-        self._gview: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,9 +124,6 @@ class Tensor:
         # the caller made for this tensor alone, which is kept as it is.
         if self.grad is not None:
             self.grad += g
-        elif self._gview is not None:
-            self._gview[...] = g
-            self.grad = self._gview
         elif fresh:
             self.grad = g
         else:
@@ -143,11 +136,7 @@ class Tensor:
         sum is added once: the same bits as accumulating a zero matrix
         holding those sums, without building that matrix."""
         if self.grad is None:
-            if self._gview is None:
-                self.grad = np.zeros_like(self.data)
-            else:
-                self._gview.fill(0.0)
-                self.grad = self._gview
+            self.grad = np.zeros_like(self.data)
         first: dict[int, int] = {}
         where = [first.setdefault(i, len(first)) for i in idx.tolist()]
         if len(first) == len(where):
@@ -158,6 +147,9 @@ class Tensor:
             self.grad[list(first)] += sums
 
     def zero_grad(self) -> None:
+        """Drop the gradient. On a parameter whose gradient a
+        ``ParamBuffer`` has bound this unbinds it, so that later gradients
+        miss the flat gradient; ``ParamBuffer.zero_grad`` zeroes in place."""
         self.grad = None
 
     def backward(self) -> None:
@@ -228,7 +220,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...],
     """An op output over ``data``, which the op has already made a 2-D
     float64 array, so the slots are filled without ``Tensor``'s checks."""
     out = Tensor.__new__(Tensor)
-    out.data, out.grad, out._gview = data, None, None
+    out.data, out.grad = data, None
     if _grad_mode.enabled:
         for p in parents:  # a loop: cheaper than any() over a generator
             if p.requires_grad:
@@ -246,55 +238,24 @@ class ParamBuffer:
     shape, each a view of ``values`` in turn, so writes through a tensor's
     ``data[...]`` reach the flat values and no tensor can sit in two
     buffers. The flat gradient ``grads`` is made by the first
-    ``collect_grads``, which an optimizer over the buffer calls when it is
-    built, so a training run has it from its first backward pass; with it
-    comes ``scratch``, one ``BLOCK`` of work space for whole-buffer
-    updates, which run block by block over ``spans()``. From then on each
-    tensor's first gradient contribution of a backward pass is copied into
-    its view of ``grads``, and later ones add there.
-    ``release_grads`` drops both again.
+    ``zero_grad``, which an optimizer over the buffer calls when it is
+    built, and that call binds each tensor's ``grad`` to its view of it:
+    from then on every backward contribution to a tensor is added into the
+    flat gradient, and later ``zero_grad`` calls zero it in place.
+    ``release_grads`` unbinds the tensors and drops it.
     """
 
-    __slots__ = ("tensors", "shapes", "values", "grads", "scratch")
+    __slots__ = ("tensors", "shapes", "values", "grads")
 
     def __init__(self, values: np.ndarray, shapes):
         self.values, self.shapes = values, list(shapes)
         self.tensors = tuple(Tensor(v, True) for v in self._views(values))
         self.grads: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         ends = np.cumsum([r * c for r, c in self.shapes], dtype=np.int64)
         return [flat[end - r * c:end].reshape(r, c)
                 for (r, c), end in zip(self.shapes, ends)]
-
-    def collect_grads(self, fill: bool = False) -> list[bool]:
-        """Gather every tensor's gradient into its view of ``grads`` (made
-        here on first use; a gradient assigned directly is copied in) and
-        return which tensors had one. ``fill`` zeroes the views of the
-        others and makes those their gradients."""
-        if self.grads is None:
-            self.grads = np.zeros(self.values.size)
-            self.scratch = np.empty(min(BLOCK, self.values.size))
-            for t, view in zip(self.tensors, self._views(self.grads)):
-                t._gview = view
-        reached = []
-        for t in self.tensors:
-            g = t.grad
-            reached.append(g is not None)
-            if g is t._gview or (g is None and not fill):
-                continue
-            if g is None:
-                t._gview.fill(0.0)
-            else:
-                t._gview[...] = g
-            t.grad = t._gview
-        return reached
-
-    def spans(self) -> list[slice]:
-        """The runs of at most ``BLOCK`` entries that cover the buffer."""
-        n = self.values.size
-        return [slice(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
 
     def norm_sq(self) -> float:
         """The sum of the squared values: the L2 penalty before its weight."""
@@ -304,15 +265,21 @@ class ParamBuffer:
         return float(np.einsum("i,i->", self.values, self.values))
 
     def zero_grad(self) -> None:
-        for t in self.tensors:
-            t.grad = None
+        """Zero the flat gradient; the first call makes it and binds each
+        tensor's ``grad`` to its view."""
+        if self.grads is None:
+            self.grads = np.zeros(self.values.size)
+            for t, view in zip(self.tensors, self._views(self.grads)):
+                t.grad = view
+        else:
+            self.grads.fill(0.0)
 
     def release_grads(self) -> None:
-        """Drop the flat gradient, the scratch array and every tensor's
-        gradient; the next ``collect_grads`` makes them afresh."""
-        self.grads = self.scratch = None
+        """Unbind every tensor's gradient and drop the flat gradient; the
+        next ``zero_grad`` makes it afresh."""
+        self.grads = None
         for t in self.tensors:
-            t.grad = t._gview = None
+            t.grad = None
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -347,7 +314,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             w._accum(x.data.T @ g, fresh=True)
         if b.requires_grad:
-            b._accum(g.sum(axis=0, keepdims=True), fresh=True)
+            b._accum(np.add.reduce(g, 0, keepdims=True), fresh=True)
 
     return _node(x.data @ w.data + b.data, (x, w, b), backward)
 
@@ -366,7 +333,7 @@ def _softmax_grad(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient at the logits of ``_softmax``, given the gradient g at its
     output ``weights``."""
     out = g * weights
-    np.subtract(g, out.sum(axis=-1, keepdims=True), out=out)
+    np.subtract(g, np.add.reduce(out, -1, keepdims=True), out=out)
     out *= weights
     return out
 
@@ -568,8 +535,8 @@ def gate(x: Tensor, y: Tensor, s_x: Tensor,
         if y.requires_grad:
             y._accum(g * r_y, fresh=True)
         if s_x.requires_grad or s_y.requires_grad:
-            gr = np.concatenate(((g * x.data).sum(axis=1, keepdims=True),
-                                 (g * y.data).sum(axis=1, keepdims=True)),
+            gr = np.concatenate((np.add.reduce(g * x.data, 1, keepdims=True),
+                                 np.add.reduce(g * y.data, 1, keepdims=True)),
                                 axis=1)
             gs = _softmax_grad(gr, r)
             if s_x.requires_grad:
@@ -626,14 +593,15 @@ def _layer_norm(op: str, x: np.ndarray, inputs: tuple[Tensor, ...],
 
     def backward(g):
         if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=0, keepdims=True), fresh=True)
+            gain._accum(np.add.reduce(g * xhat, 0, keepdims=True),
+                        fresh=True)
         if bias.requires_grad:
-            bias._accum(g.sum(axis=0, keepdims=True), fresh=True)
+            bias._accum(np.add.reduce(g, 0, keepdims=True), fresh=True)
         if any(t.requires_grad for t in inputs):
             gh = g * gain.data
-            mean_gh = gh.sum(axis=1, keepdims=True)
+            mean_gh = np.add.reduce(gh, 1, keepdims=True)
             mean_gh /= d
-            proj = (gh * xhat).sum(axis=1, keepdims=True)
+            proj = np.add.reduce(gh * xhat, 1, keepdims=True)
             proj /= d
             gx = gh - mean_gh
             gx -= xhat * proj
@@ -690,7 +658,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         if w2.requires_grad:
             w2._accum(a.T @ g, fresh=True)
         if b2.requires_grad:
-            b2._accum(g.sum(axis=0, keepdims=True), fresh=True)
+            b2._accum(np.add.reduce(g, 0, keepdims=True), fresh=True)
         g1 = a * a
         np.subtract(1.0, g1, out=g1)
         g1 *= ga
@@ -699,7 +667,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         if w1.requires_grad:
             w1._accum(x.data.T @ g1, fresh=True)
         if b1.requires_grad:
-            b1._accum(g1.sum(axis=0, keepdims=True), fresh=True)
+            b1._accum(np.add.reduce(g1, 0, keepdims=True), fresh=True)
 
     return _node(out, (x, w1, b1, w2, b2), backward)
 

@@ -30,6 +30,10 @@ from .regularizer import regularization_loss
 logger = logging.getLogger(__name__)
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's, as Kingma & Ba set them
+# Entries per pass of a whole-buffer update (256 KB per float64 array), so
+# that a block of every array it touches stays in cache across its numpy
+# calls; NVIDIA apex's multi-tensor apply chunks its flat lists likewise.
+BLOCK = 1 << 15
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,61 +44,61 @@ class Adam:
     """Adam (Kingma & Ba) over one parameter buffer.
 
     ``params`` is a model's ``ParamBuffer``. The buffer's flat gradient is
-    made here, so the first backward pass already accumulates into it. The
-    two moments are flat arrays too, and live as long as the optimizer. A
-    step runs the update's numpy calls block by block over the buffer (see
-    ``ParamBuffer``), in the buffer's scratch block and the consumed
-    gradient.
+    made and bound to its tensors here (``ParamBuffer.zero_grad``), so the
+    first backward pass already accumulates into it. The two moments are
+    flat arrays too, and live as long as the optimizer, with one ``BLOCK``
+    of scratch space: a step runs the update's numpy calls over the buffer
+    one block at a time, in the scratch block and the consumed gradient.
     """
 
     def __init__(self, params: ad.ParamBuffer, learning_rate: float):
-        params.collect_grads()
+        params.zero_grad()
         self.params = params
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-        self._m = np.zeros(params.values.size)
-        self._v = np.zeros(params.values.size)
+        n = params.values.size
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self._scratch = np.empty(min(BLOCK, n))
+        self._spans = [slice(lo, min(lo + BLOCK, n))
+                       for lo in range(0, n, BLOCK)]
 
     def step(self, decay: float = 0.0) -> None:
-        """Apply one bias-corrected update from the accumulated gradients,
-        and consume the gradients: the flat gradient serves as scratch, so
-        every tensor's ``grad`` is None afterwards.
+        """Apply one bias-corrected update to every tensor from the
+        accumulated gradients, and consume them: the flat gradient serves
+        as scratch and is zeroed afterwards. A tensor that no loss reached
+        since the last step has a zero gradient and takes Adam's
+        zero-gradient step, its moments decaying.
 
         ``decay`` is coupled weight decay, as in PyTorch's
         ``Adam(weight_decay=)``: decay times the values is added to the
         gradient before the moments see it, which is the gradient of an L2
-        penalty decay / 2 times the squared norm. With it every tensor is
-        updated; without it, tensors that have no gradient are skipped."""
+        penalty decay / 2 times the squared norm."""
         self.step_count += 1
         b1, b2, lr, eps = BETA1, BETA2, self.learning_rate, ADAM_EPS
         correct1 = 1 - b1 ** self.step_count
         correct2 = 1 - b2 ** self.step_count
         params = self.params
-        reached = params.collect_grads(fill=decay > 0)
-        mask = None if decay > 0 or all(reached) else np.repeat(
-            reached, [r * c for r, c in params.shapes])
-        for run in params.spans():
-            w = True if mask is None else mask[run]
+        for run in self._spans:
             p, g, m, v = (params.values[run], params.grads[run],
                           self._m[run], self._v[run])
-            s = params.scratch[:run.stop - run.start]
+            s = self._scratch[:run.stop - run.start]
             if decay > 0:
                 np.multiply(p, decay, out=s)        # g = g + decay p
                 np.add(g, s, out=g)
-            np.multiply(m, b1, out=m, where=w)      # m = b1 m + (1 - b1) g
-            np.multiply(g, 1 - b1, out=s, where=w)
-            np.add(m, s, out=m, where=w)
-            np.multiply(v, b2, out=v, where=w)      # v = b2 v + (1 - b2) g g
-            np.multiply(g, 1 - b2, out=s, where=w)
-            np.multiply(s, g, out=s, where=w)
-            np.add(v, s, out=v, where=w)
-            np.divide(m, correct1, out=g, where=w)  # lr m_hat
-            np.multiply(g, lr, out=g, where=w)
-            np.divide(v, correct2, out=s, where=w)  # sqrt(v_hat) + eps
-            np.sqrt(s, out=s, where=w)
-            np.add(s, eps, out=s, where=w)
-            np.divide(g, s, out=s, where=w)
-            np.subtract(p, s, out=p, where=w)
+            np.multiply(m, b1, out=m)               # m = b1 m + (1 - b1) g
+            np.multiply(g, 1 - b1, out=s)
+            np.add(m, s, out=m)
+            np.multiply(v, b2, out=v)               # v = b2 v + (1 - b2) g g
+            np.multiply(g, 1 - b2, out=s)
+            np.multiply(s, g, out=s)
+            np.add(v, s, out=v)
+            np.divide(m, correct1, out=g)           # lr m_hat
+            np.multiply(g, lr, out=g)
+            np.divide(v, correct2, out=s)           # sqrt(v_hat) + eps
+            np.sqrt(s, out=s)
+            np.add(s, eps, out=s)
+            np.divide(g, s, out=s)
+            np.subtract(p, s, out=p)
         params.zero_grad()
 
 
@@ -137,8 +141,10 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
 
     Memory is one pair's graph plus one flat gradient: each pair's
     ``backward`` releases that pair's graph before the next pair's forward
-    pass is built, and the optimizer makes the flat gradient before the
-    first backward, which accumulates straight into it.
+    pass is built, and the optimizer makes the flat gradient and binds the
+    parameters' gradients to it before the first backward, so every
+    backward adds straight into it. Each step updates every parameter,
+    whether or not the batch's losses reached it, at any ``beta``.
 
     Each pair's context is prepared once per call (``DialogModel.prepare``),
     since it does not depend on the parameters; the prepared list lives
@@ -167,7 +173,6 @@ def train_model(model: DialogModel, pairs: list[DialogPair],
     try:
         for epoch in range(cfg.epochs):
             epoch_total = 0.0
-            params.zero_grad()
             pending = 0
             for index, pair in enumerate(pairs):
                 if pending == 0:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
+from kgdialog import training
 from kgdialog.config import TrainingConfig
 from kgdialog.decoder import total_loss
 from kgdialog.training import Adam
@@ -580,7 +581,7 @@ def test_penalty_graph_size_does_not_grow_with_tensor_count():
     assert interior_nodes(1) == interior_nodes(100)
 
 
-@pytest.mark.parametrize("block", [3, ad.BLOCK])
+@pytest.mark.parametrize("block", [3, training.BLOCK])
 @pytest.mark.parametrize("beta", [1e-6, 1e-3, 0.37])
 def test_penalty_gradient_is_two_beta_p_added_last(beta, block, monkeypatch):
     """The L2 penalty is Adam's coupled weight decay: ``step(2 beta)`` gives
@@ -589,7 +590,7 @@ def test_penalty_gradient_is_two_beta_p_added_last(beta, block, monkeypatch):
     by the penalty and one also reached by L_r. A block of 3 entries splits
     both tensors across blocks; the second step runs on the moments of the
     first."""
-    monkeypatch.setattr(ad, "BLOCK", block)
+    monkeypatch.setattr(training, "BLOCK", block)
     rng = np.random.default_rng(9)
     start = [rng.standard_normal((2, 4)), rng.standard_normal((3, 2))]
     target = ad.Tensor(rng.standard_normal((3, 2)))
@@ -601,8 +602,7 @@ def test_penalty_gradient_is_two_beta_p_added_last(beta, block, monkeypatch):
             only, a = buf.tensors
             total_loss(ad.Tensor([[0.5]]), ad.frobenius_distance_sq(a, target),
                        cfg).backward()
-            assert only.grad is None
-        manual.collect_grads(fill=True)
+            assert not only.grad.any()
         manual.grads += 2.0 * beta * manual.values
         opt_manual.step()
         opt_decayed.step(2.0 * beta)
@@ -623,13 +623,16 @@ def test_param_buffer_views_and_gradients():
         np.testing.assert_array_equal(t.data, x)
     p.data[0, 0] = 7.0                   # writes reach the flat values
     assert buf.values[0] == 7.0
-    q.grad = np.ones((1, 3))             # assigned directly: copied in
-    assert buf.collect_grads() == [False, True]
-    assert p.grad is None and q.grad.base is buf.grads
-    np.testing.assert_array_equal(buf.grads[6:], 1.0)
-    sum_all(mul(p, p)).backward()  # first contribution: a copy
-    assert p.grad.base is buf.grads
-    np.testing.assert_array_equal(p.grad, 2.0 * p.data)
+    assert buf.grads is None and p.grad is None
+    buf.zero_grad()                      # makes the flat gradient, binds
+    flat = buf.grads
+    assert p.grad.base is flat and q.grad.base is flat
+    assert not flat.any()
+    sum_all(mul(p, p)).backward()        # adds into the bound view
+    np.testing.assert_array_equal(flat[:6].reshape(2, 3), 2.0 * p.data)
+    np.testing.assert_array_equal(flat[6:], 0.0)
+    buf.zero_grad()                      # zeroes in place, keeps the binding
+    assert buf.grads is flat and p.grad.base is flat and not flat.any()
     buf.release_grads()
     assert buf.grads is None and p.grad is None and q.grad is None
     sum_all(p).backward()             # without the flat gradient

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
+from kgdialog import training
 from kgdialog.autodiff import Tensor
 from kgdialog.composer import Vocabulary
 from kgdialog.config import TrainingConfig
@@ -42,8 +43,8 @@ class TestAdam:
         buf = param_buffer([[[1.0, -2.0]]])
         p, = buf.tensors
         g = np.array([[0.5, -1.5]])
-        p.grad = g.copy()
         opt = Adam(buf, learning_rate=0.1)
+        p.grad[...] = g
         opt.step()
         m = 0.1 * g
         v = 0.001 * g * g
@@ -60,8 +61,7 @@ class TestAdam:
         m = v = 0.0
         x = 2.0
         for step in range(1, 3):
-            g = 2.0 * p.data[0, 0]  # d/dx of x^2
-            p.grad = np.array([[g]])
+            p.grad[...] = 2.0 * p.data[0, 0]  # d/dx of x^2
             opt.step()
             gm = 2.0 * x
             m = 0.9 * m + 0.1 * gm
@@ -70,13 +70,37 @@ class TestAdam:
                 np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
             assert p.data[0, 0] == pytest.approx(x, rel=1e-12)
 
-    def test_none_grad_skipped(self):
+    def test_zero_gradient_and_moments_leave_the_values(self):
+        """A tensor that no loss has reached has a zero gradient and zero
+        moments, so its zero-gradient steps leave it as it is."""
         buf = param_buffer([[[3.0]]])
         p, = buf.tensors
         opt = Adam(buf, learning_rate=0.5)
         opt.step()
         opt.step(decay=0.0)
         assert p.data[0, 0] == 3.0
+
+    def test_unreached_tensor_takes_the_zero_gradient_step(self):
+        """Without weight decay, a tensor reached at one step and not at
+        the next still takes the next step, with a zero gradient: its
+        moments decay and it moves by the per-tensor formula, bit for
+        bit."""
+        buf = param_buffer([[[0.5, -1.0]]])
+        p, = buf.tensors
+        opt = Adam(buf, learning_rate=0.1)
+        g = np.array([[0.25, 2.0]])
+        expect, m, v = p.data.copy(), 0.0, 0.0
+        for step, grad in ((1, g), (2, np.zeros_like(g))):
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad * grad
+            expect = expect - 0.1 * (m / (1 - 0.9 ** step)) / (
+                np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
+        sum_all(mul(p, Tensor(g))).backward()
+        opt.step()
+        before = p.data.copy()
+        opt.step()
+        assert (p.data != before).all()
+        np.testing.assert_array_equal(p.data, expect)
 
     def test_decay_moves_a_tensor_that_has_no_gradient(self):
         """With weight decay every tensor is updated: one without a loss
@@ -85,21 +109,21 @@ class TestAdam:
         buf = param_buffer([[[3.0, -2.0]], [[1.0]]])
         p, q = buf.tensors
         opt = Adam(buf, learning_rate=0.5)
-        q.grad = np.array([[1.0]])
+        q.grad[...] = 1.0
         opt.step(decay=0.1)
         np.testing.assert_allclose(p.data, [[2.5, -1.5]], rtol=1e-7)
         assert q.data[0, 0] < 1.0
 
     def test_zero_grad_clears(self):
-        """Clearing the optimizer's buffer drops a pending gradient, so the
-        next step leaves the tensor as it is (``train_model`` clears it at
-        the start of each epoch)."""
+        """Clearing the optimizer's buffer zeroes a pending gradient in
+        place, in the tensor's bound view, so the next step leaves the
+        tensor as it is."""
         buf = param_buffer([[[3.0]]])
         p, = buf.tensors
         opt = Adam(buf, 0.1)
-        p.grad = np.array([[1.0]])
+        p.grad[...] = 1.0
         opt.params.zero_grad()
-        assert p.grad is None
+        assert p.grad.base is buf.grads and not buf.grads.any()
         opt.step()
         assert p.data[0, 0] == 3.0
 
@@ -108,22 +132,22 @@ class TestAdam:
                            min_size=1, max_size=5),
            steps=st.integers(1, 6),
            lr=st.sampled_from([1e-3, 5e-3, 0.1]),
-           block=st.sampled_from([1, 3, 7, ad.BLOCK]),
+           block=st.sampled_from([1, 3, 7, training.BLOCK]),
            decay=st.sampled_from([0.0, 2e-6, 0.37]),
            seed=st.integers(0, 2**32 - 1))
     def test_flat_step_equals_per_tensor_update_bit_for_bit(
             self, shapes, steps, lr, block, decay, seed):
         """The whole-buffer step against the per-tensor formula, on
-        gradients given through backward (into the flat views) and by
-        assignment, with tensors that get no gradient at some steps, with
-        blocks that split tensors, and with and without weight decay,
-        which adds decay p to every tensor's gradient, a missing one
-        counting as zero."""
-        saved, ad.BLOCK = ad.BLOCK, block
+        gradients given through backward and by assignment into the bound
+        flat views, with tensors that get no gradient at some steps (a
+        missing one counts as zero, with or without decay), with blocks
+        that split tensors, and with and without weight decay, which adds
+        decay p to every tensor's gradient."""
+        saved, training.BLOCK = training.BLOCK, block
         try:
             self._check_flat_step(shapes, steps, lr, decay, seed)
         finally:
-            ad.BLOCK = saved
+            training.BLOCK = saved
 
     @staticmethod
     def _check_flat_step(shapes, steps, lr, decay, seed):
@@ -142,17 +166,18 @@ class TestAdam:
                 if g is None:
                     continue
                 if rng.random() < 0.5:
-                    p.grad = g.copy()
+                    p.grad[...] = g
                 else:  # d/dp of sum(p * g) is exactly g
                     sum_all(mul(p, Tensor(g))).backward()
             opt.step(decay)
-            assert all(p.grad is None for p in params)
+            assert all(p.grad.base is buf.grads for p in params)
+            assert not buf.grads.any()
             c1, c2 = 1 - 0.9 ** step, 1 - 0.999 ** step
             for i, g in enumerate(grads):
-                if decay > 0:
-                    g = (0.0 if g is None else g) + expect[i] * decay
                 if g is None:
-                    continue
+                    g = np.zeros_like(expect[i])
+                if decay > 0:
+                    g = g + expect[i] * decay
                 m[i] = 0.9 * m[i] + (1 - 0.9) * g
                 v[i] = 0.999 * v[i] + (1 - 0.999) * g * g
                 m_hat = m[i] / c1
@@ -383,7 +408,7 @@ class TestTrain:
         assert not np.shares_memory(a.params.buffer.values,
                                     b.params.buffer.values)
         for model in (a, b):
-            model.params.buffer.collect_grads()
+            model.params.buffer.zero_grad()
         assert not np.shares_memory(a.params.buffer.grads,
                                     b.params.buffer.grads)
         train_model(b, tiny.pairs[:4], cfg)
@@ -394,14 +419,28 @@ class TestTrain:
         model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
         train_model(model, tiny.pairs[:2], FAST.replace(epochs=1))
         assert model.params.buffer.grads is None
-        assert all(t.grad is None and t._gview is None
-                   for t in model.params.buffer.tensors)
+        assert all(t.grad is None for t in model.params.buffer.tensors)
+
+    def test_inference_never_makes_a_gradient(self, tiny):
+        """Decoding, exporting and the evaluation helpers build no graph,
+        so a fresh model's buffer gets no flat gradient and no tensor a
+        gradient."""
+        model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
+        pair = tiny.pairs[0]
+        for strategy in ("greedy", "beam:2"):
+            model.generate_response(pair.context, strategy=strategy)
+        model.export_representations(pair.context, pair.response)
+        token_accuracy(model, tiny.pairs[:2])
+        mean_semantic_gap(model, tiny.pairs[:2])
+        assert model.params.buffer.grads is None
+        assert all(t.grad is None for t in model.params.buffer.tensors)
 
     def test_first_backward_accumulates_into_the_flat_gradient(
             self, tiny, monkeypatch):
         """The optimizer makes the flat gradient before the run's first
-        backward, so right after it every reached parameter's gradient is
-        its view of ``ParamBuffer.grads``: no array of its own, no copy."""
+        backward, so right after it every parameter's gradient, reached or
+        not, is its view of ``ParamBuffer.grads``: no array of its own, no
+        copy."""
         model = build_model(_vocab(tiny.pairs, tiny.kb), tiny.kb, FAST)
         buf = model.params.buffer
         after_first = []
@@ -410,17 +449,15 @@ class TestTrain:
         def spy(loss):
             backward(loss)
             if not after_first:
-                after_first.append((buf.grads, [
-                    (t.grad, t._gview) for t in buf.tensors
-                    if t.grad is not None]))
+                after_first.append((buf.grads, [(t.grad, t.grad.any())
+                                                for t in buf.tensors]))
 
         monkeypatch.setattr(ad.Tensor, "backward", spy)
         train_model(model, tiny.pairs[:2], FAST.replace(epochs=1),
                     log_every=0)
-        ((flat, reached),) = after_first
-        assert flat is not None and len(reached) > len(buf.tensors) // 2
-        for grad, view in reached:
-            assert grad is view and grad.base is flat
+        ((flat, grads),) = after_first
+        assert flat is not None and all(g.base is flat for g, _ in grads)
+        assert sum(reached for _, reached in grads) > len(grads) // 2
 
     def test_response_past_position_table_rejected_before_any_update(
             self, tiny):
