@@ -15,8 +15,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-# tokenize lives in kb, which indexes entity names with it; contexts are
-# tokenized with it too, while linearize_tuple splits on whitespace
 from .kb import (AttributeValuePair, Entity, KnowledgeBase, KnowledgeGraph,
                  feature_table, tokenize)
 
@@ -292,9 +290,3 @@ def _paths(graph: KnowledgeGraph, seed: str, hops: int,
             if stack:
                 on_path.remove(entries[-1])
                 del entries[-2:]
-
-
-def linearize_tuple(t: RelationTuple) -> list[str]:
-    """Flatten a tuple to a token sequence by whitespace-splitting each
-    entry in order (multiword nodes contribute one token per word)."""
-    return [token for entry in t.entries for token in entry.split()]

@@ -121,7 +121,8 @@ class Tensor:
     def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
         # the first contribution is copied, never aliased: backward closures
         # hand the same array to several parents. ``fresh`` marks an array
-        # the caller made for this tensor alone, which is kept as it is.
+        # the caller made for this tensor alone, which is kept as it is; it
+        # owns its data, as only a bound gradient is a view (``zero_grad``).
         if self.grad is not None:
             self.grad += g
         elif fresh:
@@ -147,10 +148,13 @@ class Tensor:
             self.grad[list(first)] += sums
 
     def zero_grad(self) -> None:
-        """Drop the gradient. On a parameter whose gradient a
-        ``ParamBuffer`` has bound this unbinds it, so that later gradients
-        miss the flat gradient; ``ParamBuffer.zero_grad`` zeroes in place."""
-        self.grad = None
+        """Reset the gradient. One that a ``ParamBuffer`` has bound, the only
+        kind that is a view, is zeroed in place and stays bound; any other
+        is dropped."""
+        if self.grad is not None and self.grad.base is not None:
+            self.grad.fill(0.0)
+        else:
+            self.grad = None
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable leaf that requires it, and

@@ -30,8 +30,9 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .acquire import AcquiredPair, RelationTuple, linearize_tuple, tokenize
+from .acquire import AcquiredPair, RelationTuple
 from .autodiff import Tensor
+from .kb import tokenize
 
 if TYPE_CHECKING:
     from .model import ModelParams
@@ -184,15 +185,11 @@ class ComposedRepresentation:
 
     E_k: Tensor
     T_t: Tensor
-    T_h: Tensor
     T_c: Tensor
     tuples: tuple[RelationTuple, ...]
     relation_attention: Optional[Tensor]
     r_t: Optional[Tensor]
     r_h: Optional[Tensor]
-    n_knowledge: int
-    n_text: int
-    n_visual: int
 
 
 def linearize_attributes(knowledge: Iterable[AcquiredPair]) -> list[str]:
@@ -205,6 +202,13 @@ def linearize_attributes(knowledge: Iterable[AcquiredPair]) -> list[str]:
         tokens += tokenize(ap.pair.value)
         tokens.append(";")
     return tokens
+
+
+def linearize_tuple(t: RelationTuple) -> list[str]:
+    """Render a relation tuple as a token run: its entries tokenized in
+    order, as ``linearize_attributes`` tokenizes attribute text, so one
+    entity reaches both views as the same tokens."""
+    return [token for entry in t.entries for token in tokenize(entry)]
 
 
 def _fit_positions(tokens: Sequence, budget: int) -> Sequence:
@@ -401,12 +405,10 @@ def compose(prepared: PreparedContext,
     of the model's parameters."""
     table = params.table
     E_k = embed_ids(prepared.knowledge_ids, table)
-    n_k = E_k.shape[0]
-    E_t = embed_ids(prepared.context_ids, table, offset=n_k)
-    n_t = E_t.shape[0]
+    E_t = embed_ids(prepared.context_ids, table, offset=E_k.shape[0])
     E_v = project_image_features(prepared.image_features, params.image_proj)
     if E_v.shape[0] > 0:
-        start = n_k + n_t
+        start = E_k.shape[0] + E_t.shape[0]
         pos = ad.take_rows(table.position, range(start, start + E_v.shape[0]))
         E_v = ad.add(E_v, pos)
 
@@ -417,6 +419,5 @@ def compose(prepared: PreparedContext,
         T_h_bar, weights = reorganize_relations(T_t, T_h, params.relation_attn)
         r_t, r_h, T_c = fuse(T_t, T_h_bar, params.fusion)
     return ComposedRepresentation(
-        E_k=E_k, T_t=T_t, T_h=T_h, T_c=T_c, tuples=prepared.tuples,
-        relation_attention=weights, r_t=r_t, r_h=r_h,
-        n_knowledge=n_k, n_text=n_t, n_visual=E_v.shape[0])
+        E_k=E_k, T_t=T_t, T_c=T_c, tuples=prepared.tuples,
+        relation_attention=weights, r_t=r_t, r_h=r_h)

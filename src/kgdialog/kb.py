@@ -25,11 +25,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into alphanumeric runs and single punctuation
-    marks. Contexts, responses, entity names and linearized attributes are
-    tokenized with it, so mention matching stays consistent; linearized
-    relation tuples are not (``acquire.linearize_tuple`` splits their
-    entries on whitespace), which is why ``model.build_vocabulary`` adds
-    both splits of every knowledge-base string."""
+    marks. Contexts, responses, entity names and both knowledge
+    linearizations (attribute pairs and relation tuples) are tokenized with
+    it, so mention matching stays consistent and one entity reaches both
+    views as the same tokens."""
     return _TOKEN_RE.findall(text.lower())
 
 

@@ -412,9 +412,7 @@ def build_model(vocab: Vocabulary, kb: KnowledgeBase,
 
 def build_vocabulary(corpora_tokens: Iterable[Iterable[str]],
                      kb: KnowledgeBase) -> Vocabulary:
-    """Vocabulary over corpus tokens plus every way KB strings surface:
-    tokenizer output (attribute linearization) and whitespace splits
-    (tuple linearization). Each distinct KB string is split once."""
+    """Vocabulary over the corpus tokens and the tokens of every KB string."""
     tokens: set[str] = set()
     for seq in corpora_tokens:
         tokens.update(seq)
@@ -423,5 +421,4 @@ def build_vocabulary(corpora_tokens: Iterable[Iterable[str]],
                    for x in (p.attribute_type, p.value))
     for s in strings:
         tokens.update(tokenize(s))
-        tokens.update(w.lower() for w in s.split())
     return Vocabulary(tokens)

@@ -8,7 +8,7 @@ from kgdialog.acquire import (PROVENANCE_TEXTUAL, AcquisitionConfig,
                               DialogContext, NoImagesError, RelationTuple,
                               acquire_attributes, acquire_text_attributes,
                               acquire_visual_attributes, entity_similarity,
-                              linearize_tuple, tokenize, walk_relations)
+                              tokenize, walk_relations)
 from kgdialog import kb as kb_module
 from kgdialog.corpus import make_synthetic_corpus
 from kgdialog.kb import (AttributeValuePair, Entity, KnowledgeBase,
@@ -613,22 +613,7 @@ def test_dense_walk_reads_max_tuples_times_max_hops_adjacency_lists(
             assert ranked == _capped_oracle(g, {"e000", "e001"}, hops, cap)
 
 
-# --------------------------------------------------------------- linearizing
-
-def test_linearize_single_word_entries():
-    assert linearize_tuple(RelationTuple(("A", "near", "B"))) == ["A", "near", "B"]
-
-
-def test_linearize_splits_multiword_entries():
-    t = RelationTuple(("Inaniwa Yosuke", "near", "Wisma Atria"))
-    assert linearize_tuple(t) == ["Inaniwa", "Yosuke", "near", "Wisma", "Atria"]
-
-
-def test_linearize_token_count_matches_recount():
-    t = RelationTuple(("Inaniwa Yosuke", "near by", "Wisma Atria",
-                       "domain of", "shopping mall"))
-    assert len(linearize_tuple(t)) == sum(len(e.split()) for e in t.entries)
-
+# ------------------------------------------------------------ relation tuples
 
 def test_relation_tuple_validation():
     with pytest.raises(ValueError):

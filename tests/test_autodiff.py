@@ -516,6 +516,23 @@ def test_zero_grad_resets():
     assert x.grad is None
 
 
+def test_zero_grad_keeps_a_bound_gradient_bound():
+    """Resetting a parameter whose gradient a buffer has bound zeroes its
+    view in place: the next backward still reaches the flat gradient, and
+    the optimizer's step moves the parameter."""
+    buf = param_buffer([[[1.0, 2.0]]])
+    (p,) = buf.tensors
+    opt = Adam(buf, 0.1)
+    p.grad += 5.0
+    p.zero_grad()
+    assert p.grad.base is buf.grads and not buf.grads.any()
+    ad.frobenius_distance_sq(p, ad.Tensor([[2.0, 3.0]])).backward()
+    np.testing.assert_array_equal(buf.grads, [-2.0, -2.0])
+    assert p.grad.base is buf.grads
+    opt.step()
+    assert (p.data > [[1.0, 2.0]]).all()
+
+
 def test_no_graph_when_nothing_requires_grad():
     a = ad.Tensor([[1.0]])
     b = ad.Tensor([[2.0]])

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from kgdialog import autodiff as ad
 from kgdialog import composer
-from kgdialog.acquire import AcquiredPair, RelationTuple, linearize_tuple
+from kgdialog.acquire import AcquiredPair, RelationTuple
 from kgdialog.autodiff import Tensor
 from kgdialog.composer import (EmbeddingTable, ImageProjectionParams,
                                Vocabulary, compose, compose_attributes,
                                embed_ids, encode, encode_relation_tuples,
-                               fuse, linearize_attributes, prepare_context,
-                               project_image_features, reorganize_relations)
+                               fuse, linearize_attributes, linearize_tuple,
+                               prepare_context, project_image_features,
+                               reorganize_relations)
 from kgdialog.config import TrainingConfig
-from kgdialog.kb import AttributeValuePair
+from kgdialog.kb import AttributeValuePair, tokenize
 from kgdialog.model import init_params
 
 from helpers import (build_composite_grad_cases, make_attention,
@@ -99,6 +100,25 @@ class TestLinearizeAttributes:
 
     def test_empty(self):
         assert linearize_attributes(()) == []
+
+
+class TestLinearizeTuple:
+    def test_linearize_single_word_entries(self):
+        assert linearize_tuple(RelationTuple(("A", "near", "B"))) == [
+            "a", "near", "b"]
+
+    def test_linearize_splits_multiword_entries(self):
+        t = RelationTuple(("Inaniwa Yosuke", "near", "Wisma Atria"))
+        assert linearize_tuple(t) == ["inaniwa", "yosuke", "near", "wisma",
+                                      "atria"]
+
+    def test_linearize_token_count_matches_recount(self):
+        t = RelationTuple(("O'Brien's Bar", "near by", "Wisma Atria",
+                           "domain of", "Jean-Luc Café"))
+        assert linearize_tuple(t)[:7] == ["o", "'", "brien", "'", "s", "bar",
+                                          "near"]
+        assert len(linearize_tuple(t)) == sum(len(tokenize(e))
+                                              for e in t.entries)
 
 
 # ------------------------------------------------------------------ embedding
@@ -561,10 +581,19 @@ def _composer_params(rng, vocab_size=13, fdim=3, n_blocks=1):
     return init_params(vocab_size, fdim, cfg)
 
 
-def _compose(params, vocab, knowledge_tokens, ctx_tokens, feats, tuples):
-    return compose(prepare_context(knowledge_tokens, ctx_tokens, feats,
-                                   tuples, vocab, params.table.max_len),
-                   params)
+def _prepare(params, vocab, knowledge_tokens, ctx_tokens, feats, tuples):
+    return prepare_context(knowledge_tokens, ctx_tokens, feats, tuples, vocab,
+                           params.table.max_len)
+
+
+def _compose(params, *args):
+    return compose(_prepare(params, *args), params)
+
+
+def _counts(prepared):
+    """The knowledge, context and image rows a prepared context keeps."""
+    return (len(prepared.knowledge_ids), len(prepared.context_ids),
+            len(prepared.image_features))
 
 
 class TestCompose:
@@ -580,9 +609,10 @@ class TestCompose:
     def test_position_accounting(self, vocab, rng):
         params = _composer_params(rng)
         feats = np.random.default_rng(1).normal(size=(2, 3))
-        comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
-                        ["the", "mall"], feats, TUPLES)
-        assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (4, 2, 2)
+        prepared = _prepare(params, vocab, ["domain", ":", "mall", ";"],
+                            ["the", "mall"], feats, TUPLES)
+        comp = compose(prepared, params)
+        assert _counts(prepared) == (4, 2, 2)
         assert comp.T_t.shape == (8, D)
         assert comp.T_c.shape == (8, D)
         assert comp.E_k.shape == (4, D)
@@ -608,10 +638,12 @@ class TestCompose:
     def test_knowledge_budget_truncation(self, vocab, rng, caplog):
         params = _composer_params(rng)
         with caplog.at_level("WARNING"):
-            comp = _compose(params, vocab, ["mall"] * 30, ["the", "big"],
-                            np.zeros((0, 0)), [])
-        assert comp.n_knowledge == 18  # 20 positions - 2 context tokens
-        assert comp.n_text == 2
+            prepared = _prepare(params, vocab, ["mall"] * 30, ["the", "big"],
+                                np.zeros((0, 0)), [])
+            comp = compose(prepared, params)
+        # 20 positions - 2 context tokens
+        assert _counts(prepared) == (18, 2, 0)
+        assert comp.T_t.shape == (20, D)
         assert "truncating" in caplog.text
 
     def test_text_is_cut_so_image_rows_fit(self, vocab, rng, caplog):
@@ -620,9 +652,10 @@ class TestCompose:
         for n_text in (19, 20, 25):
             caplog.clear()
             with caplog.at_level("WARNING"):
-                comp = _compose(params, vocab, [], ["the"] * n_text, feats,
-                                TUPLES)
-            assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (0, 18, 2)
+                prepared = _prepare(params, vocab, [], ["the"] * n_text,
+                                    feats, TUPLES)
+                comp = compose(prepared, params)
+            assert _counts(prepared) == (0, 18, 2)
             # a single warning, and none about knowledge that was empty
             assert [r.getMessage() for r in caplog.records] == [
                 f"embed_tokens: truncating {n_text} tokens to 18"]
@@ -635,8 +668,10 @@ class TestCompose:
         params = _composer_params(rng, n_blocks=0)
         feats = np.random.default_rng(1).normal(size=(22, 3))
         with caplog.at_level("WARNING"):
-            comp = _compose(params, vocab, ["domain"], ["the"], feats, [])
-        assert (comp.n_knowledge, comp.n_text, comp.n_visual) == (0, 0, 20)
+            prepared = _prepare(params, vocab, ["domain"], ["the"], feats,
+                                [])
+            comp = compose(prepared, params)
+        assert _counts(prepared) == (0, 0, 20)
         assert [r.getMessage() for r in caplog.records] == [
             "compose: truncating image rows 22 -> 20",
             "embed_tokens: truncating 1 tokens to 0",

@@ -18,12 +18,15 @@ from helpers import address_space_cap, dense_adjacency, kb_of, \
 from kgdialog import autodiff as ad
 from kgdialog import kb as kb_module
 from kgdialog import model as model_module
-from kgdialog.acquire import (DialogContext, acquire_text_attributes, tokenize,
+from kgdialog.acquire import (AcquisitionConfig, DialogContext,
+                              acquire_text_attributes, tokenize,
                               walk_relations)
 from kgdialog.composer import (AttentionParams, Vocabulary,
-                               linearize_attributes)
+                               linearize_attributes, linearize_tuple,
+                               prepare_context)
 from kgdialog.config import TrainingConfig
-from kgdialog.corpus import DialogPair, make_synthetic_corpus
+from kgdialog.corpus import (DialogPair, make_relation_ablation,
+                             make_synthetic_corpus)
 from kgdialog.kb import AttributeValuePair, Entity, KnowledgeBase
 from kgdialog.model import (DialogModel, build_model, build_vocabulary,
                             checkpoint_doc, init_params, model_from_doc,
@@ -104,10 +107,30 @@ def _named_equal(a, b):
     return all(np.array_equal(an[k].data, bn[k].data) for k in an)
 
 
+# KB text of punctuation, spaces and an accented letter; the pool makes
+# values name entities often, so walks run past one hop
+_KB_TEXT = st.one_of(
+    st.sampled_from(["O'Brien's", "Jean-Luc Café", "a  b", "Road-7", "x",
+                     "B.B. King"]),
+    st.text(alphabet="aBé '-.", min_size=1, max_size=10).filter(str.strip))
+
+
+def _generated_kb(kind, seed):
+    """The KB of a corpus generator, or a graph of ``site NNN`` entities
+    like the dense benchmark's, each with six attributes naming others."""
+    if kind == "synthetic":
+        return make_synthetic_corpus(seed).kb
+    if kind == "ablation":
+        return make_relation_ablation(seed)[0]
+    return kb_of({f"site {head[1:]}": [(label, f"site {tail[1:]}")
+                                       for label, tail in pairs]
+                  for head, pairs in dense_adjacency(40, 6, seed).items()})
+
+
 class TestVocabularyBuild:
     def test_covers_both_linearization_styles(self, vocab, kb):
-        """KB strings must be reachable straight from the tokenizer (attribute
-        runs) and from whitespace splitting (relation tuple entries)."""
+        """KB strings reach the vocabulary through the tokenizer, which both
+        linearizations (attribute runs and relation tuple entries) read."""
         for tok in ("wisma", "atria", "435", "orchard", "road", "mall"):
             assert vocab.index(tok) != vocab.UNK, tok
 
@@ -135,8 +158,73 @@ class TestVocabularyBuild:
             for s in [ent.name] + [x for p in ent.attributes
                                    for x in (p.attribute_type, p.value)]:
                 tokens.update(tokenize(s))
-                tokens.update(w.lower() for w in s.split())
         assert build_vocabulary(corpus, kb).tokens == Vocabulary(tokens).tokens
+
+    def test_an_entity_reaches_both_views_as_the_same_ids(self):
+        """An attribute value that names an entity with an apostrophe and a
+        hyphen is read as the same ids in the attribute view and in the
+        walked relation tuple."""
+        name = "O'Brien's Bar-Grill"
+        kb = KnowledgeBase([
+            Entity("harbour view", (AttributeValuePair("near", name),)),
+            Entity(name, (AttributeValuePair("domain", "pub"),))])
+        vocab = build_vocabulary([["what", "is", "near"]], kb)
+        prepared = build_model(vocab, kb, CFG).prepare(
+            DialogContext(("what", "is", "near", "harbour", "view")))
+        value = vocab.encode(tokenize(name))
+        assert len(value) == 8 and vocab.UNK not in value
+        assert prepared.knowledge_ids == (vocab.encode(["near", ":"]) + value
+                                          + vocab.encode([";"]))
+        assert prepared.tuple_ids == (vocab.encode(["harbour", "view", "near"])
+                                      + value + vocab.encode(["domain", "pub"]))
+
+    @given(st.lists(st.tuples(_KB_TEXT, st.lists(st.tuples(_KB_TEXT, _KB_TEXT),
+                                                 max_size=3)),
+                    min_size=1, max_size=5, unique_by=lambda e: e[0]))
+    @settings(max_examples=60, deadline=None)
+    def test_walked_tuples_read_the_tokenizer_with_no_unk(self, entities):
+        """Each entry of every walked tuple reaches the encoder as the ids of
+        its tokenizer pieces, none of them ``<unk>``, whatever punctuation,
+        spacing and accented letters the KB strings hold."""
+        kb = KnowledgeBase(Entity(name, tuple(AttributeValuePair(t, v)
+                                              for t, v in attrs))
+                           for name, attrs in entities)
+        vocab = build_vocabulary([["what"]], kb)
+        tuples = walk_relations(kb.graph, [name for name, _ in entities],
+                                AcquisitionConfig(max_hops=3))
+        prepared = prepare_context([], [], np.zeros((0, 0)), tuples, vocab,
+                                   10_000)
+        ids = iter(prepared.tuple_ids)
+        for t, n in zip(tuples, prepared.tuple_lengths):
+            assert [next(ids) for _ in range(n)] == [
+                i for entry in t.entries for i in vocab.encode(tokenize(entry))]
+        assert vocab.UNK not in prepared.tuple_ids
+
+    @pytest.mark.parametrize("kind, seed", [
+        ("synthetic", 0), ("synthetic", 7), ("synthetic", 901),
+        ("ablation", 0), ("ablation", 905), ("sites", 901), ("sites", 3)])
+    def test_generated_kbs_keep_the_two_split_vocabulary(self, kind, seed):
+        """Generated KB strings are lowercase words and digits, which the
+        tokenizer splits as whitespace does. So on them the one-split
+        vocabulary equals the former rule's, which added both splits of
+        every KB string (written out here), and every walked tuple keeps
+        the ids of its former whitespace split."""
+        kb = _generated_kb(kind, seed)
+        corpus = [["what", "is", "around"]]
+        vocab = build_vocabulary(corpus, kb)
+        tokens = set(corpus[0])
+        for ent in kb:
+            for s in [ent.name] + [x for p in ent.attributes
+                                   for x in (p.attribute_type, p.value)]:
+                tokens.update(tokenize(s))
+                tokens.update(w.lower() for w in s.split())
+        assert vocab.tokens == Vocabulary(tokens).tokens
+        tuples = walk_relations(kb.graph, [ent.name for ent in kb][:8],
+                                AcquisitionConfig(max_hops=2, max_tuples=64))
+        assert tuples
+        for t in tuples:
+            assert vocab.encode(linearize_tuple(t)) == vocab.encode(
+                [w for entry in t.entries for w in entry.split()])
 
 
 class TestInitParams:

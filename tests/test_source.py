@@ -58,6 +58,41 @@ def test_unused_imports_finds_exactly_the_unread_names(source, unused):
     assert unused_imports(source) == unused
 
 
+def whitespace_splits(source: str) -> list[int]:
+    """The lines of ``source`` that call ``split`` or ``rsplit`` with no
+    separator or a None one: a split on whitespace."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("split", "rsplit")):
+            seps = node.args[:1] + [k.value for k in node.keywords
+                                    if k.arg == "sep"]
+            if all(isinstance(sep, ast.Constant) and sep.value is None
+                   for sep in seps):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_module_splits_text_only_through_the_tokenizer(path):
+    """Text is split into tokens by ``kb.tokenize`` alone, so that a KB
+    string reaches every view as the same tokens."""
+    assert whitespace_splits(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("s.split()\n", [1]),
+    ("x = 1\n[w.lower() for w in s.rsplit(maxsplit=1)]\n", [2]),
+    ("s.split(None, 2)\ns.split(sep=None)\n", [1, 2]),
+    ('s.split(":")\nre.split(r"[.:]", s)\ns.split(sep=",")\n', []),
+    ("np.split(x, 3)\n", []),
+])
+def test_whitespace_splits_finds_exactly_the_separatorless_calls(source,
+                                                                  lines):
+    assert whitespace_splits(source) == lines
+
+
 def public_definitions(source: str) -> list[str]:
     """The public module-level functions and classes of ``source``, and the
     public methods and properties of its classes, in source order."""

@@ -293,7 +293,7 @@ class TestTrain:
         monkeypatch.setattr(Vocabulary, "encode", encode)
         modules = [m for key, m in list(sys.modules.items())
                    if key.split(".")[0] == "kgdialog"]
-        real = sys.modules["kgdialog.acquire"].linearize_tuple
+        real = sys.modules["kgdialog.composer"].linearize_tuple
 
         def wrapper(t):
             calls["linearize_tuple"] += 1
