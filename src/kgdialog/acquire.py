@@ -82,10 +82,6 @@ class RelationTuple:
                 f"relation tuple needs an odd entry count >= 3, "
                 f"got {len(self.entries)}")
 
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self.entries[0::2]
-
 
 @dataclass(frozen=True)
 class AcquisitionConfig:

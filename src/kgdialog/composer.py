@@ -67,9 +67,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def index(self, token: str) -> int:
-        return self._index.get(token.lower(), self.UNK)
-
     def token(self, idx: int) -> str:
         return self._tokens[idx]
 
@@ -180,11 +177,11 @@ class ComposedRepresentation:
 
     ``E_k`` is the attribute-knowledge embedding the decoder's knowledge
     sub-layer attends over. ``relation_attention``, ``r_t``, ``r_h`` are
-    None when the context had no relation tuples (then T_c is T_t itself).
+    None when the context had no relation tuples (then T_c is the
+    attribute-composed T_t itself).
     """
 
     E_k: Tensor
-    T_t: Tensor
     T_c: Tensor
     tuples: tuple[RelationTuple, ...]
     relation_attention: Optional[Tensor]
@@ -419,5 +416,5 @@ def compose(prepared: PreparedContext,
         T_h_bar, weights = reorganize_relations(T_t, T_h, params.relation_attn)
         r_t, r_h, T_c = fuse(T_t, T_h_bar, params.fusion)
     return ComposedRepresentation(
-        E_k=E_k, T_t=T_t, T_c=T_c, tuples=prepared.tuples,
+        E_k=E_k, T_c=T_c, tuples=prepared.tuples,
         relation_attention=weights, r_t=r_t, r_h=r_h)

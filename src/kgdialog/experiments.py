@@ -7,7 +7,10 @@ and `tests/test_acceptance.py` share one code path. Defaults are the pinned
 desk-scale settings, and the runner reads its flags from these signatures;
 every knob is overridable. Multi-seed studies accept a single seed per call
 too, so the runner can fan seeds out across processes and merge the
-per-seed rows with ``summarize_runs``.
+per-seed rows with ``summarize_runs``. The two ablations are paired
+studies, both run by ``_paired_study``: a per-seed split, arms that each
+override one shared base config, and a scorer of each arm on the held-out
+pairs.
 """
 from __future__ import annotations
 
@@ -67,26 +70,11 @@ def relation_study(seeds=DEFAULT_SEEDS, n_train: int = 64, n_held: int = 32,
     and the answer (the neighbor's category) is absent from the asked
     entity's own attributes — only the walked relation tuples carry it.
     """
-    per_seed = []
-    started = time.monotonic()
-    for seed in seeds:
-        kb, train_pairs, held = make_relation_ablation(
-            seed, n_train=n_train, n_held=n_held)
-        base = TrainingConfig(dim=dim, enc_blocks=1, dec_blocks=1,
-                              n_latent=4, mlp_hidden=2 * dim, epochs=epochs,
-                              learning_rate=learning_rate, seed=seed,
-                              max_seq_len=128)
-        full = train(train_pairs, kb, base).model
-        ablated = train(train_pairs, kb,
-                        base.replace(use_relations=False)).model
-        per_seed.append({
-            "seed": seed,
-            "full": token_accuracy(full, held),
-            "without_relations": token_accuracy(ablated, held),
-        })
-    report = summarize_runs(per_seed)
-    report["seconds"] = time.monotonic() - started
-    return report
+    return _paired_study(
+        seeds, lambda seed: make_relation_ablation(seed, n_train=n_train,
+                                                   n_held=n_held),
+        {"full": {}, "without_relations": {"use_relations": False}},
+        token_accuracy, dim=dim, epochs=epochs, learning_rate=learning_rate)
 
 
 def regularization_study(seeds=DEFAULT_SEEDS, n_pairs: int = 48,
@@ -98,22 +86,33 @@ def regularization_study(seeds=DEFAULT_SEEDS, n_pairs: int = 48,
     response-side projection on held-out pairs (each model scored under its
     own projections).
     """
+    def split(seed):
+        syn = make_synthetic_corpus(seed, n_entities=24, n_pairs=n_pairs)
+        return syn.kb, syn.pairs[:n_train], syn.pairs[n_train:]
+
+    return _paired_study(
+        seeds, split,
+        {"regularized": {"gamma": gamma}, "unregularized": {"gamma": 0.0}},
+        mean_semantic_gap, dim=dim, epochs=epochs,
+        learning_rate=learning_rate)
+
+
+def _paired_study(seeds, split, arms: dict, score, **settings) -> dict:
+    """Per seed, train one model per arm on ``split(seed)``, a (knowledge
+    base, training pairs, held-out pairs) triple, and score it on the
+    held-out pairs. ``arms`` maps each row key, in training order, to its
+    overrides of one base config: 1+1 blocks at ``settings``."""
     per_seed = []
     started = time.monotonic()
     for seed in seeds:
-        syn = make_synthetic_corpus(seed, n_entities=24, n_pairs=n_pairs)
-        train_pairs, held = syn.pairs[:n_train], syn.pairs[n_train:]
-        base = TrainingConfig(dim=dim, enc_blocks=1, dec_blocks=1,
-                              n_latent=4, mlp_hidden=2 * dim, epochs=epochs,
-                              learning_rate=learning_rate, seed=seed,
-                              max_seq_len=128)
-        reg = train(train_pairs, syn.kb, base.replace(gamma=gamma)).model
-        unreg = train(train_pairs, syn.kb, base.replace(gamma=0.0)).model
-        per_seed.append({
-            "seed": seed,
-            "regularized": mean_semantic_gap(reg, held),
-            "unregularized": mean_semantic_gap(unreg, held),
-        })
+        kb, train_pairs, held = split(seed)
+        base = TrainingConfig(enc_blocks=1, dec_blocks=1, n_latent=4,
+                              max_seq_len=128, seed=seed, **settings)
+        row = {"seed": seed}
+        for key, overrides in arms.items():
+            model = train(train_pairs, kb, base.replace(**overrides)).model
+            row[key] = score(model, held)
+        per_seed.append(row)
     report = summarize_runs(per_seed)
     report["seconds"] = time.monotonic() - started
     return report

@@ -17,6 +17,14 @@ def _ngrams(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clipped_ngrams(cand: Tokens, ref: Tokens, n: int) -> tuple[int, dict]:
+    """The candidate's n-gram total, and each of its n-grams' count clipped
+    to the reference's count, in the candidate's n-gram order."""
+    cand_counts, ref_counts = _ngrams(cand, n), _ngrams(ref, n)
+    return sum(cand_counts.values()), {g: min(c, ref_counts[g])
+                                       for g, c in cand_counts.items()}
+
+
 def _check_corpus(candidates: Sequence[Tokens],
                   references: Sequence[Tokens]) -> None:
     if len(candidates) != len(references):
@@ -46,11 +54,9 @@ def bleu_n(candidates: Sequence[Tokens], references: Sequence[Tokens],
         cand_len += len(cand)
         ref_len += len(ref)
         for n in range(1, max_order + 1):
-            cand_counts = _ngrams(cand, n)
-            ref_counts = _ngrams(ref, n)
-            total[n - 1] += max(len(cand) - n + 1, 0)
-            matched[n - 1] += sum(min(c, ref_counts[g])
-                                  for g, c in cand_counts.items())
+            n_total, clipped = _clipped_ngrams(cand, ref, n)
+            total[n - 1] += n_total
+            matched[n - 1] += sum(clipped.values())
     if any(t == 0 or m == 0 for m, t in zip(matched, total)):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matched, total))
@@ -102,11 +108,9 @@ def nist(candidates: Sequence[Tokens], references: Sequence[Tokens],
         gained = 0.0
         total = 0
         for cand, ref in zip(candidates, references):
-            cand_counts = _ngrams(cand, n)
-            ref_counts = _ngrams(ref, n)
-            total += max(len(cand) - n + 1, 0)
-            gained += sum(info.get(g, 0.0) * min(c, ref_counts[g])
-                          for g, c in cand_counts.items())
+            n_total, clipped = _clipped_ngrams(cand, ref, n)
+            total += n_total
+            gained += sum(info.get(g, 0.0) * m for g, m in clipped.items())
         if total:
             score += gained / total
     cand_len = sum(len(c) for c in candidates)

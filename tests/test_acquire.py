@@ -441,10 +441,11 @@ def test_walk_output_is_well_formed(seed, hops):
     g = random_graph(seed)
     seeds = set(sorted(g.nodes)[:3])
     for t in walk_relations(g, seeds, AcquisitionConfig(max_hops=hops)):
-        n_hops = len(t.nodes) - 1
+        nodes = t.entries[0::2]
+        n_hops = len(nodes) - 1
         assert 1 <= n_hops <= hops
-        assert len(set(t.nodes)) == len(t.nodes)  # simple path
-        assert t.nodes[0] in seeds
+        assert len(set(nodes)) == len(nodes)  # simple path
+        assert nodes[0] in seeds
         for i in range(n_hops):  # every consecutive triple is an edge
             head, label, tail = t.entries[2 * i:2 * i + 3]
             assert (head, label, tail) in g.edges
@@ -518,7 +519,7 @@ def test_walk_long_chain_does_not_recurse():
     out = walk_relations(g, {"n0"}, AcquisitionConfig(max_hops=n,
                                                       max_tuples=1))
     (t,) = out
-    assert len(t.nodes) == n and t.nodes[-1] == f"n{n - 1}"
+    assert len(t.entries) == 2 * n - 1 and t.entries[-1] == f"n{n - 1}"
 
 
 class _CountingGraph(KnowledgeGraph):
@@ -542,7 +543,7 @@ def test_walk_reads_a_long_chain_at_most_twice_per_node(back_edge):
         edges.append((f"n{n - 1}", "r", f"n{n - 2}"))
     g = _CountingGraph((), edges)
     (t,) = walk_relations(g, {"n0"}, AcquisitionConfig(max_hops=n))
-    assert t.nodes == tuple(f"n{i}" for i in range(n))
+    assert t.entries[0::2] == tuple(f"n{i}" for i in range(n))
     assert g.calls <= 2 * n
 
 
@@ -621,7 +622,8 @@ def test_relation_tuple_validation():
     with pytest.raises(ValueError):
         RelationTuple(("A", "r"))
     t = RelationTuple(("A", "r", "B", "s", "C"))
-    assert t.nodes == ("A", "B", "C") and t.entries[1::2] == ("r", "s")
+    assert t.entries[0::2] == ("A", "B", "C")
+    assert t.entries[1::2] == ("r", "s")
 
 
 def test_acquisition_config_validation():

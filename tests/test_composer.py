@@ -56,10 +56,10 @@ class TestVocabulary:
         assert real == sorted(real)
 
     def test_lookup_case_insensitive(self, vocab):
-        assert vocab.index("MALL") == vocab.index("mall") != vocab.UNK
+        assert vocab.encode(["MALL"]) == vocab.encode(["mall"]) != [vocab.UNK]
 
     def test_unknown_maps_to_unk(self, vocab):
-        assert vocab.index("zebra") == vocab.UNK
+        assert vocab.encode(["zebra"]) == [vocab.UNK]
 
     def test_encode_decode_round_trip(self, vocab):
         tokens = ["the", "mall", "near", "wisma"]
@@ -133,18 +133,19 @@ class TestEmbedding:
 
     def test_offset_shifts_positions(self, vocab, rng):
         """Context rows take the positions after the knowledge rows, image
-        rows the ones after both: with no encoder block, T_t is each
-        segment's token (or projected image) rows plus those positions."""
+        rows the ones after both: with no encoder block and no tuple, T_c is
+        each segment's token (or projected image) rows plus those
+        positions."""
         params = _composer_params(rng, n_blocks=0)
         feats = np.random.default_rng(1).normal(size=(2, 3))
         comp = _compose(params, vocab, ["domain", ":", "mall"],
                         ["the", "big"], feats, [])
         token, position = params.table.token.data, params.table.position.data
         ids = vocab.encode(["domain", ":", "mall", "the", "big"])
-        np.testing.assert_array_equal(comp.T_t.data[:5],
+        np.testing.assert_array_equal(comp.T_c.data[:5],
                                       token[ids] + position[:5])
         np.testing.assert_array_equal(
-            comp.T_t.data[5:],
+            comp.T_c.data[5:],
             project_image_features(feats, params.image_proj).data
             + position[5:7])
 
@@ -599,9 +600,14 @@ def _counts(prepared):
 class TestCompose:
     def test_no_tuples_means_attribute_view_only(self, vocab, rng):
         params = _composer_params(rng)
-        comp = _compose(params, vocab, ["domain", ":", "mall", ";"],
-                        ["the", "mall"], np.zeros((0, 0)), [])
-        assert comp.T_c is comp.T_t
+        prepared = _prepare(params, vocab, ["domain", ":", "mall", ";"],
+                            ["the", "mall"], np.zeros((0, 0)), [])
+        comp = compose(prepared, params)
+        T_t = compose_attributes(
+            comp.E_k, embed_ids(prepared.context_ids, params.table, offset=4),
+            project_image_features(prepared.image_features,
+                                   params.image_proj), params.encoder)
+        np.testing.assert_array_equal(comp.T_c.data, T_t.data)
         assert comp.tuples == ()
         assert comp.relation_attention is None
         assert comp.r_t is None and comp.r_h is None
@@ -613,7 +619,6 @@ class TestCompose:
                             ["the", "mall"], feats, TUPLES)
         comp = compose(prepared, params)
         assert _counts(prepared) == (4, 2, 2)
-        assert comp.T_t.shape == (8, D)
         assert comp.T_c.shape == (8, D)
         assert comp.E_k.shape == (4, D)
 
@@ -633,7 +638,7 @@ class TestCompose:
         comp = _compose(params, vocab, [], ["the"], feats, [])
         projected = project_image_features(feats, params.image_proj).data
         expect = projected + params.table.position.data[1:2]
-        np.testing.assert_allclose(comp.T_t.data[1:2], expect, atol=1e-12)
+        np.testing.assert_allclose(comp.T_c.data[1:2], expect, atol=1e-12)
 
     def test_knowledge_budget_truncation(self, vocab, rng, caplog):
         params = _composer_params(rng)
@@ -643,7 +648,7 @@ class TestCompose:
             comp = compose(prepared, params)
         # 20 positions - 2 context tokens
         assert _counts(prepared) == (18, 2, 0)
-        assert comp.T_t.shape == (20, D)
+        assert comp.T_c.shape == (20, D)
         assert "truncating" in caplog.text
 
     def test_text_is_cut_so_image_rows_fit(self, vocab, rng, caplog):
@@ -654,14 +659,15 @@ class TestCompose:
             with caplog.at_level("WARNING"):
                 prepared = _prepare(params, vocab, [], ["the"] * n_text,
                                     feats, TUPLES)
-                comp = compose(prepared, params)
             assert _counts(prepared) == (0, 18, 2)
             # a single warning, and none about knowledge that was empty
             assert [r.getMessage() for r in caplog.records] == [
                 f"embed_tokens: truncating {n_text} tokens to 18"]
+            # the attribute view, T_c with no tuple: images at 18 and 19
+            comp = _compose(params, vocab, [], ["the"] * n_text, feats, [])
             expect = (project_image_features(feats, params.image_proj).data
                       + params.table.position.data[18:])
-            np.testing.assert_array_equal(comp.T_t.data[18:], expect)
+            np.testing.assert_array_equal(comp.T_c.data[18:], expect)
 
     def test_image_rows_alone_past_the_table_are_cut(self, vocab, rng,
                                                      caplog):
@@ -678,7 +684,7 @@ class TestCompose:
             "compose: truncating knowledge tokens 1 -> 0"]
         expect = (project_image_features(feats[:20], params.image_proj).data
                   + params.table.position.data)
-        np.testing.assert_array_equal(comp.T_t.data, expect)
+        np.testing.assert_array_equal(comp.T_c.data, expect)
 
     def test_deterministic(self, vocab, rng):
         params = _composer_params(rng)

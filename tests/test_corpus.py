@@ -178,7 +178,7 @@ class TestMakeSyntheticCorpus:
             tuples = walk_relations(graph, [name], cfg)
             matches = [t for t in tuples
                        if t.entries[1::2] == ("near", "domain")
-                       and t.nodes[-1] == answer]
+                       and t.entries[-1] == answer]
             assert matches, (name, answer)
             own = next(e for e in syn.kb if e.name == name)
             assert all(p.value != answer for p in own.attributes

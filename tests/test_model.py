@@ -132,10 +132,10 @@ class TestVocabularyBuild:
         """KB strings reach the vocabulary through the tokenizer, which both
         linearizations (attribute runs and relation tuple entries) read."""
         for tok in ("wisma", "atria", "435", "orchard", "road", "mall"):
-            assert vocab.index(tok) != vocab.UNK, tok
+            assert vocab.encode([tok]) != [vocab.UNK], tok
 
     def test_corpus_tokens_present(self, vocab):
-        assert vocab.index("what") != vocab.UNK
+        assert vocab.encode(["what"]) != [vocab.UNK]
 
     @given(st.lists(st.tuples(
         st.sampled_from(["Wisma Atria", "near", "Mall", "it's 5pm!",
@@ -443,7 +443,7 @@ class TestDialogModel:
         _, tuples = m.acquire(CTX)
         assert tuples == ()
         comp = m.compose_context(CTX)
-        assert comp.T_c is comp.T_t
+        assert comp.relation_attention is None and comp.r_h is None
 
     @staticmethod
     def _counting_graph_builds(monkeypatch):

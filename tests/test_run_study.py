@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kgdialog import experiments
+from kgdialog.config import TrainingConfig
 from kgdialog.experiments import summarize_runs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -31,6 +32,24 @@ REPORT_KEYS = {
                        "median_unregularized"},
 }
 
+# The per-seed rows of the paired studies at the TINY settings, as the
+# studies gave them before they shared one driver.
+TINY_ROWS = {
+    "relations": [
+        {"seed": 0, "full": 0.08333333333333333,
+         "without_relations": 0.08333333333333333},
+        {"seed": 1, "full": 0.1111111111111111,
+         "without_relations": 0.1111111111111111}],
+    "regularization": [
+        {"seed": 0, "regularized": 0.025885900710029004,
+         "unregularized": 0.25146182077168366},
+        {"seed": 1, "regularized": 0.005808827376885508,
+         "unregularized": 0.04814651370197631}],
+}
+# Each paired study's arms in training order, as config overrides.
+ARMS = {"relations": [{"use_relations": True}, {"use_relations": False}],
+        "regularization": [{"gamma": 0.1}, {"gamma": 0.0}]}
+
 
 def _run(capsys, argv):
     code = run_study.main(argv)
@@ -49,6 +68,29 @@ def test_report_keys_and_verdict_match_exit_code(capsys, study):
     verdict = "PASS" if code == 0 else "FAIL"
     assert code in (0, 1)
     assert err.startswith(f"{run_study.STUDIES[study].label}: {verdict} (")
+
+
+@pytest.mark.parametrize("study", sorted(ARMS))
+def test_paired_study_trains_its_arms_from_one_base_config(monkeypatch,
+                                                           capsys, study):
+    """Each seed trains the arms in order, each from the seed's 1+1-block
+    base config with the arm's override, and the rows are the ones the
+    study gave before."""
+    trained, train = [], experiments.train
+
+    def spy(pairs, kb, cfg):
+        trained.append(cfg)
+        return train(pairs, kb, cfg)
+
+    monkeypatch.setattr(experiments, "train", spy)
+    _, report, _ = _run(capsys, [study, *TINY[study]])
+    arms = ARMS[study]
+    assert trained == [
+        TrainingConfig(dim=4, enc_blocks=1, dec_blocks=1, n_latent=4,
+                       epochs=1, learning_rate=3e-3, seed=seed,
+                       max_seq_len=128).replace(**arm)
+        for seed in (0, 1) for arm in arms]
+    assert report["per_seed"] == TINY_ROWS[study]
 
 
 def test_seeds_across_processes_match_one_process(capsys):

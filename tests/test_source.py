@@ -159,3 +159,59 @@ def test_public_definitions_lists_module_functions_classes_and_methods(
 ])
 def test_read_names_finds_loads_attributes_and_tracer_targets(source, read):
     assert read_names(source) == read
+
+
+# Annotated class fields that no program code reads, each kept for its reason.
+UNREAD_FIELDS: dict[str, str] = {}
+
+
+def annotated_fields(source: str) -> list[tuple[str, str]]:
+    """The (class, field) pairs of ``source``: each plain name a class body
+    annotates, such as a dataclass or NamedTuple field, in source order."""
+    return [(node.name, item.target.id)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(source: str) -> set[str]:
+    """The attribute names ``source`` loads; a field is read through an
+    attribute, so a local variable of the same name does not count."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_field_is_read_outside_tests():
+    read = set().union(*(attribute_reads(path.read_text())
+                         for folder in READERS
+                         for path in sorted((ROOT / folder).rglob("*.py"))))
+    unread = [f"{cls}.{field}" for path in sorted(SRC.glob("*.py"))
+              for cls, field in annotated_fields(path.read_text())
+              if field not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+@pytest.mark.parametrize("source, fields", [
+    ("class C:\n    a: int\n    b: 'T' = 1\n", [("C", "a"), ("C", "b")]),
+    ("class P(NamedTuple):\n    x: float\n", [("P", "x")]),
+    ("class C:\n    X = 1\n    def f(self): pass\n", []),
+    ("class C:\n    def f(self):\n        self.x: int = 1\n"
+     "        y: int = 2\n", []),
+    ("class A:\n    class B:\n        x: int\n    y: int\n",
+     [("A", "y"), ("B", "x")]),
+    ("x: int = 1\n", []),
+])
+def test_annotated_fields_lists_class_body_annotations(source, fields):
+    assert annotated_fields(source) == fields
+
+
+@pytest.mark.parametrize("source, read", [
+    ("a.b.c\n", {"b", "c"}),
+    ("self.x = 1\ndel self.y\n", set()),
+    ("T_t = f(x)\ng(T_t)\n", set()),
+    ('getattr(a, "x")\n', set()),
+])
+def test_attribute_reads_finds_loaded_attributes_only(source, read):
+    assert attribute_reads(source) == read
