@@ -659,11 +659,12 @@ class TestCompose:
             with caplog.at_level("WARNING"):
                 prepared = _prepare(params, vocab, [], ["the"] * n_text,
                                     feats, TUPLES)
+                compose(prepared, params)
             assert _counts(prepared) == (0, 18, 2)
             # a single warning, and none about knowledge that was empty
             assert [r.getMessage() for r in caplog.records] == [
                 f"embed_tokens: truncating {n_text} tokens to 18"]
-            # the attribute view, T_c with no tuple: images at 18 and 19
+            # the attribute view (T_c with no tuple) has the images at 18, 19
             comp = _compose(params, vocab, [], ["the"] * n_text, feats, [])
             expect = (project_image_features(feats, params.image_proj).data
                       + params.table.position.data[18:])
